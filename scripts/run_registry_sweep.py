@@ -14,7 +14,7 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--max", type=int, default=None,
                         help="override the per-identity parameter cap")
-    parser.add_argument("--jobs", type=int, default=1)
+    parser.add_argument("--jobs", type=int, default=1, help="accepted for compatibility; has no effect")
     parser.add_argument("--json", metavar="PATH", default=None,
                         help="also write the full reports as a JSON array")
     args = parser.parse_args()

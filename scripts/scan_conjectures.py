@@ -41,7 +41,7 @@ def main() -> int:
     parser.add_argument("--m-max", type=int, default=40)
     parser.add_argument("--p-max", type=int, default=7, help="largest odd exponent to scan")
     parser.add_argument("--mixed-max", type=int, default=12)
-    parser.add_argument("--jobs", type=int, default=1)
+    parser.add_argument("--jobs", type=int, default=1, help="accepted for compatibility; has no effect")
     parser.add_argument("--checkpoint-dir", default=None)
     parser.add_argument("--batch", type=int, default=None,
                         help="cells per checkpointed batch (default: all at once)")

@@ -242,7 +242,8 @@ def _build_parser() -> argparse.ArgumentParser:
                             help="range for parameter %s" % flag)
     verify.add_argument("--max", type=int, default=None,
                         help="upper bound for parameters without an explicit range")
-    verify.add_argument("--jobs", type=int, default=_default_jobs())
+    verify.add_argument("--jobs", type=int, default=_default_jobs(),
+                        help="accepted for compatibility; has no effect")
     verify.add_argument("--format", choices=("plain", "json"), default="plain")
     verify.add_argument("--fail-fast", action="store_true",
                         help="stop a sweep at its first mismatch")
@@ -261,7 +262,8 @@ def _build_parser() -> argparse.ArgumentParser:
                       help="resume from PATH if present; save final state there")
     scan.add_argument("--limit", type=int, default=None, metavar="CELLS",
                       help="process at most CELLS cells this run")
-    scan.add_argument("--jobs", type=int, default=_default_jobs())
+    scan.add_argument("--jobs", type=int, default=_default_jobs(),
+                      help="accepted for compatibility; has no effect")
     scan.add_argument("--format", choices=("plain", "json"), default="plain")
     scan.add_argument("--no-timing", action="store_true")
     scan.set_defaults(handler=_cmd_scan)

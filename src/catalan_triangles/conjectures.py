@@ -15,13 +15,12 @@ from __future__ import annotations
 import json
 import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable
 
 from .errors import DomainError, IntegrityError, UsageError
-from .exact import binomial, exact_div
+from .exact import RunningSum, binomial, exact_div, keep_partials
 from .triangles import _a_ext, _b_ext, _c_ext, catalan
 
 CHECKPOINT_VERSION = 1
@@ -82,11 +81,15 @@ def _cell_names(variant: str) -> tuple[str, ...]:
     return ("m", "n") if variant == "c" else ("n",)
 
 
+# sum(c(m,k)^p, k=0..n): a scan in cell order raises n one step at a time
+_c_power_sums = RunningSum(lambda k, m, p: _c_ext(m, k) ** p, 0, "n", ("m", "p"))
+
+
 def divisibility_claim(variant: str, p: int, cell: Cell) -> DivisibilityClaim:
     """Dividend and claimed divisor at one cell of the chosen variant."""
     if variant == "c":
         m, n = cell
-        dividend = sum(_c_ext(m, k) ** p for k in range(n + 1))
+        dividend = _c_power_sums(m=m, n=n, p=p)
         divisor = binomial(m - 1, n)
         return DivisibilityClaim(dividend, divisor, (("m", m), ("n", n)))
     if variant == "b":
@@ -147,34 +150,7 @@ def _resume_index(cells: list[Cell], state: ScanState | None) -> int:
         ) from None
 
 
-def _merge_chunks(pool_size: int, cells: list[Cell], check: Callable[[Cell], tuple[dict | None, bool]]):
-    """Run check over cells, chunked contiguously, merging results in order."""
-
-    def run(chunk):
-        found = []
-        zeros = 0
-        for cell in chunk:
-            record, zero_divisor = check(cell)
-            if zero_divisor:
-                zeros += 1
-            elif record is not None:
-                found.append(record)
-        return found, zeros
-
-    if pool_size <= 1 or len(cells) < 2:
-        return run(cells)
-    size = (len(cells) + pool_size - 1) // pool_size
-    chunks = [cells[i : i + size] for i in range(0, len(cells), size)]
-    found: list[dict] = []
-    zeros = 0
-    with ThreadPoolExecutor(max_workers=len(chunks)) as pool:
-        for chunk_found, chunk_zeros in pool.map(run, chunks):
-            found.extend(chunk_found)
-            zeros += chunk_zeros
-    return found, zeros
-
-
-def _run_scan(conjecture, p, cells, checkpoint, jobs, max_cells, check) -> ScanState:
+def _run_scan(conjecture, p, cells, checkpoint, max_cells, check) -> ScanState:
     if checkpoint is not None:
         if checkpoint.conjecture != conjecture or checkpoint.p != p:
             raise IntegrityError(
@@ -184,7 +160,15 @@ def _run_scan(conjecture, p, cells, checkpoint, jobs, max_cells, check) -> ScanS
     start_index = _resume_index(cells, checkpoint)
     stop_index = len(cells) if max_cells is None else min(len(cells), start_index + max_cells)
     started = time.perf_counter()
-    found, zeros = _merge_chunks(jobs, cells[start_index:stop_index], check)
+    found = []
+    zeros = 0
+    with keep_partials():
+        for cell in cells[start_index:stop_index]:
+            record, zero_divisor = check(cell)
+            if zero_divisor:
+                zeros += 1
+            elif record is not None:
+                found.append(record)
     elapsed_ms = (time.perf_counter() - started) * 1000.0
 
     previous = checkpoint or ScanState(conjecture, p, frontier=None)
@@ -214,7 +198,8 @@ def scan_divisibility(
     Cells are ordered lexicographically ((m, n) ascending for variant c,
     plain n for b and a), which is also the checkpoint frontier order.
     claim_fn substitutes the per-cell claim builder; the engine itself
-    never assumes the claim is true.
+    never assumes the claim is true.  jobs is accepted for compatibility
+    and has no effect: the scan is serial.
     """
     variant = variant.lower()
     if variant not in _VARIANTS:
@@ -237,7 +222,7 @@ def scan_divisibility(
             "remainder": str(claim.dividend % claim.divisor),
         }, False
 
-    return _run_scan("divisibility-" + variant, p, cells, checkpoint, jobs, max_cells, check)
+    return _run_scan("divisibility-" + variant, p, cells, checkpoint, max_cells, check)
 
 
 def scan_mixed(
@@ -247,7 +232,10 @@ def scan_mixed(
     jobs: int = 1,
     max_cells: int | None = None,
 ) -> ScanState:
-    """Test the mixed-cube identity on every (n, m) cell, in (n, m) order."""
+    """Test the mixed-cube identity on every (n, m) cell, in (n, m) order.
+
+    jobs is accepted for compatibility and has no effect: the scan is serial.
+    """
     cells: list[Cell] = [(n, m) for n in _span(n_range, 1) for m in _span(m_range, 1)]
 
     def check(cell):
@@ -257,22 +245,23 @@ def scan_mixed(
             return None, False
         return {"assignment": {"n": n, "m": m}, "lhs": str(lhs), "rhs": str(rhs)}, False
 
-    return _run_scan("mixed-cube", None, cells, checkpoint, jobs, max_cells, check)
+    return _run_scan("mixed-cube", None, cells, checkpoint, max_cells, check)
 
 
 def reverify(state: ScanState, claim_fn: Callable[[Cell], DivisibilityClaim] | None = None) -> bool:
     """Recompute every recorded counterexample; True iff all still hold up."""
     if state.conjecture.startswith("divisibility-"):
         variant = state.conjecture.removeprefix("divisibility-")
-        for record in state.counterexamples:
-            cell = tuple(record["assignment"][name] for name in _cell_names(variant))
-            claim = (claim_fn or (lambda c: divisibility_claim(variant, state.p, c)))(cell)
-            if claim.holds:
-                return False
-            if (str(claim.dividend), str(claim.divisor)) != (record["dividend"], record["divisor"]):
-                return False
-            if str(claim.dividend % claim.divisor) != record["remainder"]:
-                return False
+        build = claim_fn or (lambda cell: divisibility_claim(variant, state.p, cell))
+        with keep_partials():  # records are in cell order, so running sums extend
+            for record in state.counterexamples:
+                claim = build(tuple(record["assignment"][name] for name in _cell_names(variant)))
+                if claim.holds:
+                    return False
+                if (str(claim.dividend), str(claim.divisor)) != (record["dividend"], record["divisor"]):
+                    return False
+                if str(claim.dividend % claim.divisor) != record["remainder"]:
+                    return False
         return True
     if state.conjecture == "mixed-cube":
         for record in state.counterexamples:

@@ -7,73 +7,15 @@ exact by construction; there is deliberately no floating-point fast path.
 
 from __future__ import annotations
 
+import math
 import threading
-from collections import OrderedDict
+from contextlib import contextmanager
 from fractions import Fraction
-from typing import Callable
+from typing import Callable, Iterator
 
 from .errors import DomainError, IntegrityError
 
 Rational = Fraction
-
-# Rows with index above this are computed multiplicatively and never cached;
-# building a full Pascal row only pays off when nearby entries get re-read,
-# and a single low-index entry of a long row is far cheaper directly.
-ROW_CACHE_MAX_INDEX = 512
-DEFAULT_ROW_CACHE_BUDGET = 64 * 1024 * 1024
-
-
-class RowCache:
-    """LRU cache of whole rows keyed by row index, bounded by a byte budget.
-
-    Rows are built outside the lock and inserted complete, so concurrent
-    readers never observe a partially built row.
-    """
-
-    def __init__(self, build: Callable[[int], tuple], budget: int = DEFAULT_ROW_CACHE_BUDGET):
-        self._build = build
-        self._budget = budget
-        self._rows: OrderedDict[int, tuple] = OrderedDict()
-        self._sizes: dict[int, int] = {}
-        self._bytes = 0
-        self._lock = threading.Lock()
-
-    def row(self, index: int) -> tuple:
-        with self._lock:
-            row = self._rows.get(index)
-            if row is not None:
-                self._rows.move_to_end(index)
-                return row
-        row = self._build(index)
-        size = sum(entry.bit_length() // 8 + 1 for entry in row)
-        with self._lock:
-            if index not in self._rows:
-                self._rows[index] = row
-                self._sizes[index] = size
-                self._bytes += size
-                while self._bytes > self._budget and len(self._rows) > 1:
-                    oldest, _ = self._rows.popitem(last=False)
-                    self._bytes -= self._sizes.pop(oldest)
-            return self._rows[index]
-
-    def __len__(self) -> int:
-        return len(self._rows)
-
-    @property
-    def byte_size(self) -> int:
-        return self._bytes
-
-
-def _pascal_row(u: int) -> tuple[int, ...]:
-    row = [1] * (u + 1)
-    entry = 1
-    for k in range(u):
-        entry = entry * (u - k) // (k + 1)  # exact at every step
-        row[k + 1] = entry
-    return tuple(row)
-
-
-pascal_rows = RowCache(_pascal_row)
 
 
 def binomial(u: int, v: int) -> int:
@@ -82,13 +24,7 @@ def binomial(u: int, v: int) -> int:
         raise DomainError("binomial: u must be >= 0, got %d" % u)
     if v < 0 or v > u:
         return 0
-    if u <= ROW_CACHE_MAX_INDEX:
-        return pascal_rows.row(u)[v]
-    v = min(v, u - v)
-    result = 1
-    for i in range(v):
-        result = result * (u - i) // (i + 1)
-    return result
+    return math.comb(u, v)
 
 
 def exact_div(a: int, b: int) -> int:
@@ -115,3 +51,69 @@ def harmonic(n: int) -> Fraction:
                 k = len(_harmonic_cache)
                 _harmonic_cache.append(_harmonic_cache[-1] + Fraction(1, k))
     return _harmonic_cache[n]
+
+
+# Partials of the running sums, per thread; None outside keep_partials().
+_scope = threading.local()
+
+
+@contextmanager
+def keep_partials() -> Iterator[None]:
+    """Let running sums reuse their partials until the outermost block exits.
+
+    On exit every partial is dropped, so nothing outlives the sweep or scan
+    that filled it.  Blocks nest; each thread has its own partials.
+    """
+    if getattr(_scope, "partials", None) is not None:
+        yield
+        return
+    _scope.partials = {}
+    try:
+        yield
+    finally:
+        _scope.partials = None
+
+
+class RunningSum:
+    """sum(term(k, **fixed) for k = lo..hi) as a (**params) -> int | Fraction callable.
+
+    params are the bound parameter named hi and the parameters named in
+    fixed; lo is an int or a callable of the fixed parameters.  Inside
+    keep_partials() the sum remembers, for each value of its fixed
+    parameters, the last (hi, partial): a call at the same or a larger hi
+    adds only the missing terms, any other call starts again from lo.
+    Outside keep_partials() every call sums from lo.
+    """
+
+    def __init__(
+        self,
+        term: Callable[..., int | Fraction],
+        lo: int | Callable[..., int],
+        hi: str,
+        fixed: tuple[str, ...] = (),
+    ):
+        self.term = term
+        self.lo = lo
+        self.hi = hi
+        self.fixed = tuple(fixed)
+        self._names = {hi, *self.fixed}
+
+    def __call__(self, **params: int) -> int | Fraction:
+        if params.keys() != self._names:
+            raise TypeError("running sum takes parameters %s, got %s" % (sorted(self._names), sorted(params)))
+        fixed = {name: params[name] for name in self.fixed}
+        hi = params[self.hi]
+        lo = self.lo(**fixed) if callable(self.lo) else self.lo
+        partials = getattr(_scope, "partials", None)
+        key = (self, *fixed.values())
+        last = partials.get(key) if partials is not None else None
+        if last is not None and lo <= last[0] <= hi:
+            start, total = last[0] + 1, last[1]
+        else:
+            start, total = lo, 0
+        term = self.term
+        for k in range(start, hi + 1):
+            total += term(k, **fixed)
+        if partials is not None:
+            partials[key] = (hi, total)
+        return total

@@ -5,21 +5,21 @@ over named integer parameters.  Both sides are compared in Rational space by
 canonical equality, so identities whose right side carries explicit fractions
 like (n+1)/2 * catalan(n) need no special casing.  Evaluators are total on
 the declared domain: outside-the-triangle terms vanish through the binomial
-zero convention, never through special cases in the sums.
+zero convention, never through special cases in the sums.  A partial sum
+whose bound is a swept parameter is declared as an exact.RunningSum, so a
+sweep that raises the bound adds one term per cell instead of re-summing.
 """
 
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
-from threading import Event
 from typing import Callable, Mapping
 
 from .errors import DomainError, EmptyDomainError, UnknownIdentityError, UsageError
-from .exact import binomial, harmonic
+from .exact import RunningSum, binomial, harmonic, keep_partials
 from .triangles import _a_ext, _b_ext, _c_ext, catalan, gen_catalan, seq_a, seq_b
 
 Assignment = Mapping[str, int]
@@ -171,7 +171,7 @@ _ident(
     "thm-linear-sum",
     "sum(c(m,k), k=0..n) == binomial(m-1,n)",
     [("m", 2), ("n", 1)],
-    lambda m, n: sum(_c_ext(m, k) for k in range(n + 1)),
+    RunningSum(lambda k, m: _c_ext(m, k), 0, "n", ("m",)),
     lambda m, n: binomial(m - 1, n),
 )
 
@@ -179,7 +179,7 @@ _ident(
     "thm-alt-sum",
     "sum((-1)^k * c(m,k), k=0..n) == (-1)^n * c(m-1,n)",
     [("m", 2), ("n", 1)],
-    lambda m, n: sum((-1) ** k * _c_ext(m, k) for k in range(n + 1)),
+    RunningSum(lambda k, m: (-1) ** k * _c_ext(m, k), 0, "n", ("m",)),
     lambda m, n: (-1) ** n * _c_ext(m - 1, n),
     constraint=lambda m, n: n <= m - 1,
 )
@@ -244,22 +244,29 @@ _ident(
 
 # --- sums of squares --------------------------------------------------------
 
+# sum(binomial(m,k)^2, k=0..n) and sum((-1)^k * binomial(m,k)^2, k=0..n)
+_binomial_squares = RunningSum(lambda k, m: binomial(m, k) ** 2, 0, "n", ("m",))
+_alt_binomial_squares = RunningSum(lambda k, m: (-1) ** k * binomial(m, k) ** 2, 0, "n", ("m",))
+# sum((2j-n) * binomial(j-1,n-1)^2, j=n..m), bounded by m with n fixed
+_square_decomp_terms = RunningSum(
+    lambda j, n: (2 * j - n) * binomial(j - 1, n - 1) ** 2, lambda n: n, "m", ("n",)
+)
+
 _ident(
     "thm-square-sum",
     "sum(c(m,k)^2, k=0..n) == (m-2n)/m * binomial(m-1,n)^2 + 2/m * sum(binomial(m-1,k)^2, k=0..n-1)",
     [("m", 1), ("n", 1)],
-    lambda m, n: sum(_c_ext(m, k) ** 2 for k in range(n + 1)),
+    RunningSum(lambda k, m: _c_ext(m, k) ** 2, 0, "n", ("m",)),
     lambda m, n: Fraction(m - 2 * n, m) * binomial(m - 1, n) ** 2
-    + Fraction(2 * sum(binomial(m - 1, k) ** 2 for k in range(n)), m),
+    + Fraction(2 * _binomial_squares(m=m - 1, n=n - 1), m),
 )
 
 _ident(
     "thm-alt-square-sum",
     "sum((-1)^k * c(m,k)^2, k=0..n) == 2*(-1)^n * binomial(m-1,n)^2 - sum((-1)^k * binomial(m,k)^2, k=0..n)",
     [("m", 1), ("n", 1)],
-    lambda m, n: sum((-1) ** k * _c_ext(m, k) ** 2 for k in range(n + 1)),
-    lambda m, n: 2 * (-1) ** n * binomial(m - 1, n) ** 2
-    - sum((-1) ** k * binomial(m, k) ** 2 for k in range(n + 1)),
+    RunningSum(lambda k, m: (-1) ** k * _c_ext(m, k) ** 2, 0, "n", ("m",)),
+    lambda m, n: 2 * (-1) ** n * binomial(m - 1, n) ** 2 - _alt_binomial_squares(m=m, n=n),
 )
 
 _ident(
@@ -299,7 +306,7 @@ _ident(
     "binomial(m,n)^2 == sum((2j-n)/n * binomial(j-1,n-1)^2, j=n..m)",
     [("m", 1), ("n", 1)],
     lambda m, n: binomial(m, n) ** 2,
-    lambda m, n: sum(Fraction((2 * j - n) * binomial(j - 1, n - 1) ** 2, n) for j in range(n, m + 1)),
+    lambda m, n: Fraction(_square_decomp_terms(n=n, m=m), n),
     constraint=lambda m, n: m >= n,
 )
 
@@ -337,6 +344,9 @@ _ident(
 
 # --- sums of cubes ----------------------------------------------------------
 
+# sum((-1)^k * binomial(m,k)^3, k=0..n)
+_alt_binomial_cubes = RunningSum(lambda k, m: (-1) ** k * binomial(m, k) ** 3, 0, "n", ("m",))
+
 
 def _cube_cross_sum(m: int, n: int) -> int:
     return sum(binomial(j, n) * binomial(j, m - n - 1) for j in range(m))
@@ -346,7 +356,7 @@ _ident(
     "eq-amm",
     "sum((m-2k)*binomial(m,k)^3, k=0..n) == (m-n)*binomial(m,n)*sum(binomial(j,n)*binomial(j,m-n-1), j=0..m-1)",
     [("m", 1), ("n", 1)],
-    lambda m, n: sum((m - 2 * k) * binomial(m, k) ** 3 for k in range(n + 1)),
+    RunningSum(lambda k, m: (m - 2 * k) * binomial(m, k) ** 3, 0, "n", ("m",)),
     lambda m, n: (m - n) * binomial(m, n) * _cube_cross_sum(m, n),
     cap=40,
 )
@@ -355,7 +365,7 @@ _ident(
     "thm-cube-sum",
     "sum(c(m,k)^3, k=0..n) == 4*binomial(m-1,n)^3 - 3*binomial(m-1,n)*sum(binomial(j,n)*binomial(j,m-n-1), j=0..m-1)",
     [("m", 1), ("n", 1)],
-    lambda m, n: sum(_c_ext(m, k) ** 3 for k in range(n + 1)),
+    RunningSum(lambda k, m: _c_ext(m, k) ** 3, 0, "n", ("m",)),
     lambda m, n: 4 * binomial(m - 1, n) ** 3 - 3 * binomial(m - 1, n) * _cube_cross_sum(m, n),
     cap=40,
 )
@@ -364,9 +374,9 @@ _ident(
     "thm-alt-cube-sum",
     "sum((-1)^k * c(m,k)^3, k=0..n) == (m-3n)/m * (-1)^n * binomial(m-1,n)^3 - (m-3)/m * sum((-1)^k * binomial(m-1,k)^3, k=0..n-1)",
     [("m", 1), ("n", 1)],
-    lambda m, n: sum((-1) ** k * _c_ext(m, k) ** 3 for k in range(n + 1)),
+    RunningSum(lambda k, m: (-1) ** k * _c_ext(m, k) ** 3, 0, "n", ("m",)),
     lambda m, n: Fraction((m - 3 * n) * (-1) ** n * binomial(m - 1, n) ** 3, m)
-    - Fraction((m - 3) * sum((-1) ** k * binomial(m - 1, k) ** 3 for k in range(n)), m),
+    - Fraction((m - 3) * _alt_binomial_cubes(m=m - 1, n=n - 1), m),
 )
 
 _ident(
@@ -431,13 +441,15 @@ _ident(
 
 # --- harmonic-number sums ----------------------------------------------------
 
+# sum(binomial(m,k), k=1..n)
+_binomials_from_one = RunningSum(lambda k, m: binomial(m, k), 1, "n", ("m",))
+
 _ident(
     "thm-harmonic",
     "sum(c(m,k) * H(k), k=1..n) == binomial(m-1,n) * H(n) - 1/m * sum(binomial(m,k), k=1..n)",
     [("m", 1), ("n", 1)],
-    lambda m, n: sum(_c_ext(m, k) * harmonic(k) for k in range(1, n + 1)),
-    lambda m, n: binomial(m - 1, n) * harmonic(n)
-    - Fraction(sum(binomial(m, k) for k in range(1, n + 1)), m),
+    RunningSum(lambda k, m: _c_ext(m, k) * harmonic(k), 1, "n", ("m",)),
+    lambda m, n: binomial(m - 1, n) * harmonic(n) - Fraction(_binomials_from_one(m=m, n=n), m),
 )
 
 _ident(
@@ -536,24 +548,6 @@ def _admissible_cells(ident: IdentityDescriptor, domain: dict[str, tuple[int, in
     return cells
 
 
-def _check_cells(ident, names, cells, stop: Event, fail_fast: bool):
-    checked = 0
-    mismatches = []
-    for values in cells:
-        if stop.is_set():
-            break
-        kwargs = dict(zip(names, values))
-        lhs = Fraction(ident.lhs(**kwargs))
-        rhs = Fraction(ident.rhs(**kwargs))
-        checked += 1
-        if lhs != rhs:
-            mismatches.append(Mismatch(tuple(zip(names, values)), lhs, rhs))
-            if fail_fast:
-                stop.set()
-                break
-    return checked, mismatches
-
-
 def verify_identity(
     identity: str | IdentityDescriptor,
     ranges: Mapping[str, tuple[int, int]] | None = None,
@@ -565,9 +559,11 @@ def verify_identity(
     """Exactly compare both sides on every admissible cell of the swept box.
 
     All mismatches are collected (not just the first) unless fail_fast is
-    set.  Work splits by the outermost parameter into contiguous blocks, one
-    batch per worker; merged mismatch lists are canonically sorted, so the
-    report is identical for any parallelism.
+    set, which stops at the first mismatch in cell order.  Cells run in
+    lexicographic order of the parameters, so mismatches come out
+    canonically sorted.  parallelism is accepted for compatibility and has
+    no effect: the sweep is serial, since threads only slow pure-Python
+    big-integer work under the GIL.
     """
     ident = _resolve(identity)
     domain = effective_domain(ident, ranges, cap)
@@ -577,27 +573,19 @@ def verify_identity(
             "%s: no admissible cells in %s" % (ident.id, {k: list(v) for k, v in domain.items()})
         )
     names = ident.parameter_names()
-    parallelism = max(1, parallelism)
     started = time.perf_counter()
-    stop = Event()
-
-    if parallelism == 1 or len(cells) < 2:
-        checked, mismatches = _check_cells(ident, names, cells, stop, fail_fast)
-    else:
-        outer_values = sorted({cell[0] for cell in cells})
-        blocks = [outer_values[i::parallelism] for i in range(parallelism)]
-        blocks = [set(b) for b in blocks if b]
-        chunks = [[cell for cell in cells if cell[0] in block] for block in blocks]
-        checked = 0
-        mismatches = []
-        with ThreadPoolExecutor(max_workers=len(chunks)) as pool:
-            futures = [pool.submit(_check_cells, ident, names, chunk, stop, fail_fast) for chunk in chunks]
-            for future in futures:
-                chunk_checked, chunk_mismatches = future.result()
-                checked += chunk_checked
-                mismatches.extend(chunk_mismatches)
-
-    mismatches.sort(key=lambda m: tuple(value for _, value in m.assignment))
+    checked = 0
+    mismatches = []
+    with keep_partials():
+        for values in cells:
+            kwargs = dict(zip(names, values))
+            lhs = Fraction(ident.lhs(**kwargs))
+            rhs = Fraction(ident.rhs(**kwargs))
+            checked += 1
+            if lhs != rhs:
+                mismatches.append(Mismatch(tuple(zip(names, values)), lhs, rhs))
+                if fail_fast:
+                    break
     elapsed_ms = (time.perf_counter() - started) * 1000.0
     return VerificationReport(
         identity=ident.id,

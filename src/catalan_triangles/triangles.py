@@ -11,8 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import DomainError
-from .exact import RowCache, binomial, exact_div
+from .errors import DomainError, IntegrityError
+from .exact import binomial, exact_div
 
 
 def _c_ext(m: int, k: int) -> int:
@@ -45,7 +45,8 @@ def c_number(m: int, k: int) -> int:
         raise DomainError("c_number: k must satisfy 0 <= k <= m, got k=%d, m=%d" % (k, m))
     value = _c_ext(m, k)
     # double-entry bookkeeping: closed form vs Pascal-difference form
-    assert value == binomial(m, k) - 2 * binomial(m - 1, k - 1)
+    if value != binomial(m, k) - 2 * binomial(m - 1, k - 1):
+        raise IntegrityError("c_number(%d, %d): closed form and Pascal-difference form disagree" % (m, k))
     return value
 
 
@@ -92,33 +93,37 @@ def seq_b(n: int) -> int:
     )
 
 
-def _build_c_row(m: int) -> tuple[int, ...]:
-    return tuple(c_number(m, k) for k in range(m + 1))
+# kind: (entry function, name of the row index, last column minus row index)
+_ROWS = {
+    "c_row": (c_number, "m", 0),
+    "b_row": (b_number, "n", 0),
+    "a_row": (a_number, "n", 1),
+}
 
 
-# Identity sweeps re-read whole rows; keep them memoized with LRU eviction.
-c_rows = RowCache(_build_c_row)
+def _row_slice(kind: str, index: int, start: int, stop: int) -> list[int]:
+    """Columns start..stop-1 of one triangle row, computing only those entries."""
+    entry, name, extra = _ROWS[kind]
+    if index < 1:
+        raise DomainError("%s: %s must be >= 1, got %d" % (kind, name, index))
+    if stop - 1 > index + extra:
+        raise DomainError("generate: slice %d..%d leaves row %d of %s" % (start, stop - 1, index, kind))
+    return [entry(index, k) for k in range(start, stop)]
 
 
 def c_row(m: int) -> tuple[int, ...]:
     """Row m of the unified triangle as a tuple indexed by k = 0..m."""
-    if m < 1:
-        raise DomainError("c_row: m must be >= 1, got %d" % m)
-    return c_rows.row(m)
+    return tuple(_row_slice("c_row", m, 0, m + 1))
 
 
 def b_row(n: int) -> tuple[int, ...]:
     """Row n of Shapiro's triangle as a tuple indexed by k = 1..n."""
-    if n < 1:
-        raise DomainError("b_row: n must be >= 1, got %d" % n)
-    return tuple(b_number(n, k) for k in range(1, n + 1))
+    return tuple(_row_slice("b_row", n, 1, n + 1))
 
 
 def a_row(n: int) -> tuple[int, ...]:
     """Row n of the companion triangle as a tuple indexed by k = 1..n+1."""
-    if n < 1:
-        raise DomainError("a_row: n must be >= 1, got %d" % n)
-    return tuple(a_number(n, k) for k in range(1, n + 2))
+    return tuple(_row_slice("a_row", n, 1, n + 2))
 
 
 @dataclass(frozen=True)
@@ -169,21 +174,4 @@ def generate(spec: SequenceSpec) -> list[int]:
         return [seq_b(i) for i in range(spec.start, stop)]
 
     # triangle rows: the slice must stay inside the row
-    row_index = spec.param
-    if spec.kind == "c_row":
-        row = c_row(row_index)
-        offset = 0
-        last = row_index
-    elif spec.kind == "b_row":
-        row = b_row(row_index)
-        offset = 1
-        last = row_index
-    else:
-        row = a_row(row_index)
-        offset = 1
-        last = row_index + 1
-    if stop - 1 > last:
-        raise DomainError(
-            "generate: slice %d..%d leaves row %d of %s" % (spec.start, stop - 1, row_index, spec.kind)
-        )
-    return list(row[spec.start - offset : stop - offset])
+    return _row_slice(spec.kind, spec.param, spec.start, stop)

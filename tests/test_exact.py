@@ -1,10 +1,9 @@
 """Core arithmetic: binomials with the zero convention, harmonic numbers,
-exact division, and the shared row cache.  math.comb is the independent
-oracle throughout."""
+exact division, and running sums.  math.comb is the independent oracle
+throughout."""
 
 import math
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import pytest
@@ -12,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from catalan_triangles.errors import DomainError, IntegrityError
-from catalan_triangles.exact import RowCache, binomial, exact_div, harmonic
+from catalan_triangles.exact import binomial, exact_div, harmonic
 
 
 def comb_oracle(u, v):
@@ -44,7 +43,6 @@ def test_binomial_matches_math_comb(u, v):
 
 
 def test_binomial_large_uncached_rows():
-    # above the row-cache ceiling the multiplicative path takes over
     assert binomial(5000, 3) == math.comb(5000, 3)
     assert binomial(5000, 4997) == math.comb(5000, 3)
 
@@ -114,45 +112,6 @@ def test_harmonic_difference_is_unit_fraction():
 def test_harmonic_domain(n):
     with pytest.raises(DomainError):
         harmonic(n)
-
-
-def test_row_cache_returns_built_rows():
-    calls = []
-
-    def build(i):
-        calls.append(i)
-        return tuple(range(i + 1))
-
-    cache = RowCache(build)
-    assert cache.row(5) == (0, 1, 2, 3, 4, 5)
-    assert cache.row(5) == (0, 1, 2, 3, 4, 5)
-    assert calls == [5]
-
-
-def test_row_cache_evicts_lru_over_budget():
-    cache = RowCache(lambda i: tuple([1 << 64] * (i + 1)), budget=200)
-    for i in range(20):
-        cache.row(i)
-    assert len(cache) < 20
-    assert cache.byte_size <= 200 + 9 * 21  # at most one row over budget
-    # evicted rows are rebuilt correctly
-    assert cache.row(0) == (1 << 64,)
-
-
-def test_row_cache_concurrent_readers_see_whole_rows():
-    cache = RowCache(lambda i: tuple(math.comb(i, k) for k in range(i + 1)))
-    failures = []
-
-    def hammer(seed):
-        for step in range(300):
-            u = (seed * 131 + step * 17) % 150
-            row = cache.row(u)
-            if len(row) != u + 1 or row[u // 2] != math.comb(u, u // 2):
-                failures.append((seed, u))
-
-    with ThreadPoolExecutor(max_workers=8) as pool:
-        list(pool.map(hammer, range(8)))
-    assert not failures
 
 
 def test_binomial_concurrent_consistency():

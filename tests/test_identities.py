@@ -2,6 +2,7 @@
 contracts: exhaustive mismatch reporting, canonical rational comparison,
 and parallel determinism."""
 
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -213,6 +214,19 @@ def test_fail_fast_stops_at_first_mismatch():
     report = verify_identity(ident, {"n": (1, 50)}, fail_fast=True)
     assert len(report.mismatches) == 1
     assert report.cells < 50
+
+
+def test_fail_fast_cell_count_does_not_depend_on_parallelism():
+    true = get_identity("thm-square-sum")
+    ident = dataclasses.replace(true, rhs=lambda m, n: true.rhs(m=m, n=n) + (m == 7))
+    reports = [
+        verify_identity(ident, {"m": (1, 12), "n": (1, 12)}, parallelism=jobs, fail_fast=True)
+        for jobs in (1, 8)
+    ]
+    assert reports[0] == reports[1]
+    # the first mismatch in cell order is (7, 1), after 6 full rows of 12
+    assert reports[0].cells == 6 * 12 + 1
+    assert [m.assignment for m in reports[0].mismatches] == [(("m", 7), ("n", 1))]
 
 
 def test_allow_outside_domain_explores_beyond_constraints():

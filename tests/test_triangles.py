@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from catalan_triangles.errors import DomainError
+from catalan_triangles import triangles
+from catalan_triangles.errors import DomainError, IntegrityError
 from catalan_triangles.triangles import (
     SequenceSpec,
     a_number,
@@ -137,6 +138,29 @@ def test_generate_sequences():
 def test_generate_partial_row_slice():
     assert generate(SequenceSpec("c_row", 2, 3, param=6)) == [5, 0, -5]
     assert generate(SequenceSpec("a_row", 6, 1, param=5)) == [1]
+
+
+def test_generate_computes_only_the_requested_entries(monkeypatch):
+    calls = []
+
+    def counting_binomial(u, v):
+        calls.append((u, v))
+        return math.comb(u, v) if 0 <= v <= u else 0
+
+    monkeypatch.setattr(triangles, "binomial", counting_binomial)
+    assert generate(SequenceSpec("c_row", 1000, 3, param=2500)) == [c_number(2500, k) for k in range(1000, 1003)]
+    # three entries plus their three reference evaluations, each three binomials
+    assert len(calls) == 2 * 3 * 3
+
+
+def test_c_number_forms_that_disagree_raise_integrity_error(monkeypatch):
+    # the check compares c(6, 2) with binomial(6,2) - 2*binomial(5,1)
+    def wrong_binomial(u, v):
+        return math.comb(u, v) + ((u, v) == (5, 1))
+
+    monkeypatch.setattr(triangles, "binomial", wrong_binomial)
+    with pytest.raises(IntegrityError):
+        c_number(6, 2)
 
 
 @pytest.mark.parametrize(
