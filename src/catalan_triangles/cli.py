@@ -2,8 +2,8 @@
 
 Exit codes are never conflated: 0 means every check passed, 1 means a
 mathematical mismatch or counterexample was found, 2 means the request
-itself was bad.  All output is deterministic; timing fields can be dropped
-with --no-timing so that runs diff cleanly.
+itself was bad, 3 means an internal error.  All output is deterministic;
+timing fields can be dropped with --no-timing so that runs diff cleanly.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ from .exact import binomial, harmonic
 EXIT_OK = 0
 EXIT_FINDING = 1
 EXIT_USAGE = 2
+EXIT_INTERNAL = 3
 
 JOBS_ENV_VAR = "CATALAN_TRIANGLES_JOBS"
 
@@ -280,6 +281,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    # Exact values are the product: print and read integers of any length
+    # (CPython 3.10.7+ caps int<->str conversion at 4300 digits by default).
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)
     args = _build_parser().parse_args(argv)
     try:
         return args.handler(args)
@@ -289,6 +294,12 @@ def main(argv=None) -> int:
     except IntegrityError as exc:
         print("integrity error: %s" % exc, file=sys.stderr)
         return EXIT_USAGE
+    except Exception as exc:  # a bug, never a mathematical finding
+        import traceback  # only on this path, to keep start-up lean
+
+        traceback.print_exc()
+        print("internal error: %s: %s" % (type(exc).__name__, exc), file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 def entrypoint() -> None:

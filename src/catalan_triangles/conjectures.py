@@ -21,7 +21,7 @@ from typing import Callable
 
 from .errors import DomainError, IntegrityError, UsageError
 from .exact import RunningSum, binomial, exact_div, keep_partials
-from .triangles import _a_ext, _b_ext, _c_ext, catalan
+from .triangles import _b_ext, _c_ext, a_row, b_row, catalan
 
 CHECKPOINT_VERSION = 1
 
@@ -94,12 +94,12 @@ def divisibility_claim(variant: str, p: int, cell: Cell) -> DivisibilityClaim:
         return DivisibilityClaim(dividend, divisor, (("m", m), ("n", n)))
     if variant == "b":
         (n,) = cell
-        dividend = sum(_b_ext(n, k) ** p for k in range(1, n + 1))
+        dividend = sum(x ** p for x in b_row(n))
         divisor = exact_div((n + 1) * catalan(n), 2)
         return DivisibilityClaim(dividend, divisor, (("n", n),))
     if variant == "a":
         (n,) = cell
-        dividend = sum(_a_ext(n, k) ** p for k in range(1, n + 2))
+        dividend = sum(x ** p for x in a_row(n))
         divisor = (n + 1) * catalan(n)
         return DivisibilityClaim(dividend, divisor, (("n", n),))
     raise UsageError("unknown divisibility variant %r (expected one of %s)" % (variant, _VARIANTS))
@@ -282,8 +282,24 @@ def save_checkpoint(state: ScanState, destination: str | os.PathLike) -> None:
     os.replace(tmp, destination)
 
 
+def _int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)  # JSON true is no count
+
+
+# field: (test of its JSON value, what the test demands)
+_CHECKPOINT_FIELDS = {
+    "conjecture": (lambda v: isinstance(v, str), "a string"),
+    "p": (lambda v: v is None or _int(v), "an integer or null"),
+    "frontier": (lambda v: v is None or (isinstance(v, list) and all(map(_int, v))), "a list of integers or null"),
+    "processed": (lambda v: _int(v) and v >= 0, "a non-negative integer"),
+    "counterexamples": (lambda v: isinstance(v, list) and all(isinstance(x, dict) for x in v), "a list of objects"),
+    "skipped_zero_divisor": (lambda v: _int(v) and v >= 0, "a non-negative integer"),
+    "elapsed_ms": (lambda v: (_int(v) or isinstance(v, float)) and v >= 0, "a non-negative number"),
+}
+
+
 def load_checkpoint(source: str | os.PathLike) -> ScanState:
-    """Load a checkpoint written by save_checkpoint; validate its version."""
+    """Load a checkpoint written by save_checkpoint; validate its version and fields."""
     try:
         with open(source, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
@@ -294,16 +310,19 @@ def load_checkpoint(source: str | os.PathLike) -> ScanState:
             "checkpoint version %r does not match supported version %r"
             % (doc.get("version") if isinstance(doc, dict) else None, CHECKPOINT_VERSION)
         )
-    try:
-        frontier = doc["frontier"]
-        return ScanState(
-            conjecture=doc["conjecture"],
-            p=doc["p"],
-            frontier=tuple(frontier) if frontier is not None else None,
-            processed=doc["processed"],
-            counterexamples=doc["counterexamples"],
-            skipped_zero_divisor=doc.get("skipped_zero_divisor", 0),
-            elapsed_ms=doc.get("elapsed_ms", 0.0),
-        )
-    except KeyError as exc:
-        raise IntegrityError("checkpoint %s is missing field %s" % (source, exc)) from exc
+    fields = {"skipped_zero_divisor": 0, "elapsed_ms": 0.0, **doc}
+    for name, (valid, expected) in _CHECKPOINT_FIELDS.items():
+        if name not in fields:
+            raise IntegrityError("checkpoint %s is missing field %r" % (source, name))
+        if not valid(fields[name]):
+            raise IntegrityError("checkpoint %s: field %r must be %s" % (source, name, expected))
+    frontier = fields["frontier"]
+    return ScanState(
+        conjecture=fields["conjecture"],
+        p=fields["p"],
+        frontier=tuple(frontier) if frontier is not None else None,
+        processed=fields["processed"],
+        counterexamples=fields["counterexamples"],
+        skipped_zero_divisor=fields["skipped_zero_divisor"],
+        elapsed_ms=fields["elapsed_ms"],
+    )

@@ -7,10 +7,11 @@ exact by construction; there is deliberately no floating-point fast path.
 
 from __future__ import annotations
 
-import math
 import threading
 from contextlib import contextmanager
 from fractions import Fraction
+from itertools import repeat
+from math import comb, prod
 from typing import Callable, Iterator
 
 from .errors import DomainError, IntegrityError
@@ -24,7 +25,7 @@ def binomial(u: int, v: int) -> int:
         raise DomainError("binomial: u must be >= 0, got %d" % u)
     if v < 0 or v > u:
         return 0
-    return math.comb(u, v)
+    return comb(u, v)
 
 
 def exact_div(a: int, b: int) -> int:
@@ -35,6 +36,43 @@ def exact_div(a: int, b: int) -> int:
     if remainder:
         raise IntegrityError("exact_div: %d is not divisible by %d" % (a, b))
     return quotient
+
+
+def binomials(u: int, v: int, du: int, dv: int, count: int) -> list[int]:
+    """[binomial(u + i*du, v + i*dv) for i = 0..count-1], one exact step per entry.
+
+    One comb() anchors the run; each next value is the last one times the
+    ratio of the two binomials, divided through exact_div, and the last
+    value is checked against a fresh comb(), so a wrong step raises
+    IntegrityError.  Every point of the run must satisfy 0 <= v <= u;
+    since the run is a line, checking its two ends suffices.
+    """
+    if count < 0:
+        raise DomainError("binomials: count must be >= 0, got %d" % count)
+    if count == 0:
+        return []
+    end_u, end_v = u + (count - 1) * du, v + (count - 1) * dv
+    if not (0 <= v <= u and 0 <= end_v <= end_u):
+        raise DomainError(
+            "binomials: run from (%d, %d) to (%d, %d) leaves 0 <= v <= u" % (u, v, end_u, end_v)
+        )
+    # One step multiplies by (u'!/u!) / ((v'!/v!) * (w'!/w!)) with w = u - v.
+    # A base b moving by d contributes the factors b+1..b+d (d > 0) or the
+    # reciprocals of b+d+1..b (d < 0); each factor moves by d per step, so a
+    # range holds it for the whole run.
+    steps = count - 1
+    up, down = [repeat(1, steps)], [repeat(1, steps)]
+    for base, d, grows, shrinks in ((u, du, up, down), (v, dv, down, up), (u - v, du - dv, down, up)):
+        offsets, side = (range(1, d + 1), grows) if d > 0 else (range(d + 1, 1), shrinks)
+        side.extend(range(base + o, base + o + steps * d, d) for o in offsets)
+    value = comb(u, v)
+    values = [value]
+    for num, den in zip(map(prod, zip(*up)), map(prod, zip(*down))):
+        value = exact_div(value * num, den)
+        values.append(value)
+    if steps and value != comb(end_u, end_v):
+        raise IntegrityError("binomials: run ending at binomial(%d, %d) disagrees with comb()" % (end_u, end_v))
+    return values
 
 
 _harmonic_lock = threading.Lock()

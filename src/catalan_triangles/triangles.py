@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import DomainError, IntegrityError
-from .exact import binomial, exact_div
+from .exact import binomial, binomials, exact_div
 
 
 def _c_ext(m: int, k: int) -> int:
@@ -81,34 +81,50 @@ def seq_a(n: int) -> int:
     """a(n) = sum of binomial(n+k, n)^2 for k = 0..n (OEIS A112029)."""
     if n < 0:
         raise DomainError("seq_a: n must be >= 0, got %d" % n)
-    return sum(binomial(n + k, n) ** 2 for k in range(n + 1))
+    return sum(x * x for x in binomials(n, n, 1, 0, n + 1))
 
 
 def seq_b(n: int) -> int:
     """b(n) = sum of (k/n) * binomial(2n-k-1, n-1)^2 for k = 0..n (OEIS A183069)."""
     if n < 1:
         raise DomainError("seq_b: n must be >= 1, got %d" % n)
-    return exact_div(
-        sum(k * binomial(2 * n - k - 1, n - 1) ** 2 for k in range(1, n + 1)), n
-    )
+    # k = 1..n walks binomial(2n-k-1, n-1) down its column
+    return exact_div(sum(k * x * x for k, x in enumerate(binomials(2 * n - 2, n - 1, -1, 0, n), 1)), n)
 
 
-# kind: (entry function, name of the row index, last column minus row index)
-_ROWS = {
-    "c_row": (c_number, "m", 0),
-    "b_row": (b_number, "n", 0),
-    "a_row": (a_number, "n", 1),
-}
+# kind: (name of the row index, last column minus row index)
+_ROWS = {"c_row": ("m", 0), "b_row": ("n", 0), "a_row": ("n", 1)}
 
 
 def _row_slice(kind: str, index: int, start: int, stop: int) -> list[int]:
-    """Columns start..stop-1 of one triangle row, computing only those entries."""
-    entry, name, extra = _ROWS[kind]
+    """Columns start..stop-1 of one triangle row, from one run of binomials."""
+    name, extra = _ROWS[kind]
     if index < 1:
         raise DomainError("%s: %s must be >= 1, got %d" % (kind, name, index))
     if stop - 1 > index + extra:
         raise DomainError("generate: slice %d..%d leaves row %d of %s" % (start, stop - 1, index, kind))
-    return [entry(index, k) for k in range(start, stop)]
+    columns = range(start, stop)
+    if kind == "b_row":  # b(n, k) = k * binomial(2n, n-k) / n
+        n = index
+        return [exact_div(k * x, n) for k, x in zip(columns, binomials(2 * n, n - start, 0, -1, len(columns)))]
+    if kind == "a_row":  # a(n, k) = (2k-1) * binomial(2n+1, n+1-k) / (2n+1)
+        n = index
+        return [
+            exact_div((2 * k - 1) * x, 2 * n + 1)
+            for k, x in zip(columns, binomials(2 * n + 1, n + 1 - start, 0, -1, len(columns)))
+        ]
+    # c(m, k) = (m - 2k) * binomial(m, k) / m, checked against the Pascal-difference
+    # form binomial(m, k) - 2 * binomial(m-1, k-1), whose run has its own anchor
+    m = index
+    first = max(start, 1)  # binomial(m-1, -1) = 0
+    shifted = [0] * (first - start) + binomials(m - 1, first - 1, 0, 1, stop - first)
+    values = []
+    for k, x, y in zip(columns, binomials(m, start, 0, 1, len(columns)), shifted):
+        value = exact_div((m - 2 * k) * x, m)
+        if value != x - 2 * y:
+            raise IntegrityError("c_row(%d) at k=%d: closed form and Pascal-difference form disagree" % (m, k))
+        values.append(value)
+    return values
 
 
 def c_row(m: int) -> tuple[int, ...]:
@@ -162,16 +178,20 @@ def generate(spec: SequenceSpec) -> list[int]:
         raise DomainError("generate: kind %r and param %r do not agree" % (spec.kind, spec.param))
     if spec.start < _KIND_FIRST_INDEX[spec.kind]:
         raise DomainError("generate: start %d below first index of %s" % (spec.start, spec.kind))
-    stop = spec.start + spec.count
+    indices = range(spec.start, spec.start + spec.count)
 
-    if spec.kind == "catalan":
-        return [catalan(i) for i in range(spec.start, stop)]
-    if spec.kind == "gen_catalan":
-        return [gen_catalan(spec.param, i) for i in range(spec.start, stop)]
+    if spec.kind == "catalan":  # binomial(2i, i) / (i + 1)
+        return [exact_div(x, i + 1) for i, x in zip(indices, binomials(2 * spec.start, spec.start, 2, 1, spec.count))]
+    if spec.kind == "gen_catalan":  # binomial(i*K, i-1) / i
+        order = spec.param
+        if order < 1:
+            raise DomainError("gen_catalan: k must be >= 1, got %d" % order)
+        run = binomials(order * spec.start, spec.start - 1, order, 1, spec.count)
+        return [exact_div(x, i) for i, x in zip(indices, run)]
     if spec.kind == "seq_a":
-        return [seq_a(i) for i in range(spec.start, stop)]
+        return [seq_a(i) for i in indices]
     if spec.kind == "seq_b":
-        return [seq_b(i) for i in range(spec.start, stop)]
+        return [seq_b(i) for i in indices]
 
     # triangle rows: the slice must stay inside the row
-    return _row_slice(spec.kind, spec.param, spec.start, stop)
+    return _row_slice(spec.kind, spec.param, spec.start, indices.stop)

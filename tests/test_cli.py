@@ -2,6 +2,7 @@
 format stability, and checkpointed scans."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -218,6 +219,38 @@ def test_scan_corrupt_checkpoint_exits_2(tmp_path):
     assert "integrity" in result.stderr
 
 
+@pytest.mark.parametrize(
+    "fields",
+    [
+        {"frontier": 5, "processed": "x"},
+        {"conjecture": 3},
+        {"p": "7"},
+        {"frontier": ["2", 1]},
+        {"processed": -1},
+        {"skipped_zero_divisor": 1.5},
+        {"counterexamples": [5]},
+        {"elapsed_ms": "soon"},
+    ],
+)
+def test_scan_checkpoint_with_mistyped_field_exits_2(tmp_path, fields):
+    path = tmp_path / "scan.json"
+    doc = {"version": 1, "conjecture": "divisibility-c", "p": 5, "frontier": [3, 1], "processed": 1,
+           "counterexamples": [], "skipped_zero_divisor": 0}
+    path.write_text(json.dumps({**doc, **fields}))
+    result = run_cli("scan", "c-powers", "--p", "5", "--m", "2..6", "--checkpoint", str(path))
+    assert result.returncode == 2
+    assert "integrity error" in result.stderr
+    assert "Traceback" not in result.stderr
+
+
+def test_scan_checkpoint_missing_field_exits_2(tmp_path):
+    path = tmp_path / "scan.json"
+    path.write_text(json.dumps({"version": 1, "conjecture": "divisibility-b", "p": 3, "frontier": None}))
+    result = run_cli("scan", "b-cubes", "--p", "3", "--n", "1..5", "--checkpoint", str(path))
+    assert result.returncode == 2
+    assert "missing field 'processed'" in result.stderr
+
+
 def test_seq_oeis_bfile_bytes():
     result = run_cli("seq", "a", "0", "5", "--format", "oeis-bfile")
     assert result.returncode == 0
@@ -266,6 +299,39 @@ def test_seq_plain_table_aligned():
 )
 def test_seq_invalid_specs_exit_2(args):
     assert run_cli(*args).returncode == 2
+
+
+def _decimal(value):
+    """str(value) beyond CPython's int-to-str digit limit."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return str(value)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def test_value_beyond_int_str_digit_limit_exits_0():
+    result = run_cli("value", "catalan", "8000")
+    assert result.returncode == 0
+    assert result.stdout == _decimal(math.comb(16000, 8000) // 8001) + "\n"
+
+
+def test_seq_beyond_int_str_digit_limit_exits_0():
+    result = run_cli("seq", "c-row:16000", "7000", "1")
+    assert result.returncode == 0
+    assert result.stdout == _decimal((16000 - 2 * 7000) * math.comb(16000, 7000) // 16000) + "\n"
+
+
+def test_unexpected_exception_exits_3(monkeypatch, capsys):
+    def broken(spec):
+        raise RuntimeError("injected fault")
+
+    monkeypatch.setattr(cli.triangles, "generate", broken)
+    assert cli.main(["seq", "catalan", "0", "3"]) == cli.EXIT_INTERNAL == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "internal error: RuntimeError: injected fault" in captured.err
 
 
 def test_jobs_env_var_default():

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from catalan_triangles import triangles
+from catalan_triangles import exact, triangles
 from catalan_triangles.errors import DomainError, IntegrityError
 from catalan_triangles.triangles import (
     SequenceSpec,
@@ -141,16 +141,25 @@ def test_generate_partial_row_slice():
 
 
 def test_generate_computes_only_the_requested_entries(monkeypatch):
+    slices = [(2500, 1000, 3), (2000, 0, 2001)]  # (row, start, count)
+    expected = {m: [c_number(m, k) for k in range(start, start + count)] for m, start, count in slices}
     calls = []
 
-    def counting_binomial(u, v):
+    def counting_comb(u, v):
         calls.append((u, v))
-        return math.comb(u, v) if 0 <= v <= u else 0
+        return math.comb(u, v)
 
-    monkeypatch.setattr(triangles, "binomial", counting_binomial)
-    assert generate(SequenceSpec("c_row", 1000, 3, param=2500)) == [c_number(2500, k) for k in range(1000, 1003)]
-    # three entries plus their three reference evaluations, each three binomials
-    assert len(calls) == 2 * 3 * 3
+    monkeypatch.setattr(exact, "comb", counting_comb)
+    anchors = []
+    for m, start, count in slices:
+        calls.clear()
+        assert generate(SequenceSpec("c_row", start, count, param=m)) == expected[m]
+        stop = start + count
+        assert all(start - 1 <= v <= stop for u, v in calls), calls
+        anchors.append(len(calls))
+    # each of the two runs (closed form, Pascal-difference check) is
+    # anchored and checked by one comb() at either end, whatever its length
+    assert anchors == [4, 4]
 
 
 def test_c_number_forms_that_disagree_raise_integrity_error(monkeypatch):
