@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 import os
+import tempfile
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -151,6 +152,8 @@ def _resume_index(cells: list[Cell], state: ScanState | None) -> int:
 
 
 def _run_scan(conjecture, p, cells, checkpoint, max_cells, check) -> ScanState:
+    if max_cells is not None and max_cells < 0:
+        raise UsageError("the cell limit must be >= 0, got %d" % max_cells)
     if checkpoint is not None:
         if checkpoint.conjecture != conjecture or checkpoint.p != p:
             raise IntegrityError(
@@ -273,13 +276,25 @@ def reverify(state: ScanState, claim_fn: Callable[[Cell], DivisibilityClaim] | N
 
 
 def save_checkpoint(state: ScanState, destination: str | os.PathLike) -> None:
-    """Atomically persist state as versioned JSON (write temp, then rename)."""
+    """Atomically persist state as versioned JSON that survives a crash.
+
+    The document goes to a fresh temp file in the destination's directory,
+    is flushed and fsynced, and then renamed over the destination, so the
+    destination holds either the old checkpoint or the whole new one.
+    """
     doc = state.to_dict()
-    tmp = str(destination) + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
-    os.replace(tmp, destination)
+    directory = os.path.dirname(os.path.abspath(destination))
+    fd, tmp = tempfile.mkstemp(prefix=".checkpoint-", suffix=".tmp", dir=directory)
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh, indent=2)
+            fh.write("\n")
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, destination)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def _int(value) -> bool:

@@ -10,8 +10,9 @@ from __future__ import annotations
 import threading
 from contextlib import contextmanager
 from fractions import Fraction
-from itertools import repeat
-from math import comb, prod
+from itertools import accumulate, repeat
+from math import comb, lcm, prod
+from operator import itemgetter
 from typing import Callable, Iterator
 
 from .errors import DomainError, IntegrityError
@@ -91,6 +92,18 @@ def harmonic(n: int) -> Fraction:
     return _harmonic_cache[n]
 
 
+def harmonic_numerators(n: int) -> tuple[int, list[int]]:
+    """(L, [L*H(0), L*H(1), ..., L*H(n)]) with L = lcm(1..n) and H(0) = 0.
+
+    Every L*H(k) for k <= n is an integer, so a sum weighted by harmonic
+    numbers up to n is one integer sum over the single denominator L.
+    """
+    if n < 0:
+        raise DomainError("harmonic_numerators: n must be >= 0, got %d" % n)
+    scale = lcm(*range(1, n + 1))
+    return scale, list(accumulate((scale // j for j in range(1, n + 1)), initial=0))
+
+
 # Partials of the running sums, per thread; None outside keep_partials().
 _scope = threading.local()
 
@@ -121,6 +134,10 @@ class RunningSum:
     parameters, the last (hi, partial): a call at the same or a larger hi
     adds only the missing terms, any other call starts again from lo.
     Outside keep_partials() every call sums from lo.
+
+    The partial is an integer numerator over the lcm of the term
+    denominators seen so far, so Fraction terms cost integer additions and
+    a call builds at most one Fraction; a sum of int terms returns an int.
     """
 
     def __init__(
@@ -135,23 +152,32 @@ class RunningSum:
         self.hi = hi
         self.fixed = tuple(fixed)
         self._names = {hi, *self.fixed}
+        # the fixed values in declaration order, whatever the call's order
+        self._fixed_values = itemgetter(*self.fixed) if self.fixed else lambda params: ()
 
     def __call__(self, **params: int) -> int | Fraction:
         if params.keys() != self._names:
             raise TypeError("running sum takes parameters %s, got %s" % (sorted(self._names), sorted(params)))
-        fixed = {name: params[name] for name in self.fixed}
-        hi = params[self.hi]
-        lo = self.lo(**fixed) if callable(self.lo) else self.lo
+        hi = params.pop(self.hi)  # params is this call's own dict; what is left are the fixed parameters
+        lo = self.lo(**params) if callable(self.lo) else self.lo
         partials = getattr(_scope, "partials", None)
-        key = (self, *fixed.values())
+        key = (self, self._fixed_values(params))
         last = partials.get(key) if partials is not None else None
         if last is not None and lo <= last[0] <= hi:
-            start, total = last[0] + 1, last[1]
+            start, num, den = last[0] + 1, last[1], last[2]
         else:
-            start, total = lo, 0
+            start, num, den = lo, 0, 1
         term = self.term
         for k in range(start, hi + 1):
-            total += term(k, **fixed)
+            value = term(k, **params)
+            top, bottom = value.numerator, value.denominator
+            if bottom != den:
+                if den % bottom:
+                    grown = lcm(den, bottom)
+                    num *= grown // den
+                    den = grown
+                top *= den // bottom
+            num += top
         if partials is not None:
-            partials[key] = (hi, total)
-        return total
+            partials[key] = (hi, num, den)
+        return num if den == 1 else Fraction(num, den)

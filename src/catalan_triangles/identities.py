@@ -1,13 +1,17 @@
 """Registry of exact combinatorial identities plus a sweep engine.
 
 Every entry binds a stable id to a pair of evaluators (left and right side)
-over named integer parameters.  Both sides are compared in Rational space by
-canonical equality, so identities whose right side carries explicit fractions
-like (n+1)/2 * catalan(n) need no special casing.  Evaluators are total on
-the declared domain: outside-the-triangle terms vanish through the binomial
-zero convention, never through special cases in the sums.  A partial sum
-whose bound is a swept parameter is declared as an exact.RunningSum, so a
-sweep that raises the bound adds one term per cell instead of re-summing.
+over named integer parameters.  A side returns an int or a Fraction, and the
+two are compared as returned: ints as ints, a Fraction against either by
+canonical (lowest-terms) equality, so identities whose right side carries
+explicit fractions like (n+1)/2 * catalan(n) need no special casing.  A
+rational side is written as one quotient Fraction(numerator, denominator)
+of integers, and a sum weighted by harmonic numbers as one integer sum over
+lcm(1..n).  Evaluators are total on the declared domain: outside-the-triangle
+terms vanish through the binomial zero convention, never through special
+cases in the sums.  A partial sum whose bound is a swept parameter is
+declared as an exact.RunningSum, so a sweep that raises the bound adds one
+term per cell instead of re-summing.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ from itertools import product
 from typing import Callable, Mapping
 
 from .errors import DomainError, EmptyDomainError, UnknownIdentityError, UsageError
-from .exact import RunningSum, binomial, harmonic, keep_partials
+from .exact import RunningSum, binomial, harmonic, harmonic_numerators, keep_partials
 from .triangles import _a_ext, _b_ext, _c_ext, catalan, gen_catalan, seq_a, seq_b
 
 Assignment = Mapping[str, int]
@@ -205,7 +209,7 @@ _ident(
     "sum(b(n,k), k=1..n) == (n+1)/2 * catalan(n)",
     [("n", 1)],
     lambda n: sum(_b_ext(n, k) for k in range(1, n + 1)),
-    lambda n: Fraction(n + 1, 2) * catalan(n),
+    lambda n: Fraction((n + 1) * catalan(n), 2),
 )
 
 _ident(
@@ -216,21 +220,23 @@ _ident(
     lambda n: (n + 1) * catalan(n),
 )
 
-_ident(
-    "eq-square-B",
+# Stated twice in the paper, as eq-square-B/cor-square-ii and eq-square-A/cor-square-iii.
+_B_SQUARES = (
     "sum(b(n,k)^2, k=1..n) == catalan(2n-1)",
     [("n", 1)],
     lambda n: sum(_b_ext(n, k) ** 2 for k in range(1, n + 1)),
     lambda n: catalan(2 * n - 1),
 )
-
-_ident(
-    "eq-square-A",
+_A_SQUARES = (
     "sum(a(n,k)^2, k=1..n+1) == catalan(2n)",
     [("n", 1)],
     lambda n: sum(_a_ext(n, k) ** 2 for k in range(1, n + 2)),
     lambda n: catalan(2 * n),
 )
+
+_ident("eq-square-B", *_B_SQUARES)
+
+_ident("eq-square-A", *_A_SQUARES)
 
 _ident(
     "eq-convolution",
@@ -257,8 +263,7 @@ _ident(
     "sum(c(m,k)^2, k=0..n) == (m-2n)/m * binomial(m-1,n)^2 + 2/m * sum(binomial(m-1,k)^2, k=0..n-1)",
     [("m", 1), ("n", 1)],
     RunningSum(lambda k, m: _c_ext(m, k) ** 2, 0, "n", ("m",)),
-    lambda m, n: Fraction(m - 2 * n, m) * binomial(m - 1, n) ** 2
-    + Fraction(2 * _binomial_squares(m=m - 1, n=n - 1), m),
+    lambda m, n: Fraction((m - 2 * n) * binomial(m - 1, n) ** 2 + 2 * _binomial_squares(m=m - 1, n=n - 1), m),
 )
 
 _ident(
@@ -277,28 +282,16 @@ _ident(
     lambda n: 2 * catalan(n - 1),
 )
 
-_ident(
-    "cor-square-ii",
-    "sum(b(n,k)^2, k=1..n) == catalan(2n-1)",
-    [("n", 1)],
-    lambda n: sum(_b_ext(n, k) ** 2 for k in range(1, n + 1)),
-    lambda n: catalan(2 * n - 1),
-)
+_ident("cor-square-ii", *_B_SQUARES)
 
-_ident(
-    "cor-square-iii",
-    "sum(a(n,k)^2, k=1..n+1) == catalan(2n)",
-    [("n", 1)],
-    lambda n: sum(_a_ext(n, k) ** 2 for k in range(1, n + 2)),
-    lambda n: catalan(2 * n),
-)
+_ident("cor-square-iii", *_A_SQUARES)
 
 _ident(
     "cor-square-iv",
     "sum((-1)^k * b(n,k)^2, k=1..n) == -(n+1)/2 * catalan(n)",
     [("n", 1)],
     lambda n: sum((-1) ** k * _b_ext(n, k) ** 2 for k in range(1, n + 1)),
-    lambda n: -Fraction(n + 1, 2) * catalan(n),
+    lambda n: Fraction(-(n + 1) * catalan(n), 2),
 )
 
 _ident(
@@ -315,7 +308,7 @@ _ident(
     "binomial(2n,n)^2 == sum((3n-2k)/n * binomial(2n-1-k,n-1)^2, k=0..n)",
     [("n", 1)],
     lambda n: binomial(2 * n, n) ** 2,
-    lambda n: sum(Fraction((3 * n - 2 * k) * binomial(2 * n - 1 - k, n - 1) ** 2, n) for k in range(n + 1)),
+    lambda n: Fraction(sum((3 * n - 2 * k) * binomial(2 * n - 1 - k, n - 1) ** 2 for k in range(n + 1)), n),
 )
 
 _ident(
@@ -323,7 +316,7 @@ _ident(
     "binomial(2n,n)^2 == sum((n+2j)/n * binomial(n-1+j,n-1)^2, j=0..n)",
     [("n", 1)],
     lambda n: binomial(2 * n, n) ** 2,
-    lambda n: sum(Fraction((n + 2 * j) * binomial(n - 1 + j, n - 1) ** 2, n) for j in range(n + 1)),
+    lambda n: Fraction(sum((n + 2 * j) * binomial(n - 1 + j, n - 1) ** 2 for j in range(n + 1)), n),
 )
 
 _ident(
@@ -375,8 +368,9 @@ _ident(
     "sum((-1)^k * c(m,k)^3, k=0..n) == (m-3n)/m * (-1)^n * binomial(m-1,n)^3 - (m-3)/m * sum((-1)^k * binomial(m-1,k)^3, k=0..n-1)",
     [("m", 1), ("n", 1)],
     RunningSum(lambda k, m: (-1) ** k * _c_ext(m, k) ** 3, 0, "n", ("m",)),
-    lambda m, n: Fraction((m - 3 * n) * (-1) ** n * binomial(m - 1, n) ** 3, m)
-    - Fraction((m - 3) * _alt_binomial_cubes(m=m - 1, n=n - 1), m),
+    lambda m, n: Fraction(
+        (m - 3 * n) * (-1) ** n * binomial(m - 1, n) ** 3 - (m - 3) * _alt_binomial_cubes(m=m - 1, n=n - 1), m
+    ),
 )
 
 _ident(
@@ -384,8 +378,11 @@ _ident(
     "sum(b(n,k)^3, k=0..n) == 1/2 * binomial(2n,n)^3 - 3/2 * binomial(2n,n) * sum(binomial(j,n)*binomial(j,n-1), j=n..2n-1)",
     [("n", 1)],
     lambda n: sum(_b_ext(n, k) ** 3 for k in range(n + 1)),
-    lambda n: Fraction(binomial(2 * n, n) ** 3, 2)
-    - Fraction(3 * binomial(2 * n, n) * sum(binomial(j, n) * binomial(j, n - 1) for j in range(n, 2 * n)), 2),
+    lambda n: Fraction(
+        binomial(2 * n, n) ** 3
+        - 3 * binomial(2 * n, n) * sum(binomial(j, n) * binomial(j, n - 1) for j in range(n, 2 * n)),
+        2,
+    ),
 )
 
 _ident(
@@ -428,7 +425,7 @@ _ident(
     "sum(b(n,k)^3, k=1..n) == (n+1)/2 * catalan(n) * seq_b(n)",
     [("n", 1)],
     lambda n: sum(_b_ext(n, k) ** 3 for k in range(1, n + 1)),
-    lambda n: Fraction(n + 1, 2) * catalan(n) * seq_b(n),
+    lambda n: Fraction((n + 1) * catalan(n) * seq_b(n), 2),
 )
 
 _ident(
@@ -444,19 +441,47 @@ _ident(
 # sum(binomial(m,k), k=1..n)
 _binomials_from_one = RunningSum(lambda k, m: binomial(m, k), 1, "n", ("m",))
 
+
+def _harmonic_sum(n: int, terms) -> Fraction:
+    """sum(w * H(j) for w, j in terms), every j <= n, as one integer sum over lcm(1..n)."""
+    scale, scaled = harmonic_numerators(n)
+    return Fraction(sum(w * scaled[j] for w, j in terms), scale)
+
+
+# The right sides below write H(n) as p/q and bring every term over one denominator.
+
+
+def _harmonic_rhs(m: int, n: int) -> Fraction:
+    # binomial(m-1,n) * p/q - S/m == (binomial(m-1,n) * p * m - S * q) / (q * m)
+    p, q = harmonic(n).as_integer_ratio()
+    return Fraction(binomial(m - 1, n) * p * m - _binomials_from_one(m=m, n=n) * q, q * m)
+
+
+def _harmonic_b_rhs(n: int) -> Fraction:
+    # (2n * p/q - 1)/(4n) * C - (2^(2n-1)-1)/(2n) == ((2n*p - q) * C - 2q * (2^(2n-1)-1)) / (4n * q)
+    p, q = harmonic(n).as_integer_ratio()
+    return Fraction((2 * n * p - q) * binomial(2 * n, n) - 2 * q * (2 ** (2 * n - 1) - 1), 4 * n * q)
+
+
+def _harmonic_a_rhs(n: int) -> Fraction:
+    # p/q * C - (2^(2n)-1)/(2n+1) == (p * C * (2n+1) - q * (2^(2n)-1)) / (q * (2n+1))
+    p, q = harmonic(n).as_integer_ratio()
+    return Fraction(p * binomial(2 * n, n) * (2 * n + 1) - q * (2 ** (2 * n) - 1), q * (2 * n + 1))
+
+
 _ident(
     "thm-harmonic",
     "sum(c(m,k) * H(k), k=1..n) == binomial(m-1,n) * H(n) - 1/m * sum(binomial(m,k), k=1..n)",
     [("m", 1), ("n", 1)],
     RunningSum(lambda k, m: _c_ext(m, k) * harmonic(k), 1, "n", ("m",)),
-    lambda m, n: binomial(m - 1, n) * harmonic(n) - Fraction(_binomials_from_one(m=m, n=n), m),
+    _harmonic_rhs,
 )
 
 _ident(
     "cor-harmonic-C",
     "sum(c(n,k) * H(k), k=1..n) == (1 - 2^n) / n",
     [("n", 1)],
-    lambda n: sum(_c_ext(n, k) * harmonic(k) for k in range(1, n + 1)),
+    lambda n: _harmonic_sum(n, ((_c_ext(n, k), k) for k in range(1, n + 1))),
     lambda n: Fraction(1 - 2**n, n),
 )
 
@@ -464,24 +489,23 @@ _ident(
     "cor-harmonic-B",
     "sum(b(n,k) * H(n-k), k=0..n-1) == (2n*H(n)-1)/(4n) * binomial(2n,n) - (2^(2n-1)-1)/(2n)",
     [("n", 1)],
-    lambda n: sum(_b_ext(n, k) * harmonic(n - k) for k in range(n)),
-    lambda n: Fraction(2 * n * harmonic(n) - 1, 4 * n) * binomial(2 * n, n)
-    - Fraction(2 ** (2 * n - 1) - 1, 2 * n),
+    lambda n: _harmonic_sum(n, ((_b_ext(n, k), n - k) for k in range(n))),
+    _harmonic_b_rhs,
 )
 
 _ident(
     "cor-harmonic-A",
     "sum(a(n,k) * H(n-k+1), k=1..n) == H(n) * binomial(2n,n) - (2^(2n)-1)/(2n+1)",
     [("n", 1)],
-    lambda n: sum(_a_ext(n, k) * harmonic(n - k + 1) for k in range(1, n + 1)),
-    lambda n: harmonic(n) * binomial(2 * n, n) - Fraction(2 ** (2 * n) - 1, 2 * n + 1),
+    lambda n: _harmonic_sum(n, ((_a_ext(n, k), n - k + 1) for k in range(1, n + 1))),
+    _harmonic_a_rhs,
 )
 
 _ident(
     "rem-ps13",
     "sum((n-2k) * H(k) * binomial(n,k), k=1..n) == 1 - 2^n",
     [("n", 1)],
-    lambda n: sum((n - 2 * k) * harmonic(k) * binomial(n, k) for k in range(1, n + 1)),
+    lambda n: _harmonic_sum(n, (((n - 2 * k) * binomial(n, k), k) for k in range(1, n + 1))),
     lambda n: 1 - 2**n,
 )
 
@@ -505,6 +529,21 @@ def _resolve(identity: str | IdentityDescriptor) -> IdentityDescriptor:
     return get_identity(identity)
 
 
+# The exact types a side may return; a float, None or a bool is never compared.
+_EXACT_TYPES = (int, Fraction)
+
+
+def _sides(ident: IdentityDescriptor, kwargs: dict[str, int]) -> tuple[int | Fraction, int | Fraction]:
+    """Both sides at one cell, each an int or a Fraction exactly as returned."""
+    lhs, rhs = ident.lhs(**kwargs), ident.rhs(**kwargs)
+    if type(lhs) not in _EXACT_TYPES or type(rhs) not in _EXACT_TYPES:
+        side, value = ("lhs", lhs) if type(lhs) not in _EXACT_TYPES else ("rhs", rhs)
+        raise TypeError(
+            "%s: %s at %r is %s, not an int or a Fraction" % (ident.id, side, kwargs, type(value).__name__)
+        )
+    return lhs, rhs
+
+
 def evaluate_sides(identity: str | IdentityDescriptor, assignment: Assignment) -> tuple[Fraction, Fraction]:
     """Evaluate both sides exactly at one admissible parameter assignment."""
     ident = _resolve(identity)
@@ -515,8 +554,8 @@ def evaluate_sides(identity: str | IdentityDescriptor, assignment: Assignment) -
         )
     if not ident.admits(assignment):
         raise DomainError("%s: assignment %r violates the identity's domain" % (ident.id, dict(assignment)))
-    kwargs = dict(assignment)
-    return Fraction(ident.lhs(**kwargs)), Fraction(ident.rhs(**kwargs))
+    lhs, rhs = _sides(ident, dict(assignment))
+    return Fraction(lhs), Fraction(rhs)
 
 
 def effective_domain(
@@ -532,7 +571,7 @@ def effective_domain(
         raise UsageError("%s has no parameter(s) %s" % (ident.id, sorted(unknown)))
     domain = {}
     for param in ident.parameters:
-        lo, hi = ranges.get(param.name, (param.minimum, cap or ident.default_cap))
+        lo, hi = ranges.get(param.name, (param.minimum, ident.default_cap if cap is None else cap))
         domain[param.name] = (max(lo, param.minimum), hi)
     return domain
 
@@ -540,12 +579,9 @@ def effective_domain(
 def _admissible_cells(ident: IdentityDescriptor, domain: dict[str, tuple[int, int]], ignore_constraint: bool):
     names = ident.parameter_names()
     spans = [range(domain[name][0], domain[name][1] + 1) for name in names]
-    cells = []
-    for values in product(*spans):
-        assignment = dict(zip(names, values))
-        if ignore_constraint or ident.constraint is None or ident.constraint(**assignment):
-            cells.append(values)
-    return cells
+    if ignore_constraint or ident.constraint is None:
+        return list(product(*spans))
+    return [values for values in product(*spans) if ident.constraint(**dict(zip(names, values)))]
 
 
 def verify_identity(
@@ -558,10 +594,12 @@ def verify_identity(
 ) -> VerificationReport:
     """Exactly compare both sides on every admissible cell of the swept box.
 
-    All mismatches are collected (not just the first) unless fail_fast is
-    set, which stops at the first mismatch in cell order.  Cells run in
-    lexicographic order of the parameters, so mismatches come out
-    canonically sorted.  parallelism is accepted for compatibility and has
+    The sides are compared as returned (an int or a Fraction; anything
+    else raises TypeError) and turned into Fractions only for a mismatch
+    record.  All mismatches are collected (not just the first) unless
+    fail_fast is set, which stops at the first mismatch in cell order.
+    Cells run in lexicographic order of the parameters, so mismatches come
+    out canonically sorted.  parallelism is accepted for compatibility and has
     no effect: the sweep is serial, since threads only slow pure-Python
     big-integer work under the GIL.
     """
@@ -578,12 +616,10 @@ def verify_identity(
     mismatches = []
     with keep_partials():
         for values in cells:
-            kwargs = dict(zip(names, values))
-            lhs = Fraction(ident.lhs(**kwargs))
-            rhs = Fraction(ident.rhs(**kwargs))
+            lhs, rhs = _sides(ident, dict(zip(names, values)))
             checked += 1
             if lhs != rhs:
-                mismatches.append(Mismatch(tuple(zip(names, values)), lhs, rhs))
+                mismatches.append(Mismatch(tuple(zip(names, values)), Fraction(lhs), Fraction(rhs)))
                 if fail_fast:
                     break
     elapsed_ms = (time.perf_counter() - started) * 1000.0

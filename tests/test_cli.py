@@ -72,6 +72,15 @@ def test_verify_empty_admissible_domain_exits_2():
     assert result.returncode == 2
 
 
+@pytest.mark.parametrize("cap", ["0", "-3"])
+def test_verify_cap_below_every_minimum_exits_2(cap):
+    # --max 0 is a cap like any other, not "no cap": m = 2..0 is empty
+    result = run_cli("verify", "thm-linear-sum", "--max", cap)
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert "no admissible cells" in result.stderr
+
+
 def test_verify_all_json_caps_applied():
     result = run_cli("verify", "all", "--max", "10", "--format", "json", "--no-timing")
     assert result.returncode == 0
@@ -209,6 +218,23 @@ def test_scan_checkpoint_resume(tmp_path):
     second = run_cli("scan", "c-powers", "--p", "5", "--m", "2..15", "--checkpoint", str(path))
     assert second.returncode == 0
     assert load_checkpoint(path) == scan_divisibility("c", 5, m_range=(2, 15))
+
+
+def test_scan_negative_limit_exits_2_and_leaves_the_checkpoint(tmp_path):
+    path = tmp_path / "scan.json"
+    domain = ("scan", "c", "--p", "3", "--m", "2..5", "--checkpoint", str(path))
+    assert run_cli(*domain, "--limit", "2").returncode == 0
+    saved = path.read_bytes()
+    for limit in ("-1", "-2"):
+        result = run_cli(*domain, "--limit", limit)
+        assert result.returncode == 2
+        assert result.stdout == ""
+        assert "cell limit must be >= 0" in result.stderr
+        assert path.read_bytes() == saved
+    fresh = tmp_path / "fresh.json"
+    result = run_cli("scan", "c", "--p", "3", "--m", "2..5", "--checkpoint", str(fresh), "--limit", "-2")
+    assert result.returncode == 2
+    assert os.listdir(tmp_path) == ["scan.json"]
 
 
 def test_scan_corrupt_checkpoint_exits_2(tmp_path):

@@ -178,7 +178,32 @@ def test_checkpoint_round_trip(tmp_path):
     path = tmp_path / "scan.json"
     save_checkpoint(state, path)
     assert load_checkpoint(path) == state
-    assert not os.path.exists(str(path) + ".tmp")
+    save_checkpoint(state, path)  # over an existing checkpoint
+    assert load_checkpoint(path) == state
+    assert os.listdir(tmp_path) == ["scan.json"]
+
+
+def test_failed_checkpoint_write_leaves_the_old_file_and_no_temp(tmp_path, monkeypatch):
+    path = tmp_path / "scan.json"
+    save_checkpoint(scan_divisibility("c", 5, m_range=(2, 6)), path)
+    saved = path.read_bytes()
+
+    def fail(fd):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(os, "fsync", fail)
+    with pytest.raises(OSError, match="disk full"):
+        save_checkpoint(scan_divisibility("c", 5, m_range=(2, 12)), path)
+    assert path.read_bytes() == saved
+    assert os.listdir(tmp_path) == ["scan.json"]
+
+
+def test_negative_cell_limit_is_a_usage_error():
+    with pytest.raises(UsageError):
+        scan_divisibility("c", 3, m_range=(2, 5), max_cells=-1)
+    with pytest.raises(UsageError):
+        scan_mixed((1, 3), (1, 3), max_cells=-2)
+    assert scan_divisibility("c", 3, m_range=(2, 5), max_cells=0).processed == 0
 
 
 def test_checkpoint_document_fields(tmp_path):

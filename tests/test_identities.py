@@ -9,8 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from catalan_triangles import identities
+from catalan_triangles import cli, identities
 from catalan_triangles.errors import DomainError, EmptyDomainError, UnknownIdentityError
+from catalan_triangles.exact import binomial, harmonic
 from catalan_triangles.identities import (
     IdentityDescriptor,
     evaluate_sides,
@@ -18,6 +19,7 @@ from catalan_triangles.identities import (
     list_identities,
     verify_identity,
 )
+from catalan_triangles.triangles import _c_ext
 
 REQUIRED_IDS = [
     "prop-recurrence",
@@ -129,6 +131,16 @@ def test_verify_range_below_minimum_is_usage_error():
         verify_identity("thm-linear-sum", {"m": (1, 1)})
 
 
+@pytest.mark.parametrize("cap", [0, -3])
+def test_cap_zero_is_a_cap_not_the_default(cap):
+    with pytest.raises(EmptyDomainError):
+        verify_identity("thm-linear-sum", cap=cap)
+
+
+def test_cap_zero_keeps_a_parameter_that_starts_at_zero():
+    assert verify_identity("eq-vandermonde", cap=0).cells == 1
+
+
 def test_every_identity_passes_on_a_small_box():
     for ident in list_identities():
         report = verify_identity(ident.id, cap=15)
@@ -192,6 +204,46 @@ def test_mismatch_records_both_sides_verbatim():
     assert mismatch.rhs == 4
     doc = mismatch.to_dict()
     assert doc == {"assignment": {"n": 2}, "lhs": "3", "rhs": "4"}
+
+
+def test_int_sides_compare_as_ints_and_mismatches_record_fractions():
+    true = get_identity("eq-linear-A")
+    ident = dataclasses.replace(true, rhs=lambda n: true.rhs(n=n) + (n == 3))
+    (mismatch,) = verify_identity(ident, {"n": (1, 5)}).mismatches
+    assert type(mismatch.lhs) is Fraction and type(mismatch.rhs) is Fraction
+    assert mismatch.to_dict() == {"assignment": {"n": 3}, "lhs": "20", "rhs": "21"}
+
+
+@pytest.mark.parametrize("value", [0.5, 20.0, None, True, "20"])
+@pytest.mark.parametrize("side", ["lhs", "rhs"])
+def test_a_side_that_is_not_an_int_or_a_fraction_raises_type_error(side, value):
+    # never converted, so never counted as a pass: 20.0 == 20 and True == 1
+    ident = dataclasses.replace(get_identity("eq-linear-A"), **{side: lambda n: value})
+    with pytest.raises(TypeError, match=side):
+        verify_identity(ident, {"n": (1, 3)})
+    with pytest.raises(TypeError, match=side):
+        evaluate_sides(ident, {"n": 3})
+
+
+def test_harmonic_mismatch_prints_the_fraction_chain_values(capsys):
+    # rhs + 1 at one cell: exactly one mismatch, whose sides print as the
+    # Fraction chains of the identity's statement would
+    true = get_identity("thm-harmonic")
+    ident = dataclasses.replace(
+        true, id="test-harmonic-plus-one", rhs=lambda m, n: true.rhs(m=m, n=n) + ((m, n) == (7, 4))
+    )
+    lhs = sum(_c_ext(7, k) * harmonic(k) for k in range(1, 5))
+    rhs = binomial(6, 4) * harmonic(4) - Fraction(sum(binomial(7, k) for k in range(1, 5)), 7) + 1
+    identities.register(ident)
+    try:
+        code = cli.main(["verify", ident.id, "--m", "1..9", "--n", "1..9", "--no-timing"])
+    finally:
+        del identities._REGISTRY[ident.id]
+    assert code == 1
+    assert capsys.readouterr().out == (
+        "test-harmonic-plus-one: FAIL (81 cells)\n  mismatch at m=7 n=4: lhs=%s rhs=%s\n" % (lhs, rhs)
+    )
+    assert lhs.denominator > 1 and rhs - lhs == 1
 
 
 def test_mismatches_are_canonically_sorted():

@@ -1,10 +1,13 @@
-"""Running sums against the from-scratch sums they replace.
+"""Running sums and single-quotient sides against the expressions they replace.
 
 The references below are the from-scratch expressions each running-sum side
-had before it became a RunningSum; a sweep or scan that keeps partials must
-agree with them at every cell, in any call order."""
+had before it became a RunningSum, and the Fraction chains each rational
+side had before it became one quotient (a harmonic-weighted sum: one integer
+sum over lcm(1..n)); a sweep or scan that keeps partials must agree with
+them at every cell, in any call order."""
 
 import dataclasses
+import random
 from fractions import Fraction
 
 from hypothesis import given, settings
@@ -14,7 +17,7 @@ from catalan_triangles import exact
 from catalan_triangles.conjectures import divisibility_claim, reverify, scan_divisibility
 from catalan_triangles.exact import RunningSum, binomial, harmonic, keep_partials
 from catalan_triangles.identities import evaluate_sides, get_identity, verify_identity
-from catalan_triangles.triangles import _c_ext
+from catalan_triangles.triangles import _a_ext, _b_ext, _c_ext, catalan, seq_b
 
 REFERENCE = {
     ("thm-linear-sum", "lhs"): lambda m, n: sum(_c_ext(m, k) for k in range(n + 1)),
@@ -36,6 +39,24 @@ REFERENCE = {
     ("thm-square-decomp-i", "rhs"): lambda m, n: sum(
         Fraction((2 * j - n) * binomial(j - 1, n - 1) ** 2, n) for j in range(n, m + 1)
     ),
+    ("eq-linear-B", "rhs"): lambda n: Fraction(n + 1, 2) * catalan(n),
+    ("cor-square-iv", "rhs"): lambda n: -Fraction(n + 1, 2) * catalan(n),
+    ("thm-square-decomp-ii", "rhs"): lambda n: sum(
+        Fraction((3 * n - 2 * k) * binomial(2 * n - 1 - k, n - 1) ** 2, n) for k in range(n + 1)
+    ),
+    ("thm-square-decomp-remark", "rhs"): lambda n: sum(
+        Fraction((n + 2 * j) * binomial(n - 1 + j, n - 1) ** 2, n) for j in range(n + 1)
+    ),
+    ("cor-cube-B", "rhs"): lambda n: Fraction(binomial(2 * n, n) ** 3, 2)
+    - Fraction(3 * binomial(2 * n, n) * sum(binomial(j, n) * binomial(j, n - 1) for j in range(n, 2 * n)), 2),
+    ("rem-b-cube-factored", "rhs"): lambda n: Fraction(n + 1, 2) * catalan(n) * seq_b(n),
+    ("cor-harmonic-C", "lhs"): lambda n: sum(_c_ext(n, k) * harmonic(k) for k in range(1, n + 1)),
+    ("cor-harmonic-B", "lhs"): lambda n: sum(_b_ext(n, k) * harmonic(n - k) for k in range(n)),
+    ("cor-harmonic-B", "rhs"): lambda n: Fraction(2 * n * harmonic(n) - 1, 4 * n) * binomial(2 * n, n)
+    - Fraction(2 ** (2 * n - 1) - 1, 2 * n),
+    ("cor-harmonic-A", "lhs"): lambda n: sum(_a_ext(n, k) * harmonic(n - k + 1) for k in range(1, n + 1)),
+    ("cor-harmonic-A", "rhs"): lambda n: harmonic(n) * binomial(2 * n, n) - Fraction(2 ** (2 * n) - 1, 2 * n + 1),
+    ("rem-ps13", "lhs"): lambda n: sum((n - 2 * k) * harmonic(k) * binomial(n, k) for k in range(1, n + 1)),
 }
 
 DIVIDEND_EXPONENTS = (1, 3, 7)
@@ -44,6 +65,11 @@ DIVIDEND_EXPONENTS = (1, 3, 7)
 def _side(key):
     identity_id, side = key
     return getattr(get_identity(identity_id), side)
+
+
+def _params(key, m, n):
+    names = get_identity(key[0]).parameter_names()
+    return {name: value for name, value in (("m", m), ("n", n)) if name in names}
 
 
 def _partials_left():
@@ -72,9 +98,46 @@ def test_running_sums_match_from_scratch_in_any_order(calls):
                 got = divisibility_claim("c", p, (m, n)).dividend
                 want = sum(_c_ext(m, k) ** p for k in range(n + 1))
             else:
-                got = _side(key)(m=m, n=n)
-                want = REFERENCE[key](m, n)
+                params = _params(key, m, n)
+                got = _side(key)(**params)
+                want = REFERENCE[key](**params)
+                assert type(got) in (int, Fraction), (key, m, n)
             assert got == want, (key, m, n)
+    assert _partials_left() is None
+
+
+def test_one_parameter_sides_match_their_fraction_chains():
+    # every n up to 60, so lcm(1..n) grows through many prime powers
+    for key in sorted(REFERENCE):
+        if get_identity(key[0]).parameter_names() == ("n",):
+            for n in range(1, 61):
+                assert _side(key)(n=n) == REFERENCE[key](n=n), (key, n)
+
+
+def _rational_term(k, m, p):
+    # ints, integral Fractions and Fractions over assorted denominators
+    if (k + m) % 4 == 0:
+        return (k - p) * m
+    return Fraction((k * 7 + m - 3 * p) % 23 - 11, (k * m + p) % 9 + 1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.tuples(st.integers(1, 5), st.integers(0, 3), st.integers(-2, 25)), min_size=1, max_size=50),
+    st.integers(0, 2**32),
+)
+def test_a_running_sum_of_fractions_matches_sum_in_any_order(calls, seed):
+    rational = RunningSum(_rational_term, lambda m, p: p - 1, "n", ("m", "p"))
+    shuffle = random.Random(seed).shuffle
+    with keep_partials():
+        for m, p, n in calls:
+            params = [("m", m), ("p", p), ("n", n)]
+            shuffle(params)  # the keyword order must not matter
+            got = rational(**dict(params))
+            terms = [_rational_term(k, m, p) for k in range(p - 1, n + 1)]
+            assert got == sum(terms, Fraction(0)), (m, p, n)
+            # an int exactly when every term has denominator 1
+            assert type(got) is (int if all(term.denominator == 1 for term in terms) else Fraction)
     assert _partials_left() is None
 
 
