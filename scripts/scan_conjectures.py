@@ -4,13 +4,15 @@
 Divisibility: b and a variants for each odd exponent up to --p-max, plus the
 unified c variant over m <= --m-max; mixed-cube over the square box.  With
 --checkpoint-dir the scans resume from (and update) one file per scan, so an
-interrupted run loses at most --batch cells of work.
+interrupted run loses at most --batch cells of work.  Exit codes: 0 clean,
+1 counterexample found, 2 bad request (a --batch below 1, a bad checkpoint).
 """
 
 import argparse
 import os
 import sys
 import time
+from functools import partial
 
 from catalan_triangles.conjectures import (
     load_checkpoint,
@@ -18,12 +20,14 @@ from catalan_triangles.conjectures import (
     scan_divisibility,
     scan_mixed,
 )
+from catalan_triangles.errors import DomainError, IntegrityError, UsageError
 
 
 def run_resumable(label, checkpoint_dir, batch, scan):
     state = None
     path = None
     if checkpoint_dir:
+        os.makedirs(checkpoint_dir, exist_ok=True)
         path = os.path.join(checkpoint_dir, label + ".json")
         if os.path.exists(path):
             state = load_checkpoint(path)
@@ -35,6 +39,13 @@ def run_resumable(label, checkpoint_dir, batch, scan):
             return state
 
 
+def positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError("must be >= 1, got %d" % value)
+    return value
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--n-max", type=int, default=30)
@@ -43,43 +54,35 @@ def main() -> int:
     parser.add_argument("--mixed-max", type=int, default=12)
     parser.add_argument("--jobs", type=int, default=1, help="accepted for compatibility; has no effect")
     parser.add_argument("--checkpoint-dir", default=None)
-    parser.add_argument("--batch", type=int, default=None,
+    parser.add_argument("--batch", type=positive_int, default=None,
                         help="cells per checkpointed batch (default: all at once)")
     args = parser.parse_args()
+    try:
+        return scan_all(args)
+    except (UsageError, DomainError, IntegrityError) as exc:
+        print("error: %s" % exc, file=sys.stderr)
+        return 2
 
-    if args.checkpoint_dir:
-        os.makedirs(args.checkpoint_dir, exist_ok=True)
 
-    total_counterexamples = 0
-    started = time.perf_counter()
-    for p in range(1, args.p_max + 1, 2):
+def scan_all(args) -> int:
+    scans = [
+        ("divisibility-%s-p%d" % (variant, p), partial(scan_divisibility, variant, p, jobs=args.jobs, **ranges))
+        for p in range(1, args.p_max + 1, 2)
         for variant, ranges in (
             ("b", dict(n_range=(1, args.n_max))),
             ("a", dict(n_range=(1, args.n_max))),
             ("c", dict(m_range=(2, args.m_max))),
-        ):
-            label = "divisibility-%s-p%d" % (variant, p)
-            state = run_resumable(
-                label, args.checkpoint_dir, args.batch,
-                lambda checkpoint, max_cells, variant=variant, p=p, ranges=ranges: scan_divisibility(
-                    variant, p, checkpoint=checkpoint, jobs=args.jobs, max_cells=max_cells, **ranges
-                ),
-            )
-            total_counterexamples += len(state.counterexamples)
-            print("%-22s %6d cells %3d counterexamples %10.1f ms"
-                  % (label, state.processed, len(state.counterexamples), state.elapsed_ms))
+        )
+    ]
+    scans.append(("mixed-cube", partial(scan_mixed, (1, args.mixed_max), (1, args.mixed_max), jobs=args.jobs)))
 
-    mixed = run_resumable(
-        "mixed-cube", args.checkpoint_dir, args.batch,
-        lambda checkpoint, max_cells: scan_mixed(
-            (1, args.mixed_max), (1, args.mixed_max),
-            checkpoint=checkpoint, jobs=args.jobs, max_cells=max_cells,
-        ),
-    )
-    total_counterexamples += len(mixed.counterexamples)
-    print("%-22s %6d cells %3d counterexamples %10.1f ms"
-          % ("mixed-cube", mixed.processed, len(mixed.counterexamples), mixed.elapsed_ms))
-
+    total_counterexamples = 0
+    started = time.perf_counter()
+    for label, scan in scans:
+        state = run_resumable(label, args.checkpoint_dir, args.batch, scan)
+        total_counterexamples += len(state.counterexamples)
+        print("%-22s %6d cells %3d counterexamples %10.1f ms"
+              % (label, state.processed, len(state.counterexamples), state.elapsed_ms))
     print("done in %.1f s; %d counterexamples in total"
           % (time.perf_counter() - started, total_counterexamples))
     return 1 if total_counterexamples else 0

@@ -22,8 +22,6 @@ EXIT_FINDING = 1
 EXIT_USAGE = 2
 EXIT_INTERNAL = 3
 
-JOBS_ENV_VAR = "CATALAN_TRIANGLES_JOBS"
-
 
 def _span(text: str) -> tuple[int, int]:
     """Parse 'a..b' (inclusive both ends) or a single integer 'a'."""
@@ -34,13 +32,6 @@ def _span(text: str) -> tuple[int, int]:
         return int(text), int(text)
     except ValueError:
         raise argparse.ArgumentTypeError("expected INT or INT..INT, got %r" % text) from None
-
-
-def _default_jobs() -> int:
-    try:
-        return max(1, int(os.environ.get(JOBS_ENV_VAR, "1")))
-    except ValueError:
-        return 1
 
 
 # --- value ------------------------------------------------------------------
@@ -243,7 +234,7 @@ def _build_parser() -> argparse.ArgumentParser:
                             help="range for parameter %s" % flag)
     verify.add_argument("--max", type=int, default=None,
                         help="upper bound for parameters without an explicit range")
-    verify.add_argument("--jobs", type=int, default=_default_jobs(),
+    verify.add_argument("--jobs", type=int, default=1,
                         help="accepted for compatibility; has no effect")
     verify.add_argument("--format", choices=("plain", "json"), default="plain")
     verify.add_argument("--fail-fast", action="store_true",
@@ -263,7 +254,7 @@ def _build_parser() -> argparse.ArgumentParser:
                       help="resume from PATH if present; save final state there")
     scan.add_argument("--limit", type=int, default=None, metavar="CELLS",
                       help="process at most CELLS cells this run")
-    scan.add_argument("--jobs", type=int, default=_default_jobs(),
+    scan.add_argument("--jobs", type=int, default=1,
                       help="accepted for compatibility; has no effect")
     scan.add_argument("--format", choices=("plain", "json"), default="plain")
     scan.add_argument("--no-timing", action="store_true")

@@ -18,7 +18,7 @@ import tempfile
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .errors import DomainError, IntegrityError, UsageError
 from .exact import RunningSum, binomial, exact_div, keep_partials
@@ -61,18 +61,39 @@ class ScanState:
     elapsed_ms: float = field(default=0.0, compare=False)
 
     def to_dict(self, include_timing: bool = True) -> dict:
-        doc = {
-            "version": CHECKPOINT_VERSION,
-            "conjecture": self.conjecture,
-            "p": self.p,
-            "frontier": list(self.frontier) if self.frontier is not None else None,
-            "processed": self.processed,
-            "counterexamples": self.counterexamples,
-            "skipped_zero_divisor": self.skipped_zero_divisor,
-        }
-        if include_timing:
-            doc["elapsed_ms"] = round(self.elapsed_ms, 3)
+        doc = {"version": CHECKPOINT_VERSION}
+        for name, spec in _CHECKPOINT_FIELDS.items():
+            if include_timing or name != "elapsed_ms":
+                doc[name] = spec.to_json(getattr(self, name))
         return doc
+
+
+def _int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)  # JSON true is no count
+
+
+class _Field(NamedTuple):
+    valid: Callable[[object], bool]  # test of the JSON value
+    expected: str  # what the test demands
+    default: object = None  # value when the field is absent; None if it is required
+    to_json: Callable = lambda value: value
+    from_json: Callable = lambda value: value
+
+
+# The checkpoint schema, in document order after "version".
+_CHECKPOINT_FIELDS = {
+    "conjecture": _Field(lambda v: isinstance(v, str), "a string"),
+    "p": _Field(lambda v: v is None or _int(v), "an integer or null"),
+    "frontier": _Field(
+        lambda v: v is None or (isinstance(v, list) and all(map(_int, v))), "a list of integers or null",
+        to_json=lambda cell: None if cell is None else list(cell), from_json=lambda v: None if v is None else tuple(v),
+    ),
+    "processed": _Field(lambda v: _int(v) and v >= 0, "a non-negative integer"),
+    "counterexamples": _Field(lambda v: isinstance(v, list) and all(isinstance(x, dict) for x in v), "a list of objects"),
+    "skipped_zero_divisor": _Field(lambda v: _int(v) and v >= 0, "a non-negative integer", 0),
+    "elapsed_ms": _Field(lambda v: (_int(v) or isinstance(v, float)) and v >= 0, "a non-negative number", 0.0,
+                         to_json=lambda ms: round(ms, 3)),
+}
 
 
 _VARIANTS = ("c", "b", "a")
@@ -116,6 +137,39 @@ def check_mixed_cube(n: int, m: int) -> tuple[Fraction, Fraction, bool]:
     bracket = 1 - Fraction((n + 2 * m) * inner, r) / (binomial(n + m, n) * binomial(n + r, n))
     rhs = Fraction(binomial(2 * n, n) ** 2 * binomial(2 * m, m), 2) * bracket
     return lhs, rhs, lhs == rhs
+
+
+def _divisibility_check(variant: str, p: int, claim_fn: Callable[[Cell], DivisibilityClaim] | None = None):
+    """The cell check of conjecture one: cell -> (counterexample record or None, divisor is zero).
+
+    The scans record what a check returns; reverify demands the same again.
+    """
+    build = claim_fn or (lambda cell: divisibility_claim(variant, p, cell))
+
+    def check(cell: Cell) -> tuple[dict | None, bool]:
+        claim = build(cell)
+        if claim.divisor == 0:
+            return None, True
+        remainder = claim.dividend % claim.divisor
+        if remainder == 0:
+            return None, False
+        return {
+            "assignment": dict(claim.parameters),
+            "dividend": str(claim.dividend),
+            "divisor": str(claim.divisor),
+            "remainder": str(remainder),
+        }, False
+
+    return check
+
+
+def _mixed_check(cell: Cell) -> tuple[dict | None, bool]:
+    """The cell check of conjecture two at cell (n, m)."""
+    n, m = cell
+    lhs, rhs, equal = check_mixed_cube(n, m)
+    if equal:
+        return None, False
+    return {"assignment": {"n": n, "m": m}, "lhs": str(lhs), "rhs": str(rhs)}, False
 
 
 def _span(bounds: tuple[int, int], minimum: int) -> range:
@@ -210,21 +264,7 @@ def scan_divisibility(
     if p < 1 or p % 2 == 0:
         raise UsageError("exponent p must be an odd integer >= 1, got %r" % p)
     cells = _divisibility_cells(variant, m_range, n_range)
-    build = claim_fn or (lambda cell: divisibility_claim(variant, p, cell))
-
-    def check(cell):
-        claim = build(cell)
-        if claim.divisor == 0:
-            return None, True
-        if claim.dividend % claim.divisor == 0:
-            return None, False
-        return {
-            "assignment": dict(claim.parameters),
-            "dividend": str(claim.dividend),
-            "divisor": str(claim.divisor),
-            "remainder": str(claim.dividend % claim.divisor),
-        }, False
-
+    check = _divisibility_check(variant, p, claim_fn)
     return _run_scan("divisibility-" + variant, p, cells, checkpoint, max_cells, check)
 
 
@@ -240,39 +280,27 @@ def scan_mixed(
     jobs is accepted for compatibility and has no effect: the scan is serial.
     """
     cells: list[Cell] = [(n, m) for n in _span(n_range, 1) for m in _span(m_range, 1)]
-
-    def check(cell):
-        n, m = cell
-        lhs, rhs, equal = check_mixed_cube(n, m)
-        if equal:
-            return None, False
-        return {"assignment": {"n": n, "m": m}, "lhs": str(lhs), "rhs": str(rhs)}, False
-
-    return _run_scan("mixed-cube", None, cells, checkpoint, max_cells, check)
+    return _run_scan("mixed-cube", None, cells, checkpoint, max_cells, _mixed_check)
 
 
 def reverify(state: ScanState, claim_fn: Callable[[Cell], DivisibilityClaim] | None = None) -> bool:
-    """Recompute every recorded counterexample; True iff all still hold up."""
-    if state.conjecture.startswith("divisibility-"):
-        variant = state.conjecture.removeprefix("divisibility-")
-        build = claim_fn or (lambda cell: divisibility_claim(variant, state.p, cell))
-        with keep_partials():  # records are in cell order, so running sums extend
-            for record in state.counterexamples:
-                claim = build(tuple(record["assignment"][name] for name in _cell_names(variant)))
-                if claim.holds:
-                    return False
-                if (str(claim.dividend), str(claim.divisor)) != (record["dividend"], record["divisor"]):
-                    return False
-                if str(claim.dividend % claim.divisor) != record["remainder"]:
-                    return False
-        return True
+    """Recompute every recorded counterexample; True iff each cell yields its record again."""
     if state.conjecture == "mixed-cube":
+        names, check = ("n", "m"), _mixed_check
+    elif state.conjecture.startswith("divisibility-"):
+        variant = state.conjecture.removeprefix("divisibility-")
+        names, check = _cell_names(variant), _divisibility_check(variant, state.p, claim_fn)
+    else:
+        raise UsageError("cannot reverify unknown conjecture %r" % state.conjecture)
+    with keep_partials():  # records are in cell order, so running sums extend
         for record in state.counterexamples:
-            lhs, rhs, equal = check_mixed_cube(record["assignment"]["n"], record["assignment"]["m"])
-            if equal or (str(lhs), str(rhs)) != (record["lhs"], record["rhs"]):
+            assignment = record.get("assignment")
+            if not isinstance(assignment, dict) or assignment.keys() != set(names):
                 return False
-        return True
-    raise UsageError("cannot reverify unknown conjecture %r" % state.conjecture)
+            cell = tuple(assignment[name] for name in names)
+            if not all(map(_int, cell)) or check(cell) != (record, False):
+                return False
+    return True
 
 
 def save_checkpoint(state: ScanState, destination: str | os.PathLike) -> None:
@@ -297,22 +325,6 @@ def save_checkpoint(state: ScanState, destination: str | os.PathLike) -> None:
         raise
 
 
-def _int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)  # JSON true is no count
-
-
-# field: (test of its JSON value, what the test demands)
-_CHECKPOINT_FIELDS = {
-    "conjecture": (lambda v: isinstance(v, str), "a string"),
-    "p": (lambda v: v is None or _int(v), "an integer or null"),
-    "frontier": (lambda v: v is None or (isinstance(v, list) and all(map(_int, v))), "a list of integers or null"),
-    "processed": (lambda v: _int(v) and v >= 0, "a non-negative integer"),
-    "counterexamples": (lambda v: isinstance(v, list) and all(isinstance(x, dict) for x in v), "a list of objects"),
-    "skipped_zero_divisor": (lambda v: _int(v) and v >= 0, "a non-negative integer"),
-    "elapsed_ms": (lambda v: (_int(v) or isinstance(v, float)) and v >= 0, "a non-negative number"),
-}
-
-
 def load_checkpoint(source: str | os.PathLike) -> ScanState:
     """Load a checkpoint written by save_checkpoint; validate its version and fields."""
     try:
@@ -325,19 +337,12 @@ def load_checkpoint(source: str | os.PathLike) -> ScanState:
             "checkpoint version %r does not match supported version %r"
             % (doc.get("version") if isinstance(doc, dict) else None, CHECKPOINT_VERSION)
         )
-    fields = {"skipped_zero_divisor": 0, "elapsed_ms": 0.0, **doc}
-    for name, (valid, expected) in _CHECKPOINT_FIELDS.items():
-        if name not in fields:
+    fields = {}
+    for name, spec in _CHECKPOINT_FIELDS.items():
+        if name not in doc and spec.default is None:
             raise IntegrityError("checkpoint %s is missing field %r" % (source, name))
-        if not valid(fields[name]):
-            raise IntegrityError("checkpoint %s: field %r must be %s" % (source, name, expected))
-    frontier = fields["frontier"]
-    return ScanState(
-        conjecture=fields["conjecture"],
-        p=fields["p"],
-        frontier=tuple(frontier) if frontier is not None else None,
-        processed=fields["processed"],
-        counterexamples=fields["counterexamples"],
-        skipped_zero_divisor=fields["skipped_zero_divisor"],
-        elapsed_ms=fields["elapsed_ms"],
-    )
+        value = doc.get(name, spec.default)
+        if not spec.valid(value):
+            raise IntegrityError("checkpoint %s: field %r must be %s" % (source, name, spec.expected))
+        fields[name] = spec.from_json(value)
+    return ScanState(**fields)

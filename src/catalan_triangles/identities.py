@@ -448,25 +448,10 @@ def _harmonic_sum(n: int, terms) -> Fraction:
     return Fraction(sum(w * scaled[j] for w, j in terms), scale)
 
 
-# The right sides below write H(n) as p/q and bring every term over one denominator.
-
-
-def _harmonic_rhs(m: int, n: int) -> Fraction:
-    # binomial(m-1,n) * p/q - S/m == (binomial(m-1,n) * p * m - S * q) / (q * m)
+def _over_harmonic(n: int, a: int, b: int, d: int) -> Fraction:
+    """(a*H(n) + b) / d as one quotient: with H(n) = p/q it is (a*p + b*q) / (d*q)."""
     p, q = harmonic(n).as_integer_ratio()
-    return Fraction(binomial(m - 1, n) * p * m - _binomials_from_one(m=m, n=n) * q, q * m)
-
-
-def _harmonic_b_rhs(n: int) -> Fraction:
-    # (2n * p/q - 1)/(4n) * C - (2^(2n-1)-1)/(2n) == ((2n*p - q) * C - 2q * (2^(2n-1)-1)) / (4n * q)
-    p, q = harmonic(n).as_integer_ratio()
-    return Fraction((2 * n * p - q) * binomial(2 * n, n) - 2 * q * (2 ** (2 * n - 1) - 1), 4 * n * q)
-
-
-def _harmonic_a_rhs(n: int) -> Fraction:
-    # p/q * C - (2^(2n)-1)/(2n+1) == (p * C * (2n+1) - q * (2^(2n)-1)) / (q * (2n+1))
-    p, q = harmonic(n).as_integer_ratio()
-    return Fraction(p * binomial(2 * n, n) * (2 * n + 1) - q * (2 ** (2 * n) - 1), q * (2 * n + 1))
+    return Fraction(a * p + b * q, d * q)
 
 
 _ident(
@@ -474,7 +459,7 @@ _ident(
     "sum(c(m,k) * H(k), k=1..n) == binomial(m-1,n) * H(n) - 1/m * sum(binomial(m,k), k=1..n)",
     [("m", 1), ("n", 1)],
     RunningSum(lambda k, m: _c_ext(m, k) * harmonic(k), 1, "n", ("m",)),
-    _harmonic_rhs,
+    lambda m, n: _over_harmonic(n, m * binomial(m - 1, n), -_binomials_from_one(m=m, n=n), m),
 )
 
 _ident(
@@ -490,7 +475,7 @@ _ident(
     "sum(b(n,k) * H(n-k), k=0..n-1) == (2n*H(n)-1)/(4n) * binomial(2n,n) - (2^(2n-1)-1)/(2n)",
     [("n", 1)],
     lambda n: _harmonic_sum(n, ((_b_ext(n, k), n - k) for k in range(n))),
-    _harmonic_b_rhs,
+    lambda n: _over_harmonic(n, 2 * n * binomial(2 * n, n), 2 - binomial(2 * n, n) - 4**n, 4 * n),
 )
 
 _ident(
@@ -498,7 +483,7 @@ _ident(
     "sum(a(n,k) * H(n-k+1), k=1..n) == H(n) * binomial(2n,n) - (2^(2n)-1)/(2n+1)",
     [("n", 1)],
     lambda n: _harmonic_sum(n, ((_a_ext(n, k), n - k + 1) for k in range(1, n + 1))),
-    _harmonic_a_rhs,
+    lambda n: _over_harmonic(n, (2 * n + 1) * binomial(2 * n, n), 1 - 4**n, 2 * n + 1),
 )
 
 _ident(

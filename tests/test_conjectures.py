@@ -8,6 +8,7 @@ from fractions import Fraction
 
 import pytest
 
+from catalan_triangles import conjectures
 from catalan_triangles.conjectures import (
     DivisibilityClaim,
     ScanState,
@@ -294,3 +295,74 @@ def test_scan_state_equality_ignores_timing():
     a = ScanState("divisibility-b", 3, None, processed=5)
     b = ScanState("divisibility-b", 3, None, processed=5, elapsed_ms=123.4)
     assert a == b
+
+
+def _off_by_one(cell):
+    claim = divisibility_claim("b", 3, cell)
+    return DivisibilityClaim(claim.dividend, claim.divisor + 1, claim.parameters)
+
+
+def _falsified_b_scan():
+    state = scan_divisibility("b", 3, n_range=(1, 12), claim_fn=_off_by_one)
+    assert state.counterexamples and reverify(state, claim_fn=_off_by_one)
+    return state
+
+
+def _edited(state, edit):
+    """state with its first counterexample record edited."""
+    record = json.loads(json.dumps(state.counterexamples[0]))
+    edit(record)
+    return ScanState(state.conjecture, state.p, None, state.processed, [record] + state.counterexamples[1:])
+
+
+def test_reverify_rejects_a_record_whose_divisor_is_now_zero():
+    state = _edited(_falsified_b_scan(), lambda record: record.update(divisor="0"))
+
+    def zero_divisor(cell):
+        return DivisibilityClaim(_off_by_one(cell).dividend, 0, (("n", cell[0]),))
+
+    assert reverify(state, claim_fn=zero_divisor) is False
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda record: record["assignment"].clear(),  # the cell key is missing
+        lambda record: record["assignment"].update(m=99),  # an extra key
+        lambda record: record.update(assignment=[record["assignment"]["n"]]),  # not an object
+        lambda record: record["assignment"].update(n=True),  # JSON true is no cell index
+        lambda record: record["assignment"].update(n=str(record["assignment"]["n"])),
+        lambda record: record.update(remainder=str(int(record["remainder"]) + 1)),
+        lambda record: record.update(note="extra field"),
+    ],
+    ids=["missing-cell-key", "extra-cell-key", "assignment-not-an-object", "bool-index", "str-index", "remainder",
+         "extra-field"],
+)
+def test_reverify_rejects_an_edited_record(edit):
+    assert reverify(_edited(_falsified_b_scan(), edit), claim_fn=_off_by_one) is False
+
+
+def test_reverify_rejects_an_edited_mixed_cube_record(monkeypatch):
+    true_check = conjectures.check_mixed_cube
+
+    def falsified(n, m):
+        lhs, rhs, _ = true_check(n, m)
+        return lhs, rhs + 1, False
+
+    monkeypatch.setattr(conjectures, "check_mixed_cube", falsified)
+    state = scan_mixed((1, 3), (1, 3))
+    assert len(state.counterexamples) == 9
+    assert reverify(state)
+    assert not reverify(_edited(state, lambda record: record.update(lhs=str(Fraction(record["lhs"]) + 1))))
+    monkeypatch.undo()
+    assert not reverify(state)
+
+
+def test_checkpoint_key_order(tmp_path):
+    state = _falsified_b_scan()
+    path = tmp_path / "scan.json"
+    save_checkpoint(state, path)
+    keys = ["version", "conjecture", "p", "frontier", "processed", "counterexamples", "skipped_zero_divisor"]
+    assert list(json.loads(path.read_text())) == keys + ["elapsed_ms"]
+    assert list(state.to_dict(include_timing=False)) == keys
+    assert list(load_checkpoint(path).to_dict(include_timing=False)) == keys
