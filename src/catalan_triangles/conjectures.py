@@ -24,7 +24,7 @@ from .errors import DomainError, IntegrityError, UsageError
 from .exact import RunningSum, binomial, exact_div, keep_partials
 from .triangles import _b_ext, _c_ext, a_row, b_row, catalan
 
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 Cell = tuple[int, ...]
 
@@ -49,7 +49,8 @@ class ScanState:
     frontier is the next unprocessed cell (None once the domain is spent);
     counterexamples are JSON-ready dicts with big integers as decimal
     strings.  elapsed_ms accumulates across resumed legs and is excluded
-    from equality.
+    from equality.  domain holds the scanned bounds per cell index, with
+    their minima applied, and a resumed scan must ask for the same ones.
     """
 
     conjecture: str
@@ -59,6 +60,7 @@ class ScanState:
     counterexamples: list[dict] = field(default_factory=list)
     skipped_zero_divisor: int = 0
     elapsed_ms: float = field(default=0.0, compare=False)
+    domain: dict[str, tuple[int, int]] | None = None
 
     def to_dict(self, include_timing: bool = True) -> dict:
         doc = {"version": CHECKPOINT_VERSION}
@@ -84,6 +86,14 @@ class _Field(NamedTuple):
 _CHECKPOINT_FIELDS = {
     "conjecture": _Field(lambda v: isinstance(v, str), "a string"),
     "p": _Field(lambda v: v is None or _int(v), "an integer or null"),
+    "domain": _Field(
+        lambda v: v is None or isinstance(v, dict) and all(
+            isinstance(b, list) and len(b) == 2 and all(map(_int, b)) for b in v.values()
+        ),
+        "an object of [lo, hi] integer pairs or null",
+        to_json=lambda domain: None if domain is None else {name: list(bounds) for name, bounds in domain.items()},
+        from_json=lambda v: None if v is None else {name: tuple(bounds) for name, bounds in v.items()},
+    ),
     "frontier": _Field(
         lambda v: v is None or (isinstance(v, list) and all(map(_int, v))), "a list of integers or null",
         to_json=lambda cell: None if cell is None else list(cell), from_json=lambda v: None if v is None else tuple(v),
@@ -172,24 +182,28 @@ def _mixed_check(cell: Cell) -> tuple[dict | None, bool]:
     return {"assignment": {"n": n, "m": m}, "lhs": str(lhs), "rhs": str(rhs)}, False
 
 
-def _span(bounds: tuple[int, int], minimum: int) -> range:
-    lo, hi = bounds
-    return range(max(lo, minimum), hi + 1)
+def _bounds(span: tuple[int, int], minimum: int) -> tuple[int, int]:
+    return max(span[0], minimum), span[1]
 
 
-def _divisibility_cells(variant: str, m_range, n_range) -> list[Cell]:
+def _divisibility_domain(variant: str, m_range, n_range) -> dict[str, tuple[int, int]]:
+    """The scanned bounds; variant c without an n range scans 1 <= n < m."""
     if variant == "c":
         if m_range is None:
             raise UsageError("variant c needs an m range")
-        cells = []
-        for m in _span(m_range, 2):
-            n_hi = m - 1 if n_range is None else min(n_range[1], m - 1)
-            n_lo = 1 if n_range is None else max(n_range[0], 1)
-            cells.extend((m, n) for n in range(n_lo, n_hi + 1))
-        return cells
+        m = _bounds(m_range, 2)
+        return {"m": m, "n": (1, m[1] - 1) if n_range is None else _bounds(n_range, 1)}
     if n_range is None:
         raise UsageError("variant %s needs an n range" % variant)
-    return [(n,) for n in _span(n_range, 1)]
+    return {"n": _bounds(n_range, 1)}
+
+
+def _divisibility_cells(variant: str, domain: dict[str, tuple[int, int]]) -> list[Cell]:
+    n_lo, n_hi = domain["n"]
+    if variant == "c":
+        m_lo, m_hi = domain["m"]
+        return [(m, n) for m in range(m_lo, m_hi + 1) for n in range(n_lo, min(n_hi, m - 1) + 1)]
+    return [(n,) for n in range(n_lo, n_hi + 1)]
 
 
 def _resume_index(cells: list[Cell], state: ScanState | None) -> int:
@@ -205,7 +219,7 @@ def _resume_index(cells: list[Cell], state: ScanState | None) -> int:
         ) from None
 
 
-def _run_scan(conjecture, p, cells, checkpoint, max_cells, check) -> ScanState:
+def _run_scan(conjecture, p, domain, cells, checkpoint, max_cells, check) -> ScanState:
     if max_cells is not None and max_cells < 0:
         raise UsageError("the cell limit must be >= 0, got %d" % max_cells)
     if checkpoint is not None:
@@ -214,6 +228,8 @@ def _run_scan(conjecture, p, cells, checkpoint, max_cells, check) -> ScanState:
                 "checkpoint is for %r (p=%r), not %r (p=%r)"
                 % (checkpoint.conjecture, checkpoint.p, conjecture, p)
             )
+        if checkpoint.domain != domain:
+            raise IntegrityError("checkpoint scanned the domain %r, not %r" % (checkpoint.domain, domain))
     start_index = _resume_index(cells, checkpoint)
     stop_index = len(cells) if max_cells is None else min(len(cells), start_index + max_cells)
     started = time.perf_counter()
@@ -232,6 +248,7 @@ def _run_scan(conjecture, p, cells, checkpoint, max_cells, check) -> ScanState:
     return ScanState(
         conjecture=conjecture,
         p=p,
+        domain=domain,
         frontier=cells[stop_index] if stop_index < len(cells) else None,
         processed=previous.processed + (stop_index - start_index),
         counterexamples=list(previous.counterexamples) + found,
@@ -263,9 +280,11 @@ def scan_divisibility(
         raise UsageError("unknown divisibility variant %r (expected one of %s)" % (variant, _VARIANTS))
     if p < 1 or p % 2 == 0:
         raise UsageError("exponent p must be an odd integer >= 1, got %r" % p)
-    cells = _divisibility_cells(variant, m_range, n_range)
+    domain = _divisibility_domain(variant, m_range, n_range)
     check = _divisibility_check(variant, p, claim_fn)
-    return _run_scan("divisibility-" + variant, p, cells, checkpoint, max_cells, check)
+    return _run_scan(
+        "divisibility-" + variant, p, domain, _divisibility_cells(variant, domain), checkpoint, max_cells, check
+    )
 
 
 def scan_mixed(
@@ -279,8 +298,10 @@ def scan_mixed(
 
     jobs is accepted for compatibility and has no effect: the scan is serial.
     """
-    cells: list[Cell] = [(n, m) for n in _span(n_range, 1) for m in _span(m_range, 1)]
-    return _run_scan("mixed-cube", None, cells, checkpoint, max_cells, _mixed_check)
+    domain = {"n": _bounds(n_range, 1), "m": _bounds(m_range, 1)}
+    (n_lo, n_hi), (m_lo, m_hi) = domain["n"], domain["m"]
+    cells: list[Cell] = [(n, m) for n in range(n_lo, n_hi + 1) for m in range(m_lo, m_hi + 1)]
+    return _run_scan("mixed-cube", None, domain, cells, checkpoint, max_cells, _mixed_check)
 
 
 def reverify(state: ScanState, claim_fn: Callable[[Cell], DivisibilityClaim] | None = None) -> bool:
@@ -334,8 +355,8 @@ def load_checkpoint(source: str | os.PathLike) -> ScanState:
         raise IntegrityError("unreadable checkpoint %s: %s" % (source, exc)) from exc
     if not isinstance(doc, dict) or doc.get("version") != CHECKPOINT_VERSION:
         raise IntegrityError(
-            "checkpoint version %r does not match supported version %r"
-            % (doc.get("version") if isinstance(doc, dict) else None, CHECKPOINT_VERSION)
+            "checkpoint %s has version %r; only version %r, which records the scan domain, can be resumed"
+            % (source, doc.get("version") if isinstance(doc, dict) else None, CHECKPOINT_VERSION)
         )
     fields = {}
     for name, spec in _CHECKPOINT_FIELDS.items():

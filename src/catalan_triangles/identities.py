@@ -1,29 +1,29 @@
 """Registry of exact combinatorial identities plus a sweep engine.
 
-Every entry binds a stable id to a pair of evaluators (left and right side)
-over named integer parameters.  A side returns an int or a Fraction, and the
-two are compared as returned: ints as ints, a Fraction against either by
-canonical (lowest-terms) equality, so identities whose right side carries
-explicit fractions like (n+1)/2 * catalan(n) need no special casing.  A
-rational side is written as one quotient Fraction(numerator, denominator)
-of integers, and a sum weighted by harmonic numbers as one integer sum over
-lcm(1..n).  Evaluators are total on the declared domain: outside-the-triangle
-terms vanish through the binomial zero convention, never through special
-cases in the sums.  A partial sum whose bound is a swept parameter is
-declared as an exact.RunningSum, so a sweep that raises the bound adds one
-term per cell instead of re-summing.
+Every entry binds a stable id to a statement over named integer parameters,
+`lhs == rhs` in the grammar of statements.py, which compiles it into the
+two evaluators the first time the identity is looked up.  A side returns
+an int or a Fraction, and the two are compared as returned: ints as ints,
+a Fraction against either by canonical (lowest-terms) equality.
+Evaluators are total on the declared domain: outside-the-triangle terms
+vanish through the binomial zero convention, never through special cases
+in the sums.  A descriptor may also carry hand-written sides, any
+(**params) -> int | Fraction callables, which are used as given.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from itertools import product
 from typing import Callable, Mapping
 
 from .errors import DomainError, EmptyDomainError, UnknownIdentityError, UsageError
-from .exact import RunningSum, binomial, harmonic, harmonic_numerators, keep_partials
+# binomial, harmonic and the triangle functions are what compiled sides call
+# (statements.FUNCTIONS); the sides look them up in this module at call time,
+# so rebinding one here reaches every side.
+from .exact import binomial, harmonic, keep_partials
 from .triangles import _a_ext, _b_ext, _c_ext, catalan, gen_catalan, seq_a, seq_b
 
 Assignment = Mapping[str, int]
@@ -39,17 +39,20 @@ class Parameter:
 class IdentityDescriptor:
     """One verifiable identity: statement, parameter domain, two evaluators.
 
-    constraint, when present, is the relational part of the domain (say
-    i <= n); per-parameter lower bounds live in parameters.  default_cap is
-    the upper bound a sweep uses for parameters the caller did not range.
+    A side left as None is compiled from the statement, and a constraint
+    given as text (say "i <= n") is compiled as a chain of comparisons; the
+    registry and the engine do that before they use the descriptor.
+    constraint, when present, is the relational part of the domain;
+    per-parameter lower bounds live in parameters.  default_cap is the
+    upper bound a sweep uses for parameters the caller did not range.
     """
 
     id: str
     statement: str
     parameters: tuple[Parameter, ...]
-    lhs: Callable[..., Fraction | int]
-    rhs: Callable[..., Fraction | int]
-    constraint: Callable[..., bool] | None = None
+    lhs: Callable[..., Fraction | int] | None = None
+    rhs: Callable[..., Fraction | int] | None = None
+    constraint: Callable[..., bool] | str | None = None
     default_cap: int = 100
 
     def parameter_names(self) -> tuple[str, ...]:
@@ -109,32 +112,59 @@ class VerificationReport:
 _REGISTRY: dict[str, IdentityDescriptor] = {}
 
 
-def register(descriptor: IdentityDescriptor) -> IdentityDescriptor:
+def _compiled(ident: IdentityDescriptor) -> IdentityDescriptor:
+    """ident with each side left as None compiled from its statement, and a text constraint compiled."""
+    sides = ident.lhs is None or ident.rhs is None
+    text = ident.constraint if isinstance(ident.constraint, str) else None
+    if not sides and text is None:
+        return ident
+    from . import statements  # loaded by the first compile, so scans and sequences never load it
+
+    try:
+        built = statements.compile_identity(
+            ident.parameter_names(), globals(), ident.statement if sides else None, text
+        )
+    except UsageError as exc:
+        raise UsageError("%s: %s" % (ident.id, exc)) from None
+    return replace(ident, **{name: fn for name, fn in built.items() if not callable(getattr(ident, name))})
+
+
+def _store(descriptor: IdentityDescriptor) -> IdentityDescriptor:
     if descriptor.id in _REGISTRY:
         raise UsageError("identity id %r already registered" % descriptor.id)
     _REGISTRY[descriptor.id] = descriptor
     return descriptor
 
 
+def register(descriptor: IdentityDescriptor) -> IdentityDescriptor:
+    """Add an identity; what it leaves to its statement is compiled now, so a bad one raises UsageError."""
+    return _store(_compiled(descriptor))
+
+
+def _lookup(identity_id: str) -> IdentityDescriptor:
+    try:
+        ident = _REGISTRY[identity_id]
+    except KeyError:
+        raise UnknownIdentityError(identity_id, _REGISTRY) from None
+    _REGISTRY[identity_id] = ident = _compiled(ident)
+    return ident
+
+
 def list_identities() -> list[IdentityDescriptor]:
-    return list(_REGISTRY.values())
+    return [_lookup(identity_id) for identity_id in _REGISTRY]
 
 
 def get_identity(identity_id: str) -> IdentityDescriptor:
-    try:
-        return _REGISTRY[identity_id]
-    except KeyError:
-        raise UnknownIdentityError(identity_id, _REGISTRY) from None
+    return _lookup(identity_id)
 
 
-def _ident(id, statement, parameters, lhs, rhs, constraint=None, cap=100):
-    register(
+def _ident(id, statement, parameters, constraint=None, cap=100):
+    """Register a built-in identity; it is compiled on its first lookup, not at import."""
+    _store(
         IdentityDescriptor(
             id=id,
             statement=statement,
             parameters=tuple(Parameter(name, minimum) for name, minimum in parameters),
-            lhs=lhs,
-            rhs=rhs,
             constraint=constraint,
             default_cap=cap,
         )
@@ -143,214 +173,82 @@ def _ident(id, statement, parameters, lhs, rhs, constraint=None, cap=100):
 
 # --- recurrences -----------------------------------------------------------
 
-_ident(
-    "prop-recurrence",
-    "c(m+2,k) == c(m,k) + 2*c(m,k-1) + c(m,k-2)",
-    [("m", 1), ("k", 2)],
-    lambda m, k: _c_ext(m + 2, k),
-    lambda m, k: _c_ext(m, k) + 2 * _c_ext(m, k - 1) + _c_ext(m, k - 2),
-)
+_ident("prop-recurrence", "c(m+2,k) == c(m,k) + 2*c(m,k-1) + c(m,k-2)", [("m", 1), ("k", 2)])
 
-_ident(
-    "rec-B",
-    "b(n,k) == b(n-1,k-1) + 2*b(n-1,k) + b(n-1,k+1)",
-    [("n", 2), ("k", 2)],
-    lambda n, k: _b_ext(n, k),
-    lambda n, k: _b_ext(n - 1, k - 1) + 2 * _b_ext(n - 1, k) + _b_ext(n - 1, k + 1),
-    constraint=lambda n, k: k <= n,
-)
+_ident("rec-B", "b(n,k) == b(n-1,k-1) + 2*b(n-1,k) + b(n-1,k+1)", [("n", 2), ("k", 2)], "k <= n")
 
-_ident(
-    "rec-A",
-    "a(n,k) == a(n-1,k-1) + 2*a(n-1,k) + a(n-1,k+1)",
-    [("n", 2), ("k", 2)],
-    lambda n, k: _a_ext(n, k),
-    lambda n, k: _a_ext(n - 1, k - 1) + 2 * _a_ext(n - 1, k) + _a_ext(n - 1, k + 1),
-    constraint=lambda n, k: k <= n + 1,
-)
+_ident("rec-A", "a(n,k) == a(n-1,k-1) + 2*a(n-1,k) + a(n-1,k+1)", [("n", 2), ("k", 2)], "k <= n + 1")
 
 # --- linear and alternating sums -------------------------------------------
 
-_ident(
-    "thm-linear-sum",
-    "sum(c(m,k), k=0..n) == binomial(m-1,n)",
-    [("m", 2), ("n", 1)],
-    RunningSum(lambda k, m: _c_ext(m, k), 0, "n", ("m",)),
-    lambda m, n: binomial(m - 1, n),
-)
+_ident("thm-linear-sum", "sum(c(m,k), k=0..n) == binomial(m-1,n)", [("m", 2), ("n", 1)])
 
-_ident(
-    "thm-alt-sum",
-    "sum((-1)^k * c(m,k), k=0..n) == (-1)^n * c(m-1,n)",
-    [("m", 2), ("n", 1)],
-    RunningSum(lambda k, m: (-1) ** k * _c_ext(m, k), 0, "n", ("m",)),
-    lambda m, n: (-1) ** n * _c_ext(m - 1, n),
-    constraint=lambda m, n: n <= m - 1,
-)
+_ident("thm-alt-sum", "sum((-1)^k * c(m,k), k=0..n) == (-1)^n * c(m-1,n)", [("m", 2), ("n", 1)], "n <= m - 1")
 
-_ident(
-    "cor-alt-B",
-    "sum((-1)^k * b(n,k), k=1..n) == -catalan(n-1)",
-    [("n", 1)],
-    lambda n: sum((-1) ** k * _b_ext(n, k) for k in range(1, n + 1)),
-    lambda n: -catalan(n - 1),
-)
+_ident("cor-alt-B", "sum((-1)^k * b(n,k), k=1..n) == -catalan(n-1)", [("n", 1)])
 
-_ident(
-    "cor-alt-A",
-    "sum((-1)^k * a(n,k), k=1..n+1) == 0",
-    [("n", 1)],
-    lambda n: sum((-1) ** k * _a_ext(n, k) for k in range(1, n + 2)),
-    lambda n: 0,
-)
+_ident("cor-alt-A", "sum((-1)^k * a(n,k), k=1..n+1) == 0", [("n", 1)])
 
-_ident(
-    "eq-linear-B",
-    "sum(b(n,k), k=1..n) == (n+1)/2 * catalan(n)",
-    [("n", 1)],
-    lambda n: sum(_b_ext(n, k) for k in range(1, n + 1)),
-    lambda n: Fraction((n + 1) * catalan(n), 2),
-)
+_ident("eq-linear-B", "sum(b(n,k), k=1..n) == (n+1)/2 * catalan(n)", [("n", 1)])
 
-_ident(
-    "eq-linear-A",
-    "sum(a(n,k), k=1..n+1) == (n+1) * catalan(n)",
-    [("n", 1)],
-    lambda n: sum(_a_ext(n, k) for k in range(1, n + 2)),
-    lambda n: (n + 1) * catalan(n),
-)
+_ident("eq-linear-A", "sum(a(n,k), k=1..n+1) == (n+1) * catalan(n)", [("n", 1)])
 
 # Stated twice in the paper, as eq-square-B/cor-square-ii and eq-square-A/cor-square-iii.
-_B_SQUARES = (
-    "sum(b(n,k)^2, k=1..n) == catalan(2n-1)",
-    [("n", 1)],
-    lambda n: sum(_b_ext(n, k) ** 2 for k in range(1, n + 1)),
-    lambda n: catalan(2 * n - 1),
-)
-_A_SQUARES = (
-    "sum(a(n,k)^2, k=1..n+1) == catalan(2n)",
-    [("n", 1)],
-    lambda n: sum(_a_ext(n, k) ** 2 for k in range(1, n + 2)),
-    lambda n: catalan(2 * n),
-)
+_ident("eq-square-B", "sum(b(n,k)^2, k=1..n) == catalan(2n-1)", [("n", 1)])
 
-_ident("eq-square-B", *_B_SQUARES)
-
-_ident("eq-square-A", *_A_SQUARES)
+_ident("eq-square-A", "sum(a(n,k)^2, k=1..n+1) == catalan(2n)", [("n", 1)])
 
 _ident(
     "eq-convolution",
     "sum(b(n,k)*b(n,n+k-i)*(n+2k-i), k=1..i) == (n+1)*catalan(n)*binomial(2n-2,i-1)",
     [("n", 1), ("i", 1)],
-    lambda n, i: sum(_b_ext(n, k) * _b_ext(n, n + k - i) * (n + 2 * k - i) for k in range(1, i + 1)),
-    lambda n, i: (n + 1) * catalan(n) * binomial(2 * (n - 1), i - 1),
-    constraint=lambda n, i: i <= n,
+    "i <= n",
     cap=40,
 )
 
 # --- sums of squares --------------------------------------------------------
 
-# sum(binomial(m,k)^2, k=0..n) and sum((-1)^k * binomial(m,k)^2, k=0..n)
-_binomial_squares = RunningSum(lambda k, m: binomial(m, k) ** 2, 0, "n", ("m",))
-_alt_binomial_squares = RunningSum(lambda k, m: (-1) ** k * binomial(m, k) ** 2, 0, "n", ("m",))
-# sum((2j-n) * binomial(j-1,n-1)^2, j=n..m), bounded by m with n fixed
-_square_decomp_terms = RunningSum(
-    lambda j, n: (2 * j - n) * binomial(j - 1, n - 1) ** 2, lambda n: n, "m", ("n",)
-)
-
 _ident(
     "thm-square-sum",
     "sum(c(m,k)^2, k=0..n) == (m-2n)/m * binomial(m-1,n)^2 + 2/m * sum(binomial(m-1,k)^2, k=0..n-1)",
     [("m", 1), ("n", 1)],
-    RunningSum(lambda k, m: _c_ext(m, k) ** 2, 0, "n", ("m",)),
-    lambda m, n: Fraction((m - 2 * n) * binomial(m - 1, n) ** 2 + 2 * _binomial_squares(m=m - 1, n=n - 1), m),
 )
 
 _ident(
     "thm-alt-square-sum",
     "sum((-1)^k * c(m,k)^2, k=0..n) == 2*(-1)^n * binomial(m-1,n)^2 - sum((-1)^k * binomial(m,k)^2, k=0..n)",
     [("m", 1), ("n", 1)],
-    RunningSum(lambda k, m: (-1) ** k * _c_ext(m, k) ** 2, 0, "n", ("m",)),
-    lambda m, n: 2 * (-1) ** n * binomial(m - 1, n) ** 2 - _alt_binomial_squares(m=m, n=n),
 )
 
-_ident(
-    "cor-square-i",
-    "sum(c(n,k)^2, k=0..n) == 2 * catalan(n-1)",
-    [("n", 1)],
-    lambda n: sum(_c_ext(n, k) ** 2 for k in range(n + 1)),
-    lambda n: 2 * catalan(n - 1),
-)
+_ident("cor-square-i", "sum(c(n,k)^2, k=0..n) == 2 * catalan(n-1)", [("n", 1)])
 
-_ident("cor-square-ii", *_B_SQUARES)
+_ident("cor-square-ii", "sum(b(n,k)^2, k=1..n) == catalan(2n-1)", [("n", 1)])
 
-_ident("cor-square-iii", *_A_SQUARES)
+_ident("cor-square-iii", "sum(a(n,k)^2, k=1..n+1) == catalan(2n)", [("n", 1)])
 
-_ident(
-    "cor-square-iv",
-    "sum((-1)^k * b(n,k)^2, k=1..n) == -(n+1)/2 * catalan(n)",
-    [("n", 1)],
-    lambda n: sum((-1) ** k * _b_ext(n, k) ** 2 for k in range(1, n + 1)),
-    lambda n: Fraction(-(n + 1) * catalan(n), 2),
-)
+_ident("cor-square-iv", "sum((-1)^k * b(n,k)^2, k=1..n) == -(n+1)/2 * catalan(n)", [("n", 1)])
 
 _ident(
     "thm-square-decomp-i",
     "binomial(m,n)^2 == sum((2j-n)/n * binomial(j-1,n-1)^2, j=n..m)",
     [("m", 1), ("n", 1)],
-    lambda m, n: binomial(m, n) ** 2,
-    lambda m, n: Fraction(_square_decomp_terms(n=n, m=m), n),
-    constraint=lambda m, n: m >= n,
+    "m >= n",
 )
 
-_ident(
-    "thm-square-decomp-ii",
-    "binomial(2n,n)^2 == sum((3n-2k)/n * binomial(2n-1-k,n-1)^2, k=0..n)",
-    [("n", 1)],
-    lambda n: binomial(2 * n, n) ** 2,
-    lambda n: Fraction(sum((3 * n - 2 * k) * binomial(2 * n - 1 - k, n - 1) ** 2 for k in range(n + 1)), n),
-)
+_ident("thm-square-decomp-ii", "binomial(2n,n)^2 == sum((3n-2k)/n * binomial(2n-1-k,n-1)^2, k=0..n)", [("n", 1)])
 
-_ident(
-    "thm-square-decomp-remark",
-    "binomial(2n,n)^2 == sum((n+2j)/n * binomial(n-1+j,n-1)^2, j=0..n)",
-    [("n", 1)],
-    lambda n: binomial(2 * n, n) ** 2,
-    lambda n: Fraction(sum((n + 2 * j) * binomial(n - 1 + j, n - 1) ** 2 for j in range(n + 1)), n),
-)
+_ident("thm-square-decomp-remark", "binomial(2n,n)^2 == sum((n+2j)/n * binomial(n-1+j,n-1)^2, j=0..n)", [("n", 1)])
 
-_ident(
-    "eq-vandermonde",
-    "sum(binomial(n,k)^2, k=0..n) == binomial(2n,n)",
-    [("n", 0)],
-    lambda n: sum(binomial(n, k) ** 2 for k in range(n + 1)),
-    lambda n: binomial(2 * n, n),
-)
+_ident("eq-vandermonde", "sum(binomial(n,k)^2, k=0..n) == binomial(2n,n)", [("n", 0)])
 
-_ident(
-    "eq-alt-square",
-    "sum((-1)^k * binomial(2n,k)^2, k=0..2n) == (-1)^n * binomial(2n,n)",
-    [("n", 0)],
-    lambda n: sum((-1) ** k * binomial(2 * n, k) ** 2 for k in range(2 * n + 1)),
-    lambda n: (-1) ** n * binomial(2 * n, n),
-)
+_ident("eq-alt-square", "sum((-1)^k * binomial(2n,k)^2, k=0..2n) == (-1)^n * binomial(2n,n)", [("n", 0)])
 
 # --- sums of cubes ----------------------------------------------------------
-
-# sum((-1)^k * binomial(m,k)^3, k=0..n)
-_alt_binomial_cubes = RunningSum(lambda k, m: (-1) ** k * binomial(m, k) ** 3, 0, "n", ("m",))
-
-
-def _cube_cross_sum(m: int, n: int) -> int:
-    return sum(binomial(j, n) * binomial(j, m - n - 1) for j in range(m))
-
 
 _ident(
     "eq-amm",
     "sum((m-2k)*binomial(m,k)^3, k=0..n) == (m-n)*binomial(m,n)*sum(binomial(j,n)*binomial(j,m-n-1), j=0..m-1)",
     [("m", 1), ("n", 1)],
-    RunningSum(lambda k, m: (m - 2 * k) * binomial(m, k) ** 3, 0, "n", ("m",)),
-    lambda m, n: (m - n) * binomial(m, n) * _cube_cross_sum(m, n),
     cap=40,
 )
 
@@ -358,8 +256,6 @@ _ident(
     "thm-cube-sum",
     "sum(c(m,k)^3, k=0..n) == 4*binomial(m-1,n)^3 - 3*binomial(m-1,n)*sum(binomial(j,n)*binomial(j,m-n-1), j=0..m-1)",
     [("m", 1), ("n", 1)],
-    RunningSum(lambda k, m: _c_ext(m, k) ** 3, 0, "n", ("m",)),
-    lambda m, n: 4 * binomial(m - 1, n) ** 3 - 3 * binomial(m - 1, n) * _cube_cross_sum(m, n),
     cap=40,
 )
 
@@ -367,142 +263,73 @@ _ident(
     "thm-alt-cube-sum",
     "sum((-1)^k * c(m,k)^3, k=0..n) == (m-3n)/m * (-1)^n * binomial(m-1,n)^3 - (m-3)/m * sum((-1)^k * binomial(m-1,k)^3, k=0..n-1)",
     [("m", 1), ("n", 1)],
-    RunningSum(lambda k, m: (-1) ** k * _c_ext(m, k) ** 3, 0, "n", ("m",)),
-    lambda m, n: Fraction(
-        (m - 3 * n) * (-1) ** n * binomial(m - 1, n) ** 3 - (m - 3) * _alt_binomial_cubes(m=m - 1, n=n - 1), m
-    ),
 )
 
 _ident(
     "cor-cube-B",
     "sum(b(n,k)^3, k=0..n) == 1/2 * binomial(2n,n)^3 - 3/2 * binomial(2n,n) * sum(binomial(j,n)*binomial(j,n-1), j=n..2n-1)",
     [("n", 1)],
-    lambda n: sum(_b_ext(n, k) ** 3 for k in range(n + 1)),
-    lambda n: Fraction(
-        binomial(2 * n, n) ** 3
-        - 3 * binomial(2 * n, n) * sum(binomial(j, n) * binomial(j, n - 1) for j in range(n, 2 * n)),
-        2,
-    ),
 )
 
 _ident(
     "cor-cube-A",
     "sum(a(n,k)^3, k=1..n+1) == binomial(2n,n)^3 - 3*binomial(2n,n)*sum(binomial(j,n)^2, j=n..2n-1)",
     [("n", 1)],
-    lambda n: sum(_a_ext(n, k) ** 3 for k in range(1, n + 2)),
-    lambda n: binomial(2 * n, n) ** 3 - 3 * binomial(2 * n, n) * sum(binomial(j, n) ** 2 for j in range(n, 2 * n)),
 )
 
 _ident(
     "cor-alt-cube-A",
     "sum((-1)^k * a(n,k)^3, k=1..n+1) == (n-1)/(2n+1) * binomial(2n,n) * binomial(3n,n)",
     [("n", 1)],
-    lambda n: sum((-1) ** k * _a_ext(n, k) ** 3 for k in range(1, n + 2)),
-    lambda n: Fraction((n - 1) * binomial(2 * n, n) * binomial(3 * n, n), 2 * n + 1),
 )
 
 _ident(
     "eq-dixon",
     "sum((-1)^k * binomial(2n,k)^3, k=0..2n) == (-1)^n * binomial(2n,n) * binomial(3n,n)",
     [("n", 1)],
-    lambda n: sum((-1) ** k * binomial(2 * n, k) ** 3 for k in range(2 * n + 1)),
-    lambda n: (-1) ** n * binomial(2 * n, n) * binomial(3 * n, n),
 )
 
 _ident(
     "thm-b-cube",
     "sum(b(n,k)^3, k=1..n) == 1/(2n) * binomial(2n,n) * sum(k * binomial(2n-k-1,n-1)^2, k=1..n)",
     [("n", 1)],
-    lambda n: sum(_b_ext(n, k) ** 3 for k in range(1, n + 1)),
-    lambda n: Fraction(
-        binomial(2 * n, n) * sum(k * binomial(2 * n - k - 1, n - 1) ** 2 for k in range(1, n + 1)),
-        2 * n,
-    ),
 )
 
-_ident(
-    "rem-b-cube-factored",
-    "sum(b(n,k)^3, k=1..n) == (n+1)/2 * catalan(n) * seq_b(n)",
-    [("n", 1)],
-    lambda n: sum(_b_ext(n, k) ** 3 for k in range(1, n + 1)),
-    lambda n: Fraction((n + 1) * catalan(n) * seq_b(n), 2),
-)
+_ident("rem-b-cube-factored", "sum(b(n,k)^3, k=1..n) == (n+1)/2 * catalan(n) * seq_b(n)", [("n", 1)])
 
 _ident(
     "rem-a-cube-factored",
     "sum(a(n,k)^3, k=1..n+1) == (n+1) * catalan(n) * ((2*(n+1)*catalan(n))^2 - 3*seq_a(n))",
     [("n", 1)],
-    lambda n: sum(_a_ext(n, k) ** 3 for k in range(1, n + 2)),
-    lambda n: (n + 1) * catalan(n) * ((2 * (n + 1) * catalan(n)) ** 2 - 3 * seq_a(n)),
 )
 
 # --- harmonic-number sums ----------------------------------------------------
-
-# sum(binomial(m,k), k=1..n)
-_binomials_from_one = RunningSum(lambda k, m: binomial(m, k), 1, "n", ("m",))
-
-
-def _harmonic_sum(n: int, terms) -> Fraction:
-    """sum(w * H(j) for w, j in terms), every j <= n, as one integer sum over lcm(1..n)."""
-    scale, scaled = harmonic_numerators(n)
-    return Fraction(sum(w * scaled[j] for w, j in terms), scale)
-
-
-def _over_harmonic(n: int, a: int, b: int, d: int) -> Fraction:
-    """(a*H(n) + b) / d as one quotient: with H(n) = p/q it is (a*p + b*q) / (d*q)."""
-    p, q = harmonic(n).as_integer_ratio()
-    return Fraction(a * p + b * q, d * q)
-
 
 _ident(
     "thm-harmonic",
     "sum(c(m,k) * H(k), k=1..n) == binomial(m-1,n) * H(n) - 1/m * sum(binomial(m,k), k=1..n)",
     [("m", 1), ("n", 1)],
-    RunningSum(lambda k, m: _c_ext(m, k) * harmonic(k), 1, "n", ("m",)),
-    lambda m, n: _over_harmonic(n, m * binomial(m - 1, n), -_binomials_from_one(m=m, n=n), m),
 )
 
-_ident(
-    "cor-harmonic-C",
-    "sum(c(n,k) * H(k), k=1..n) == (1 - 2^n) / n",
-    [("n", 1)],
-    lambda n: _harmonic_sum(n, ((_c_ext(n, k), k) for k in range(1, n + 1))),
-    lambda n: Fraction(1 - 2**n, n),
-)
+_ident("cor-harmonic-C", "sum(c(n,k) * H(k), k=1..n) == (1 - 2^n) / n", [("n", 1)])
 
 _ident(
     "cor-harmonic-B",
     "sum(b(n,k) * H(n-k), k=0..n-1) == (2n*H(n)-1)/(4n) * binomial(2n,n) - (2^(2n-1)-1)/(2n)",
     [("n", 1)],
-    lambda n: _harmonic_sum(n, ((_b_ext(n, k), n - k) for k in range(n))),
-    lambda n: _over_harmonic(n, 2 * n * binomial(2 * n, n), 2 - binomial(2 * n, n) - 4**n, 4 * n),
 )
 
 _ident(
     "cor-harmonic-A",
     "sum(a(n,k) * H(n-k+1), k=1..n) == H(n) * binomial(2n,n) - (2^(2n)-1)/(2n+1)",
     [("n", 1)],
-    lambda n: _harmonic_sum(n, ((_a_ext(n, k), n - k + 1) for k in range(1, n + 1))),
-    lambda n: _over_harmonic(n, (2 * n + 1) * binomial(2 * n, n), 1 - 4**n, 2 * n + 1),
 )
 
-_ident(
-    "rem-ps13",
-    "sum((n-2k) * H(k) * binomial(n,k), k=1..n) == 1 - 2^n",
-    [("n", 1)],
-    lambda n: _harmonic_sum(n, (((n - 2 * k) * binomial(n, k), k) for k in range(1, n + 1))),
-    lambda n: 1 - 2**n,
-)
+_ident("rem-ps13", "sum((n-2k) * H(k) * binomial(n,k), k=1..n) == 1 - 2^n", [("n", 1)])
 
 # --- generalized Catalan relation --------------------------------------------
 
-_ident(
-    "rel-gen-catalan",
-    "c(k*n+1, n) == ((k-2)*n + 1) * gen_catalan(k, n)",
-    [("k", 1), ("n", 1)],
-    lambda k, n: _c_ext(k * n + 1, n),
-    lambda k, n: ((k - 2) * n + 1) * gen_catalan(k, n),
-)
+_ident("rel-gen-catalan", "c(k*n+1, n) == ((k-2)*n + 1) * gen_catalan(k, n)", [("k", 1), ("n", 1)])
 
 
 # --- engine -------------------------------------------------------------------
@@ -510,7 +337,7 @@ _ident(
 
 def _resolve(identity: str | IdentityDescriptor) -> IdentityDescriptor:
     if isinstance(identity, IdentityDescriptor):
-        return identity
+        return _compiled(identity)
     return get_identity(identity)
 
 

@@ -1,0 +1,331 @@
+"""Compile an identity's statement into its two sides.
+
+A statement is `lhs == rhs` over integer parameters, written in a small
+grammar: integer literals, the parameters, + - * / and ^ (or **), `2n`
+for 2*n, the functions c b a binomial catalan gen_catalan seq_a seq_b H,
+and sum(term, v=lo..hi) over an integer range.  A constraint is a chain of
+comparisons (< <= > >=) of integer expressions in the same grammar.
+Anything else raises UsageError.
+
+Each side becomes generated Python code that keeps the value as one integer
+quotient (numerator, denominator) and returns an int when the denominator
+is 1 and one Fraction(numerator, denominator) otherwise.  A sum whose upper
+bound uses a name its term does not becomes an exact.RunningSum keyed by
+the term's other names, so a sweep that raises the bound adds one term per
+cell; any other sum is a plain generator sum.  A denominator that does not
+depend on the summation variable is moved out of the sum.  H(x) outside a
+sum is harmonic(x) as a numerator/denominator pair; inside a plain sum
+whose variable it is affine in, it reads exact.harmonic_numerators, so the
+sum is one integer dot product over the lcm; inside a running sum it is a
+Fraction term.  The generated code looks up _c_ext, binomial, harmonic and
+the other functions in the namespace it is given, at call time.
+"""
+
+from __future__ import annotations
+
+import ast
+import copy
+import keyword
+import re
+from fractions import Fraction
+from typing import Callable
+
+from .errors import DomainError, UsageError
+from .exact import RunningSum, harmonic_numerators
+
+# statement name -> (name the generated code calls, arity)
+FUNCTIONS = {
+    "c": ("_c_ext", 2),
+    "b": ("_b_ext", 2),
+    "a": ("_a_ext", 2),
+    "binomial": ("binomial", 2),
+    "catalan": ("catalan", 1),
+    "gen_catalan": ("gen_catalan", 2),
+    "seq_a": ("seq_a", 1),
+    "seq_b": ("seq_b", 1),
+    "H": ("harmonic", 1),
+}
+# Names a parameter or a summation variable may not take: they would shadow
+# what the generated code calls.
+_RESERVED = {*FUNCTIONS, *(target for target, _ in FUNCTIONS.values()), "sum", "range", "map", "Fraction",
+             "RunningSum", "harmonic_table"}
+_COMPARISONS = {ast.Lt: "<", ast.LtE: "<=", ast.Gt: ">", ast.GtE: ">="}
+_CHARACTERS = frozenset("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_ \t\n+-*/^().,=<>")
+_PRODUCT = re.compile(r"\b(\d+)(?=[A-Za-z_(])")  # 2n -> 2*n, 3(n+1) -> 3*(n+1)
+_RANGE = re.compile(r",\s*([A-Za-z_]\w*)\s*=(?!=)(.*?)\.\.")  # , v=lo.. -> , v, lo,
+
+
+def harmonic_table(lo: int, hi: int, *ends: int) -> tuple[int, list[int]]:
+    """exact.harmonic_numerators up to the largest H argument of a sum over lo..hi.
+
+    ends are the arguments at v = lo and v = hi; each is affine in v, so
+    they bound every argument the sum reaches.
+    """
+    if lo > hi:
+        return 1, []
+    if min(ends) < 1:
+        raise DomainError("harmonic: n must be >= 1, got %d" % min(ends))
+    return harmonic_numerators(max(ends))
+
+
+def _parse(text: str) -> ast.expr:
+    if not _CHARACTERS.issuperset(text):
+        raise UsageError("unexpected character in %r" % text)
+    source, ranges = _RANGE.subn(r", \1, \2, ", _PRODUCT.sub(r"\1*", text.replace("^", "**")))
+    try:
+        tree = ast.parse(source, mode="eval").body
+    except SyntaxError:
+        raise UsageError("cannot parse %r" % text) from None
+    if len(re.findall(r"\bsum\b", text)) != ranges:
+        raise UsageError("write every sum as sum(term, v=lo..hi) in %r" % text)
+    return tree
+
+
+def _free(node: ast.AST) -> frozenset[str]:
+    """The parameter and variable names node reads, without those its sums bind."""
+    if isinstance(node, ast.Name):
+        return frozenset((node.id,))
+    if isinstance(node, ast.Call):
+        if getattr(node.func, "id", None) == "sum" and len(node.args) == 4 and isinstance(node.args[1], ast.Name):
+            term, var, lo, hi = node.args
+            return (_free(term) - {var.id}) | _free(lo) | _free(hi)
+        return frozenset().union(*map(_free, node.args))
+    return frozenset().union(*map(_free, ast.iter_child_nodes(node)))
+
+
+def _affine(node: ast.AST, var: str) -> bool:
+    """Whether node has degree at most 1 in var, so that over a range it is extreme at the ends."""
+
+    def degree(node):
+        if var not in _free(node):
+            return 0
+        if isinstance(node, ast.Name):
+            return 1
+        if isinstance(node, ast.UnaryOp):
+            return degree(node.operand)
+        if isinstance(node, ast.BinOp) and isinstance(node.op, (ast.Add, ast.Sub)):
+            return max(degree(node.left), degree(node.right))
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult):
+            return degree(node.left) + degree(node.right)
+        return 2
+
+    return degree(node) <= 1
+
+
+def _substitute(node: ast.AST, var: str, value: ast.AST) -> ast.AST:
+    class Substitute(ast.NodeTransformer):
+        def visit_Name(self, name):
+            return value if name.id == var else name
+
+    return Substitute().visit(copy.deepcopy(node))
+
+
+def _mul(x: str, y: str) -> str:
+    return y if x == "1" else x if y == "1" else "(%s*%s)" % (x, y)
+
+
+def _indent(lines: list[str]) -> str:
+    return "\n".join("    " + line for block in lines for line in block.split("\n"))
+
+
+class _Q:
+    """A compiled node: num/den as integer expressions, or one int | Fraction expression.
+
+    den is "1" for an integer; dvars are the names den depends on.  value,
+    when set, replaces num and den until the node meets an operator.
+    """
+
+    __slots__ = ("num", "den", "dvars", "value")
+
+    def __init__(self, num: str | None, den: str = "1", dvars: frozenset[str] = frozenset(), value: str | None = None):
+        self.num, self.den, self.dvars, self.value = num, den, dvars, value
+
+
+class _Scope:
+    """One generated function body: a side, or the term of a sum."""
+
+    def __init__(self, names, var=None, plain=False):
+        self.names = frozenset(names)  # the statement names it can read
+        self.var = var  # the summation variable of a term
+        self.plain = plain  # the term of a plain sum, which may read a harmonic table
+        self.lines: list[str] = []  # statements that run before the returned expression
+        self.harmonic_args: list[ast.AST] = []  # H arguments read from the table
+        self.table: tuple[str, str] | None = None  # names of lcm and numerators
+
+
+class _Compiler:
+    def __init__(self, parameters: tuple[str, ...]):
+        for name in parameters:
+            if not name.isidentifier() or keyword.iskeyword(name) or name.startswith("_") or name in _RESERVED:
+                raise UsageError("parameter name %r is not allowed" % name)
+        if len(set(parameters)) != len(parameters):
+            raise UsageError("parameter names %s repeat" % (parameters,))
+        self.parameters = parameters
+        self.defs: list[str] = []  # factory-level code: running sums and their terms
+        self.direct: dict[str, tuple[str, frozenset[str]]] = {}  # running-sum call -> (object, names)
+        self.count = 0
+
+    def fresh(self, stem: str) -> str:
+        self.count += 1
+        return "_%s%d" % (stem, self.count)
+
+    def pair(self, q: _Q, scope: _Scope) -> _Q:
+        if q.value is None:
+            return q
+        r = self.fresh("r")
+        scope.lines.append("%s = %s" % (r, q.value))
+        return _Q("%s.numerator" % r, "%s.denominator" % r, q.dvars)
+
+    def integer(self, node: ast.AST, scope: _Scope, what: str) -> str:
+        q = self.pair(self.expr(node, scope), scope)
+        if q.den != "1":
+            raise UsageError("%s must be an integer expression, got %r" % (what, ast.unparse(node)))
+        return q.num
+
+    def expr(self, node: ast.AST, scope: _Scope) -> _Q:
+        if isinstance(node, ast.Constant) and type(node.value) is int:
+            return _Q(str(node.value))
+        if isinstance(node, ast.Name):
+            if node.id not in scope.names:
+                raise UsageError("unknown name %r" % node.id)
+            return _Q(node.id)
+        if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.UAdd, ast.USub)):
+            q = self.pair(self.expr(node.operand, scope), scope)
+            return q if isinstance(node.op, ast.UAdd) else _Q("(-%s)" % q.num, q.den, q.dvars)
+        if isinstance(node, ast.BinOp) and isinstance(node.op, (ast.Add, ast.Sub, ast.Mult, ast.Div, ast.Pow)):
+            return self.binop(node, scope)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and not node.keywords:
+            name = node.func.id
+            if name == "sum" and len(node.args) == 4 and isinstance(node.args[1], ast.Name):
+                return self.sum(node, scope)
+            if name in FUNCTIONS and len(node.args) == FUNCTIONS[name][1]:
+                if name == "H":
+                    return self.harmonic(node.args[0], scope)
+                args = [self.integer(arg, scope, "an argument of %s" % name) for arg in node.args]
+                return _Q("%s(%s)" % (FUNCTIONS[name][0], ", ".join(args)))
+            raise UsageError("unknown function or wrong arity in %r" % ast.unparse(node))
+        if isinstance(node, ast.Constant):
+            raise UsageError("only integer literals are allowed, got %r" % (node.value,))
+        raise UsageError("unsupported expression %r" % ast.unparse(node))
+
+    def binop(self, node: ast.BinOp, scope: _Scope) -> _Q:
+        a = self.pair(self.expr(node.left, scope), scope)
+        if isinstance(node.op, ast.Pow):
+            e = self.integer(node.right, scope, "an exponent")
+            dvars = a.dvars | _free(node.right) if a.den != "1" else a.dvars
+            return _Q("(%s**%s)" % (a.num, e), "1" if a.den == "1" else "(%s**%s)" % (a.den, e), dvars)
+        b = self.pair(self.expr(node.right, scope), scope)
+        if isinstance(node.op, ast.Mult):
+            return _Q(_mul(a.num, b.num), _mul(a.den, b.den), a.dvars | b.dvars)
+        if isinstance(node.op, ast.Div):
+            return _Q(_mul(a.num, b.den), _mul(a.den, b.num), a.dvars | _free(node.right))
+        sign = "+" if isinstance(node.op, ast.Add) else "-"
+        if a.den == b.den:
+            return _Q("(%s %s %s)" % (a.num, sign, b.num), a.den, a.dvars | b.dvars)
+        num = "(%s %s %s)" % (_mul(a.num, b.den), sign, _mul(b.num, a.den))
+        return _Q(num, _mul(a.den, b.den), a.dvars | b.dvars)
+
+    def harmonic(self, arg: ast.AST, scope: _Scope) -> _Q:
+        x = self.integer(arg, scope, "the argument of H")
+        if scope.plain and _affine(arg, scope.var):
+            if scope.table is None:
+                scope.table = (self.fresh("lcm"), self.fresh("hn"))
+            scope.harmonic_args.append(arg)
+            return _Q("%s[%s]" % (scope.table[1], x), scope.table[0])
+        p, q = self.fresh("p"), self.fresh("q")
+        scope.lines.append("%s, %s = harmonic(%s).as_integer_ratio()" % (p, q, x))
+        return _Q(p, q, _free(arg))
+
+    def sum(self, node: ast.Call, scope: _Scope) -> _Q:
+        term, var, lo, hi = node.args
+        v = var.id
+        if v in scope.names or v in _RESERVED or v.startswith("_"):
+            raise UsageError("summation variable %r shadows a parameter, a variable or a function" % v)
+        lo_code = self.integer(lo, scope, "a lower bound")
+        hi_code = self.integer(hi, scope, "an upper bound")
+        fixed = tuple(sorted((_free(term) - {v}) | _free(lo)))
+        running = not _free(hi) <= set(fixed)
+        inner = _Scope(set(fixed) | {v} if running else scope.names | {v}, v, plain=not running)
+        q = self.expr(term, inner)
+        if inner.table is not None:
+            ends = [
+                self.integer(_substitute(arg, v, end), scope, "the argument of H")
+                for arg in inner.harmonic_args
+                for end in (lo, hi)
+            ]
+            scope.lines.append("%s, %s = harmonic_table(%s, %s, %s)" % (*inner.table, lo_code, hi_code, ", ".join(ends)))
+        movable = not inner.lines and q.value is None and v not in q.dvars
+        returned = q.num if movable else _value(q)
+        t = self.fresh("t")
+        if not running:
+            if movable:
+                return _Q("sum(%s for %s in range(%s, %s + 1))" % (q.num, v, lo_code, hi_code), q.den, q.dvars)
+            scope.lines.append("def %s(%s):\n%s" % (t, v, _indent(inner.lines + ["return " + returned])))
+            return _Q(None, value="sum(map(%s, range(%s, %s + 1)))" % (t, lo_code, hi_code), dvars=_free(node))
+        # The bound's key is its own name when it is one, so the sum can be a whole side.
+        key = hi.id if isinstance(hi, ast.Name) else "_hi"
+        lo_arg = lo_code if not _free(lo) else "lambda %s: %s" % (", ".join(fixed), lo_code)
+        rs = self.fresh("rs")
+        self.defs.append("def %s(%s):\n%s" % (t, ", ".join((v,) + fixed), _indent(inner.lines + ["return " + returned])))
+        self.defs.append("%s = RunningSum(%s, %s, %r, %r)" % (rs, t, lo_arg, key, fixed))
+        call = "%s(%s)" % (rs, ", ".join("%s=%s" % pair for pair in ((key, hi_code),) + tuple(zip(fixed, fixed))))
+        if key == hi_code:
+            self.direct[call] = (rs, frozenset((key,) + fixed))
+        if movable:
+            return _Q(call, q.den, q.dvars)
+        return _Q(None, value=call, dvars=_free(node))
+
+    def function(self, name: str, node: ast.AST) -> str:
+        """Source of def name(parameters) returning node's value; a running sum over all parameters is bound as is."""
+        scope = _Scope(self.parameters)
+        q = self.expr(node, scope)
+        whole = q.value if q.value is not None else q.num if q.den == "1" else None
+        if not scope.lines and whole in self.direct and self.direct[whole][1] == set(self.parameters):
+            return "%s = %s" % (name, self.direct[whole][0])
+        return "def %s(%s):\n%s" % (name, ", ".join(self.parameters), _indent(scope.lines + ["return " + _value(q)]))
+
+    def test(self, name: str, node: ast.Compare) -> str:
+        """Source of def name(parameters) returning the chain of comparisons node."""
+        scope = _Scope(self.parameters)
+        operands = [self.integer(x, scope, "a compared value") for x in (node.left, *node.comparators)]
+        chain = operands[0] + "".join(" %s %s" % (_COMPARISONS[type(op)], x) for op, x in zip(node.ops, operands[1:]))
+        return "def %s(%s):\n%s" % (name, ", ".join(self.parameters), _indent(scope.lines + ["return " + chain]))
+
+
+def _value(q: _Q) -> str:
+    if q.value is not None:
+        return q.value
+    return q.num if q.den == "1" else "Fraction(%s, %s)" % (q.num, q.den)
+
+
+def compile_identity(
+    parameters: tuple[str, ...],
+    namespace: dict,
+    statement: str | None = None,
+    constraint: str | None = None,
+) -> dict[str, Callable]:
+    """Callables compiled from statement ("lhs", "rhs") and constraint ("constraint").
+
+    Each takes the parameters as keywords.  Their calls to the statement's
+    functions read namespace at call time (c is namespace["_c_ext"]).
+    """
+    compiler = _Compiler(tuple(parameters))
+    functions = {}
+    if statement is not None:
+        tree = _parse(statement)
+        if not (isinstance(tree, ast.Compare) and len(tree.ops) == 1 and isinstance(tree.ops[0], ast.Eq)):
+            raise UsageError("a statement is one equation lhs == rhs, got %r" % statement)
+        functions["lhs"] = compiler.function("lhs", tree.left)
+        functions["rhs"] = compiler.function("rhs", tree.comparators[0])
+    if constraint is not None:
+        tree = _parse(constraint)
+        if not (isinstance(tree, ast.Compare) and all(type(op) in _COMPARISONS for op in tree.ops)):
+            raise UsageError("a constraint is a chain of comparisons, got %r" % constraint)
+        functions["constraint"] = compiler.test("constraint", tree)
+    returned = "return {%s}" % ", ".join("%r: %s" % (name, name) for name in functions)
+    source = "def _build(RunningSum, Fraction, harmonic_table):\n%s\n" % _indent(
+        compiler.defs + list(functions.values()) + [returned]
+    )
+    scope: dict = {}
+    exec(compile(source, "<statement>", "exec"), namespace, scope)
+    return scope["_build"](RunningSum, Fraction, harmonic_table)

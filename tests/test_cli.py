@@ -256,12 +256,14 @@ def test_scan_corrupt_checkpoint_exits_2(tmp_path):
         {"skipped_zero_divisor": 1.5},
         {"counterexamples": [5]},
         {"elapsed_ms": "soon"},
+        {"domain": {"m": [2]}},
+        {"domain": [[2, 6]]},
     ],
 )
 def test_scan_checkpoint_with_mistyped_field_exits_2(tmp_path, fields):
     path = tmp_path / "scan.json"
-    doc = {"version": 1, "conjecture": "divisibility-c", "p": 5, "frontier": [3, 1], "processed": 1,
-           "counterexamples": [], "skipped_zero_divisor": 0}
+    doc = {"version": 2, "conjecture": "divisibility-c", "p": 5, "domain": {"m": [2, 6], "n": [1, 5]},
+           "frontier": [3, 1], "processed": 1, "counterexamples": [], "skipped_zero_divisor": 0}
     path.write_text(json.dumps({**doc, **fields}))
     result = run_cli("scan", "c-powers", "--p", "5", "--m", "2..6", "--checkpoint", str(path))
     assert result.returncode == 2
@@ -269,9 +271,35 @@ def test_scan_checkpoint_with_mistyped_field_exits_2(tmp_path, fields):
     assert "Traceback" not in result.stderr
 
 
+def test_scan_resumed_on_another_domain_exits_2(tmp_path):
+    path = tmp_path / "scan.json"
+    first = run_cli("scan", "b-cubes", "--p", "3", "--n", "1..10", "--limit", "5", "--checkpoint", str(path))
+    assert first.returncode == 0
+    saved = path.read_bytes()
+    for flags in (["--n", "6..7"], ["--n", "1..11"]):
+        result = run_cli("scan", "b-cubes", "--p", "3", *flags, "--checkpoint", str(path))
+        assert result.returncode == 2
+        assert result.stdout == ""
+        assert "domain" in result.stderr
+        assert path.read_bytes() == saved
+    resumed = run_cli("scan", "b-cubes", "--p", "3", "--n", "1..10", "--checkpoint", str(path), "--no-timing")
+    assert resumed.returncode == 0
+    assert resumed.stdout == "divisibility-b p=3: 10 cells processed, 0 counterexamples\n"
+
+
+def test_scan_version_1_checkpoint_exits_2(tmp_path):
+    path = tmp_path / "scan.json"
+    path.write_text(json.dumps({"version": 1, "conjecture": "divisibility-b", "p": 3, "frontier": [6],
+                                "processed": 5, "counterexamples": [], "skipped_zero_divisor": 0}))
+    result = run_cli("scan", "b-cubes", "--p", "3", "--n", "1..10", "--checkpoint", str(path))
+    assert result.returncode == 2
+    assert "version 1" in result.stderr
+
+
 def test_scan_checkpoint_missing_field_exits_2(tmp_path):
     path = tmp_path / "scan.json"
-    path.write_text(json.dumps({"version": 1, "conjecture": "divisibility-b", "p": 3, "frontier": None}))
+    path.write_text(json.dumps({"version": 2, "conjecture": "divisibility-b", "p": 3, "domain": {"n": [1, 5]},
+                                "frontier": None}))
     result = run_cli("scan", "b-cubes", "--p", "3", "--n", "1..5", "--checkpoint", str(path))
     assert result.returncode == 2
     assert "missing field 'processed'" in result.stderr

@@ -212,11 +212,12 @@ def test_checkpoint_document_fields(tmp_path):
     path = tmp_path / "scan.json"
     save_checkpoint(state, path)
     doc = json.loads(path.read_text())
-    for field in ("version", "conjecture", "p", "frontier", "processed", "counterexamples", "elapsed_ms"):
+    for field in ("version", "conjecture", "p", "domain", "frontier", "processed", "counterexamples", "elapsed_ms"):
         assert field in doc
-    assert doc["version"] == 1
+    assert doc["version"] == 2
     assert doc["conjecture"] == "divisibility-b"
     assert doc["p"] == 3
+    assert doc["domain"] == {"n": [1, 6]}
     assert doc["frontier"] is None
     assert doc["processed"] == 6
 
@@ -237,7 +238,7 @@ def test_checkpoint_garbage_is_integrity_error(tmp_path):
     path.write_text("not json {")
     with pytest.raises(IntegrityError):
         load_checkpoint(path)
-    path.write_text(json.dumps({"version": 1, "conjecture": "divisibility-b"}))
+    path.write_text(json.dumps({"version": 2, "conjecture": "divisibility-b"}))
     with pytest.raises(IntegrityError):
         load_checkpoint(path)
 
@@ -274,6 +275,42 @@ def test_checkpoint_for_wrong_scan_rejected():
         scan_divisibility("a", 3, n_range=(1, 5), checkpoint=other)
     with pytest.raises(IntegrityError):
         scan_divisibility("b", 5, n_range=(1, 5), checkpoint=other)
+
+
+@pytest.mark.parametrize(
+    "first, resumed",
+    [
+        ({"n_range": (1, 10)}, {"n_range": (6, 7)}),  # the frontier (6,) lies in both
+        ({"n_range": (1, 10)}, {"n_range": (1, 12)}),
+        ({"m_range": (2, 12)}, {"m_range": (2, 12), "n_range": (1, 3)}),
+    ],
+)
+def test_checkpoint_for_another_domain_rejected(first, resumed):
+    variant = "c" if "m_range" in first else "b"
+    partial = scan_divisibility(variant, 3, max_cells=5, **first)
+    with pytest.raises(IntegrityError, match="domain"):
+        scan_divisibility(variant, 3, checkpoint=partial, **resumed)
+
+
+def test_checkpoint_domain_applies_the_minima():
+    # the same cells, asked for in two ways, are the same domain
+    partial = scan_divisibility("c", 3, m_range=(0, 12), max_cells=5)
+    assert partial.domain == {"m": (2, 12), "n": (1, 11)}
+    resumed = scan_divisibility("c", 3, m_range=(2, 12), n_range=(-4, 11), checkpoint=partial)
+    assert resumed == scan_divisibility("c", 3, m_range=(2, 12))
+    mixed = scan_mixed((1, 4), (1, 4), max_cells=3)
+    with pytest.raises(IntegrityError, match="domain"):
+        scan_mixed((1, 4), (1, 5), checkpoint=mixed)
+
+
+def test_version_1_checkpoint_is_refused_by_name(tmp_path):
+    path = tmp_path / "scan.json"
+    save_checkpoint(scan_divisibility("b", 3, n_range=(1, 10), max_cells=5), path)
+    doc = json.loads(path.read_text())
+    del doc["domain"]
+    path.write_text(json.dumps({**doc, "version": 1}))
+    with pytest.raises(IntegrityError, match="version 1"):
+        load_checkpoint(path)
 
 
 def test_checkpoint_frontier_outside_domain_rejected():
@@ -362,7 +399,7 @@ def test_checkpoint_key_order(tmp_path):
     state = _falsified_b_scan()
     path = tmp_path / "scan.json"
     save_checkpoint(state, path)
-    keys = ["version", "conjecture", "p", "frontier", "processed", "counterexamples", "skipped_zero_divisor"]
+    keys = ["version", "conjecture", "p", "domain", "frontier", "processed", "counterexamples", "skipped_zero_divisor"]
     assert list(json.loads(path.read_text())) == keys + ["elapsed_ms"]
     assert list(state.to_dict(include_timing=False)) == keys
     assert list(load_checkpoint(path).to_dict(include_timing=False)) == keys

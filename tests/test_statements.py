@@ -1,0 +1,253 @@
+"""The statement compiler: every compiled side against a naive reading of
+its statement, the grammar's refusals, and compiling on first lookup only."""
+
+import re
+import subprocess
+import sys
+from fractions import Fraction
+from math import comb
+
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from catalan_triangles import identities
+from catalan_triangles.errors import DomainError, UsageError
+from catalan_triangles.exact import harmonic, keep_partials
+from catalan_triangles.identities import (
+    IdentityDescriptor,
+    Parameter,
+    evaluate_sides,
+    get_identity,
+    list_identities,
+    register,
+    verify_identity,
+)
+
+# --- a naive interpreter: Fractions, sums from scratch, math.comb ---------------
+
+
+def _int(x):
+    assert Fraction(x).denominator == 1, x
+    return int(x)
+
+
+def _binomial(u, v):
+    u, v = _int(u), _int(v)
+    return comb(u, v) if 0 <= v <= u else 0
+
+
+def _integers(f):
+    return lambda *xs: f(*map(_int, xs))
+
+
+NAIVE = {
+    "F": Fraction,
+    "binomial": _binomial,
+    "c": _integers(lambda m, k: Fraction(m - 2 * k, m) * _binomial(m, k)),
+    "b": _integers(lambda n, k: Fraction(k, n) * _binomial(2 * n, n - k)),
+    "a": _integers(lambda n, k: Fraction(2 * k - 1, 2 * n + 1) * _binomial(2 * n + 1, n + 1 - k)),
+    "catalan": _integers(lambda n: Fraction(_binomial(2 * n, n), n + 1)),
+    "gen_catalan": _integers(lambda k, n: Fraction(_binomial(n * k, n - 1), n)),
+    "seq_a": _integers(lambda n: sum(_binomial(n + k, n) ** 2 for k in range(n + 1))),
+    "seq_b": _integers(lambda n: sum(Fraction(k, n) * _binomial(2 * n - k - 1, n - 1) ** 2 for k in range(n + 1))),
+    "H": _integers(harmonic),
+    "_sum": lambda term, lo, hi: sum((term(Fraction(k)) for k in range(_int(lo), _int(hi) + 1)), Fraction(0)),
+}
+
+
+def _python(side: str) -> str:
+    """side as a Python expression over Fractions: 2n -> F(2)*n, sum(E, v=lo..hi) -> _sum(lambda v: E, lo, hi)."""
+    text = re.sub(r"\b(\d+)\b", r"F(\1)", re.sub(r"\b(\d+)(?=[A-Za-z(])", r"\1*", side.replace("^", "**")))
+    while True:
+        starts = [match.end() for match in re.finditer(r"(?<!\w)sum\(", text)]
+        if not starts:
+            return text
+        start = end = starts[-1]  # the last sum holds no other
+        depth = 1
+        while depth:
+            depth += {"(": 1, ")": -1}.get(text[end], 0)
+            end += 1
+        term, _, bounds = text[start:end - 1].rpartition(",")
+        var, lo, hi = re.fullmatch(r"\s*(\w+)\s*=(.*)\.\.(.*)", bounds).groups()
+        text = "%s_sum(lambda %s: %s, %s, %s)%s" % (text[:start - 4], var, term, lo, hi, text[end:])
+
+
+def naive(side: str, cell: dict) -> Fraction:
+    return Fraction(eval(_python(side), {**NAIVE, **{name: Fraction(value) for name, value in cell.items()}}))
+
+
+# Statements that take the compiler's other paths: H outside a table (not
+# affine, or in a running sum), terms whose denominator moves with the
+# variable, sums inside sums, several H tables and empty ranges.  Only each
+# side's value is checked, not the equation.
+PATHS = [
+    ("path-h-square", "sum(H(k^2) / k, k=1..n) == sum(sum(1/j, j=1..k), k=1..n)", [("n", 1)]),
+    ("path-h-pair", "sum(H(n-k) * H(k), k=1..n-1) == H(n)^2 - sum(1/k^2, k=1..n) + H(2n)", [("n", 1)]),
+    ("path-running-h", "sum(c(m,k) * H(m), k=0..n) + 1/(m+1) == m * sum(H(k+m)/(k+1), k=0..n)", [("m", 1), ("n", 1)]),
+    ("path-nested", "sum(sum(binomial(j,k), j=k..n), k=0..n) == 2^(n+1) - 1 + -catalan(n)/(n+1)^2", [("n", 0)]),
+    ("path-table-twice", "sum(H(k)*b(n,k), k=1..n) - sum(H(k+1), k=0..n-1) == (2n+1)/(n+2) * H(n+1)", [("n", 1)]),
+]
+for _id, _statement, _parameters in PATHS:
+    identities._ident(_id, _statement, _parameters, cap=12)
+try:
+    ORACLE = {ident.id: ident for ident in list_identities()}
+finally:
+    for _id, _, _ in PATHS:
+        del identities._REGISTRY[_id]
+
+
+@st.composite
+def cells(draw):
+    """An identity and 1..4 admissible cells, each parameter at its cap or anywhere from its minimum."""
+    ident = ORACLE[draw(st.sampled_from(sorted(ORACLE)))]
+    cap = ident.default_cap
+    drawn = draw(st.lists(
+        st.fixed_dictionaries({p.name: st.one_of(st.just(cap), st.integers(p.minimum, cap)) for p in ident.parameters}),
+        min_size=1, max_size=4,
+    ))
+    admissible = [cell for cell in drawn if ident.admits(cell)]
+    assume(admissible)
+    return ident, admissible
+
+
+@settings(max_examples=300, deadline=None)
+@given(cells())
+def test_compiled_sides_match_a_naive_reading_of_the_statement(drawn):
+    ident, admissible = drawn
+    lhs_text, rhs_text = ident.statement.split(" == ")
+    with keep_partials():  # running sums extend, shrink and hop between fixed values
+        for cell in admissible:
+            for compiled, text in ((ident.lhs, lhs_text), (ident.rhs, rhs_text)):
+                value = compiled(**cell)
+                assert type(value) in (int, Fraction), (ident.id, cell)
+                assert value == naive(text, cell), (ident.id, text, cell)
+
+
+def test_every_registered_identity_is_in_the_oracle():
+    assert {ident.id for ident in list_identities()} <= set(ORACLE)
+    assert len(ORACLE) == 39 + len(PATHS)
+
+
+# --- the grammar ---------------------------------------------------------------
+
+
+def _descriptor(statement, constraint=None, names=("n",)):
+    return IdentityDescriptor(
+        id="test-grammar", statement=statement, parameters=tuple(Parameter(name, 1) for name in names),
+        constraint=constraint,
+    )
+
+
+@pytest.mark.parametrize(
+    "statement",
+    [
+        "x == n",  # unknown name
+        "sum(c(n,k), j=0..n) == 0",  # k is not bound
+        "catalan == n",  # a function as a value
+        "n(2) == n",  # a parameter as a function
+        "binomial(n) == 1",  # wrong arity
+        "n == 1.5 * n",  # float literal
+        "n == 2.",
+        "n == 1e3",
+        "n + 1",  # no ==
+        "n = n",
+        "n < n + 1",
+        "n == n == n",  # doubled ==
+        "n == (n == n)",
+        "sum(k, n=1..3) == 6",  # the variable shadows the parameter
+        "sum(sum(k, k=1..j), j=1..n) == sum(sum(k, k=1..n), k=1..n)",  # shadows an outer variable
+        "sum(k, H=1..n) == 0",  # shadows a function
+        "sum(k, range=1..n) == 0",  # shadows what the generated code calls
+        "n == n extra",  # trailing text
+        "n == n)",
+        "n == n # + 1",
+        "n == n; n",
+        "n == n\n+ 1",
+        "sum(k, k, 1, n) == 0",  # a sum not written with v=lo..hi
+        "sum(k, k=1..n, j=1..n) == 0",
+        "n == 'n'",
+        "n == n[0]",
+        "n == n // 2",
+        "n == c(n/2, 1)",  # a rational argument
+        "sum(k, k=1/2..n) == 0",
+        "n == 2^(1/2)",
+    ],
+)
+def test_a_bad_statement_is_a_usage_error(statement):
+    with pytest.raises(UsageError, match="test-grammar"):
+        register(_descriptor(statement))
+    assert "test-grammar" not in identities._REGISTRY
+
+
+@pytest.mark.parametrize("constraint", ["n", "n <= x", "n <= 1.5", "n <= n/2", "n <= n)", "n == 1", "n != 1"])
+def test_a_bad_constraint_is_a_usage_error(constraint):
+    with pytest.raises(UsageError):
+        register(_descriptor("n == n", constraint))
+    assert "test-grammar" not in identities._REGISTRY
+
+
+@pytest.mark.parametrize("names", [("n", "n"), ("_n",), ("H",), ("sum",), ("range",), ("lambda",), ("Fraction",)])
+def test_a_bad_parameter_name_is_a_usage_error(names):
+    with pytest.raises(UsageError):
+        register(_descriptor("1 == 1", names=names))
+
+
+def test_constraints_compile_to_comparison_chains():
+    ident = identities._compiled(_descriptor("n == n", "1 < n <= 2*m - 1", names=("m", "n")))
+    assert [(m, n) for m in range(1, 4) for n in range(1, 7) if ident.admits({"m": m, "n": n})] == [
+        (2, 2), (2, 3), (3, 2), (3, 3), (3, 4), (3, 5)
+    ]
+
+
+@pytest.mark.parametrize(
+    "identity, old, new",
+    [
+        ("eq-linear-A", "(n+1) * catalan", "(n+2) * catalan"),
+        ("thm-square-sum", "2/m * sum", "3/m * sum"),
+        ("cor-harmonic-B", "(2n*H(n)-1)", "(2n*H(n)-2)"),
+        ("thm-harmonic", "c(m,k) * H(k)", "c(m,k) * H(k+1)"),
+    ],
+)
+def test_a_changed_coefficient_yields_mismatches(identity, old, new):
+    # the sides are read from the statement: edit it and the sweep fails
+    true = get_identity(identity)
+    assert old in true.statement
+    changed = IdentityDescriptor(
+        id=identity + "-changed", statement=true.statement.replace(old, new), parameters=true.parameters,
+        constraint=true.constraint,
+    )
+    assert verify_identity(true, cap=8).passed
+    report = verify_identity(changed, cap=8)
+    assert report.mismatches and report.cells == verify_identity(true, cap=8).cells
+
+
+def test_hand_written_sides_are_kept():
+    ident = _descriptor("n == n + 1")
+    ident = IdentityDescriptor(ident.id, ident.statement, ident.parameters, lhs=lambda n: n, rhs=lambda n: n)
+    assert verify_identity(ident, cap=5).passed  # the statement is not what is checked
+
+
+def test_h_below_one_raises_as_harmonic_does():
+    for statement in ("sum(H(k), k=0..n) == 0", "sum(H(k)*H(k), k=0..n) == 0", "H(n-1) == 0"):
+        with pytest.raises(DomainError):
+            evaluate_sides(_descriptor(statement), {"n": 1})
+    # an empty sum reads no harmonic number at all
+    assert evaluate_sides(_descriptor("sum(H(k-5), k=1..n-1) == 0"), {"n": 1}) == (0, 0)
+
+
+def test_import_compiles_nothing_and_a_lookup_compiles_only_its_identity():
+    code = "\n".join([
+        "from catalan_triangles import identities, statements",
+        "compiled = []",
+        "real = statements.compile_identity",
+        "statements.compile_identity = lambda *args: compiled.append(args) or real(*args)",
+        "assert all(i.lhs is None and i.rhs is None for i in identities._REGISTRY.values())",
+        "identities.get_identity('thm-harmonic')",
+        "identities.get_identity('thm-harmonic')",
+        "assert len(compiled) == 1, compiled",
+        "print(' '.join(i.id for i in identities._REGISTRY.values() if i.lhs is not None))",
+    ])
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "thm-harmonic\n"
