@@ -9,6 +9,12 @@ Evaluators are total on the declared domain: outside-the-triangle terms
 vanish through the binomial zero convention, never through special cases
 in the sums.  A descriptor may also carry hand-written sides, any
 (**params) -> int | Fraction callables, which are used as given.
+
+The engine sweeps a line of cells at a time: the cells that share all
+parameters but the last.  Compiled sides come with a line function that
+runs a whole line in one call; any other sides run cell by cell.  Either
+way a mismatch record is built from the sides at its cell, so the two
+paths report the same.
 """
 
 from __future__ import annotations
@@ -16,10 +22,11 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from itertools import product
+from itertools import groupby, product
+from operator import itemgetter
 from typing import Callable, Mapping
 
-from .errors import DomainError, EmptyDomainError, UnknownIdentityError, UsageError
+from .errors import DomainError, EmptyDomainError, IntegrityError, UnknownIdentityError, UsageError
 # binomial, harmonic and the triangle functions are what compiled sides call
 # (statements.FUNCTIONS); the sides look them up in this module at call time,
 # so rebinding one here reaches every side.
@@ -45,6 +52,10 @@ class IdentityDescriptor:
     constraint, when present, is the relational part of the domain;
     per-parameter lower bounds live in parameters.  default_cap is the
     upper bound a sweep uses for parameters the caller did not range.
+    line is set by the compiler to (lhs, rhs, fn): fn(*head, xs) gives the
+    positions in xs where those two sides differ at head + (x,).  The
+    engine calls fn only while lhs and rhs are still those two, so a
+    descriptor whose sides were replaced never runs a stale one.
     """
 
     id: str
@@ -54,6 +65,7 @@ class IdentityDescriptor:
     rhs: Callable[..., Fraction | int] | None = None
     constraint: Callable[..., bool] | str | None = None
     default_cap: int = 100
+    line: tuple[Callable, Callable, Callable] | None = field(default=None, compare=False, repr=False)
 
     def parameter_names(self) -> tuple[str, ...]:
         return tuple(p.name for p in self.parameters)
@@ -126,7 +138,10 @@ def _compiled(ident: IdentityDescriptor) -> IdentityDescriptor:
         )
     except UsageError as exc:
         raise UsageError("%s: %s" % (ident.id, exc)) from None
-    return replace(ident, **{name: fn for name, fn in built.items() if not callable(getattr(ident, name))})
+    fields = {name: fn for name, fn in built.items() if name != "line" and not callable(getattr(ident, name))}
+    if "line" in built:
+        fields["line"] = (built["lhs"], built["rhs"], built["line"])
+    return replace(ident, **fields)
 
 
 def _store(descriptor: IdentityDescriptor) -> IdentityDescriptor:
@@ -396,6 +411,37 @@ def _admissible_cells(ident: IdentityDescriptor, domain: dict[str, tuple[int, in
     return [values for values in product(*spans) if ident.constraint(**dict(zip(names, values)))]
 
 
+def _line_function(ident: IdentityDescriptor) -> Callable | None:
+    """The compiled line function, if ident's sides are still the ones it was compiled with."""
+    if ident.line is None:
+        return None
+    lhs, rhs, line = ident.line
+    return line if lhs is ident.lhs and rhs is ident.rhs else None
+
+
+def _scalar_line(ident, names, line, fail_fast) -> list[tuple[int, int | Fraction, int | Fraction]]:
+    """(position, lhs, rhs) of each cell of line whose sides differ, one _sides call per cell."""
+    found = []
+    for i, values in enumerate(line):
+        lhs, rhs = _sides(ident, dict(zip(names, values)))
+        if lhs != rhs:
+            found.append((i, lhs, rhs))
+            if fail_fast:
+                break
+    return found
+
+
+def _flagged(ident, names, line, positions) -> list[tuple[int, int | Fraction, int | Fraction]]:
+    """(position, lhs, rhs) at each position a line function flagged, from _sides."""
+    found = []
+    for i in positions:
+        lhs, rhs = _sides(ident, dict(zip(names, line[i])))
+        if lhs == rhs:
+            raise IntegrityError("%s: line function and sides disagree at %r" % (ident.id, dict(zip(names, line[i]))))
+        found.append((i, lhs, rhs))
+    return found
+
+
 def verify_identity(
     identity: str | IdentityDescriptor,
     ranges: Mapping[str, tuple[int, int]] | None = None,
@@ -411,9 +457,13 @@ def verify_identity(
     record.  All mismatches are collected (not just the first) unless
     fail_fast is set, which stops at the first mismatch in cell order.
     Cells run in lexicographic order of the parameters, so mismatches come
-    out canonically sorted.  parallelism is accepted for compatibility and has
-    no effect: the sweep is serial, since threads only slow pure-Python
-    big-integer work under the GIL.
+    out canonically sorted.  A line of cells (all parameters but the last
+    fixed) runs in one call of the compiled line function when the sides
+    are the compiled ones; if that call raises, or the sides are any
+    others, the line runs cell by cell, which raises (or stops under
+    fail_fast) where the sides do.  parallelism is accepted for
+    compatibility and has no effect: the sweep is serial, since threads
+    only slow pure-Python big-integer work under the GIL.
     """
     ident = _resolve(identity)
     domain = effective_domain(ident, ranges, cap)
@@ -426,14 +476,26 @@ def verify_identity(
     started = time.perf_counter()
     checked = 0
     mismatches = []
+    compiled = _line_function(ident)
     with keep_partials():
-        for values in cells:
-            lhs, rhs = _sides(ident, dict(zip(names, values)))
-            checked += 1
-            if lhs != rhs:
-                mismatches.append(Mismatch(tuple(zip(names, values)), Fraction(lhs), Fraction(rhs)))
-                if fail_fast:
-                    break
+        for _, group in groupby(cells, itemgetter(slice(None, -1))):
+            line = list(group)
+            found = None
+            if compiled is not None:
+                try:
+                    positions = compiled(*line[0][:-1], [values[-1] for values in line])
+                except Exception:  # the cell-by-cell run below raises where the sides do
+                    pass
+                else:
+                    found = _flagged(ident, names, line, positions[:1] if fail_fast else positions)
+            if found is None:
+                found = _scalar_line(ident, names, line, fail_fast)
+            for i, lhs, rhs in found:
+                mismatches.append(Mismatch(tuple(zip(names, line[i])), Fraction(lhs), Fraction(rhs)))
+            if fail_fast and found:
+                checked += found[0][0] + 1
+                break
+            checked += len(line)
     elapsed_ms = (time.perf_counter() - started) * 1000.0
     return VerificationReport(
         identity=ident.id,

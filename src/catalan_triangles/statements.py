@@ -19,6 +19,17 @@ whose variable it is affine in, it reads exact.harmonic_numerators, so the
 sum is one integer dot product over the lcm; inside a running sum it is a
 Fraction term.  The generated code looks up _c_ext, binomial, harmonic and
 the other functions in the namespace it is given, at call time.
+
+Next to the two sides, a statement compiles into a line function over its
+last parameter x: line(<the other parameters>, xs) runs both sides for
+every x in xs (increasing) in one loop and returns the positions in xs
+where they differ.  Its body is the sides' code with two changes.  A
+running sum at the top of a side whose upper bound is x + c and whose
+other names and lower bound do not use x becomes a local (next k,
+numerator, denominator) accumulator, set up once per line and advanced to
+the bound at each x; any other running sum stays a RunningSum call.  And
+the sides are compared as cross-multiplied (numerator, denominator) pairs,
+with no Fraction built; a zero denominator raises ZeroDivisionError.
 """
 
 from __future__ import annotations
@@ -28,6 +39,7 @@ import copy
 import keyword
 import re
 from fractions import Fraction
+from math import lcm
 from typing import Callable
 
 from .errors import DomainError, UsageError
@@ -112,6 +124,26 @@ def _affine(node: ast.AST, var: str) -> bool:
     return degree(node) <= 1
 
 
+def _slope(node: ast.AST, var: str) -> int | None:
+    """The integer c with node = c*var + (terms free of var), or None if there is none."""
+    if var not in _free(node):
+        return 0
+    if isinstance(node, ast.Name):
+        return 1
+    if isinstance(node, ast.UnaryOp):
+        s = _slope(node.operand, var)
+        return s if s is None or isinstance(node.op, ast.UAdd) else -s
+    if isinstance(node, ast.BinOp) and isinstance(node.op, (ast.Add, ast.Sub)):
+        s, t = _slope(node.left, var), _slope(node.right, var)
+        return None if s is None or t is None else s + t if isinstance(node.op, ast.Add) else s - t
+    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult):
+        for c, x in ((node.left, node.right), (node.right, node.left)):
+            if isinstance(c, ast.Constant) and type(c.value) is int:
+                s = _slope(x, var)
+                return None if s is None else c.value * s
+    return None
+
+
 def _substitute(node: ast.AST, var: str, value: ast.AST) -> ast.AST:
     class Substitute(ast.NodeTransformer):
         def visit_Name(self, name):
@@ -144,11 +176,13 @@ class _Q:
 class _Scope:
     """One generated function body: a side, or the term of a sum."""
 
-    def __init__(self, names, var=None, plain=False):
+    def __init__(self, names, var=None, plain=False, x=None):
         self.names = frozenset(names)  # the statement names it can read
         self.var = var  # the summation variable of a term
         self.plain = plain  # the term of a plain sum, which may read a harmonic table
+        self.x = x  # the line variable of a side in a line function
         self.lines: list[str] = []  # statements that run before the returned expression
+        self.init: list[str] = []  # statements a line function runs once per line
         self.harmonic_args: list[ast.AST] = []  # H arguments read from the table
         self.table: tuple[str, str] | None = None  # names of lcm and numerators
 
@@ -163,11 +197,20 @@ class _Compiler:
         self.parameters = parameters
         self.defs: list[str] = []  # factory-level code: running sums and their terms
         self.direct: dict[str, tuple[str, frozenset[str]]] = {}  # running-sum call -> (object, names)
+        self.running: dict[str, str] = {}  # ast.dump of a running sum -> its object, shared by every use
         self.count = 0
 
     def fresh(self, stem: str) -> str:
         self.count += 1
         return "_%s%d" % (stem, self.count)
+
+    def local(self, code: str, scope: _Scope) -> str:
+        """code, bound to a fresh local first unless it is a name or a literal."""
+        if re.fullmatch(r"\w+", code):
+            return code
+        d = self.fresh("d")
+        scope.lines.append("%s = %s" % (d, code))
+        return d
 
     def pair(self, q: _Q, scope: _Scope) -> _Q:
         if q.value is None:
@@ -222,8 +265,10 @@ class _Compiler:
         sign = "+" if isinstance(node.op, ast.Add) else "-"
         if a.den == b.den:
             return _Q("(%s %s %s)" % (a.num, sign, b.num), a.den, a.dvars | b.dvars)
-        num = "(%s %s %s)" % (_mul(a.num, b.den), sign, _mul(b.num, a.den))
-        return _Q(num, _mul(a.den, b.den), a.dvars | b.dvars)
+        # each denominator is read twice, so a compound one is computed once
+        a_den, b_den = self.local(a.den, scope), self.local(b.den, scope)
+        num = "(%s %s %s)" % (_mul(a.num, b_den), sign, _mul(b.num, a_den))
+        return _Q(num, _mul(a_den, b_den), a.dvars | b.dvars)
 
     def harmonic(self, arg: ast.AST, scope: _Scope) -> _Q:
         x = self.integer(arg, scope, "the argument of H")
@@ -241,10 +286,12 @@ class _Compiler:
         v = var.id
         if v in scope.names or v in _RESERVED or v.startswith("_"):
             raise UsageError("summation variable %r shadows a parameter, a variable or a function" % v)
-        lo_code = self.integer(lo, scope, "a lower bound")
-        hi_code = self.integer(hi, scope, "an upper bound")
         fixed = tuple(sorted((_free(term) - {v}) | _free(lo)))
         running = not _free(hi) <= set(fixed)
+        if running and scope.x is not None and scope.x not in fixed and _slope(hi, scope.x) == 1:
+            return self.accumulator(node, fixed, scope)
+        lo_code = self.integer(lo, scope, "a lower bound")
+        hi_code = self.integer(hi, scope, "an upper bound")
         inner = _Scope(set(fixed) | {v} if running else scope.names | {v}, v, plain=not running)
         q = self.expr(term, inner)
         if inner.table is not None:
@@ -264,16 +311,46 @@ class _Compiler:
             return _Q(None, value="sum(map(%s, range(%s, %s + 1)))" % (t, lo_code, hi_code), dvars=_free(node))
         # The bound's key is its own name when it is one, so the sum can be a whole side.
         key = hi.id if isinstance(hi, ast.Name) else "_hi"
-        lo_arg = lo_code if not _free(lo) else "lambda %s: %s" % (", ".join(fixed), lo_code)
-        rs = self.fresh("rs")
-        self.defs.append("def %s(%s):\n%s" % (t, ", ".join((v,) + fixed), _indent(inner.lines + ["return " + returned])))
-        self.defs.append("%s = RunningSum(%s, %s, %r, %r)" % (rs, t, lo_arg, key, fixed))
+        rs = self.running.get(ast.dump(node))
+        if rs is None:
+            lo_arg = lo_code if not _free(lo) else "lambda %s: %s" % (", ".join(fixed), lo_code)
+            rs = self.running[ast.dump(node)] = self.fresh("rs")
+            self.defs.append("def %s(%s):\n%s" % (t, ", ".join((v,) + fixed), _indent(inner.lines + ["return " + returned])))
+            self.defs.append("%s = RunningSum(%s, %s, %r, %r)" % (rs, t, lo_arg, key, fixed))
         call = "%s(%s)" % (rs, ", ".join("%s=%s" % pair for pair in ((key, hi_code),) + tuple(zip(fixed, fixed))))
         if key == hi_code:
             self.direct[call] = (rs, frozenset((key,) + fixed))
         if movable:
             return _Q(call, q.den, q.dvars)
         return _Q(None, value=call, dvars=_free(node))
+
+    def accumulator(self, node: ast.Call, fixed: tuple[str, ...], scope: _Scope) -> _Q:
+        """A running sum along the line as local (next k, numerator, denominator), kept as RunningSum keeps its partial."""
+        term, var, lo, hi = node.args
+        v = var.id
+        k, num, den = self.fresh("k"), self.fresh("num"), self.fresh("den")
+        start = _Scope(scope.names)
+        lo_code = self.integer(lo, start, "a lower bound")
+        scope.init += start.lines + ["%s, %s, %s = %s, 0, 1" % (k, num, den, lo_code)]
+        bound = self.local(self.integer(hi, scope, "an upper bound"), scope)
+        inner = _Scope(set(fixed) | {v}, v)
+        q = self.pair(self.expr(term, inner), inner)
+        step = ["%s = %s" % (v, k)] + inner.lines
+        if q.den == "1":
+            step.append("%s += %s" % (num, q.num))
+        else:  # the numerator over the lcm of the term denominators seen so far
+            step += [
+                "_top, _bottom = %s, %s" % (q.num, q.den),
+                "if _bottom != %s:" % den,
+                "    if %s %% _bottom:" % den,
+                "        _grown = _lcm(%s, _bottom)" % den,
+                "        %s *= _grown // %s" % (num, den),
+                "        %s = _grown" % den,
+                "    _top *= %s // _bottom" % den,
+                "%s += _top" % num,
+            ]
+        scope.lines.append("while %s <= %s:\n%s" % (k, bound, _indent(step + ["%s += 1" % k])))
+        return _Q(num, "1" if q.den == "1" else den, _free(node))
 
     def function(self, name: str, node: ast.AST) -> str:
         """Source of def name(parameters) returning node's value; a running sum over all parameters is bound as is."""
@@ -283,6 +360,24 @@ class _Compiler:
         if not scope.lines and whole in self.direct and self.direct[whole][1] == set(self.parameters):
             return "%s = %s" % (name, self.direct[whole][0])
         return "def %s(%s):\n%s" % (name, ", ".join(self.parameters), _indent(scope.lines + ["return " + _value(q)]))
+
+    def line(self, node: ast.Compare) -> str:
+        """Source of def line(<parameters but the last>, _xs) returning the positions in _xs where the sides differ."""
+        *head, x = self.parameters
+        init, body, sides = [], [], []
+        for side in (node.left, node.comparators[0]):
+            scope = _Scope(self.parameters, x=x)
+            q = self.pair(self.expr(side, scope), scope)
+            den = self.local(q.den, scope)
+            if den != "1":
+                scope.lines.append("if not %s:\n    raise ZeroDivisionError('zero denominator')" % den)
+            init += scope.init
+            body += scope.lines
+            sides.append((q.num, den))
+        (lhs, lhs_den), (rhs, rhs_den) = sides
+        body.append("if %s != %s:\n    _bad.append(_i)" % (_mul(lhs, rhs_den), _mul(rhs, lhs_den)))
+        loop = "for _i, %s in enumerate(_xs):\n%s" % (x, _indent(body))
+        return "def line(%s):\n%s" % (", ".join(head + ["_xs"]), _indent(init + ["_bad = []", loop, "return _bad"]))
 
     def test(self, name: str, node: ast.Compare) -> str:
         """Source of def name(parameters) returning the chain of comparisons node."""
@@ -304,9 +399,11 @@ def compile_identity(
     statement: str | None = None,
     constraint: str | None = None,
 ) -> dict[str, Callable]:
-    """Callables compiled from statement ("lhs", "rhs") and constraint ("constraint").
+    """Callables compiled from statement ("lhs", "rhs", "line") and constraint ("constraint").
 
-    Each takes the parameters as keywords.  Their calls to the statement's
+    The sides and the constraint take the parameters as keywords; line
+    takes all but the last positionally, then a list of values of the
+    last (see the module docstring).  Their calls to the statement's
     functions read namespace at call time (c is namespace["_c_ext"]).
     """
     compiler = _Compiler(tuple(parameters))
@@ -317,15 +414,16 @@ def compile_identity(
             raise UsageError("a statement is one equation lhs == rhs, got %r" % statement)
         functions["lhs"] = compiler.function("lhs", tree.left)
         functions["rhs"] = compiler.function("rhs", tree.comparators[0])
+        functions["line"] = compiler.line(tree)
     if constraint is not None:
         tree = _parse(constraint)
         if not (isinstance(tree, ast.Compare) and all(type(op) in _COMPARISONS for op in tree.ops)):
             raise UsageError("a constraint is a chain of comparisons, got %r" % constraint)
         functions["constraint"] = compiler.test("constraint", tree)
     returned = "return {%s}" % ", ".join("%r: %s" % (name, name) for name in functions)
-    source = "def _build(RunningSum, Fraction, harmonic_table):\n%s\n" % _indent(
+    source = "def _build(RunningSum, Fraction, harmonic_table, _lcm):\n%s\n" % _indent(
         compiler.defs + list(functions.values()) + [returned]
     )
     scope: dict = {}
     exec(compile(source, "<statement>", "exec"), namespace, scope)
-    return scope["_build"](RunningSum, Fraction, harmonic_table)
+    return scope["_build"](RunningSum, Fraction, harmonic_table, lcm)

@@ -1,9 +1,11 @@
 """The statement compiler: every compiled side against a naive reading of
-its statement, the grammar's refusals, and compiling on first lookup only."""
+its statement, every line function against the sides it was compiled
+with, the grammar's refusals, and compiling on first lookup only."""
 
 import re
 import subprocess
 import sys
+from dataclasses import replace
 from fractions import Fraction
 from math import comb
 
@@ -11,8 +13,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from catalan_triangles import identities
-from catalan_triangles.errors import DomainError, UsageError
+from catalan_triangles import exact, identities, statements
+from catalan_triangles.errors import DomainError, IntegrityError, UsageError
 from catalan_triangles.exact import harmonic, keep_partials
 from catalan_triangles.identities import (
     IdentityDescriptor,
@@ -79,14 +81,23 @@ def naive(side: str, cell: dict) -> Fraction:
 
 # Statements that take the compiler's other paths: H outside a table (not
 # affine, or in a running sum), terms whose denominator moves with the
-# variable, sums inside sums, several H tables and empty ranges.  Only each
-# side's value is checked, not the equation.
+# variable, sums inside sums, several H tables, empty ranges, and running
+# sums a line function cannot keep as accumulators.  Only each side's value
+# is checked, not the equation.
 PATHS = [
     ("path-h-square", "sum(H(k^2) / k, k=1..n) == sum(sum(1/j, j=1..k), k=1..n)", [("n", 1)]),
     ("path-h-pair", "sum(H(n-k) * H(k), k=1..n-1) == H(n)^2 - sum(1/k^2, k=1..n) + H(2n)", [("n", 1)]),
     ("path-running-h", "sum(c(m,k) * H(m), k=0..n) + 1/(m+1) == m * sum(H(k+m)/(k+1), k=0..n)", [("m", 1), ("n", 1)]),
     ("path-nested", "sum(sum(binomial(j,k), j=k..n), k=0..n) == 2^(n+1) - 1 + -catalan(n)/(n+1)^2", [("n", 0)]),
     ("path-table-twice", "sum(H(k)*b(n,k), k=1..n) - sum(H(k+1), k=0..n-1) == (2n+1)/(n+2) * H(n+1)", [("n", 1)]),
+    # true, with running sums whose bounds fall, climb two at a time, or run
+    # along the line of n while the term reads n
+    (
+        "path-line-bounds",
+        "sum(binomial(m,k), k=0..m-n) + sum(binomial(n,k), k=0..m+n-2) + sum(k*H(k), k=1..2n)"
+        " == sum(binomial(m,m-k), k=n..m) + 2^n - binomial(n,m+n-1) + n*(2n+1)*H(2n) - n*(2n-1)/2",
+        [("m", 1), ("n", 1)],
+    ),
 ]
 for _id, _statement, _parameters in PATHS:
     identities._ident(_id, _statement, _parameters, cap=12)
@@ -127,6 +138,134 @@ def test_compiled_sides_match_a_naive_reading_of_the_statement(drawn):
 def test_every_registered_identity_is_in_the_oracle():
     assert {ident.id for ident in list_identities()} <= set(ORACLE)
     assert len(ORACLE) == 39 + len(PATHS)
+
+
+# --- the line functions against the scalar sides -------------------------------
+
+
+def _scalar(ident):
+    """ident with a hand-written wrapper as its left side, so the engine runs it cell by cell."""
+    lhs = ident.lhs
+    return replace(ident, lhs=lambda **kwargs: lhs(**kwargs))
+
+
+def _outcome(ident, **options):
+    """The report of a sweep, or the type and message of what it raised."""
+    try:
+        return verify_identity(ident, **options)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+@st.composite
+def boxes(draw, ident):
+    """Sweep options for ident: each parameter's range starts anywhere from its
+    minimum (mid-line too), often spans one value, and the constraint may be ignored."""
+    ranges = {}
+    for p in ident.parameters:
+        lo = draw(st.one_of(st.just(p.minimum), st.integers(p.minimum, max(p.minimum, ident.default_cap))))
+        ranges[p.name] = (lo, draw(st.one_of(st.just(lo), st.integers(lo, lo + 12))))
+    return {"ranges": ranges, "allow_outside_domain": draw(st.booleans()), "fail_fast": draw(st.booleans())}
+
+
+@pytest.mark.parametrize("identity", sorted(ORACLE))
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_the_line_path_reports_what_the_scalar_path_reports(identity, data):
+    ident = ORACLE[identity]
+    assert identities._line_function(ident) is not None
+    options = data.draw(boxes(ident))
+    assert _outcome(ident, **options) == _outcome(_scalar(ident), **options)
+
+
+def _descriptor_of(statement, names):
+    return identities._compiled(IdentityDescriptor(
+        id="test-line", statement=statement, parameters=tuple(Parameter(name, 1) for name in names)
+    ))
+
+
+@pytest.mark.parametrize("identity", ["thm-harmonic", "thm-square-decomp-i", "rec-A", "eq-linear-B", "eq-convolution"])
+def test_a_right_side_one_too_large_at_one_cell_is_one_mismatch(identity):
+    ident = get_identity(identity)
+    names = ident.parameter_names()
+    cells = identities._admissible_cells(ident, identities.effective_domain(ident, cap=9), False)
+    cell = dict(zip(names, cells[len(cells) // 2]))
+    rhs = ident.rhs
+
+    def shifted(**kwargs):
+        return rhs(**kwargs) + (kwargs == cell)
+
+    report = verify_identity(replace(ident, rhs=shifted), cap=9)
+    assert [dict(m.assignment) for m in report.mismatches] == [cell]
+    assert report.cells == len(cells)
+
+
+def test_fail_fast_counts_the_cells_the_scalar_path_counts():
+    # the sides differ from the third cell of the line m = 2 on, after a passing line m = 1
+    ident = _descriptor_of("sum(c(m,k), k=0..n) == binomial(m-1,n) + (m-1)*(n-1)*(n-2)", ("m", "n"))
+    assert identities._line_function(ident) is not None
+    fast = verify_identity(ident, cap=6, fail_fast=True)
+    assert fast == verify_identity(_scalar(ident), cap=6, fail_fast=True)
+    assert fast.cells == 6 + 3 and [dict(m.assignment) for m in fast.mismatches] == [{"m": 2, "n": 3}]
+    full = verify_identity(ident, cap=6)
+    assert full == verify_identity(_scalar(ident), cap=6) and len(full.mismatches) > 1
+
+
+def test_a_replaced_side_never_runs_the_stale_line_function():
+    ident = get_identity("thm-square-sum")
+    lhs, rhs, line = ident.line
+    calls = []
+    counted = replace(ident, line=(lhs, rhs, lambda *args: calls.append(args) or line(*args)))
+    assert verify_identity(counted, cap=6).passed and calls  # the compiled sides run through the line function
+    calls.clear()
+
+    def wrong(**kwargs):
+        return rhs(**kwargs) + 1
+
+    for stale in (replace(counted, rhs=wrong), replace(counted, lhs=wrong), replace(counted, rhs=None, lhs=wrong)):
+        report = verify_identity(stale, cap=6)
+        assert len(report.mismatches) == report.cells
+    assert not calls
+
+
+def test_a_line_function_that_flags_agreeing_sides_is_an_integrity_error():
+    ident = get_identity("rec-A")
+    lhs, rhs, _ = ident.line
+    with pytest.raises(IntegrityError, match="rec-A: line function and sides disagree at"):
+        verify_identity(replace(ident, line=(lhs, rhs, lambda *args: [0])), cap=6)
+
+
+@pytest.mark.parametrize(
+    "statement, names",
+    [
+        ("1/(n-5) == 1/(n-5)", ("n",)),  # a side's denominator
+        ("m/(n-5) + 1 == 1 + m/(n-5)", ("m", "n")),  # the denominator of a sum of quotients
+        ("sum(1/(k-5), k=1..n) == sum(1/(k-5), k=1..n)", ("m", "n")),  # a term in a line accumulator
+        ("sum(m/(k-5), k=1..n) == sum(m/(k-5), k=1..n)", ("n", "m")),  # a term of a RunningSum across lines
+    ],
+)
+def test_a_zero_denominator_mid_line_raises_as_the_scalar_path_does(statement, names):
+    ident = _descriptor_of(statement, names)
+    for fail_fast in (False, True):
+        line = _outcome(ident, cap=8, fail_fast=fail_fast)
+        assert line == _outcome(_scalar(ident), cap=8, fail_fast=fail_fast)
+        assert line[0] is ZeroDivisionError
+
+
+def test_a_compound_denominator_is_computed_once_per_cell():
+    calls = []
+
+    def binomial(u, v):
+        calls.append((u, v))
+        return exact.binomial(u, v)
+
+    built = statements.compile_identity(("n",), {"binomial": binomial}, "1/binomial(n,1) + 1 == (n+1)/n")
+    for n in range(1, 6):
+        assert built["lhs"](n=n) == built["rhs"](n=n)
+    assert len(calls) == 5
+    calls.clear()
+    assert built["line"](list(range(1, 6))) == []
+    assert len(calls) == 5
 
 
 # --- the grammar ---------------------------------------------------------------
