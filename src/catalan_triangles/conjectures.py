@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, NamedTuple
 
-from .errors import DomainError, IntegrityError, UsageError
+from .errors import DomainError, EmptyDomainError, IntegrityError, UsageError
 from .exact import RunningSum, binomial, exact_div, keep_partials
 from .triangles import _b_ext, _c_ext, a_row, b_row, catalan
 
@@ -114,14 +114,14 @@ def _cell_names(variant: str) -> tuple[str, ...]:
 
 
 # sum(c(m,k)^p, k=0..n): a scan in cell order raises n one step at a time
-_c_power_sums = RunningSum(lambda k, m, p: _c_ext(m, k) ** p, 0, "n", ("m", "p"))
+_c_power_sums = RunningSum(lambda k, m, p: _c_ext(m, k) ** p, 0)
 
 
 def divisibility_claim(variant: str, p: int, cell: Cell) -> DivisibilityClaim:
     """Dividend and claimed divisor at one cell of the chosen variant."""
     if variant == "c":
         m, n = cell
-        dividend = _c_power_sums(m=m, n=n, p=p)
+        dividend = _c_power_sums(n, m, p)
         divisor = binomial(m - 1, n)
         return DivisibilityClaim(dividend, divisor, (("m", m), ("n", n)))
     if variant == "b":
@@ -222,6 +222,8 @@ def _resume_index(cells: list[Cell], state: ScanState | None) -> int:
 def _run_scan(conjecture, p, domain, cells, checkpoint, max_cells, check) -> ScanState:
     if max_cells is not None and max_cells < 0:
         raise UsageError("the cell limit must be >= 0, got %d" % max_cells)
+    if not cells:
+        raise EmptyDomainError("%s: no cells in %s" % (conjecture, {name: list(span) for name, span in domain.items()}))
     if checkpoint is not None:
         if checkpoint.conjecture != conjecture or checkpoint.p != p:
             raise IntegrityError(

@@ -12,7 +12,6 @@ from contextlib import contextmanager
 from fractions import Fraction
 from itertools import accumulate, repeat
 from math import comb, lcm, prod
-from operator import itemgetter
 from typing import Callable, Iterator
 
 from .errors import DomainError, IntegrityError
@@ -126,42 +125,27 @@ def keep_partials() -> Iterator[None]:
 
 
 class RunningSum:
-    """sum(term(k, **fixed) for k = lo..hi) as a (**params) -> int | Fraction callable.
+    """sum(term(k, *fixed) for k = lo..hi) as a (hi, *fixed) -> int | Fraction callable.
 
-    params are the bound parameter named hi and the parameters named in
-    fixed; lo is an int or a callable of the fixed parameters.  Inside
-    keep_partials() the sum remembers, for each value of its fixed
-    parameters, the last (hi, partial): a call at the same or a larger hi
-    adds only the missing terms, any other call starts again from lo.
-    Outside keep_partials() every call sums from lo.
+    lo is an int or a callable of the fixed values.  Inside keep_partials()
+    the sum remembers, for each tuple of fixed values, the last (hi,
+    partial): a call at the same or a larger hi adds only the missing
+    terms, any other call starts again from lo.  Outside keep_partials()
+    every call sums from lo.
 
     The partial is an integer numerator over the lcm of the term
     denominators seen so far, so Fraction terms cost integer additions and
     a call builds at most one Fraction; a sum of int terms returns an int.
     """
 
-    def __init__(
-        self,
-        term: Callable[..., int | Fraction],
-        lo: int | Callable[..., int],
-        hi: str,
-        fixed: tuple[str, ...] = (),
-    ):
+    def __init__(self, term: Callable[..., int | Fraction], lo: int | Callable[..., int]):
         self.term = term
         self.lo = lo
-        self.hi = hi
-        self.fixed = tuple(fixed)
-        self._names = {hi, *self.fixed}
-        # the fixed values in declaration order, whatever the call's order
-        self._fixed_values = itemgetter(*self.fixed) if self.fixed else lambda params: ()
 
-    def __call__(self, **params: int) -> int | Fraction:
-        if params.keys() != self._names:
-            raise TypeError("running sum takes parameters %s, got %s" % (sorted(self._names), sorted(params)))
-        hi = params.pop(self.hi)  # params is this call's own dict; what is left are the fixed parameters
-        lo = self.lo(**params) if callable(self.lo) else self.lo
+    def __call__(self, hi: int, *fixed: int) -> int | Fraction:
+        lo = self.lo(*fixed) if callable(self.lo) else self.lo
         partials = getattr(_scope, "partials", None)
-        key = (self, self._fixed_values(params))
+        key = (self, fixed)
         last = partials.get(key) if partials is not None else None
         if last is not None and lo <= last[0] <= hi:
             start, num, den = last[0] + 1, last[1], last[2]
@@ -169,7 +153,7 @@ class RunningSum:
             start, num, den = lo, 0, 1
         term = self.term
         for k in range(start, hi + 1):
-            value = term(k, **params)
+            value = term(k, *fixed)
             top, bottom = value.numerator, value.denominator
             if bottom != den:
                 if den % bottom:

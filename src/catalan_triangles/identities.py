@@ -419,26 +419,21 @@ def _line_function(ident: IdentityDescriptor) -> Callable | None:
     return line if lhs is ident.lhs and rhs is ident.rhs else None
 
 
-def _scalar_line(ident, names, line, fail_fast) -> list[tuple[int, int | Fraction, int | Fraction]]:
-    """(position, lhs, rhs) of each cell of line whose sides differ, one _sides call per cell."""
+def _differences(ident, names, line, positions, fail_fast, flagged) -> list[tuple[int, int | Fraction, int | Fraction]]:
+    """(position, lhs, rhs) at each of positions in line where the sides differ, up to the first under fail_fast.
+
+    flagged says a line function reported every one of positions as a
+    difference, so sides that agree at one raise IntegrityError.
+    """
     found = []
-    for i, values in enumerate(line):
-        lhs, rhs = _sides(ident, dict(zip(names, values)))
+    for i in positions:
+        lhs, rhs = _sides(ident, dict(zip(names, line[i])))
         if lhs != rhs:
             found.append((i, lhs, rhs))
             if fail_fast:
                 break
-    return found
-
-
-def _flagged(ident, names, line, positions) -> list[tuple[int, int | Fraction, int | Fraction]]:
-    """(position, lhs, rhs) at each position a line function flagged, from _sides."""
-    found = []
-    for i in positions:
-        lhs, rhs = _sides(ident, dict(zip(names, line[i])))
-        if lhs == rhs:
+        elif flagged:
             raise IntegrityError("%s: line function and sides disagree at %r" % (ident.id, dict(zip(names, line[i]))))
-        found.append((i, lhs, rhs))
     return found
 
 
@@ -480,16 +475,13 @@ def verify_identity(
     with keep_partials():
         for _, group in groupby(cells, itemgetter(slice(None, -1))):
             line = list(group)
-            found = None
+            positions, flagged = range(len(line)), False
             if compiled is not None:
                 try:
-                    positions = compiled(*line[0][:-1], [values[-1] for values in line])
-                except Exception:  # the cell-by-cell run below raises where the sides do
+                    positions, flagged = compiled(*line[0][:-1], [values[-1] for values in line]), True
+                except Exception:  # then every cell runs through the sides, which raise where they do
                     pass
-                else:
-                    found = _flagged(ident, names, line, positions[:1] if fail_fast else positions)
-            if found is None:
-                found = _scalar_line(ident, names, line, fail_fast)
+            found = _differences(ident, names, line, positions, fail_fast, flagged)
             for i, lhs, rhs in found:
                 mismatches.append(Mismatch(tuple(zip(names, line[i])), Fraction(lhs), Fraction(rhs)))
             if fail_fast and found:

@@ -15,10 +15,11 @@ the term's other names, so a sweep that raises the bound adds one term per
 cell; any other sum is a plain generator sum.  A denominator that does not
 depend on the summation variable is moved out of the sum.  H(x) outside a
 sum is harmonic(x) as a numerator/denominator pair; inside a plain sum
-whose variable it is affine in, it reads exact.harmonic_numerators, so the
-sum is one integer dot product over the lcm; inside a running sum it is a
-Fraction term.  The generated code looks up _c_ext, binomial, harmonic and
-the other functions in the namespace it is given, at call time.
+over v, where x is v times an integer plus terms free of v, it reads
+exact.harmonic_numerators, so the sum is one integer dot product over the
+lcm; elsewhere inside a sum it is a harmonic(x) term.  The generated code
+looks up _c_ext, binomial, harmonic and the other functions in the
+namespace it is given, at call time.
 
 Next to the two sides, a statement compiles into a line function over its
 last parameter x: line(<the other parameters>, xs) runs both sides for
@@ -70,8 +71,8 @@ _RANGE = re.compile(r",\s*([A-Za-z_]\w*)\s*=(?!=)(.*?)\.\.")  # , v=lo.. -> , v,
 def harmonic_table(lo: int, hi: int, *ends: int) -> tuple[int, list[int]]:
     """exact.harmonic_numerators up to the largest H argument of a sum over lo..hi.
 
-    ends are the arguments at v = lo and v = hi; each is affine in v, so
-    they bound every argument the sum reaches.
+    ends are the arguments at v = lo and v = hi; each argument is v times an
+    integer plus terms free of v, so they bound every argument the sum reaches.
     """
     if lo > hi:
         return 1, []
@@ -103,25 +104,6 @@ def _free(node: ast.AST) -> frozenset[str]:
             return (_free(term) - {var.id}) | _free(lo) | _free(hi)
         return frozenset().union(*map(_free, node.args))
     return frozenset().union(*map(_free, ast.iter_child_nodes(node)))
-
-
-def _affine(node: ast.AST, var: str) -> bool:
-    """Whether node has degree at most 1 in var, so that over a range it is extreme at the ends."""
-
-    def degree(node):
-        if var not in _free(node):
-            return 0
-        if isinstance(node, ast.Name):
-            return 1
-        if isinstance(node, ast.UnaryOp):
-            return degree(node.operand)
-        if isinstance(node, ast.BinOp) and isinstance(node.op, (ast.Add, ast.Sub)):
-            return max(degree(node.left), degree(node.right))
-        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult):
-            return degree(node.left) + degree(node.right)
-        return 2
-
-    return degree(node) <= 1
 
 
 def _slope(node: ast.AST, var: str) -> int | None:
@@ -196,7 +178,6 @@ class _Compiler:
             raise UsageError("parameter names %s repeat" % (parameters,))
         self.parameters = parameters
         self.defs: list[str] = []  # factory-level code: running sums and their terms
-        self.direct: dict[str, tuple[str, frozenset[str]]] = {}  # running-sum call -> (object, names)
         self.running: dict[str, str] = {}  # ast.dump of a running sum -> its object, shared by every use
         self.count = 0
 
@@ -272,7 +253,7 @@ class _Compiler:
 
     def harmonic(self, arg: ast.AST, scope: _Scope) -> _Q:
         x = self.integer(arg, scope, "the argument of H")
-        if scope.plain and _affine(arg, scope.var):
+        if scope.plain and _slope(arg, scope.var) is not None:
             if scope.table is None:
                 scope.table = (self.fresh("lcm"), self.fresh("hn"))
             scope.harmonic_args.append(arg)
@@ -309,17 +290,13 @@ class _Compiler:
                 return _Q("sum(%s for %s in range(%s, %s + 1))" % (q.num, v, lo_code, hi_code), q.den, q.dvars)
             scope.lines.append("def %s(%s):\n%s" % (t, v, _indent(inner.lines + ["return " + returned])))
             return _Q(None, value="sum(map(%s, range(%s, %s + 1)))" % (t, lo_code, hi_code), dvars=_free(node))
-        # The bound's key is its own name when it is one, so the sum can be a whole side.
-        key = hi.id if isinstance(hi, ast.Name) else "_hi"
         rs = self.running.get(ast.dump(node))
         if rs is None:
             lo_arg = lo_code if not _free(lo) else "lambda %s: %s" % (", ".join(fixed), lo_code)
             rs = self.running[ast.dump(node)] = self.fresh("rs")
             self.defs.append("def %s(%s):\n%s" % (t, ", ".join((v,) + fixed), _indent(inner.lines + ["return " + returned])))
-            self.defs.append("%s = RunningSum(%s, %s, %r, %r)" % (rs, t, lo_arg, key, fixed))
-        call = "%s(%s)" % (rs, ", ".join("%s=%s" % pair for pair in ((key, hi_code),) + tuple(zip(fixed, fixed))))
-        if key == hi_code:
-            self.direct[call] = (rs, frozenset((key,) + fixed))
+            self.defs.append("%s = RunningSum(%s, %s)" % (rs, t, lo_arg))
+        call = "%s(%s)" % (rs, ", ".join((hi_code,) + fixed))
         if movable:
             return _Q(call, q.den, q.dvars)
         return _Q(None, value=call, dvars=_free(node))
@@ -353,12 +330,9 @@ class _Compiler:
         return _Q(num, "1" if q.den == "1" else den, _free(node))
 
     def function(self, name: str, node: ast.AST) -> str:
-        """Source of def name(parameters) returning node's value; a running sum over all parameters is bound as is."""
+        """Source of def name(parameters) returning node's value."""
         scope = _Scope(self.parameters)
         q = self.expr(node, scope)
-        whole = q.value if q.value is not None else q.num if q.den == "1" else None
-        if not scope.lines and whole in self.direct and self.direct[whole][1] == set(self.parameters):
-            return "%s = %s" % (name, self.direct[whole][0])
         return "def %s(%s):\n%s" % (name, ", ".join(self.parameters), _indent(scope.lines + ["return " + _value(q)]))
 
     def line(self, node: ast.Compare) -> str:

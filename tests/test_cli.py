@@ -239,10 +239,59 @@ def test_scan_negative_limit_exits_2_and_leaves_the_checkpoint(tmp_path):
 
 def test_scan_corrupt_checkpoint_exits_2(tmp_path):
     path = tmp_path / "scan.json"
-    path.write_text('{"version": 7}')
-    result = run_cli("scan", "b-cubes", "--p", "3", "--n", "1..5", "--checkpoint", str(path))
+    for garbage in ('{"version": 7}', "not json {"):
+        path.write_text(garbage)
+        result = run_cli("scan", "b-cubes", "--p", "3", "--n", "1..5", "--checkpoint", str(path))
+        assert result.returncode == 2
+        assert result.stdout == ""
+        assert "integrity" in result.stderr
+        assert "Traceback" not in result.stderr
+        assert path.read_text() == garbage
+
+
+@pytest.mark.parametrize(
+    "scan",
+    [
+        ["b-cubes", "--p", "3", "--n", "5..3"],
+        ["c-powers", "--p", "3", "--m", "10..5"],
+        ["mixed", "--n", "3..1", "--m", "1..2"],
+    ],
+    ids=" ".join,
+)
+def test_scan_over_an_empty_domain_exits_2_and_writes_nothing(tmp_path, scan):
+    path = tmp_path / "scan.json"
+    result = run_cli("scan", *scan, "--checkpoint", str(path))
     assert result.returncode == 2
-    assert "integrity" in result.stderr
+    assert result.stdout == ""
+    assert "no cells in" in result.stderr
+    assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize(
+    "scan",
+    [[variant, "--p", p, span, bounds]
+     for p in ("1", "3")
+     for variant, span, bounds in (("c-powers", "--m", "2..7"), ("b-cubes", "--n", "1..6"), ("a-cubes", "--n", "1..6"))]
+    + [["mixed", "--n", "1..3", "--m", "1..3"]],
+    ids=" ".join,
+)
+def test_checkpointed_legs_end_with_the_unbatched_document(tmp_path, capsys, scan):
+    # a scan resumed in legs of 2 cells until the frontier is null reports
+    # byte for byte what one run over the whole domain reports
+    def run(*extra):
+        code = cli.main(["scan", *scan, *extra, "--format", "json", "--no-timing"])
+        return code, capsys.readouterr().out
+
+    code, whole = run()
+    assert code == 0
+    path = tmp_path / "scan.json"
+    legs = []
+    while not legs or json.loads(legs[-1][1])["frontier"] is not None:
+        assert len(legs) < 50
+        legs.append(run("--limit", "2", "--checkpoint", str(path)))
+    assert legs[-1][1] == whole
+    assert [leg_code for leg_code, _ in legs] == [0] * len(legs)
+    assert len(legs) == -(-json.loads(whole)["processed"] // 2)
 
 
 @pytest.mark.parametrize(

@@ -20,7 +20,7 @@ from catalan_triangles.conjectures import (
     scan_divisibility,
     scan_mixed,
 )
-from catalan_triangles.errors import DomainError, IntegrityError, UsageError
+from catalan_triangles.errors import DomainError, EmptyDomainError, IntegrityError, UsageError
 from catalan_triangles.identities import evaluate_sides
 from catalan_triangles.triangles import b_number, catalan, seq_a, seq_b
 
@@ -205,6 +205,23 @@ def test_negative_cell_limit_is_a_usage_error():
     with pytest.raises(UsageError):
         scan_mixed((1, 3), (1, 3), max_cells=-2)
     assert scan_divisibility("c", 3, m_range=(2, 5), max_cells=0).processed == 0
+
+
+@pytest.mark.parametrize(
+    "scan",
+    [
+        lambda: scan_divisibility("b", 3, n_range=(5, 3)),
+        lambda: scan_divisibility("a", 1, n_range=(0, 0)),  # n starts at 1
+        lambda: scan_divisibility("c", 3, m_range=(10, 5)),
+        lambda: scan_divisibility("c", 3, m_range=(2, 5), n_range=(7, 9)),  # every n >= m
+        lambda: scan_mixed((3, 1), (1, 2)),
+        lambda: scan_mixed((1, 2), (2, 1), max_cells=5),
+    ],
+    ids=["b-reversed", "a-below-the-minimum", "c-reversed", "c-every-n-above-m", "mixed-reversed", "mixed-limited"],
+)
+def test_a_scan_over_no_cells_is_an_empty_domain_error(scan):
+    with pytest.raises(EmptyDomainError, match="no cells in"):
+        scan()
 
 
 def test_checkpoint_document_fields(tmp_path):

@@ -79,8 +79,9 @@ def naive(side: str, cell: dict) -> Fraction:
     return Fraction(eval(_python(side), {**NAIVE, **{name: Fraction(value) for name, value in cell.items()}}))
 
 
-# Statements that take the compiler's other paths: H outside a table (not
-# affine, or in a running sum), terms whose denominator moves with the
+# Statements that take the compiler's other paths: H outside a table (its
+# argument not the variable times an integer plus terms free of it, or in a
+# running sum), terms whose denominator moves with the
 # variable, sums inside sums, several H tables, empty ranges, and running
 # sums a line function cannot keep as accumulators.  Only each side's value
 # is checked, not the equation.
@@ -90,6 +91,8 @@ PATHS = [
     ("path-running-h", "sum(c(m,k) * H(m), k=0..n) + 1/(m+1) == m * sum(H(k+m)/(k+1), k=0..n)", [("m", 1), ("n", 1)]),
     ("path-nested", "sum(sum(binomial(j,k), j=k..n), k=0..n) == 2^(n+1) - 1 + -catalan(n)/(n+1)^2", [("n", 0)]),
     ("path-table-twice", "sum(H(k)*b(n,k), k=1..n) - sum(H(k+1), k=0..n-1) == (2n+1)/(n+2) * H(n+1)", [("n", 1)]),
+    # true; one plain sum reads H(n*k) through harmonic() and H(2k) from a table
+    ("path-h-coefficient", "sum(H(n*k) + H(2k), k=1..n) == sum(H(2k), k=1..n) + sum(H(n*j), j=1..n)", [("n", 1)]),
     # true, with running sums whose bounds fall, climb two at a time, or run
     # along the line of n while the term reads n
     (
