@@ -17,6 +17,7 @@ from .conjectures import (
     scan_mixed,
 )
 from .errors import (
+    CheckpointError,
     DomainError,
     EmptyDomainError,
     IntegrityError,
@@ -49,6 +50,7 @@ from .triangles import (
 )
 
 __all__ = [
+    "CheckpointError",
     "DivisibilityClaim",
     "DomainError",
     "EmptyDomainError",

@@ -2,7 +2,8 @@
 
 Exit codes are never conflated: 0 means every check passed, 1 means a
 mathematical mismatch or counterexample was found, 2 means the request
-itself was bad, 3 means an internal error.  All output is deterministic;
+itself was bad (a bad checkpoint included), 3 means an internal error,
+such as a failed exactness check.  All output is deterministic;
 timing fields can be dropped with --no-timing so that runs diff cleanly.
 """
 
@@ -14,7 +15,7 @@ import os
 import sys
 
 from . import conjectures, identities, triangles
-from .errors import DomainError, IntegrityError, UsageError
+from .errors import CheckpointError, DomainError, UsageError
 from .exact import binomial, harmonic
 
 EXIT_OK = 0
@@ -132,8 +133,15 @@ def _print_plain_state(state, show_timing: bool) -> None:
 
 def _cmd_scan(args) -> int:
     checkpoint = None
-    if args.checkpoint and os.path.exists(args.checkpoint):
-        checkpoint = conjectures.load_checkpoint(args.checkpoint)
+    if args.checkpoint:
+        directory = os.path.dirname(os.path.abspath(args.checkpoint))
+        if not os.path.isdir(directory):
+            raise UsageError("checkpoint directory %s does not exist" % directory)
+        if os.path.exists(args.checkpoint):
+            checkpoint = conjectures.load_checkpoint(args.checkpoint)
+            # the file comes from outside: its counterexamples must come out of the cell check again
+            if not conjectures.reverify(checkpoint):
+                raise CheckpointError("checkpoint %s holds counterexamples that do not re-check" % args.checkpoint)
 
     if args.variant == "mixed":
         if args.p is not None:
@@ -282,7 +290,7 @@ def main(argv=None) -> int:
     except (UsageError, DomainError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_USAGE
-    except IntegrityError as exc:
+    except CheckpointError as exc:
         print("integrity error: %s" % exc, file=sys.stderr)
         return EXIT_USAGE
     except Exception as exc:  # a bug, never a mathematical finding

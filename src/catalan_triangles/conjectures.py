@@ -20,8 +20,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, NamedTuple
 
-from .errors import DomainError, EmptyDomainError, IntegrityError, UsageError
-from .exact import RunningSum, binomial, exact_div, keep_partials
+from .errors import CheckpointError, DomainError, EmptyDomainError, UsageError
+from .exact import binomial, exact_div, keep_partials
 from .triangles import _b_ext, _c_ext, a_row, b_row, catalan
 
 CHECKPOINT_VERSION = 2
@@ -113,15 +113,24 @@ def _cell_names(variant: str) -> tuple[str, ...]:
     return ("m", "n") if variant == "c" else ("n",)
 
 
-# sum(c(m,k)^p, k=0..n): a scan in cell order raises n one step at a time
-_c_power_sums = RunningSum(lambda k, m, p: _c_ext(m, k) ** p, 0)
+def _c_power_sums(m: int, n: int, p: int) -> int:
+    """sum(c(m,k)^p, k=0..n): on its first call, replaces itself with the running sum compiled from that text.
+
+    A scan in cell order then raises n one term at a time; the compiled sum
+    reads _c_ext from this module at call time.
+    """
+    global _c_power_sums
+    from .statements import compile_identity
+
+    _c_power_sums = compile_identity(("m", "n", "p"), globals(), "sum(c(m,k)^p, k=0..n) == binomial(m-1,n)")["lhs"]
+    return _c_power_sums(m, n, p)
 
 
 def divisibility_claim(variant: str, p: int, cell: Cell) -> DivisibilityClaim:
     """Dividend and claimed divisor at one cell of the chosen variant."""
     if variant == "c":
         m, n = cell
-        dividend = _c_power_sums(n, m, p)
+        dividend = _c_power_sums(m, n, p)
         divisor = binomial(m - 1, n)
         return DivisibilityClaim(dividend, divisor, (("m", m), ("n", n)))
     if variant == "b":
@@ -214,7 +223,7 @@ def _resume_index(cells: list[Cell], state: ScanState | None) -> int:
     try:
         return cells.index(state.frontier)
     except ValueError:
-        raise IntegrityError(
+        raise CheckpointError(
             "checkpoint frontier %r does not belong to the scan domain" % (state.frontier,)
         ) from None
 
@@ -226,12 +235,12 @@ def _run_scan(conjecture, p, domain, cells, checkpoint, max_cells, check) -> Sca
         raise EmptyDomainError("%s: no cells in %s" % (conjecture, {name: list(span) for name, span in domain.items()}))
     if checkpoint is not None:
         if checkpoint.conjecture != conjecture or checkpoint.p != p:
-            raise IntegrityError(
+            raise CheckpointError(
                 "checkpoint is for %r (p=%r), not %r (p=%r)"
                 % (checkpoint.conjecture, checkpoint.p, conjecture, p)
             )
         if checkpoint.domain != domain:
-            raise IntegrityError("checkpoint scanned the domain %r, not %r" % (checkpoint.domain, domain))
+            raise CheckpointError("checkpoint scanned the domain %r, not %r" % (checkpoint.domain, domain))
     start_index = _resume_index(cells, checkpoint)
     stop_index = len(cells) if max_cells is None else min(len(cells), start_index + max_cells)
     started = time.perf_counter()
@@ -311,6 +320,8 @@ def reverify(state: ScanState, claim_fn: Callable[[Cell], DivisibilityClaim] | N
     if state.conjecture == "mixed-cube":
         names, check = ("n", "m"), _mixed_check
     elif state.conjecture.startswith("divisibility-"):
+        if state.counterexamples and not (_int(state.p) and state.p >= 1):
+            return False  # no cell check has this exponent
         variant = state.conjecture.removeprefix("divisibility-")
         names, check = _cell_names(variant), _divisibility_check(variant, state.p, claim_fn)
     else:
@@ -354,18 +365,18 @@ def load_checkpoint(source: str | os.PathLike) -> ScanState:
         with open(source, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
-        raise IntegrityError("unreadable checkpoint %s: %s" % (source, exc)) from exc
+        raise CheckpointError("unreadable checkpoint %s: %s" % (source, exc)) from exc
     if not isinstance(doc, dict) or doc.get("version") != CHECKPOINT_VERSION:
-        raise IntegrityError(
+        raise CheckpointError(
             "checkpoint %s has version %r; only version %r, which records the scan domain, can be resumed"
             % (source, doc.get("version") if isinstance(doc, dict) else None, CHECKPOINT_VERSION)
         )
     fields = {}
     for name, spec in _CHECKPOINT_FIELDS.items():
         if name not in doc and spec.default is None:
-            raise IntegrityError("checkpoint %s is missing field %r" % (source, name))
+            raise CheckpointError("checkpoint %s is missing field %r" % (source, name))
         value = doc.get(name, spec.default)
         if not spec.valid(value):
-            raise IntegrityError("checkpoint %s: field %r must be %s" % (source, name, spec.expected))
+            raise CheckpointError("checkpoint %s: field %r must be %s" % (source, name, spec.expected))
         fields[name] = spec.from_json(value)
     return ScanState(**fields)

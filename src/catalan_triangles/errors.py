@@ -8,10 +8,14 @@ class DomainError(ValueError):
 class IntegrityError(ArithmeticError):
     """An internal exactness guarantee was violated.
 
-    Raised when a division that must be exact leaves a remainder, or when a
-    checkpoint file fails validation.  Seeing this during a triangle
-    computation indicates a bug, never bad user input.
+    Raised when a division that must be exact leaves a remainder, or (as
+    CheckpointError) when a checkpoint file fails validation.  Seeing it
+    outside a checkpoint indicates a bug, never bad user input.
     """
+
+
+class CheckpointError(IntegrityError):
+    """A checkpoint is unreadable, malformed, for another scan, or holds records that do not re-check."""
 
 
 class UsageError(ValueError):

@@ -12,7 +12,7 @@ from contextlib import contextmanager
 from fractions import Fraction
 from itertools import accumulate, repeat
 from math import comb, lcm, prod
-from typing import Callable, Iterator
+from typing import Iterator
 
 from .errors import DomainError, IntegrityError
 
@@ -107,6 +107,11 @@ def harmonic_numerators(n: int) -> tuple[int, list[int]]:
 _scope = threading.local()
 
 
+def partials() -> dict | None:
+    """The store that compiled running sums keep their partials in, or None outside keep_partials()."""
+    return getattr(_scope, "partials", None)
+
+
 @contextmanager
 def keep_partials() -> Iterator[None]:
     """Let running sums reuse their partials until the outermost block exits.
@@ -114,7 +119,7 @@ def keep_partials() -> Iterator[None]:
     On exit every partial is dropped, so nothing outlives the sweep or scan
     that filled it.  Blocks nest; each thread has its own partials.
     """
-    if getattr(_scope, "partials", None) is not None:
+    if partials() is not None:
         yield
         return
     _scope.partials = {}
@@ -122,46 +127,3 @@ def keep_partials() -> Iterator[None]:
         yield
     finally:
         _scope.partials = None
-
-
-class RunningSum:
-    """sum(term(k, *fixed) for k = lo..hi) as a (hi, *fixed) -> int | Fraction callable.
-
-    lo is an int or a callable of the fixed values.  Inside keep_partials()
-    the sum remembers, for each tuple of fixed values, the last (hi,
-    partial): a call at the same or a larger hi adds only the missing
-    terms, any other call starts again from lo.  Outside keep_partials()
-    every call sums from lo.
-
-    The partial is an integer numerator over the lcm of the term
-    denominators seen so far, so Fraction terms cost integer additions and
-    a call builds at most one Fraction; a sum of int terms returns an int.
-    """
-
-    def __init__(self, term: Callable[..., int | Fraction], lo: int | Callable[..., int]):
-        self.term = term
-        self.lo = lo
-
-    def __call__(self, hi: int, *fixed: int) -> int | Fraction:
-        lo = self.lo(*fixed) if callable(self.lo) else self.lo
-        partials = getattr(_scope, "partials", None)
-        key = (self, fixed)
-        last = partials.get(key) if partials is not None else None
-        if last is not None and lo <= last[0] <= hi:
-            start, num, den = last[0] + 1, last[1], last[2]
-        else:
-            start, num, den = lo, 0, 1
-        term = self.term
-        for k in range(start, hi + 1):
-            value = term(k, *fixed)
-            top, bottom = value.numerator, value.denominator
-            if bottom != den:
-                if den % bottom:
-                    grown = lcm(den, bottom)
-                    num *= grown // den
-                    den = grown
-                top *= den // bottom
-            num += top
-        if partials is not None:
-            partials[key] = (hi, num, den)
-        return num if den == 1 else Fraction(num, den)

@@ -7,30 +7,30 @@ and sum(term, v=lo..hi) over an integer range.  A constraint is a chain of
 comparisons (< <= > >=) of integer expressions in the same grammar.
 Anything else raises UsageError.
 
-Each side becomes generated Python code that keeps the value as one integer
-quotient (numerator, denominator) and returns an int when the denominator
-is 1 and one Fraction(numerator, denominator) otherwise.  A sum whose upper
-bound uses a name its term does not becomes an exact.RunningSum keyed by
-the term's other names, so a sweep that raises the bound adds one term per
-cell; any other sum is a plain generator sum.  A denominator that does not
-depend on the summation variable is moved out of the sum.  H(x) outside a
-sum is harmonic(x) as a numerator/denominator pair; inside a plain sum
-over v, where x is v times an integer plus terms free of v, it reads
-exact.harmonic_numerators, so the sum is one integer dot product over the
-lcm; elsewhere inside a sum it is a harmonic(x) term.  The generated code
-looks up _c_ext, binomial, harmonic and the other functions in the
-namespace it is given, at call time.
+Each side becomes generated Python code that keeps every value as an
+integer pair (numerator, denominator) and builds at most one Fraction, in
+its return; an int is returned when the denominator is the literal 1.  A
+sum whose upper bound uses a name its term does not is a running sum; any
+other is a plain sum.  A denominator free of a sum's variable is moved out
+of the sum, and a plain sum of integers with nothing to compute before its
+term is a generator sum.  Every other sum runs one loop that keeps an
+integer numerator over the lcm of the term denominators seen so far; for
+a running sum the loop is a factory-level function _rsN(hi, *fixed) that
+keeps its (next k, numerator, denominator) in exact.partials(), so a
+sweep that raises the bound adds one term per cell.
+H(x) is harmonic(x) as a pair, except inside a plain sum over v where x is
+v times an integer plus terms free of v: there it reads
+exact.harmonic_numerators, one integer dot product over the lcm.  The
+generated code looks up _c_ext, binomial, harmonic and the other functions
+in the namespace it is given, at call time.
 
-Next to the two sides, a statement compiles into a line function over its
-last parameter x: line(<the other parameters>, xs) runs both sides for
-every x in xs (increasing) in one loop and returns the positions in xs
-where they differ.  Its body is the sides' code with two changes.  A
-running sum at the top of a side whose upper bound is x + c and whose
-other names and lower bound do not use x becomes a local (next k,
-numerator, denominator) accumulator, set up once per line and advanced to
-the bound at each x; any other running sum stays a RunningSum call.  And
-the sides are compared as cross-multiplied (numerator, denominator) pairs,
-with no Fraction built; a zero denominator raises ZeroDivisionError.
+A statement also compiles into a line function over its last parameter x:
+line(<the other parameters>, xs) runs both sides for every x in xs
+(increasing) in one loop and returns the positions in xs where they
+differ.  A running sum at the top of a side whose upper bound is x + c,
+and whose other names and lower bound do not use x, runs the same loop on
+locals set up once per line.  The sides are compared as cross-multiplied
+pairs; a zero denominator raises ZeroDivisionError.
 """
 
 from __future__ import annotations
@@ -41,10 +41,10 @@ import keyword
 import re
 from fractions import Fraction
 from math import lcm
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .errors import DomainError, UsageError
-from .exact import RunningSum, harmonic_numerators
+from .exact import harmonic_numerators, partials
 
 # statement name -> (name the generated code calls, arity)
 FUNCTIONS = {
@@ -60,8 +60,7 @@ FUNCTIONS = {
 }
 # Names a parameter or a summation variable may not take: they would shadow
 # what the generated code calls.
-_RESERVED = {*FUNCTIONS, *(target for target, _ in FUNCTIONS.values()), "sum", "range", "map", "Fraction",
-             "RunningSum", "harmonic_table"}
+_RESERVED = {*FUNCTIONS, *(target for target, _ in FUNCTIONS.values()), "sum", "range", "Fraction", "harmonic_table"}
 _COMPARISONS = {ast.Lt: "<", ast.LtE: "<=", ast.Gt: ">", ast.GtE: ">="}
 _CHARACTERS = frozenset("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_ \t\n+-*/^().,=<>")
 _PRODUCT = re.compile(r"\b(\d+)(?=[A-Za-z_(])")  # 2n -> 2*n, 3(n+1) -> 3*(n+1)
@@ -142,17 +141,12 @@ def _indent(lines: list[str]) -> str:
     return "\n".join("    " + line for block in lines for line in block.split("\n"))
 
 
-class _Q:
-    """A compiled node: num/den as integer expressions, or one int | Fraction expression.
+class _Q(NamedTuple):
+    """A compiled node: integer expressions num and den ("1" for an integer), and the names den depends on."""
 
-    den is "1" for an integer; dvars are the names den depends on.  value,
-    when set, replaces num and den until the node meets an operator.
-    """
-
-    __slots__ = ("num", "den", "dvars", "value")
-
-    def __init__(self, num: str | None, den: str = "1", dvars: frozenset[str] = frozenset(), value: str | None = None):
-        self.num, self.den, self.dvars, self.value = num, den, dvars, value
+    num: str
+    den: str = "1"
+    dvars: frozenset[str] = frozenset()
 
 
 class _Scope:
@@ -177,8 +171,9 @@ class _Compiler:
         if len(set(parameters)) != len(parameters):
             raise UsageError("parameter names %s repeat" % (parameters,))
         self.parameters = parameters
-        self.defs: list[str] = []  # factory-level code: running sums and their terms
-        self.running: dict[str, str] = {}  # ast.dump of a running sum -> its object, shared by every use
+        self.defs: list[str] = []  # factory-level code: the running-sum functions
+        # ast.dump of a running sum -> (its function, its den or None for the returned one, dvars), shared by every use
+        self.running: dict[str, tuple[str, str | None, frozenset[str]]] = {}
         self.count = 0
 
     def fresh(self, stem: str) -> str:
@@ -193,15 +188,8 @@ class _Compiler:
         scope.lines.append("%s = %s" % (d, code))
         return d
 
-    def pair(self, q: _Q, scope: _Scope) -> _Q:
-        if q.value is None:
-            return q
-        r = self.fresh("r")
-        scope.lines.append("%s = %s" % (r, q.value))
-        return _Q("%s.numerator" % r, "%s.denominator" % r, q.dvars)
-
     def integer(self, node: ast.AST, scope: _Scope, what: str) -> str:
-        q = self.pair(self.expr(node, scope), scope)
+        q = self.expr(node, scope)
         if q.den != "1":
             raise UsageError("%s must be an integer expression, got %r" % (what, ast.unparse(node)))
         return q.num
@@ -214,7 +202,7 @@ class _Compiler:
                 raise UsageError("unknown name %r" % node.id)
             return _Q(node.id)
         if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.UAdd, ast.USub)):
-            q = self.pair(self.expr(node.operand, scope), scope)
+            q = self.expr(node.operand, scope)
             return q if isinstance(node.op, ast.UAdd) else _Q("(-%s)" % q.num, q.den, q.dvars)
         if isinstance(node, ast.BinOp) and isinstance(node.op, (ast.Add, ast.Sub, ast.Mult, ast.Div, ast.Pow)):
             return self.binop(node, scope)
@@ -233,12 +221,12 @@ class _Compiler:
         raise UsageError("unsupported expression %r" % ast.unparse(node))
 
     def binop(self, node: ast.BinOp, scope: _Scope) -> _Q:
-        a = self.pair(self.expr(node.left, scope), scope)
+        a = self.expr(node.left, scope)
         if isinstance(node.op, ast.Pow):
             e = self.integer(node.right, scope, "an exponent")
             dvars = a.dvars | _free(node.right) if a.den != "1" else a.dvars
             return _Q("(%s**%s)" % (a.num, e), "1" if a.den == "1" else "(%s**%s)" % (a.den, e), dvars)
-        b = self.pair(self.expr(node.right, scope), scope)
+        b = self.expr(node.right, scope)
         if isinstance(node.op, ast.Mult):
             return _Q(_mul(a.num, b.num), _mul(a.den, b.den), a.dvars | b.dvars)
         if isinstance(node.op, ast.Div):
@@ -262,60 +250,20 @@ class _Compiler:
         scope.lines.append("%s, %s = harmonic(%s).as_integer_ratio()" % (p, q, x))
         return _Q(p, q, _free(arg))
 
-    def sum(self, node: ast.Call, scope: _Scope) -> _Q:
-        term, var, lo, hi = node.args
-        v = var.id
-        if v in scope.names or v in _RESERVED or v.startswith("_"):
-            raise UsageError("summation variable %r shadows a parameter, a variable or a function" % v)
-        fixed = tuple(sorted((_free(term) - {v}) | _free(lo)))
-        running = not _free(hi) <= set(fixed)
-        if running and scope.x is not None and scope.x not in fixed and _slope(hi, scope.x) == 1:
-            return self.accumulator(node, fixed, scope)
-        lo_code = self.integer(lo, scope, "a lower bound")
-        hi_code = self.integer(hi, scope, "an upper bound")
-        inner = _Scope(set(fixed) | {v} if running else scope.names | {v}, v, plain=not running)
-        q = self.expr(term, inner)
-        if inner.table is not None:
-            ends = [
-                self.integer(_substitute(arg, v, end), scope, "the argument of H")
-                for arg in inner.harmonic_args
-                for end in (lo, hi)
-            ]
-            scope.lines.append("%s, %s = harmonic_table(%s, %s, %s)" % (*inner.table, lo_code, hi_code, ", ".join(ends)))
-        movable = not inner.lines and q.value is None and v not in q.dvars
-        returned = q.num if movable else _value(q)
-        t = self.fresh("t")
-        if not running:
-            if movable:
-                return _Q("sum(%s for %s in range(%s, %s + 1))" % (q.num, v, lo_code, hi_code), q.den, q.dvars)
-            scope.lines.append("def %s(%s):\n%s" % (t, v, _indent(inner.lines + ["return " + returned])))
-            return _Q(None, value="sum(map(%s, range(%s, %s + 1)))" % (t, lo_code, hi_code), dvars=_free(node))
-        rs = self.running.get(ast.dump(node))
-        if rs is None:
-            lo_arg = lo_code if not _free(lo) else "lambda %s: %s" % (", ".join(fixed), lo_code)
-            rs = self.running[ast.dump(node)] = self.fresh("rs")
-            self.defs.append("def %s(%s):\n%s" % (t, ", ".join((v,) + fixed), _indent(inner.lines + ["return " + returned])))
-            self.defs.append("%s = RunningSum(%s, %s)" % (rs, t, lo_arg))
-        call = "%s(%s)" % (rs, ", ".join((hi_code,) + fixed))
-        if movable:
-            return _Q(call, q.den, q.dvars)
-        return _Q(None, value=call, dvars=_free(node))
+    def loop(self, node: ast.Call, inner: _Scope, q: _Q, bound: str) -> tuple[str, str, str, str, _Q]:
+        """(k, num, den, code, sum): code adds term q for v = k..bound to num/den, set by the caller.
 
-    def accumulator(self, node: ast.Call, fixed: tuple[str, ...], scope: _Scope) -> _Q:
-        """A running sum along the line as local (next k, numerator, denominator), kept as RunningSum keeps its partial."""
-        term, var, lo, hi = node.args
-        v = var.id
+        num is an integer sum when the term's denominator is 1, or free of v
+        with nothing computed before the term; otherwise it is kept over den,
+        the lcm of the term denominators seen so far.
+        """
+        v = node.args[1].id
         k, num, den = self.fresh("k"), self.fresh("num"), self.fresh("den")
-        start = _Scope(scope.names)
-        lo_code = self.integer(lo, start, "a lower bound")
-        scope.init += start.lines + ["%s, %s, %s = %s, 0, 1" % (k, num, den, lo_code)]
-        bound = self.local(self.integer(hi, scope, "an upper bound"), scope)
-        inner = _Scope(set(fixed) | {v}, v)
-        q = self.pair(self.expr(term, inner), inner)
         step = ["%s = %s" % (v, k)] + inner.lines
-        if q.den == "1":
+        if q.den == "1" or not inner.lines and v not in q.dvars:
             step.append("%s += %s" % (num, q.num))
-        else:  # the numerator over the lcm of the term denominators seen so far
+            total = _Q(num, q.den, q.dvars)
+        else:
             step += [
                 "_top, _bottom = %s, %s" % (q.num, q.den),
                 "if _bottom != %s:" % den,
@@ -326,14 +274,81 @@ class _Compiler:
                 "    _top *= %s // _bottom" % den,
                 "%s += _top" % num,
             ]
-        scope.lines.append("while %s <= %s:\n%s" % (k, bound, _indent(step + ["%s += 1" % k])))
-        return _Q(num, "1" if q.den == "1" else den, _free(node))
+            total = _Q(num, den, _free(node))
+        return k, num, den, "while %s <= %s:\n%s" % (k, bound, _indent(step + ["%s += 1" % k])), total
+
+    def sum(self, node: ast.Call, scope: _Scope) -> _Q:
+        term, var, lo, hi = node.args
+        v = var.id
+        if v in scope.names or v in _RESERVED or v.startswith("_"):
+            raise UsageError("summation variable %r shadows a parameter, a variable or a function" % v)
+        unknown = _free(node) - scope.names
+        if unknown:
+            raise UsageError("unknown name %r" % min(unknown))
+        fixed = tuple(sorted((_free(term) - {v}) | _free(lo)))
+        running = not _free(hi) <= set(fixed)
+        # a running sum along a line function's x runs on locals set up once per line
+        along = running and scope.x is not None and scope.x not in fixed and _slope(hi, scope.x) == 1
+        if running and not along:
+            return self.running_sum(node, fixed, scope)
+        start = _Scope(scope.names) if along else scope
+        lo_code = self.integer(lo, start, "a lower bound")
+        hi_code = self.integer(hi, scope, "an upper bound")
+        inner = _Scope(scope.names | {v}, v, plain=not along)
+        q = self.expr(term, inner)
+        if inner.table is not None:
+            ends = [
+                self.integer(_substitute(arg, v, end), scope, "the argument of H")
+                for arg in inner.harmonic_args
+                for end in (lo, hi)
+            ]
+            scope.lines.append("%s, %s = harmonic_table(%s, %s, %s)" % (*inner.table, lo_code, hi_code, ", ".join(ends)))
+        if not along and not inner.lines and v not in q.dvars:
+            return _Q("sum(%s for %s in range(%s, %s + 1))" % (q.num, v, lo_code, hi_code), q.den, q.dvars)
+        k, num, den, code, total = self.loop(node, inner, q, self.local(hi_code, scope))
+        first = "%s, %s, %s = %s, 0, 1" % (k, num, den, lo_code)
+        if along:
+            scope.init += start.lines + [first]
+        else:
+            scope.lines.append(first)
+        scope.lines.append(code)
+        return total
+
+    def running_sum(self, node: ast.Call, fixed: tuple[str, ...], scope: _Scope) -> _Q:
+        """A call of def _rsN(_hi, *fixed), which resumes its partial in exact.partials() unless that passed _hi."""
+        tree = ast.dump(node)
+        if tree not in self.running:
+            term, var, lo, _ = node.args
+            rs = self.fresh("rs")
+            start, inner = _Scope(scope.names), _Scope(scope.names | {var.id}, var.id)
+            lo_code = self.integer(lo, start, "a lower bound")
+            k, num, den, code, total = self.loop(node, inner, self.expr(term, inner), "_hi")
+            key = "(%s)" % ", ".join((rs,) + fixed) if fixed else rs
+            body = [
+                "_store = _partials()",
+                "_last = None if _store is None else _store.get(%s)" % key,
+                "if _last is not None and _last[0] <= _hi + 1:",
+                "    %s, %s, %s = _last" % (k, num, den),
+                "else:\n%s" % _indent(start.lines + ["%s, %s, %s = %s, 0, 1" % (k, num, den, lo_code)]),
+                code,
+                "if _store is not None:",
+                "    _store[%s] = %s, %s, %s" % (key, k, num, den),
+                "return %s, %s" % (num, den),
+            ]
+            self.defs.append("def %s(%s):\n%s" % (rs, ", ".join(("_hi",) + fixed), _indent(body)))
+            self.running[tree] = (rs, None if total.den == den else total.den, total.dvars)
+        rs, den, dvars = self.running[tree]
+        num, returned = self.fresh("num"), self.fresh("den")
+        hi_code = self.integer(node.args[3], scope, "an upper bound")
+        scope.lines.append("%s, %s = %s(%s)" % (num, returned, rs, ", ".join((hi_code,) + fixed)))
+        return _Q(num, returned if den is None else den, dvars)
 
     def function(self, name: str, node: ast.AST) -> str:
         """Source of def name(parameters) returning node's value."""
         scope = _Scope(self.parameters)
-        q = self.expr(node, scope)
-        return "def %s(%s):\n%s" % (name, ", ".join(self.parameters), _indent(scope.lines + ["return " + _value(q)]))
+        num, den, _ = self.expr(node, scope)
+        returned = num if den == "1" else "Fraction(%s, %s)" % (num, den)
+        return "def %s(%s):\n%s" % (name, ", ".join(self.parameters), _indent(scope.lines + ["return " + returned]))
 
     def line(self, node: ast.Compare) -> str:
         """Source of def line(<parameters but the last>, _xs) returning the positions in _xs where the sides differ."""
@@ -341,7 +356,7 @@ class _Compiler:
         init, body, sides = [], [], []
         for side in (node.left, node.comparators[0]):
             scope = _Scope(self.parameters, x=x)
-            q = self.pair(self.expr(side, scope), scope)
+            q = self.expr(side, scope)
             den = self.local(q.den, scope)
             if den != "1":
                 scope.lines.append("if not %s:\n    raise ZeroDivisionError('zero denominator')" % den)
@@ -359,12 +374,6 @@ class _Compiler:
         operands = [self.integer(x, scope, "a compared value") for x in (node.left, *node.comparators)]
         chain = operands[0] + "".join(" %s %s" % (_COMPARISONS[type(op)], x) for op, x in zip(node.ops, operands[1:]))
         return "def %s(%s):\n%s" % (name, ", ".join(self.parameters), _indent(scope.lines + ["return " + chain]))
-
-
-def _value(q: _Q) -> str:
-    if q.value is not None:
-        return q.value
-    return q.num if q.den == "1" else "Fraction(%s, %s)" % (q.num, q.den)
 
 
 def compile_identity(
@@ -395,9 +404,9 @@ def compile_identity(
             raise UsageError("a constraint is a chain of comparisons, got %r" % constraint)
         functions["constraint"] = compiler.test("constraint", tree)
     returned = "return {%s}" % ", ".join("%r: %s" % (name, name) for name in functions)
-    source = "def _build(RunningSum, Fraction, harmonic_table, _lcm):\n%s\n" % _indent(
+    source = "def _build(Fraction, harmonic_table, _lcm, _partials):\n%s\n" % _indent(
         compiler.defs + list(functions.values()) + [returned]
     )
     scope: dict = {}
     exec(compile(source, "<statement>", "exec"), namespace, scope)
-    return scope["_build"](RunningSum, Fraction, harmonic_table, lcm)
+    return scope["_build"](Fraction, harmonic_table, lcm, partials)

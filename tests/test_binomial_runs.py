@@ -154,10 +154,10 @@ def test_wrong_anchor_raises_instead_of_printing(argv, monkeypatch, capsys):
         return math.comb(u, v) + (len(calls) == 1)
 
     monkeypatch.setattr(exact, "comb", wrong_comb)
-    assert cli.main(["seq", *argv]) == cli.EXIT_USAGE
+    assert cli.main(["seq", *argv]) == cli.EXIT_INTERNAL  # a failed exactness check is a bug, not a bad request
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "integrity error" in captured.err
+    assert "internal error: IntegrityError" in captured.err
 
 
 @pytest.mark.parametrize("argv", FAULT_SPECS, ids=lambda argv: " ".join(argv))
@@ -170,10 +170,10 @@ def test_wrong_step_raises_instead_of_printing(argv, monkeypatch, capsys):
         return math.prod(factors) + (len(calls) == 1)
 
     monkeypatch.setattr(exact, "prod", wrong_prod)
-    assert cli.main(["seq", *argv]) == cli.EXIT_USAGE
+    assert cli.main(["seq", *argv]) == cli.EXIT_INTERNAL  # a failed exactness check is a bug, not a bad request
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "integrity error" in captured.err
+    assert "internal error: IntegrityError" in captured.err
 
 
 def test_c_row_check_run_catches_a_consistently_wrong_closed_form_run(monkeypatch):

@@ -9,7 +9,7 @@ import sys
 
 import pytest
 
-from catalan_triangles import cli, identities
+from catalan_triangles import cli, exact, identities
 from catalan_triangles.conjectures import load_checkpoint, scan_divisibility
 from catalan_triangles.identities import IdentityDescriptor, Parameter
 
@@ -352,6 +352,60 @@ def test_scan_checkpoint_missing_field_exits_2(tmp_path):
     result = run_cli("scan", "b-cubes", "--p", "3", "--n", "1..5", "--checkpoint", str(path))
     assert result.returncode == 2
     assert "missing field 'processed'" in result.stderr
+
+
+@pytest.mark.parametrize(
+    "record",
+    [
+        {"assignment": {"m": 3, "n": 1}, "dividend": "2", "divisor": "2", "remainder": "1"},
+        {"x": 1},
+        {"assignment": {"m": "5", "n": 2}, "dividend": "1", "divisor": "1", "remainder": "1"},
+    ],
+    ids=["forged", "no-assignment", "string-cell"],
+)
+def test_scan_checkpoint_whose_counterexamples_do_not_recheck_exits_2(tmp_path, record):
+    # a resumed scan re-checks the records it loads before it scans a cell
+    path = tmp_path / "scan.json"
+    scan = ("scan", "c-powers", "--p", "3", "--m", "2..6", "--checkpoint", str(path))
+    assert run_cli(*scan, "--limit", "3").returncode == 0
+    doc = json.loads(path.read_text())
+    doc["counterexamples"] = [record]
+    path.write_text(json.dumps(doc))
+    saved = path.read_bytes()
+    result = run_cli(*scan)
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert "do not re-check" in result.stderr
+    assert "Traceback" not in result.stderr
+    assert path.read_bytes() == saved
+
+
+def test_scan_checkpoint_in_a_missing_directory_exits_2_before_scanning(tmp_path, monkeypatch):
+    def scanned(*args, **kwargs):
+        raise AssertionError("scanned before the checkpoint directory was checked")
+
+    monkeypatch.setattr(cli.conjectures, "scan_divisibility", scanned)
+    path = tmp_path / "missing" / "x.json"
+    assert cli.main(["scan", "b-cubes", "--p", "3", "--n", "1..5", "--checkpoint", str(path)]) == 2
+    assert os.listdir(tmp_path) == []
+    result = run_cli("scan", "b-cubes", "--p", "3", "--n", "1..5", "--checkpoint", str(path))
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert "does not exist" in result.stderr
+    assert os.listdir(tmp_path) == []
+
+
+def test_failed_exactness_check_exits_3_not_2(monkeypatch, capsys):
+    # an exact step that leaves a remainder is a bug, not a bad request
+    real = exact.comb
+    monkeypatch.setattr(exact, "comb", lambda u, v: real(u, v) + ((u, v) == (40, 0)))
+    assert cli.main(["seq", "c-row:40", "0", "41"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert (
+        "internal error: IntegrityError: binomials: run ending at binomial(40, 40) disagrees with comb()"
+        in captured.err
+    )
 
 
 def test_seq_oeis_bfile_bytes():

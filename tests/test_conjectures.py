@@ -396,6 +396,14 @@ def test_reverify_rejects_an_edited_record(edit):
     assert reverify(_edited(_falsified_b_scan(), edit), claim_fn=_off_by_one) is False
 
 
+@pytest.mark.parametrize("p", [None, 0, -1])
+def test_reverify_rejects_records_under_an_exponent_no_scan_uses(p):
+    # a loaded checkpoint may say p is null; no cell check runs at it (c(4,2)^-1 would divide by zero)
+    record = {"assignment": {"m": 4, "n": 2}, "dividend": "1", "divisor": "3", "remainder": "1"}
+    assert reverify(ScanState("divisibility-c", p, None, 1, [record])) is False
+    assert reverify(ScanState("divisibility-c", p, None, 1, [])) is True
+
+
 def test_reverify_rejects_an_edited_mixed_cube_record(monkeypatch):
     true_check = conjectures.check_mixed_cube
 

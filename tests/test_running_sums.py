@@ -1,7 +1,7 @@
 """Running sums and single-quotient sides against the expressions they replace.
 
 The references below are the from-scratch expressions each running-sum side
-had before it became a RunningSum, and the Fraction chains each rational
+had before it became a compiled running sum, and the Fraction chains each rational
 side had before it became one quotient (a harmonic-weighted sum: one integer
 sum over lcm(1..n)); a sweep or scan that keeps partials must agree with
 them at every cell, in any call order."""
@@ -12,10 +12,11 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from catalan_triangles import exact
+from catalan_triangles import exact, identities
 from catalan_triangles.conjectures import divisibility_claim, reverify, scan_divisibility
-from catalan_triangles.exact import RunningSum, binomial, harmonic, keep_partials
+from catalan_triangles.exact import binomial, harmonic, keep_partials
 from catalan_triangles.identities import evaluate_sides, get_identity, verify_identity
+from catalan_triangles.statements import compile_identity
 from catalan_triangles.triangles import _a_ext, _b_ext, _c_ext, catalan, seq_b
 
 REFERENCE = {
@@ -113,24 +114,24 @@ def test_one_parameter_sides_match_their_fraction_chains():
                 assert _side(key)(n=n) == REFERENCE[key](n=n), (key, n)
 
 
-def _rational_term(k, m, p):
-    # ints, integral Fractions and Fractions over assorted denominators
-    if (k + m) % 4 == 0:
-        return (k - p) * m
-    return Fraction((k * 7 + m - 3 * p) % 23 - 11, (k * m + p) % 9 + 1)
+def _running_lhs(statement, parameters=("m", "n", "p"), namespace=None):
+    return compile_identity(parameters, {} if namespace is None else namespace, statement)["lhs"]
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.tuples(st.integers(1, 5), st.integers(0, 3), st.integers(-2, 25)), min_size=1, max_size=50))
 def test_a_running_sum_of_fractions_matches_sum_in_any_order(calls):
-    rational = RunningSum(_rational_term, lambda m, p: p - 1)
+    # moving denominators, some terms integral, and a lower bound read from p
+    rational = _running_lhs("sum((7k+m-3p)/(k^2+m+p), k=p-1..n) == 0")
+    integral = _running_lhs("sum(7k+m-3p, k=p-1..n) == 0")
     with keep_partials():
         for m, p, n in calls:
-            got = rational(n, m, p)
-            terms = [_rational_term(k, m, p) for k in range(p - 1, n + 1)]
-            assert got == sum(terms, Fraction(0)), (m, p, n)
-            # an int exactly when every term has denominator 1
-            assert type(got) is (int if all(term.denominator == 1 for term in terms) else Fraction)
+            got, whole = rational(m=m, n=n, p=p), integral(m=m, n=n, p=p)
+            ks = range(p - 1, n + 1)
+            assert got == sum((Fraction(7 * k + m - 3 * p, k * k + m + p) for k in ks), Fraction(0)), (m, p, n)
+            assert whole == sum(7 * k + m - 3 * p for k in ks), (m, p, n)
+            # the compiled rule: an int exactly when the term's denominator is the literal 1
+            assert type(got) is Fraction and type(whole) is int
     assert _partials_left() is None
 
 
@@ -143,20 +144,25 @@ def test_running_sums_outside_a_sweep_sum_from_scratch():
 
 def test_a_partial_below_lo_is_never_extended():
     # terms below lo are not part of the sum even where they are non-zero
-    counted = RunningSum(lambda k, m: m, lambda m: 3)
+    counted = _running_lhs("sum(m, k=3..n) == 0", ("m", "n"))
     with keep_partials():
-        assert [counted(n, 2) for n in (1, 5, 2, 6, 6)] == [0, 6, 0, 8, 8]
+        assert [counted(m=2, n=n) for n in (1, 5, 2, 6, 6)] == [0, 6, 0, 8, 8]
 
 
 def test_perturbed_term_fails_every_cell_at_or_beyond_it():
     # a wrong term at k = 4 must stay in every later partial of a sweep,
-    # not just the cell that added it
+    # not just the cell that added it, cell by cell and along a line
     ident = get_identity("thm-linear-sum")
-    wrong = RunningSum(lambda k, m: _c_ext(m, k) + (k == 4), 0)
-    report = verify_identity(dataclasses.replace(ident, lhs=lambda m, n: wrong(n, m)), {"m": (2, 12), "n": (1, 12)})
-    failed = {tuple(value for _, value in mismatch.assignment) for mismatch in report.mismatches}
-    assert failed == {(m, n) for m in range(2, 13) for n in range(4, 13)}
-    assert all(mismatch.lhs - mismatch.rhs == 1 for mismatch in report.mismatches)
+    namespace = dict(vars(identities), _c_ext=lambda m, k: identities._c_ext(m, k) + (k == 4))
+    built = compile_identity(("m", "n"), namespace, ident.statement)
+    for wrong in (
+        dataclasses.replace(ident, lhs=built["lhs"]),
+        dataclasses.replace(ident, lhs=built["lhs"], rhs=built["rhs"], line=(built["lhs"], built["rhs"], built["line"])),
+    ):
+        report = verify_identity(wrong, {"m": (2, 12), "n": (1, 12)})
+        failed = {tuple(value for _, value in mismatch.assignment) for mismatch in report.mismatches}
+        assert failed == {(m, n) for m in range(2, 13) for n in range(4, 13)}
+        assert all(mismatch.lhs - mismatch.rhs == 1 for mismatch in report.mismatches)
 
 
 def test_partials_are_bounded_and_dropped_when_the_sweep_returns():

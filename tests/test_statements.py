@@ -301,6 +301,8 @@ def _descriptor(statement, constraint=None, names=("n",)):
         "sum(sum(k, k=1..j), j=1..n) == sum(sum(k, k=1..n), k=1..n)",  # shadows an outer variable
         "sum(k, H=1..n) == 0",  # shadows a function
         "sum(k, range=1..n) == 0",  # shadows what the generated code calls
+        "sum(z, k=0..n) == 0",  # an unknown name in a running sum
+        "sum(sum(w, k=0..n), w=0..2) + sum(w, k=0..n) == 0",  # a running sum used again where w is unknown
         "n == n extra",  # trailing text
         "n == n)",
         "n == n # + 1",
@@ -393,3 +395,30 @@ def test_import_compiles_nothing_and_a_lookup_compiles_only_its_identity():
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
     assert result.stdout == "thm-harmonic\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["scan", "b-cubes", "--p", "3", "--n", "1..6"],
+        ["scan", "a-cubes", "--p", "3", "--n", "1..6"],
+        ["scan", "mixed", "--n", "1..4", "--m", "1..4"],
+        ["seq", "c-row:12", "0", "13"],
+        ["value", "c", "6", "2"],
+        ["scan", "c-powers", "--p", "3", "--m", "2..6"],
+    ],
+    ids=" ".join,
+)
+def test_of_the_scans_only_c_powers_loads_the_compiler(argv):
+    # its dividend is a running sum compiled from text; the other scans, seq and value never compile
+    loaded = argv[:2] == ["scan", "c-powers"]
+    code = "\n".join([
+        "import contextlib, io, sys",
+        "from catalan_triangles import cli",
+        "with contextlib.redirect_stdout(io.StringIO()):",
+        "    assert cli.main(%r) == 0" % (argv,),
+        "print('catalan_triangles.statements' in sys.modules)",
+    ])
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "%s\n" % loaded
