@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 import os
+import sys
 import tempfile
 import time
 from dataclasses import dataclass, field
@@ -101,8 +102,9 @@ _CHECKPOINT_FIELDS = {
     "processed": _Field(lambda v: _int(v) and v >= 0, "a non-negative integer"),
     "counterexamples": _Field(lambda v: isinstance(v, list) and all(isinstance(x, dict) for x in v), "a list of objects"),
     "skipped_zero_divisor": _Field(lambda v: _int(v) and v >= 0, "a non-negative integer", 0),
-    "elapsed_ms": _Field(lambda v: (_int(v) or isinstance(v, float)) and v >= 0, "a non-negative number", 0.0,
-                         to_json=lambda ms: round(ms, 3)),
+    # a finite float: no Infinity or NaN token, and no integer that float arithmetic cannot add to
+    "elapsed_ms": _Field(lambda v: (_int(v) or isinstance(v, float)) and 0 <= v <= sys.float_info.max,
+                         "a finite non-negative number", 0.0, to_json=lambda ms: round(ms, 3)),
 }
 
 
@@ -216,16 +218,30 @@ def _divisibility_cells(variant: str, domain: dict[str, tuple[int, int]]) -> lis
 
 
 def _resume_index(cells: list[Cell], state: ScanState | None) -> int:
+    """Index in cells of the checkpoint's frontier, which its counts must agree with."""
     if state is None:
         return 0
     if state.frontier is None:
-        return len(cells)
-    try:
-        return cells.index(state.frontier)
-    except ValueError:
+        index = len(cells)
+    else:
+        try:
+            index = cells.index(state.frontier)
+        except ValueError:
+            raise CheckpointError(
+                "checkpoint frontier %r does not belong to the scan domain" % (state.frontier,)
+            ) from None
+    # every scan starts at the first cell of the domain, so the frontier fixes the count
+    if state.processed != index:
         raise CheckpointError(
-            "checkpoint frontier %r does not belong to the scan domain" % (state.frontier,)
-        ) from None
+            "checkpoint counts %d cells processed, but %d cells of the domain precede its frontier %r"
+            % (state.processed, index, state.frontier)
+        )
+    if state.skipped_zero_divisor + len(state.counterexamples) > state.processed:
+        raise CheckpointError(
+            "checkpoint counts %d zero-divisor cells and %d counterexamples in %d processed cells"
+            % (state.skipped_zero_divisor, len(state.counterexamples), state.processed)
+        )
+    return index
 
 
 def _run_scan(conjecture, p, domain, cells, checkpoint, max_cells, check) -> ScanState:
@@ -340,17 +356,18 @@ def reverify(state: ScanState, claim_fn: Callable[[Cell], DivisibilityClaim] | N
 def save_checkpoint(state: ScanState, destination: str | os.PathLike) -> None:
     """Atomically persist state as versioned JSON that survives a crash.
 
-    The document goes to a fresh temp file in the destination's directory,
-    is flushed and fsynced, and then renamed over the destination, so the
+    The document is one line of JSON: json.dumps without indent runs
+    CPython's C encoder, where json.dump or any indent runs the pure-Python
+    one.  It goes to a fresh temp file in the destination's directory, is
+    flushed and fsynced, and then renamed over the destination, so the
     destination holds either the old checkpoint or the whole new one.
     """
-    doc = state.to_dict()
+    text = json.dumps(state.to_dict(), allow_nan=False) + "\n"
     directory = os.path.dirname(os.path.abspath(destination))
     fd, tmp = tempfile.mkstemp(prefix=".checkpoint-", suffix=".tmp", dir=directory)
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, indent=2)
-            fh.write("\n")
+            fh.write(text)
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, destination)

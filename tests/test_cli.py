@@ -380,6 +380,47 @@ def test_scan_checkpoint_whose_counterexamples_do_not_recheck_exits_2(tmp_path, 
     assert path.read_bytes() == saved
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [("processed", "1000000"), ("processed", "2"), ("frontier", "null"), ("skipped_zero_divisor", "4"),
+     ("elapsed_ms", "1e999"), ("elapsed_ms", "Infinity"), ("elapsed_ms", "NaN")],
+)
+def test_scan_checkpoint_with_impossible_counts_or_time_exits_2(tmp_path, field, value):
+    # the frontier fixes how many cells were processed; the elapsed time is a finite number
+    path = tmp_path / "scan.json"
+    scan = ("scan", "c-powers", "--p", "3", "--m", "2..6", "--checkpoint", str(path))
+    assert run_cli(*scan, "--limit", "3").returncode == 0
+    doc = json.loads(path.read_text())
+    assert (doc["frontier"], doc["processed"]) == ([4, 1], 3)
+    doc[field] = "@"
+    path.write_text(json.dumps(doc).replace('"@"', value))
+    saved = path.read_bytes()
+    for args in ((), ("--format", "json")):
+        result = run_cli(*scan, *args)
+        assert result.returncode == 2
+        assert result.stdout == ""
+        assert "integrity error" in result.stderr
+        assert "Traceback" not in result.stderr
+        assert path.read_bytes() == saved
+
+
+def test_scan_resumes_from_an_indented_checkpoint(tmp_path, capsys):
+    # checkpoints written as indented JSON, before they became one line, resume to the same report
+    def run(*extra):
+        code = cli.main(["scan", "c-powers", "--p", "1", "--m", "2..9", *extra, "--format", "json", "--no-timing"])
+        return code, capsys.readouterr().out
+
+    whole = run()
+    path = tmp_path / "scan.json"
+    assert run("--limit", "10", "--checkpoint", str(path))[0] == 0
+    doc = json.loads(path.read_text())
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh, indent=2)
+        fh.write("\n")
+    assert run("--checkpoint", str(path)) == whole
+    assert path.read_text().count("\n") == 1
+
+
 def test_scan_checkpoint_in_a_missing_directory_exits_2_before_scanning(tmp_path, monkeypatch):
     def scanned(*args, **kwargs):
         raise AssertionError("scanned before the checkpoint directory was checked")

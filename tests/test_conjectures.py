@@ -1,6 +1,7 @@
 """Divisibility and mixed-cube scans: quotient cross-checks, checkpoint
 round-trips, resume determinism, and the engine's ability to fail."""
 
+import dataclasses
 import json
 import math
 import os
@@ -20,7 +21,7 @@ from catalan_triangles.conjectures import (
     scan_divisibility,
     scan_mixed,
 )
-from catalan_triangles.errors import DomainError, EmptyDomainError, IntegrityError, UsageError
+from catalan_triangles.errors import CheckpointError, DomainError, EmptyDomainError, IntegrityError, UsageError
 from catalan_triangles.identities import evaluate_sides
 from catalan_triangles.triangles import b_number, catalan, seq_a, seq_b
 
@@ -428,3 +429,85 @@ def test_checkpoint_key_order(tmp_path):
     assert list(json.loads(path.read_text())) == keys + ["elapsed_ms"]
     assert list(state.to_dict(include_timing=False)) == keys
     assert list(load_checkpoint(path).to_dict(include_timing=False)) == keys
+
+
+def _refuse_constant(token):
+    raise ValueError("non-finite number %s in a checkpoint" % token)
+
+
+def test_checkpoint_is_one_line_of_json(tmp_path):
+    state = _falsified_b_scan()
+    path = tmp_path / "scan.json"
+    save_checkpoint(state, path)
+    text = path.read_text()
+    assert text == json.dumps(state.to_dict(), allow_nan=False) + "\n"
+    assert text.count("\n") == 1
+    assert list(json.loads(text, parse_constant=_refuse_constant)) == ["version", *conjectures._CHECKPOINT_FIELDS]
+
+
+def test_checkpoint_in_the_indented_layout_loads(tmp_path):
+    # files written before checkpoints became one line of JSON still resume
+    state = _falsified_b_scan()
+    path = tmp_path / "scan.json"
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(state.to_dict(), fh, indent=2)
+        fh.write("\n")
+    assert load_checkpoint(path) == state
+
+
+def test_thousands_of_long_counterexamples_round_trip(tmp_path):
+    def plus_one(cell):
+        claim = divisibility_claim("c", 7, cell)
+        return DivisibilityClaim(claim.dividend + 1, claim.divisor, claim.parameters)
+
+    state = scan_divisibility("c", 7, m_range=(2, 120), claim_fn=plus_one)
+    assert len(state.counterexamples) >= 3000
+    assert max(len(record["dividend"]) for record in state.counterexamples) >= 200
+    path = tmp_path / "scan.json"
+    save_checkpoint(state, path)
+    assert load_checkpoint(path) == state
+    assert load_checkpoint(path).counterexamples == state.counterexamples
+
+
+def test_non_finite_state_is_never_written(tmp_path):
+    path = tmp_path / "scan.json"
+    with pytest.raises(ValueError):
+        save_checkpoint(ScanState("divisibility-b", 3, None, elapsed_ms=math.inf), path)
+    assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize(
+    "elapsed", ["1e999", "-1e999", "Infinity", "NaN", "1" + "0" * 400],
+    ids=["overflowing-float", "negative-overflow", "Infinity", "NaN", "401-digit-integer"],
+)
+def test_checkpoint_elapsed_time_must_be_finite(tmp_path, elapsed):
+    path = tmp_path / "scan.json"
+    save_checkpoint(scan_divisibility("b", 3, n_range=(1, 4)), path)
+    doc = json.loads(path.read_text())
+    doc["elapsed_ms"] = "@"
+    path.write_text(json.dumps(doc).replace('"@"', elapsed))
+    with pytest.raises(CheckpointError, match="'elapsed_ms' must be a finite non-negative number"):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize(
+    "counts",
+    [{"processed": 1000000}, {"processed": 2}, {"processed": 4}, {"processed": 0}, {"frontier": None},
+     {"frontier": (2, 1)}, {"skipped_zero_divisor": 4}],
+    ids=lambda counts: ",".join("%s=%s" % item for item in counts.items()),
+)
+def test_resume_rejects_counts_that_disagree_with_the_frontier(counts):
+    partial = scan_divisibility("c", 3, m_range=(2, 6), max_cells=3)
+    assert (partial.frontier, partial.processed) == ((4, 1), 3)
+    with pytest.raises(CheckpointError, match="checkpoint counts"):
+        scan_divisibility("c", 3, m_range=(2, 6), checkpoint=dataclasses.replace(partial, **counts))
+
+
+def test_resume_rejects_more_findings_than_processed_cells():
+    state = _falsified_b_scan()
+    room = state.processed - len(state.counterexamples)
+    full = dataclasses.replace(state, skipped_zero_divisor=room)
+    resume = dict(n_range=(1, 12), claim_fn=_off_by_one)
+    assert scan_divisibility("b", 3, checkpoint=full, **resume) == full
+    with pytest.raises(CheckpointError, match="counterexamples in 12 processed cells"):
+        scan_divisibility("b", 3, checkpoint=dataclasses.replace(full, skipped_zero_divisor=room + 1), **resume)
