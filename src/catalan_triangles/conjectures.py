@@ -5,6 +5,11 @@ of c(m,k)^p over k = 0..n; specialized to the b and a triangles the claimed
 factors are (n+1)/2 * catalan(n) and (n+1) * catalan(n).  Conjecture two is
 an exact closed form for sum(b(n,k)^2 * b(m,k), k=1..min(n,m)).
 
+The c claim and conjecture two are statement texts in the grammar of
+statements.py, compiled on first use through identities._compiled as the
+registered identities are; only the b and a claims, whose dividends run on
+the row kernel, are written by hand.
+
 Scans are evidence, not proof: a clean state means "no counterexample in the
 scanned domain", nothing more.  Every cell is checked in exact arithmetic;
 cells whose divisor is zero are counted separately, never silently skipped.
@@ -21,9 +26,11 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, NamedTuple
 
-from .errors import CheckpointError, DomainError, EmptyDomainError, UsageError
-from .exact import binomial, exact_div, keep_partials
-from .triangles import _b_ext, _c_ext, a_row, b_row, catalan
+from . import identities
+from .errors import CheckpointError, EmptyDomainError, UsageError
+from .exact import exact_div, keep_partials
+from .identities import IdentityDescriptor, Parameter
+from .triangles import a_row, b_row, catalan
 
 CHECKPOINT_VERSION = 2
 
@@ -115,26 +122,50 @@ def _cell_names(variant: str) -> tuple[str, ...]:
     return ("m", "n") if variant == "c" else ("n",)
 
 
-def _c_power_sums(m: int, n: int, p: int) -> int:
-    """sum(c(m,k)^p, k=0..n): on its first call, replaces itself with the running sum compiled from that text.
+# The scans' statements, unregistered: _compiled compiles each on its first use.
+_STATEMENTS: dict[str, IdentityDescriptor] = {}
 
-    A scan in cell order then raises n one term at a time; the compiled sum
-    reads _c_ext from this module at call time.
-    """
-    global _c_power_sums
-    from .statements import compile_identity
 
-    _c_power_sums = compile_identity(("m", "n", "p"), globals(), "sum(c(m,k)^p, k=0..n) == binomial(m-1,n)")["lhs"]
-    return _c_power_sums(m, n, p)
+def _statement(id: str, statement: str, parameters: str, constraint: str | None = None) -> None:
+    parameters = tuple(Parameter(name, 1) for name in parameters)
+    _STATEMENTS[id] = IdentityDescriptor(id, statement, parameters, constraint=constraint)
+
+
+_statement("divisibility-c", "sum(c(m,k)^p, k=0..n) == binomial(m-1,n)", "mnp")
+
+# conjecture two, split at min(n, m), the upper bound of its sums
+_statement(
+    "mixed-cube n<=m",
+    "sum(b(n,k)^2 * b(m,k), k=1..n) == binomial(2n,n)^2 * binomial(2m,m) / 2 * (1 - (n+2m) * sum(binomial(m+j,m) * binomial(n+j,n-1), j=0..n-1) / (n * binomial(n+m,n) * binomial(2n,n)))",
+    "nm",
+    "n <= m",
+)
+
+_statement(
+    "mixed-cube m<n",
+    "sum(b(n,k)^2 * b(m,k), k=1..m) == binomial(2n,n)^2 * binomial(2m,m) / 2 * (1 - (n+2m) * sum(binomial(n+j,n) * binomial(n+j,n-1), j=0..m-1) / (m * binomial(n+m,n) * binomial(n+m,n)))",
+    "nm",
+    "m < n",
+)
+
+
+def _compiled(id: str) -> IdentityDescriptor:
+    """The statement of that id, compiled on its first use as the registry compiles an identity."""
+    ident = _STATEMENTS[id] = identities._compiled(_STATEMENTS[id])
+    return ident
 
 
 def divisibility_claim(variant: str, p: int, cell: Cell) -> DivisibilityClaim:
-    """Dividend and claimed divisor at one cell of the chosen variant."""
+    """Dividend and claimed divisor at one cell of the chosen variant.
+
+    For c they are the two sides of the text sum(c(m,k)^p, k=0..n) ==
+    binomial(m-1,n), whose == only separates them.  Its dividend is a
+    running sum, so a scan in cell order adds one term per cell.
+    """
     if variant == "c":
         m, n = cell
-        dividend = _c_power_sums(m, n, p)
-        divisor = binomial(m - 1, n)
-        return DivisibilityClaim(dividend, divisor, (("m", m), ("n", n)))
+        claim = _compiled("divisibility-c")
+        return DivisibilityClaim(claim.lhs(m, n, p), claim.rhs(m, n, p), (("m", m), ("n", n)))
     if variant == "b":
         (n,) = cell
         dividend = sum(x ** p for x in b_row(n))
@@ -149,14 +180,13 @@ def divisibility_claim(variant: str, p: int, cell: Cell) -> DivisibilityClaim:
 
 
 def check_mixed_cube(n: int, m: int) -> tuple[Fraction, Fraction, bool]:
-    """Both sides of the mixed-cube identity at (n, m), and their equality."""
-    if n < 1 or m < 1:
-        raise DomainError("check_mixed_cube: n and m must be >= 1, got n=%d, m=%d" % (n, m))
-    r, s = min(n, m), max(n, m)
-    lhs = Fraction(sum(_b_ext(n, k) ** 2 * _b_ext(m, k) for k in range(1, r + 1)))
-    inner = sum(binomial(s + j, s) * binomial(n + j, n - 1) for j in range(r))
-    bracket = 1 - Fraction((n + 2 * m) * inner, r) / (binomial(n + m, n) * binomial(n + r, n))
-    rhs = Fraction(binomial(2 * n, n) ** 2 * binomial(2 * m, m), 2) * bracket
+    """Both sides of the mixed-cube identity at (n, m), as Fractions, and their equality.
+
+    The sides are those of conjecture two's statement for n <= m or for
+    m < n; n or m below 1 raises DomainError.
+    """
+    ident = _compiled("mixed-cube n<=m" if n <= m else "mixed-cube m<n")
+    lhs, rhs = identities.evaluate_sides(ident, {"n": n, "m": m})
     return lhs, rhs, lhs == rhs
 
 
@@ -188,9 +218,7 @@ def _mixed_check(cell: Cell) -> tuple[dict | None, bool]:
     """The cell check of conjecture two at cell (n, m)."""
     n, m = cell
     lhs, rhs, equal = check_mixed_cube(n, m)
-    if equal:
-        return None, False
-    return {"assignment": {"n": n, "m": m}, "lhs": str(lhs), "rhs": str(rhs)}, False
+    return None if equal else identities.Mismatch((("n", n), ("m", m)), lhs, rhs).to_dict(), False
 
 
 def _bounds(span: tuple[int, int], minimum: int) -> tuple[int, int]:
@@ -209,12 +237,29 @@ def _divisibility_domain(variant: str, m_range, n_range) -> dict[str, tuple[int,
     return {"n": _bounds(n_range, 1)}
 
 
-def _divisibility_cells(variant: str, domain: dict[str, tuple[int, int]]) -> list[Cell]:
+def _cells(conjecture: str, domain: dict[str, tuple[int, int]]) -> list[Cell]:
+    """The cells of domain in scan order, which is lexicographic: (m, n) with n < m for c, n, or (n, m) for mixed."""
     n_lo, n_hi = domain["n"]
-    if variant == "c":
+    if conjecture == "mixed-cube":
+        m_lo, m_hi = domain["m"]
+        return [(n, m) for n in range(n_lo, n_hi + 1) for m in range(m_lo, m_hi + 1)]
+    if conjecture == "divisibility-c":
         m_lo, m_hi = domain["m"]
         return [(m, n) for m in range(m_lo, m_hi + 1) for n in range(n_lo, min(n_hi, m - 1) + 1)]
     return [(n,) for n in range(n_lo, n_hi + 1)]
+
+
+def _processed(state: ScanState, names: tuple[str, ...], cell: Cell) -> bool:
+    """Whether the scan that wrote state checked cell: a cell of state.domain before state.frontier.
+
+    The domain clipped to the single cell has that cell as its one cell iff
+    the cell belongs to the domain; in lexicographic order the cells before
+    the frontier are those below it.
+    """
+    if state.domain is None or state.domain.keys() != set(names):
+        return False
+    point = {name: (max(state.domain[name][0], x), min(state.domain[name][1], x)) for name, x in zip(names, cell)}
+    return _cells(state.conjecture, point) == [cell] and (state.frontier is None or cell < state.frontier)
 
 
 def _resume_index(cells: list[Cell], state: ScanState | None) -> int:
@@ -309,9 +354,8 @@ def scan_divisibility(
         raise UsageError("exponent p must be an odd integer >= 1, got %r" % p)
     domain = _divisibility_domain(variant, m_range, n_range)
     check = _divisibility_check(variant, p, claim_fn)
-    return _run_scan(
-        "divisibility-" + variant, p, domain, _divisibility_cells(variant, domain), checkpoint, max_cells, check
-    )
+    conjecture = "divisibility-" + variant
+    return _run_scan(conjecture, p, domain, _cells(conjecture, domain), checkpoint, max_cells, check)
 
 
 def scan_mixed(
@@ -326,13 +370,17 @@ def scan_mixed(
     jobs is accepted for compatibility and has no effect: the scan is serial.
     """
     domain = {"n": _bounds(n_range, 1), "m": _bounds(m_range, 1)}
-    (n_lo, n_hi), (m_lo, m_hi) = domain["n"], domain["m"]
-    cells: list[Cell] = [(n, m) for n in range(n_lo, n_hi + 1) for m in range(m_lo, m_hi + 1)]
-    return _run_scan("mixed-cube", None, domain, cells, checkpoint, max_cells, _mixed_check)
+    return _run_scan("mixed-cube", None, domain, _cells("mixed-cube", domain), checkpoint, max_cells, _mixed_check)
 
 
 def reverify(state: ScanState, claim_fn: Callable[[Cell], DivisibilityClaim] | None = None) -> bool:
-    """Recompute every recorded counterexample; True iff each cell yields its record again."""
+    """Recompute every recorded counterexample; True iff each cell yields its record again.
+
+    Only a cell the scan processed is recomputed: a record at any other
+    cell, or any record of a state without a domain, makes it False at
+    once, since a forged cell may be outside every check's domain or
+    arbitrarily costly.
+    """
     if state.conjecture == "mixed-cube":
         names, check = ("n", "m"), _mixed_check
     elif state.conjecture.startswith("divisibility-"):
@@ -348,7 +396,7 @@ def reverify(state: ScanState, claim_fn: Callable[[Cell], DivisibilityClaim] | N
             if not isinstance(assignment, dict) or assignment.keys() != set(names):
                 return False
             cell = tuple(assignment[name] for name in names)
-            if not all(map(_int, cell)) or check(cell) != (record, False):
+            if not all(map(_int, cell)) or not _processed(state, names, cell) or check(cell) != (record, False):
                 return False
     return True
 

@@ -1,6 +1,7 @@
 """CLI behavior end to end: exact output bytes, exit-code discipline,
 format stability, and checkpointed scans."""
 
+import hashlib
 import json
 import math
 import os
@@ -14,12 +15,13 @@ from catalan_triangles.conjectures import load_checkpoint, scan_divisibility
 from catalan_triangles.identities import IdentityDescriptor, Parameter
 
 
-def run_cli(*args, env=None):
+def run_cli(*args, env=None, timeout=None):
     return subprocess.run(
         [sys.executable, "-m", "catalan_triangles", *args],
         capture_output=True,
         text=True,
         env=env,
+        timeout=timeout,
     )
 
 
@@ -378,6 +380,43 @@ def test_scan_checkpoint_whose_counterexamples_do_not_recheck_exits_2(tmp_path, 
     assert "do not re-check" in result.stderr
     assert "Traceback" not in result.stderr
     assert path.read_bytes() == saved
+
+
+@pytest.mark.parametrize(
+    "cell",
+    [{"m": 0, "n": 1}, {"m": 60000, "n": 30000}],
+    ids=["m-zero", "huge"],
+)
+def test_scan_checkpoint_with_a_record_at_a_cell_never_scanned_exits_2_at_once(tmp_path, cell):
+    # re-checking the record would divide by m = 0 (exit 3) or run for minutes
+    path = tmp_path / "c.json"
+    scan = ("scan", "c-powers", "--p", "3", "--m", "2..5", "--checkpoint", str(path))
+    assert run_cli(*scan, "--limit", "3").returncode == 0
+    doc = json.loads(path.read_text())
+    doc["counterexamples"] = [{"assignment": cell, "dividend": "1", "divisor": "1", "remainder": "1"}]
+    path.write_text(json.dumps(doc))
+    saved = path.read_bytes()
+    result = run_cli(*scan, timeout=60)
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert result.stderr.startswith("integrity error: ")
+    assert "Traceback" not in result.stderr
+    assert path.read_bytes() == saved
+
+
+@pytest.mark.parametrize(
+    "args, digest",
+    [
+        ((), "f07a64e9515ec39742c06ed45947f6803d0810ec1bd88cb3837421ee98f5969e"),
+        (("--format", "json"), "d48b379b543556b56d4f261ff11055c32f92d696f604e7b6cd961320eb71cbc7"),
+    ],
+    ids=["plain", "json"],
+)
+def test_scan_mixed_output_bytes_are_pinned(args, digest):
+    # recorded from the hand-written mixed-cube arithmetic the compiled statements replaced
+    result = run_cli("scan", "mixed", "--n", "1..40", "--m", "1..40", "--no-timing", *args)
+    assert result.returncode == 0
+    assert hashlib.sha256(result.stdout.encode()).hexdigest() == digest
 
 
 @pytest.mark.parametrize(

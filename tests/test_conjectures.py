@@ -8,6 +8,8 @@ import os
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from catalan_triangles import conjectures
 from catalan_triangles.conjectures import (
@@ -149,22 +151,31 @@ def test_mixed_cube_diagonal_reduces_to_cube_sum():
         assert lhs == cube_lhs == cube_rhs == rhs
 
 
-def test_mixed_cube_against_independent_brute_force():
-    for n in range(1, 11):
-        for m in range(1, 11):
-            r, s = min(n, m), max(n, m)
-            lhs_oracle = Fraction(
-                sum(b_number(n, k) ** 2 * b_number(m, k) for k in range(1, r + 1))
-            )
-            inner = sum(math.comb(s + j, s) * math.comb(n + j, n - 1) for j in range(r))
-            rhs_oracle = Fraction(math.comb(2 * n, n) ** 2 * math.comb(2 * m, m), 2) * (
-                1
-                - Fraction(n + 2 * m, r)
-                * Fraction(inner, math.comb(n + m, n) * math.comb(n + r, n))
-            )
-            lhs, rhs, equal = check_mixed_cube(n, m)
-            assert (lhs, rhs) == (lhs_oracle, rhs_oracle)
-            assert equal
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 60), st.integers(1, 60))
+@example(1, 1)
+@example(60, 60)
+@example(37, 37)  # the diagonal, where both statements' sums end at n = m
+@example(59, 60)  # just above it: n <= m
+@example(60, 59)  # just below it: m < n
+@example(1, 60)
+@example(60, 1)
+def test_mixed_cube_against_independent_brute_force(n, m):
+    r, s = min(n, m), max(n, m)
+    lhs_oracle = Fraction(
+        sum(b_number(n, k) ** 2 * b_number(m, k) for k in range(1, r + 1))
+    )
+    inner = sum(math.comb(s + j, s) * math.comb(n + j, n - 1) for j in range(r))
+    rhs_oracle = Fraction(math.comb(2 * n, n) ** 2 * math.comb(2 * m, m), 2) * (
+        1
+        - Fraction(n + 2 * m, r)
+        * Fraction(inner, math.comb(n + m, n) * math.comb(n + r, n))
+    )
+    lhs, rhs, equal = check_mixed_cube(n, m)
+    assert type(lhs) is type(rhs) is Fraction
+    assert (lhs, rhs) == (lhs_oracle, rhs_oracle)
+    assert (str(lhs), str(rhs)) == (str(lhs_oracle), str(rhs_oracle))
+    assert equal
 
 
 def test_scan_mixed_clean():
@@ -364,10 +375,52 @@ def _falsified_b_scan():
 
 
 def _edited(state, edit):
-    """state with its first counterexample record edited."""
+    """state with its first counterexample record edited; its domain, frontier and counts are kept."""
     record = json.loads(json.dumps(state.counterexamples[0]))
     edit(record)
-    return ScanState(state.conjecture, state.p, None, state.processed, [record] + state.counterexamples[1:])
+    return dataclasses.replace(state, counterexamples=[record] + state.counterexamples[1:])
+
+
+def test_an_unedited_record_rechecks():
+    # the control of the edited-record cases: only the edit makes them fail
+    state = _falsified_b_scan()
+    assert reverify(_edited(state, lambda record: None), claim_fn=_off_by_one) is True
+
+
+def _c_scan_with_a_record_at(assignment):
+    state = scan_divisibility("c", 3, m_range=(2, 5), max_cells=3)
+    assert (state.domain, state.frontier) == ({"m": (2, 5), "n": (1, 4)}, (4, 1))
+    record = {"assignment": assignment, "dividend": "1", "divisor": "1", "remainder": "1"}
+    return dataclasses.replace(state, counterexamples=[record])
+
+
+@pytest.mark.parametrize(
+    "assignment",
+    [
+        {"m": 0, "n": 1},  # c(0, k) divides by m = 0
+        {"m": 60000, "n": 30000},  # would take minutes
+        {"m": 6, "n": 1},  # past the domain's m bound
+        {"m": 3, "n": 3},  # in the box, but n < m fails
+        {"m": 4, "n": 1},  # the frontier: not processed yet
+        {"m": 4, "n": 2},  # after the frontier
+    ],
+    ids=["m-zero", "huge", "outside-m", "n-not-below-m", "at-frontier", "after-frontier"],
+)
+def test_reverify_evaluates_no_record_at_a_cell_the_scan_never_processed(monkeypatch, assignment):
+    def evaluated(*args):
+        raise AssertionError("evaluated a cell the scan never processed")
+
+    state = _c_scan_with_a_record_at(assignment)
+    monkeypatch.setattr(conjectures, "divisibility_claim", evaluated)
+    assert reverify(state) is False
+
+
+def test_a_state_without_a_domain_vouches_for_no_record(monkeypatch):
+    mixed = scan_mixed((1, 3), (1, 3), max_cells=4)
+    true_record = {"assignment": {"n": 1, "m": 2}, "lhs": "1", "rhs": "2"}
+    monkeypatch.setattr(conjectures, "check_mixed_cube", lambda n, m: (Fraction(1), Fraction(2), False))
+    assert reverify(dataclasses.replace(mixed, counterexamples=[true_record])) is True
+    assert reverify(dataclasses.replace(mixed, counterexamples=[true_record], domain=None)) is False
 
 
 def test_reverify_rejects_a_record_whose_divisor_is_now_zero():
@@ -416,6 +469,7 @@ def test_reverify_rejects_an_edited_mixed_cube_record(monkeypatch):
     state = scan_mixed((1, 3), (1, 3))
     assert len(state.counterexamples) == 9
     assert reverify(state)
+    assert reverify(_edited(state, lambda record: None))
     assert not reverify(_edited(state, lambda record: record.update(lhs=str(Fraction(record["lhs"]) + 1))))
     monkeypatch.undo()
     assert not reverify(state)
