@@ -62,8 +62,9 @@ def _cmd_value(args) -> int:
 
 
 def _cli_ranges(args, ident) -> dict[str, tuple[int, int]]:
+    """The given range flags: all of them for one id, so one it cannot use exits 2; for all, those ident has."""
     flags = {"m": args.m, "n": args.n, "k": args.k, "i": args.i}
-    names = ident.parameter_names()
+    names = ident.parameter_names() if args.identity == "all" else flags
     return {name: span for name, span in flags.items() if span is not None and name in names}
 
 

@@ -27,7 +27,7 @@ from fractions import Fraction
 from typing import Callable, NamedTuple
 
 from . import identities
-from .errors import CheckpointError, EmptyDomainError, UsageError
+from .errors import CheckpointError, DomainError, EmptyDomainError, UsageError
 from .exact import exact_div, keep_partials
 from .identities import IdentityDescriptor, Parameter
 from .triangles import a_row, b_row, catalan
@@ -164,6 +164,8 @@ def divisibility_claim(variant: str, p: int, cell: Cell) -> DivisibilityClaim:
     """
     if variant == "c":
         m, n = cell
+        if m < 1:
+            raise DomainError("divisibility_claim: m must be >= 1, got %d" % m)
         claim = _compiled("divisibility-c")
         return DivisibilityClaim(claim.lhs(m, n, p), claim.rhs(m, n, p), (("m", m), ("n", n)))
     if variant == "b":
@@ -232,6 +234,8 @@ def _divisibility_domain(variant: str, m_range, n_range) -> dict[str, tuple[int,
             raise UsageError("variant c needs an m range")
         m = _bounds(m_range, 2)
         return {"m": m, "n": (1, m[1] - 1) if n_range is None else _bounds(n_range, 1)}
+    if m_range is not None:
+        raise UsageError("variant %s takes no m range; drop --m" % variant)
     if n_range is None:
         raise UsageError("variant %s needs an n range" % variant)
     return {"n": _bounds(n_range, 1)}

@@ -10,8 +10,8 @@ from __future__ import annotations
 import threading
 from contextlib import contextmanager
 from fractions import Fraction
-from itertools import accumulate, repeat
-from math import comb, lcm, prod
+from itertools import repeat
+from math import comb, prod
 from typing import Iterator
 
 from .errors import DomainError, IntegrityError
@@ -89,18 +89,6 @@ def harmonic(n: int) -> Fraction:
                 k = len(_harmonic_cache)
                 _harmonic_cache.append(_harmonic_cache[-1] + Fraction(1, k))
     return _harmonic_cache[n]
-
-
-def harmonic_numerators(n: int) -> tuple[int, list[int]]:
-    """(L, [L*H(0), L*H(1), ..., L*H(n)]) with L = lcm(1..n) and H(0) = 0.
-
-    Every L*H(k) for k <= n is an integer, so a sum weighted by harmonic
-    numbers up to n is one integer sum over the single denominator L.
-    """
-    if n < 0:
-        raise DomainError("harmonic_numerators: n must be >= 0, got %d" % n)
-    scale = lcm(*range(1, n + 1))
-    return scale, list(accumulate((scale // j for j in range(1, n + 1)), initial=0))
 
 
 # Partials of the running sums, per thread; None outside keep_partials().

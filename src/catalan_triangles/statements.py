@@ -17,12 +17,10 @@ term is a generator sum.  Every other sum runs one loop that keeps an
 integer numerator over the lcm of the term denominators seen so far; for
 a running sum the loop is a factory-level function _rsN(hi, *fixed) that
 keeps its (next k, numerator, denominator) in exact.partials(), so a
-sweep that raises the bound adds one term per cell.
-H(x) is harmonic(x) as a pair, except inside a plain sum over v where x is
-v times an integer plus terms free of v: there it reads
-exact.harmonic_numerators, one integer dot product over the lcm.  The
-generated code looks up _c_ext, binomial, harmonic and the other functions
-in the namespace it is given, at call time.
+sweep that raises the bound adds one term per cell.  H(x) is the pair of
+harmonic(x) everywhere, inside a sum or not.  The generated code looks up
+_c_ext, binomial, harmonic and the other functions in the namespace it is
+given, at call time.
 
 A statement also compiles into a line function over its last parameter x:
 line(<the other parameters>, xs) runs both sides for every x in xs
@@ -36,15 +34,14 @@ pairs; a zero denominator raises ZeroDivisionError.
 from __future__ import annotations
 
 import ast
-import copy
 import keyword
 import re
 from fractions import Fraction
 from math import lcm
 from typing import Callable, NamedTuple
 
-from .errors import DomainError, UsageError
-from .exact import harmonic_numerators, partials
+from .errors import UsageError
+from .exact import partials
 
 # statement name -> (name the generated code calls, arity)
 FUNCTIONS = {
@@ -60,24 +57,11 @@ FUNCTIONS = {
 }
 # Names a parameter or a summation variable may not take: they would shadow
 # what the generated code calls.
-_RESERVED = {*FUNCTIONS, *(target for target, _ in FUNCTIONS.values()), "sum", "range", "Fraction", "harmonic_table"}
+_RESERVED = {*FUNCTIONS, *(target for target, _ in FUNCTIONS.values()), "sum", "range", "Fraction"}
 _COMPARISONS = {ast.Lt: "<", ast.LtE: "<=", ast.Gt: ">", ast.GtE: ">="}
 _CHARACTERS = frozenset("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_ \t\n+-*/^().,=<>")
 _PRODUCT = re.compile(r"\b(\d+)(?=[A-Za-z_(])")  # 2n -> 2*n, 3(n+1) -> 3*(n+1)
 _RANGE = re.compile(r",\s*([A-Za-z_]\w*)\s*=(?!=)(.*?)\.\.")  # , v=lo.. -> , v, lo,
-
-
-def harmonic_table(lo: int, hi: int, *ends: int) -> tuple[int, list[int]]:
-    """exact.harmonic_numerators up to the largest H argument of a sum over lo..hi.
-
-    ends are the arguments at v = lo and v = hi; each argument is v times an
-    integer plus terms free of v, so they bound every argument the sum reaches.
-    """
-    if lo > hi:
-        return 1, []
-    if min(ends) < 1:
-        raise DomainError("harmonic: n must be >= 1, got %d" % min(ends))
-    return harmonic_numerators(max(ends))
 
 
 def _parse(text: str) -> ast.expr:
@@ -125,14 +109,6 @@ def _slope(node: ast.AST, var: str) -> int | None:
     return None
 
 
-def _substitute(node: ast.AST, var: str, value: ast.AST) -> ast.AST:
-    class Substitute(ast.NodeTransformer):
-        def visit_Name(self, name):
-            return value if name.id == var else name
-
-    return Substitute().visit(copy.deepcopy(node))
-
-
 def _mul(x: str, y: str) -> str:
     return y if x == "1" else x if y == "1" else "(%s*%s)" % (x, y)
 
@@ -152,15 +128,11 @@ class _Q(NamedTuple):
 class _Scope:
     """One generated function body: a side, or the term of a sum."""
 
-    def __init__(self, names, var=None, plain=False, x=None):
+    def __init__(self, names, x=None):
         self.names = frozenset(names)  # the statement names it can read
-        self.var = var  # the summation variable of a term
-        self.plain = plain  # the term of a plain sum, which may read a harmonic table
         self.x = x  # the line variable of a side in a line function
         self.lines: list[str] = []  # statements that run before the returned expression
         self.init: list[str] = []  # statements a line function runs once per line
-        self.harmonic_args: list[ast.AST] = []  # H arguments read from the table
-        self.table: tuple[str, str] | None = None  # names of lcm and numerators
 
 
 class _Compiler:
@@ -241,11 +213,6 @@ class _Compiler:
 
     def harmonic(self, arg: ast.AST, scope: _Scope) -> _Q:
         x = self.integer(arg, scope, "the argument of H")
-        if scope.plain and _slope(arg, scope.var) is not None:
-            if scope.table is None:
-                scope.table = (self.fresh("lcm"), self.fresh("hn"))
-            scope.harmonic_args.append(arg)
-            return _Q("%s[%s]" % (scope.table[1], x), scope.table[0])
         p, q = self.fresh("p"), self.fresh("q")
         scope.lines.append("%s, %s = harmonic(%s).as_integer_ratio()" % (p, q, x))
         return _Q(p, q, _free(arg))
@@ -294,15 +261,8 @@ class _Compiler:
         start = _Scope(scope.names) if along else scope
         lo_code = self.integer(lo, start, "a lower bound")
         hi_code = self.integer(hi, scope, "an upper bound")
-        inner = _Scope(scope.names | {v}, v, plain=not along)
+        inner = _Scope(scope.names | {v})
         q = self.expr(term, inner)
-        if inner.table is not None:
-            ends = [
-                self.integer(_substitute(arg, v, end), scope, "the argument of H")
-                for arg in inner.harmonic_args
-                for end in (lo, hi)
-            ]
-            scope.lines.append("%s, %s = harmonic_table(%s, %s, %s)" % (*inner.table, lo_code, hi_code, ", ".join(ends)))
         if not along and not inner.lines and v not in q.dvars:
             return _Q("sum(%s for %s in range(%s, %s + 1))" % (q.num, v, lo_code, hi_code), q.den, q.dvars)
         k, num, den, code, total = self.loop(node, inner, q, self.local(hi_code, scope))
@@ -320,7 +280,7 @@ class _Compiler:
         if tree not in self.running:
             term, var, lo, _ = node.args
             rs = self.fresh("rs")
-            start, inner = _Scope(scope.names), _Scope(scope.names | {var.id}, var.id)
+            start, inner = _Scope(scope.names), _Scope(scope.names | {var.id})
             lo_code = self.integer(lo, start, "a lower bound")
             k, num, den, code, total = self.loop(node, inner, self.expr(term, inner), "_hi")
             key = "(%s)" % ", ".join((rs,) + fixed) if fixed else rs
@@ -404,9 +364,9 @@ def compile_identity(
             raise UsageError("a constraint is a chain of comparisons, got %r" % constraint)
         functions["constraint"] = compiler.test("constraint", tree)
     returned = "return {%s}" % ", ".join("%r: %s" % (name, name) for name in functions)
-    source = "def _build(Fraction, harmonic_table, _lcm, _partials):\n%s\n" % _indent(
+    source = "def _build(Fraction, _lcm, _partials):\n%s\n" % _indent(
         compiler.defs + list(functions.values()) + [returned]
     )
     scope: dict = {}
     exec(compile(source, "<statement>", "exec"), namespace, scope)
-    return scope["_build"](Fraction, harmonic_table, lcm, partials)
+    return scope["_build"](Fraction, lcm, partials)

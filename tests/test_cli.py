@@ -190,6 +190,31 @@ def test_scan_mixed_rejects_exponent():
     assert run_cli("scan", "mixed", "--p", "3", "--n", "1..4", "--m", "1..4").returncode == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "cor-alt-B", "--m", "2..3"],
+        ["verify", "thm-linear-sum", "--k", "1..3"],
+        ["scan", "b-cubes", "--p", "3", "--n", "1..5", "--m", "2..9"],
+        ["scan", "a-cubes", "--p", "3", "--n", "1..5", "--m", "2..9"],
+    ],
+    ids=" ".join,
+)
+def test_a_range_flag_the_request_cannot_use_exits_2(argv):
+    result = run_cli(*argv)
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert "error" in result.stderr
+
+
+def test_verify_all_applies_each_range_flag_only_where_it_fits():
+    result = run_cli("verify", "all", "--m", "2..3", "--max", "4", "--format", "json", "--no-timing")
+    assert result.returncode == 0
+    by_id = {report["identity"]: report for report in json.loads(result.stdout)}
+    assert by_id["thm-linear-sum"]["domain"]["m"] == [2, 3]
+    assert by_id["cor-alt-B"]["domain"] == {"n": [1, 4]}
+
+
 def test_scan_missing_range_exits_2():
     assert run_cli("scan", "b-cubes", "--p", "3").returncode == 2
 

@@ -58,6 +58,13 @@ def test_c_quotients_at_exponent_three_match_cube_closed_form():
             assert claim.dividend // claim.divisor == 4 * claim.divisor**2 - 3 * inner
 
 
+@pytest.mark.parametrize("variant, cell", [("c", (0, 1)), ("c", (0, 5)), ("b", (0,)), ("a", (0,))])
+def test_a_claim_below_its_first_row_raises_domain_error(variant, cell):
+    # a bad request, not an internal fault: c at m = 0 would otherwise divide by binomial(-1, n) = 0
+    with pytest.raises(DomainError):
+        divisibility_claim(variant, 3, cell)
+
+
 def test_b_quotients_at_exponent_three_are_seq_b():
     state = scan_divisibility("b", 3, n_range=(1, 40))
     assert not state.counterexamples

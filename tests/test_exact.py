@@ -1,6 +1,5 @@
-"""Core arithmetic: binomials with the zero convention, harmonic numbers,
-exact division, and running sums.  math.comb is the independent oracle
-throughout."""
+"""Core arithmetic: binomials with the zero convention, harmonic numbers
+and exact division.  math.comb is the independent oracle throughout."""
 
 import math
 import threading
@@ -11,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from catalan_triangles.errors import DomainError, IntegrityError
-from catalan_triangles.exact import binomial, exact_div, harmonic, harmonic_numerators
+from catalan_triangles.exact import binomial, exact_div, harmonic
 
 
 def comb_oracle(u, v):
@@ -112,19 +111,6 @@ def test_harmonic_difference_is_unit_fraction():
 def test_harmonic_domain(n):
     with pytest.raises(DomainError):
         harmonic(n)
-
-
-def test_harmonic_numerators_against_harmonic():
-    for n in range(0, 120):
-        scale, scaled = harmonic_numerators(n)
-        assert scale == math.lcm(*range(1, n + 1))
-        assert len(scaled) == n + 1 and scaled[0] == 0
-        assert all(Fraction(scaled[k], scale) == harmonic(k) for k in range(1, n + 1))
-
-
-def test_harmonic_numerators_domain():
-    with pytest.raises(DomainError):
-        harmonic_numerators(-1)
 
 
 def test_binomial_concurrent_consistency():

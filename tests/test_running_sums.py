@@ -3,8 +3,8 @@
 The references below are the from-scratch expressions each running-sum side
 had before it became a compiled running sum, and the Fraction chains each rational
 side had before it became one quotient (a harmonic-weighted sum: one integer
-sum over lcm(1..n)); a sweep or scan that keeps partials must agree with
-them at every cell, in any call order."""
+numerator over the lcm of its term denominators); a sweep or scan that keeps
+partials must agree with them at every cell, in any call order."""
 
 import dataclasses
 from fractions import Fraction

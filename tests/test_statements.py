@@ -79,19 +79,18 @@ def naive(side: str, cell: dict) -> Fraction:
     return Fraction(eval(_python(side), {**NAIVE, **{name: Fraction(value) for name, value in cell.items()}}))
 
 
-# Statements that take the compiler's other paths: H outside a table (its
-# argument not the variable times an integer plus terms free of it, or in a
-# running sum), terms whose denominator moves with the
-# variable, sums inside sums, several H tables, empty ranges, and running
-# sums a line function cannot keep as accumulators.  Only each side's value
-# is checked, not the equation.
+# Statements that take the compiler's other paths: H of a square, of a
+# product and of a difference, H in a running sum, terms whose denominator
+# moves with the variable, sums inside sums, several H-weighted sums in one
+# side, empty ranges, and running sums a line function cannot keep as
+# accumulators.  Only each side's value is checked, not the equation.
 PATHS = [
     ("path-h-square", "sum(H(k^2) / k, k=1..n) == sum(sum(1/j, j=1..k), k=1..n)", [("n", 1)]),
     ("path-h-pair", "sum(H(n-k) * H(k), k=1..n-1) == H(n)^2 - sum(1/k^2, k=1..n) + H(2n)", [("n", 1)]),
     ("path-running-h", "sum(c(m,k) * H(m), k=0..n) + 1/(m+1) == m * sum(H(k+m)/(k+1), k=0..n)", [("m", 1), ("n", 1)]),
     ("path-nested", "sum(sum(binomial(j,k), j=k..n), k=0..n) == 2^(n+1) - 1 + -catalan(n)/(n+1)^2", [("n", 0)]),
     ("path-table-twice", "sum(H(k)*b(n,k), k=1..n) - sum(H(k+1), k=0..n-1) == (2n+1)/(n+2) * H(n+1)", [("n", 1)]),
-    # true; one plain sum reads H(n*k) through harmonic() and H(2k) from a table
+    # true; one plain sum reads both H(n*k) and H(2k), each of which the right side sums alone
     ("path-h-coefficient", "sum(H(n*k) + H(2k), k=1..n) == sum(H(2k), k=1..n) + sum(H(n*j), j=1..n)", [("n", 1)]),
     # true, with running sums whose bounds fall, climb two at a time, or run
     # along the line of n while the term reads n
@@ -409,7 +408,7 @@ def test_import_compiles_nothing_and_a_lookup_compiles_only_its_identity():
     ],
     ids=" ".join,
 )
-def test_of_the_scans_only_c_powers_loads_the_compiler(argv):
+def test_only_the_c_and_mixed_scans_load_the_compiler(argv):
     # the b and a scans, seq and value never load the compiler: the b and a claims run on the row kernel,
     # while the c claim and conjecture two are compiled from their texts
     loaded = argv[:2] in (["scan", "c-powers"], ["scan", "mixed"])
