@@ -3,7 +3,8 @@
 Exit codes are never conflated: 0 means every check passed, 1 means a
 mathematical mismatch or counterexample was found, 2 means the request
 itself was bad (a bad checkpoint included), 3 means an internal error,
-such as a failed exactness check.  All output is deterministic;
+such as a failed exactness check, and 141 (128 + SIGPIPE) means the
+reader closed stdout before the output ended.  All output is deterministic;
 timing fields can be dropped with --no-timing so that runs diff cleanly.
 """
 
@@ -22,6 +23,7 @@ EXIT_OK = 0
 EXIT_FINDING = 1
 EXIT_USAGE = 2
 EXIT_INTERNAL = 3
+EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, as a shell reports a writer killed by a closed pipe
 
 
 def _span(text: str) -> tuple[int, int]:
@@ -287,7 +289,13 @@ def main(argv=None) -> int:
         sys.set_int_max_str_digits(0)
     args = _build_parser().parse_args(argv)
     try:
-        return args.handler(args)
+        code = args.handler(args)
+        sys.stdout.flush()  # here, so that a closed pipe raises inside the try
+        return code
+    except BrokenPipeError:
+        # the reader has gone (`| head`); the rest of the output goes to devnull, so the flush at exit cannot raise
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
     except (UsageError, DomainError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_USAGE

@@ -11,24 +11,26 @@ Each side becomes generated Python code that keeps every value as an
 integer pair (numerator, denominator) and builds at most one Fraction, in
 its return; an int is returned when the denominator is the literal 1.  A
 sum whose upper bound uses a name its term does not is a running sum; any
-other is a plain sum.  A denominator free of a sum's variable is moved out
-of the sum, and a plain sum of integers with nothing to compute before its
-term is a generator sum.  Every other sum runs one loop that keeps an
-integer numerator over the lcm of the term denominators seen so far; for
-a running sum the loop is a factory-level function _rsN(hi, *fixed) that
-keeps its (next k, numerator, denominator) in exact.partials(), so a
-sweep that raises the bound adds one term per cell.  H(x) is the pair of
-harmonic(x) everywhere, inside a sum or not.  The generated code looks up
-_c_ext, binomial, harmonic and the other functions in the namespace it is
-given, at call time.
+other is a plain sum.  Every sum runs one loop, which adds integers when
+the term's denominator is the literal 1 and otherwise keeps an integer
+numerator over the lcm of the term denominators seen so far; for a
+running sum the loop is a factory-level function _rsN(hi, *fixed), one
+per running sum of the text, that keeps its (next k, numerator,
+denominator) in exact.partials(), so a sweep that raises the bound adds
+one term per cell.  H(x) is the pair of harmonic(x) everywhere, inside a
+sum or not.  An exponent that is not an integer literal raises
+DomainError when it evaluates below 0, before the power is taken.  The
+generated code looks up _c_ext, binomial, harmonic and the other
+functions in the namespace it is given, at call time.
 
 A statement also compiles into a line function over its last parameter x:
 line(<the other parameters>, xs) runs both sides for every x in xs
 (increasing) in one loop and returns the positions in xs where they
-differ.  A running sum at the top of a side whose upper bound is x + c,
-and whose other names and lower bound do not use x, runs the same loop on
-locals set up once per line.  The sides are compared as cross-multiplied
-pairs; a zero denominator raises ZeroDivisionError.
+differ.  A running sum at the top of a side whose upper bound is x + c
+(x with terms free of x added or subtracted), and whose other names and
+lower bound do not use x, runs the same loop on locals set up once per
+line.  The sides are compared as cross-multiplied pairs; a zero
+denominator raises ZeroDivisionError.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Callable, NamedTuple
 
-from .errors import UsageError
+from .errors import DomainError, UsageError
 from .exact import partials
 
 # statement name -> (name the generated code calls, arity)
@@ -57,7 +59,7 @@ FUNCTIONS = {
 }
 # Names a parameter or a summation variable may not take: they would shadow
 # what the generated code calls.
-_RESERVED = {*FUNCTIONS, *(target for target, _ in FUNCTIONS.values()), "sum", "range", "Fraction"}
+_RESERVED = {*FUNCTIONS, *(target for target, _ in FUNCTIONS.values()), "sum", "range", "Fraction", "DomainError"}
 _COMPARISONS = {ast.Lt: "<", ast.LtE: "<=", ast.Gt: ">", ast.GtE: ">="}
 _CHARACTERS = frozenset("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_ \t\n+-*/^().,=<>")
 _PRODUCT = re.compile(r"\b(\d+)(?=[A-Za-z_(])")  # 2n -> 2*n, 3(n+1) -> 3*(n+1)
@@ -89,24 +91,14 @@ def _free(node: ast.AST) -> frozenset[str]:
     return frozenset().union(*map(_free, ast.iter_child_nodes(node)))
 
 
-def _slope(node: ast.AST, var: str) -> int | None:
-    """The integer c with node = c*var + (terms free of var), or None if there is none."""
-    if var not in _free(node):
-        return 0
-    if isinstance(node, ast.Name):
-        return 1
-    if isinstance(node, ast.UnaryOp):
-        s = _slope(node.operand, var)
-        return s if s is None or isinstance(node.op, ast.UAdd) else -s
-    if isinstance(node, ast.BinOp) and isinstance(node.op, (ast.Add, ast.Sub)):
-        s, t = _slope(node.left, var), _slope(node.right, var)
-        return None if s is None or t is None else s + t if isinstance(node.op, ast.Add) else s - t
-    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult):
-        for c, x in ((node.left, node.right), (node.right, node.left)):
-            if isinstance(c, ast.Constant) and type(c.value) is int:
-                s = _slope(x, var)
-                return None if s is None else c.value * s
-    return None
+def _along(hi: ast.AST, x: str) -> bool:
+    """Whether hi is x + c: x itself, or y + e, e + y or y - e with y of that form and e free of x."""
+    if getattr(hi, "id", None) == x:
+        return True
+    if not (isinstance(hi, ast.BinOp) and isinstance(hi.op, (ast.Add, ast.Sub))):
+        return False
+    pairs = ((hi.left, hi.right), (hi.right, hi.left)) if isinstance(hi.op, ast.Add) else ((hi.left, hi.right),)
+    return any(x not in _free(e) and _along(y, x) for y, e in pairs)
 
 
 def _mul(x: str, y: str) -> str:
@@ -118,11 +110,10 @@ def _indent(lines: list[str]) -> str:
 
 
 class _Q(NamedTuple):
-    """A compiled node: integer expressions num and den ("1" for an integer), and the names den depends on."""
+    """A compiled node: integer expressions num and den ("1" for an integer)."""
 
     num: str
     den: str = "1"
-    dvars: frozenset[str] = frozenset()
 
 
 class _Scope:
@@ -144,8 +135,6 @@ class _Compiler:
             raise UsageError("parameter names %s repeat" % (parameters,))
         self.parameters = parameters
         self.defs: list[str] = []  # factory-level code: the running-sum functions
-        # ast.dump of a running sum -> (its function, its den or None for the returned one, dvars), shared by every use
-        self.running: dict[str, tuple[str, str | None, frozenset[str]]] = {}
         self.count = 0
 
     def fresh(self, stem: str) -> str:
@@ -175,7 +164,7 @@ class _Compiler:
             return _Q(node.id)
         if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.UAdd, ast.USub)):
             q = self.expr(node.operand, scope)
-            return q if isinstance(node.op, ast.UAdd) else _Q("(-%s)" % q.num, q.den, q.dvars)
+            return q if isinstance(node.op, ast.UAdd) else _Q("(-%s)" % q.num, q.den)
         if isinstance(node, ast.BinOp) and isinstance(node.op, (ast.Add, ast.Sub, ast.Mult, ast.Div, ast.Pow)):
             return self.binop(node, scope)
         if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and not node.keywords:
@@ -196,40 +185,42 @@ class _Compiler:
         a = self.expr(node.left, scope)
         if isinstance(node.op, ast.Pow):
             e = self.integer(node.right, scope, "an exponent")
-            dvars = a.dvars | _free(node.right) if a.den != "1" else a.dvars
-            return _Q("(%s**%s)" % (a.num, e), "1" if a.den == "1" else "(%s**%s)" % (a.den, e), dvars)
+            if not isinstance(node.right, ast.Constant):  # a literal is never negative: -1 is a UnaryOp
+                e = self.local(e, scope)
+                error = "exponent %s is %%d, below 0" % ast.unparse(node.right)
+                scope.lines.append("if %s < 0:\n    raise DomainError(%r %% %s)" % (e, error, e))
+            return _Q("(%s**%s)" % (a.num, e), "1" if a.den == "1" else "(%s**%s)" % (a.den, e))
         b = self.expr(node.right, scope)
         if isinstance(node.op, ast.Mult):
-            return _Q(_mul(a.num, b.num), _mul(a.den, b.den), a.dvars | b.dvars)
+            return _Q(_mul(a.num, b.num), _mul(a.den, b.den))
         if isinstance(node.op, ast.Div):
-            return _Q(_mul(a.num, b.den), _mul(a.den, b.num), a.dvars | _free(node.right))
+            return _Q(_mul(a.num, b.den), _mul(a.den, b.num))
         sign = "+" if isinstance(node.op, ast.Add) else "-"
         if a.den == b.den:
-            return _Q("(%s %s %s)" % (a.num, sign, b.num), a.den, a.dvars | b.dvars)
+            return _Q("(%s %s %s)" % (a.num, sign, b.num), a.den)
         # each denominator is read twice, so a compound one is computed once
         a_den, b_den = self.local(a.den, scope), self.local(b.den, scope)
         num = "(%s %s %s)" % (_mul(a.num, b_den), sign, _mul(b.num, a_den))
-        return _Q(num, _mul(a_den, b_den), a.dvars | b.dvars)
+        return _Q(num, _mul(a_den, b_den))
 
     def harmonic(self, arg: ast.AST, scope: _Scope) -> _Q:
         x = self.integer(arg, scope, "the argument of H")
         p, q = self.fresh("p"), self.fresh("q")
         scope.lines.append("%s, %s = harmonic(%s).as_integer_ratio()" % (p, q, x))
-        return _Q(p, q, _free(arg))
+        return _Q(p, q)
 
-    def loop(self, node: ast.Call, inner: _Scope, q: _Q, bound: str) -> tuple[str, str, str, str, _Q]:
+    def loop(self, v: str, inner: _Scope, q: _Q, bound: str) -> tuple[str, str, str, str, _Q]:
         """(k, num, den, code, sum): code adds term q for v = k..bound to num/den, set by the caller.
 
-        num is an integer sum when the term's denominator is 1, or free of v
-        with nothing computed before the term; otherwise it is kept over den,
-        the lcm of the term denominators seen so far.
+        num is an integer sum when the term's denominator is the literal 1;
+        otherwise it is kept over den, the lcm of the term denominators seen
+        so far.
         """
-        v = node.args[1].id
         k, num, den = self.fresh("k"), self.fresh("num"), self.fresh("den")
         step = ["%s = %s" % (v, k)] + inner.lines
-        if q.den == "1" or not inner.lines and v not in q.dvars:
+        if q.den == "1":
             step.append("%s += %s" % (num, q.num))
-            total = _Q(num, q.den, q.dvars)
+            total = _Q(num)
         else:
             step += [
                 "_top, _bottom = %s, %s" % (q.num, q.den),
@@ -241,7 +232,7 @@ class _Compiler:
                 "    _top *= %s // _bottom" % den,
                 "%s += _top" % num,
             ]
-            total = _Q(num, den, _free(node))
+            total = _Q(num, den)
         return k, num, den, "while %s <= %s:\n%s" % (k, bound, _indent(step + ["%s += 1" % k])), total
 
     def sum(self, node: ast.Call, scope: _Scope) -> _Q:
@@ -255,17 +246,14 @@ class _Compiler:
         fixed = tuple(sorted((_free(term) - {v}) | _free(lo)))
         running = not _free(hi) <= set(fixed)
         # a running sum along a line function's x runs on locals set up once per line
-        along = running and scope.x is not None and scope.x not in fixed and _slope(hi, scope.x) == 1
+        along = running and scope.x is not None and scope.x not in fixed and _along(hi, scope.x)
         if running and not along:
-            return self.running_sum(node, fixed, scope)
+            return self.call_rs(node, fixed, scope)
         start = _Scope(scope.names) if along else scope
         lo_code = self.integer(lo, start, "a lower bound")
         hi_code = self.integer(hi, scope, "an upper bound")
         inner = _Scope(scope.names | {v})
-        q = self.expr(term, inner)
-        if not along and not inner.lines and v not in q.dvars:
-            return _Q("sum(%s for %s in range(%s, %s + 1))" % (q.num, v, lo_code, hi_code), q.den, q.dvars)
-        k, num, den, code, total = self.loop(node, inner, q, self.local(hi_code, scope))
+        k, num, den, code, total = self.loop(v, inner, self.expr(term, inner), self.local(hi_code, scope))
         first = "%s, %s, %s = %s, 0, 1" % (k, num, den, lo_code)
         if along:
             scope.init += start.lines + [first]
@@ -274,39 +262,35 @@ class _Compiler:
         scope.lines.append(code)
         return total
 
-    def running_sum(self, node: ast.Call, fixed: tuple[str, ...], scope: _Scope) -> _Q:
-        """A call of def _rsN(_hi, *fixed), which resumes its partial in exact.partials() unless that passed _hi."""
-        tree = ast.dump(node)
-        if tree not in self.running:
-            term, var, lo, _ = node.args
-            rs = self.fresh("rs")
-            start, inner = _Scope(scope.names), _Scope(scope.names | {var.id})
-            lo_code = self.integer(lo, start, "a lower bound")
-            k, num, den, code, total = self.loop(node, inner, self.expr(term, inner), "_hi")
-            key = "(%s)" % ", ".join((rs,) + fixed) if fixed else rs
-            body = [
-                "_store = _partials()",
-                "_last = None if _store is None else _store.get(%s)" % key,
-                "if _last is not None and _last[0] <= _hi + 1:",
-                "    %s, %s, %s = _last" % (k, num, den),
-                "else:\n%s" % _indent(start.lines + ["%s, %s, %s = %s, 0, 1" % (k, num, den, lo_code)]),
-                code,
-                "if _store is not None:",
-                "    _store[%s] = %s, %s, %s" % (key, k, num, den),
-                "return %s, %s" % (num, den),
-            ]
-            self.defs.append("def %s(%s):\n%s" % (rs, ", ".join(("_hi",) + fixed), _indent(body)))
-            self.running[tree] = (rs, None if total.den == den else total.den, total.dvars)
-        rs, den, dvars = self.running[tree]
+    def call_rs(self, node: ast.Call, fixed: tuple[str, ...], scope: _Scope) -> _Q:
+        """A call of a new def _rsN(_hi, *fixed), which resumes its partial in exact.partials() unless that passed _hi."""
+        term, var, lo, hi = node.args
+        rs = self.fresh("rs")
+        start, inner = _Scope(scope.names), _Scope(scope.names | {var.id})
+        lo_code = self.integer(lo, start, "a lower bound")
+        k, num, den, code, total = self.loop(var.id, inner, self.expr(term, inner), "_hi")
+        key = "(%s)" % ", ".join((rs,) + fixed) if fixed else rs
+        body = [
+            "_store = _partials()",
+            "_last = None if _store is None else _store.get(%s)" % key,
+            "if _last is not None and _last[0] <= _hi + 1:",
+            "    %s, %s, %s = _last" % (k, num, den),
+            "else:\n%s" % _indent(start.lines + ["%s, %s, %s = %s, 0, 1" % (k, num, den, lo_code)]),
+            code,
+            "if _store is not None:",
+            "    _store[%s] = %s, %s, %s" % (key, k, num, den),
+            "return %s, %s" % (num, den),
+        ]
+        self.defs.append("def %s(%s):\n%s" % (rs, ", ".join(("_hi",) + fixed), _indent(body)))
         num, returned = self.fresh("num"), self.fresh("den")
-        hi_code = self.integer(node.args[3], scope, "an upper bound")
+        hi_code = self.integer(hi, scope, "an upper bound")
         scope.lines.append("%s, %s = %s(%s)" % (num, returned, rs, ", ".join((hi_code,) + fixed)))
-        return _Q(num, returned if den is None else den, dvars)
+        return _Q(num, total.den if total.den == "1" else returned)
 
     def function(self, name: str, node: ast.AST) -> str:
         """Source of def name(parameters) returning node's value."""
         scope = _Scope(self.parameters)
-        num, den, _ = self.expr(node, scope)
+        num, den = self.expr(node, scope)
         returned = num if den == "1" else "Fraction(%s, %s)" % (num, den)
         return "def %s(%s):\n%s" % (name, ", ".join(self.parameters), _indent(scope.lines + ["return " + returned]))
 
@@ -364,9 +348,9 @@ def compile_identity(
             raise UsageError("a constraint is a chain of comparisons, got %r" % constraint)
         functions["constraint"] = compiler.test("constraint", tree)
     returned = "return {%s}" % ", ".join("%r: %s" % (name, name) for name in functions)
-    source = "def _build(Fraction, _lcm, _partials):\n%s\n" % _indent(
+    source = "def _build(Fraction, _lcm, _partials, DomainError):\n%s\n" % _indent(
         compiler.defs + list(functions.values()) + [returned]
     )
     scope: dict = {}
     exec(compile(source, "<statement>", "exec"), namespace, scope)
-    return scope["_build"](Fraction, lcm, partials)
+    return scope["_build"](Fraction, lcm, partials, DomainError)

@@ -16,18 +16,22 @@ from .exact import binomial, binomials, exact_div
 
 
 def _c_ext(m: int, k: int) -> int:
-    """c(m, k) extended by zero outside 0 <= k <= m (binomial convention)."""
+    """c(m, k) extended by zero outside 0 <= k <= m (binomial convention), for rows m >= 1."""
+    if m < 1:
+        raise DomainError("c: m must be >= 1, got %d" % m)
     return exact_div((m - 2 * k) * binomial(m, k), m)
 
 
 def _b_ext(n: int, k: int) -> int:
-    """b(n, k) extended by zero outside 0 <= k <= n."""
-    return exact_div(k * binomial(2 * n, n - k), n)
+    """b(n, k) extended by zero outside 0 <= k <= n, for rows n >= 1."""
+    if n < 1:
+        raise DomainError("b: n must be >= 1, got %d" % n)
+    return exact_div(k * binomial(2 * n, n - k), n) if k >= 0 else 0
 
 
 def _a_ext(n: int, k: int) -> int:
     """a(n, k) extended by zero outside 1 <= k <= n + 1."""
-    return exact_div((2 * k - 1) * binomial(2 * n + 1, n + 1 - k), 2 * n + 1)
+    return exact_div((2 * k - 1) * binomial(2 * n + 1, n + 1 - k), 2 * n + 1) if k >= 1 else 0
 
 
 def catalan(n: int) -> int:

@@ -596,6 +596,17 @@ def test_unexpected_exception_exits_3(monkeypatch, capsys):
     assert "internal error: RuntimeError: injected fault" in captured.err
 
 
+def test_a_reader_that_closes_the_pipe_early_gets_exit_141_and_no_traceback():
+    # 2.7 MB of output, far more than a pipe buffers, so the writer is still printing when the reader goes
+    argv = [sys.executable, "-m", "catalan_triangles", "seq", "c-row:3000", "0", "3001", "--format", "plain-table"]
+    with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        assert proc.stdout.read(5) == b"   0 "
+        proc.stdout.close()
+        stderr = proc.stderr.read()
+        assert proc.wait(timeout=60) == 141
+    assert stderr == b""
+
+
 def test_jobs_env_var_default():
     env = dict(os.environ, CATALAN_TRIANGLES_JOBS="4")
     result = run_cli("verify", "eq-vandermonde", "--n", "0..30", "--format", "json",

@@ -81,6 +81,19 @@ def test_a_quotients_at_exponent_three_match_seq_a_form():
         assert claim.dividend // claim.divisor == expected
 
 
+@settings(max_examples=120, deadline=None)
+@given(st.integers(1, 40), st.sampled_from([1, 3, 5, 7]))
+@example(1, 7)
+@example(40, 7)
+def test_the_b_and_a_claims_are_the_c_claim_on_even_and_odd_rows(n, p):
+    # b(n,k) = c(2n, n-k) and a(n,k) = c(2n+1, n+1-k): the b and a claims are the c claim at
+    # (2n, n-1) and (2n+1, n), reached through the row kernel on one side and through the
+    # compiled running sum and binomial on the other
+    for variant, cell in (("b", (2 * n, n - 1)), ("a", (2 * n + 1, n))):
+        claim, c_claim = divisibility_claim(variant, p, (n,)), divisibility_claim("c", p, cell)
+        assert (claim.dividend, claim.divisor) == (c_claim.dividend, c_claim.divisor), (variant, n, p)
+
+
 def test_scan_b_exponent_five_clean():
     state = scan_divisibility("b", 5, n_range=(1, 20))
     assert state.processed == 20

@@ -47,8 +47,8 @@ NAIVE = {
     "F": Fraction,
     "binomial": _binomial,
     "c": _integers(lambda m, k: Fraction(m - 2 * k, m) * _binomial(m, k)),
-    "b": _integers(lambda n, k: Fraction(k, n) * _binomial(2 * n, n - k)),
-    "a": _integers(lambda n, k: Fraction(2 * k - 1, 2 * n + 1) * _binomial(2 * n + 1, n + 1 - k)),
+    "b": _integers(lambda n, k: Fraction(k, n) * _binomial(2 * n, n - k) if k >= 0 else 0),
+    "a": _integers(lambda n, k: Fraction(2 * k - 1, 2 * n + 1) * _binomial(2 * n + 1, n + 1 - k) if k >= 1 else 0),
     "catalan": _integers(lambda n: Fraction(_binomial(2 * n, n), n + 1)),
     "gen_catalan": _integers(lambda k, n: Fraction(_binomial(n * k, n - 1), n)),
     "seq_a": _integers(lambda n: sum(_binomial(n + k, n) ** 2 for k in range(n + 1))),
@@ -252,6 +252,45 @@ def test_a_zero_denominator_mid_line_raises_as_the_scalar_path_does(statement, n
         line = _outcome(ident, cap=8, fail_fast=fail_fast)
         assert line == _outcome(_scalar(ident), cap=8, fail_fast=fail_fast)
         assert line[0] is ZeroDivisionError
+
+
+@pytest.mark.parametrize(
+    "statement, names, cap, cell, message",
+    [
+        # x^e would be a float, so every side and line function refuses e < 0 before taking the power:
+        # false at every n, yet at n = 1 and 2 its floats round to equal
+        ("3^(n-2) * 9 == 3^n + 3^(n-40)", ("n",), 3, {"n": 1}, "below 0"),
+        # true until the exponent falls below 0 mid-line, at n = 5
+        ("2^(4-n) * 2^n == 16", ("n",), 6, {"n": 5}, "below 0"),
+        # in the term of a running sum along n, from the line m = 2 on
+        ("sum(2^(k-m) * 0, k=1..n) == 0", ("m", "n"), 4, {"m": 2, "n": 1}, "below 0"),
+        # in the term of a running sum that stays a call of its _rsN in the line function
+        ("sum((-1)^(k-n) * 0, k=1..m) == 0", ("m", "n"), 4, {"m": 1, "n": 2}, "below 0"),
+        # c(0, k) would divide by zero: a bad request, not a failed exactness check
+        ("c(n-1, 0) == 1", ("n",), 3, {"n": 1}, "must be >= 1"),
+    ],
+)
+def test_a_negative_exponent_or_a_row_below_the_first_raises_domain_error(statement, names, cap, cell, message):
+    ident = _descriptor_of(statement, names)
+    for fail_fast in (False, True):
+        assert _outcome(ident, cap=cap, fail_fast=fail_fast)[0] is DomainError
+        assert _outcome(_scalar(ident), cap=cap, fail_fast=fail_fast)[0] is DomainError
+    with pytest.raises(DomainError, match=message):
+        evaluate_sides(ident, cell)
+
+
+def test_an_alternating_sum_still_verifies():
+    ident = _descriptor_of("sum((-1)^k * binomial(n,k), k=0..n) == 0^n + sum((-1)^(n-k) * 0, k=0..n)", ("n",))
+    assert verify_identity(ident, cap=30).passed
+    assert get_identity("thm-alt-sum").line is not None and verify_identity("thm-alt-sum", cap=12).passed
+
+
+def test_b_and_a_outside_their_triangles_read_zero():
+    # a(n, 0) is 0, not c(2n+1, n+1) = -catalan(n), so this sum is the sum of row n
+    statement = "sum(a(n,k), k=0..n+1) + sum(b(n,k), k=-2..n+3) == (n+1)*catalan(n) + binomial(2n-1,n)"
+    ident = _descriptor_of(statement, ("n",))
+    assert evaluate_sides(ident, {"n": 3}) == (20 + 10, 20 + 10)
+    assert verify_identity(ident, cap=25).passed
 
 
 def test_a_compound_denominator_is_computed_once_per_cell():

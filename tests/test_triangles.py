@@ -224,6 +224,26 @@ def test_bridges_to_classical_triangles():
         assert all(a_number(n, k) == c_number(2 * n + 1, n + 1 - k) for k in range(1, n + 2))
 
 
+def test_b_and_a_are_zero_outside_their_triangles():
+    # the mirrored c values c(2n, n-k) and c(2n+1, n+1-k) are not b and a there
+    for n in range(1, 30):
+        assert [triangles._b_ext(n, k) for k in range(-n - 3, 0)] == [0] * (n + 3)
+        assert [triangles._b_ext(n, k) for k in range(n + 1, 2 * n + 4)] == [0] * (n + 3)
+        assert [triangles._a_ext(n, k) for k in range(-n - 3, 1)] == [0] * (n + 4)
+        assert [triangles._a_ext(n, k) for k in range(n + 2, 2 * n + 5)] == [0] * (n + 3)
+        assert triangles._b_ext(n, 0) == 0
+    assert triangles._b_ext(3, -1) == 0 != triangles._c_ext(6, 4)
+    assert triangles._a_ext(3, 0) == 0 != triangles._c_ext(7, 4) == -catalan(3)
+
+
+@pytest.mark.parametrize("entry, row", [("_c_ext", 0), ("_b_ext", 0), ("_c_ext", -3), ("_b_ext", -2)])
+@pytest.mark.parametrize("k", [-1, 0, 1])
+def test_an_entry_below_the_first_row_raises_domain_error(entry, row, k):
+    # c(0, k) and b(0, k) divide by zero: a bad request, not a failed exactness check
+    with pytest.raises(DomainError):
+        getattr(triangles, entry)(row, k)
+
+
 def test_catalan_coincidences():
     for n in range(1, 101):
         assert c_number(2 * n, n - 1) == catalan(n) == c_number(2 * n + 1, n)
