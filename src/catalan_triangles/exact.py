@@ -42,10 +42,10 @@ def binomials(u: int, v: int, du: int, dv: int, count: int) -> list[int]:
     """[binomial(u + i*du, v + i*dv) for i = 0..count-1], one exact step per entry.
 
     One comb() anchors the run; each next value is the last one times the
-    ratio of the two binomials, divided through exact_div, and the last
-    value is checked against a fresh comb(), so a wrong step raises
-    IntegrityError.  Every point of the run must satisfy 0 <= v <= u;
-    since the run is a line, checking its two ends suffices.
+    ratio of the two binomials, taken with one divmod whose remainder must
+    be zero, and the last value is checked against a fresh comb(), so a
+    wrong step raises IntegrityError.  Every point of the run must satisfy
+    0 <= v <= u; since the run is a line, checking its two ends suffices.
     """
     if count < 0:
         raise DomainError("binomials: count must be >= 0, got %d" % count)
@@ -61,18 +61,29 @@ def binomials(u: int, v: int, du: int, dv: int, count: int) -> list[int]:
     # reciprocals of b+d+1..b (d < 0); each factor moves by d per step, so a
     # range holds it for the whole run.
     steps = count - 1
-    up, down = [repeat(1, steps)], [repeat(1, steps)]
+    up, down = [], []
     for base, d, grows, shrinks in ((u, du, up, down), (v, dv, down, up), (u - v, du - dv, down, up)):
         offsets, side = (range(1, d + 1), grows) if d > 0 else (range(d + 1, 1), shrinks)
         side.extend(range(base + o, base + o + steps * d, d) for o in offsets)
     value = comb(u, v)
     values = [value]
-    for num, den in zip(map(prod, zip(*up)), map(prod, zip(*down))):
-        value = exact_div(value * num, den)
+    for num, den in zip(_per_step(up, steps), _per_step(down, steps)):
+        value, remainder = divmod(value * num, den)
+        if remainder:
+            raise IntegrityError(
+                "binomials: step %d of the run from binomial(%d, %d) is not exact" % (len(values), u, v)
+            )
         values.append(value)
     if steps and value != comb(end_u, end_v):
         raise IntegrityError("binomials: run ending at binomial(%d, %d) disagrees with comb()" % (end_u, end_v))
     return values
+
+
+def _per_step(factors: list[range], steps: int):
+    """The product of one factor from each range, per step; a lone range is its own product."""
+    if len(factors) == 1:
+        return factors[0]
+    return map(prod, zip(*factors, repeat(1, steps)))
 
 
 _harmonic_lock = threading.Lock()

@@ -3,9 +3,10 @@ per-entry and from-scratch evaluations it replaced; wrong anchors, wrong
 steps and a drifted check run must raise, never print a value."""
 
 import math
+from functools import cache
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from catalan_triangles import cli, exact, triangles
@@ -27,10 +28,12 @@ from catalan_triangles.triangles import (
 )
 
 
+@cache
 def seed_seq_a(n):
     return sum(math.comb(n + k, n) ** 2 for k in range(n + 1))
 
 
+@cache
 def seed_seq_b(n):
     total = sum(k * math.comb(2 * n - k - 1, n - 1) ** 2 for k in range(1, n + 1))
     assert total % n == 0
@@ -103,12 +106,31 @@ def test_generate_gen_catalan_matches_scalar(order, start, count):
     assert generate(SequenceSpec("gen_catalan", start, count, param=order)) == expected
 
 
-@given(st.integers(0, 120), st.integers(1, 8))
+@settings(deadline=None)  # the seed sums are cached across examples, so the first ones pay for the rest
+@given(st.integers(0, 400), st.integers(1, 80))
+@example(0, 3).via("the shortest slice with a recurrence step")
+@example(400, 80).via("the widest slice drawn")
 def test_generate_seq_a_and_seq_b_match_seed_sums(start, count):
+    # slices of three or more terms run the P-recurrences; the seed sums share no code with them
     indices = range(start, start + count)
     assert generate(SequenceSpec("seq_a", start, count)) == [seed_seq_a(n) for n in indices]
     indices = range(start + 1, start + 1 + count)
     assert generate(SequenceSpec("seq_b", start + 1, count)) == [seed_seq_b(n) for n in indices]
+
+
+@pytest.mark.parametrize("kind, start", [("seq_a", 0), ("seq_b", 1)])
+@pytest.mark.parametrize("count", [1, 2, 3, 30])
+def test_a_seq_slice_reads_its_direct_sums_through_the_module(kind, start, count, monkeypatch):
+    # the first two terms and the end check of a longer slice; a rebinding (the tracer's) reaches each
+    direct, calls = getattr(triangles, kind), []
+
+    def counted(n):
+        calls.append(n)
+        return direct(n)
+
+    monkeypatch.setattr(triangles, kind, counted)
+    assert generate(SequenceSpec(kind, start, count)) == [direct(n) for n in range(start, start + count)]
+    assert calls == [start, start + 1, start + count - 1][:count]
 
 
 def test_seq_a_and_seq_b_match_seed_sums_on_a_prefix():
@@ -160,20 +182,42 @@ def test_wrong_anchor_raises_instead_of_printing(argv, monkeypatch, capsys):
     assert "internal error: IntegrityError" in captured.err
 
 
-@pytest.mark.parametrize("argv", FAULT_SPECS, ids=lambda argv: " ".join(argv))
-def test_wrong_step_raises_instead_of_printing(argv, monkeypatch, capsys):
-    # the numerator of the first ratio step comes out one too large
+def wrong_divmod_at(call):
+    """divmod, except that call number `call` returns a quotient one too large and no remainder."""
     calls = []
 
-    def wrong_prod(factors):
-        calls.append(factors)
-        return math.prod(factors) + (len(calls) == 1)
+    def wrong_divmod(a, b):
+        calls.append((a, b))
+        quotient, remainder = divmod(a, b)
+        return (quotient + 1, 0) if len(calls) == call else (quotient, remainder)
 
-    monkeypatch.setattr(exact, "prod", wrong_prod)
+    return wrong_divmod, calls
+
+
+@pytest.mark.parametrize("argv", FAULT_SPECS, ids=lambda argv: " ".join(argv))
+def test_wrong_step_raises_instead_of_printing(argv, monkeypatch, capsys):
+    # the first ratio step of the first run comes out one too large, with no remainder to give it away:
+    # every spec starts with a run of two or more entries, before any exact_div in the module
+    wrong_divmod, calls = wrong_divmod_at(1)
+    monkeypatch.setattr(exact, "divmod", wrong_divmod, raising=False)
     assert cli.main(["seq", *argv]) == cli.EXIT_INTERNAL  # a failed exactness check is a bug, not a bad request
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "internal error: IntegrityError" in captured.err
+    assert calls
+
+
+@pytest.mark.parametrize("step", [1, 18], ids=["first step", "last step"])
+@pytest.mark.parametrize("argv", [["a", "2", "20"], ["b", "2", "20"]], ids=" ".join)
+def test_wrong_recurrence_step_raises_instead_of_printing(argv, step, monkeypatch, capsys):
+    # terms 3..20 come from 18 recurrence steps; a wrong last step is seen only by the end check
+    wrong_divmod, calls = wrong_divmod_at(step)
+    monkeypatch.setattr(triangles, "divmod", wrong_divmod, raising=False)
+    assert cli.main(["seq", *argv]) == cli.EXIT_INTERNAL
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "internal error: IntegrityError" in captured.err
+    assert len(calls) >= step
 
 
 def test_c_row_check_run_catches_a_consistently_wrong_closed_form_run(monkeypatch):

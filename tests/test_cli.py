@@ -445,6 +445,21 @@ def test_scan_mixed_output_bytes_are_pinned(args, digest):
 
 
 @pytest.mark.parametrize(
+    "args, digest",
+    [
+        (("a", "0", "1201", "--format", "oeis-bfile"), "1d2c6a63cbf4c5eaca727bc7e1d216d0b5a632e99dc2ccbe8c610f9b284d2970"),
+        (("b", "1", "1200"), "e4a9ca523ac972e31a6193313128f4cef7746e1ee2fdc15618a155b769c139a6"),
+    ],
+    ids=["a", "b"],
+)
+def test_seq_a_and_b_output_bytes_are_pinned(args, digest):
+    # recorded from the direct sums, one per term, that the P-recurrences replaced in slices
+    result = run_cli("seq", *args)
+    assert result.returncode == 0
+    assert hashlib.sha256(result.stdout.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
     "field, value",
     [("processed", "1000000"), ("processed", "2"), ("frontier", "null"), ("skipped_zero_divisor", "4"),
      ("elapsed_ms", "1e999"), ("elapsed_ms", "Infinity"), ("elapsed_ms", "NaN")],

@@ -268,6 +268,8 @@ def test_a_zero_denominator_mid_line_raises_as_the_scalar_path_does(statement, n
         ("sum((-1)^(k-n) * 0, k=1..m) == 0", ("m", "n"), 4, {"m": 1, "n": 2}, "below 0"),
         # c(0, k) would divide by zero: a bad request, not a failed exactness check
         ("c(n-1, 0) == 1", ("n",), 3, {"n": 1}, "must be >= 1"),
+        # a(0, 1) is outside the triangle a starts at row 1, even though 2n+1 is no zero divisor there
+        ("a(n-1, 1) == 1", ("n",), 3, {"n": 1}, "must be >= 1"),
     ],
 )
 def test_a_negative_exponent_or_a_row_below_the_first_raises_domain_error(statement, names, cap, cell, message):

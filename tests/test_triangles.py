@@ -236,10 +236,13 @@ def test_b_and_a_are_zero_outside_their_triangles():
     assert triangles._a_ext(3, 0) == 0 != triangles._c_ext(7, 4) == -catalan(3)
 
 
-@pytest.mark.parametrize("entry, row", [("_c_ext", 0), ("_b_ext", 0), ("_c_ext", -3), ("_b_ext", -2)])
+@pytest.mark.parametrize(
+    "entry, row", [("_c_ext", 0), ("_b_ext", 0), ("_a_ext", 0), ("_c_ext", -3), ("_b_ext", -2), ("_a_ext", -2)]
+)
 @pytest.mark.parametrize("k", [-1, 0, 1])
 def test_an_entry_below_the_first_row_raises_domain_error(entry, row, k):
-    # c(0, k) and b(0, k) divide by zero: a bad request, not a failed exactness check
+    # c(0, k) and b(0, k) divide by zero, and a(0, k) is outside its triangle: each is a bad request,
+    # not a failed exactness check or a value
     with pytest.raises(DomainError):
         getattr(triangles, entry)(row, k)
 
