@@ -1,14 +1,15 @@
 """Counterexample scans for the two open conjectures, with resumable state.
 
 Conjecture one: for m > n >= 1 and odd p, binomial(m-1, n) divides the sum
-of c(m,k)^p over k = 0..n; specialized to the b and a triangles the claimed
-factors are (n+1)/2 * catalan(n) and (n+1) * catalan(n).  Conjecture two is
-an exact closed form for sum(b(n,k)^2 * b(m,k), k=1..min(n,m)).
+of c(m,k)^p over k = 0..n.  Since b(n, k) = c(2n, n-k) and
+a(n, k) = c(2n+1, n+1-k), the b and a claims are the c claim at
+(m, n) = (2n, n-1) and (2n+1, n).  Conjecture two is an exact closed form
+for sum(b(n,k)^2 * b(m,k), k=1..min(n,m)).
 
 The c claim and conjecture two are statement texts in the grammar of
 statements.py, compiled on first use through identities._compiled as the
-registered identities are; only the b and a claims, whose dividends run on
-the row kernel, are written by hand.
+registered identities are; the b and a claims sum powers of a row built by
+the row kernel, and take the c claim's divisor binomial(m-1, n).
 
 Scans are evidence, not proof: a clean state means "no counterexample in the
 scanned domain", nothing more.  Every cell is checked in exact arithmetic;
@@ -28,9 +29,9 @@ from typing import Callable, NamedTuple
 
 from . import identities
 from .errors import CheckpointError, DomainError, EmptyDomainError, UsageError
-from .exact import exact_div, keep_partials
+from .exact import binomial, keep_partials
 from .identities import IdentityDescriptor, Parameter
-from .triangles import a_row, b_row, catalan
+from .triangles import a_row, b_row
 
 CHECKPOINT_VERSION = 2
 
@@ -90,9 +91,12 @@ class _Field(NamedTuple):
     from_json: Callable = lambda value: value
 
 
+_VARIANTS = ("c", "b", "a")
+_CONJECTURES = tuple("divisibility-" + variant for variant in _VARIANTS) + ("mixed-cube",)
+
 # The checkpoint schema, in document order after "version".
 _CHECKPOINT_FIELDS = {
-    "conjecture": _Field(lambda v: isinstance(v, str), "a string"),
+    "conjecture": _Field(lambda v: v in _CONJECTURES, "one of %s" % ", ".join(_CONJECTURES)),
     "p": _Field(lambda v: v is None or _int(v), "an integer or null"),
     "domain": _Field(
         lambda v: v is None or isinstance(v, dict) and all(
@@ -113,9 +117,6 @@ _CHECKPOINT_FIELDS = {
     "elapsed_ms": _Field(lambda v: (_int(v) or isinstance(v, float)) and 0 <= v <= sys.float_info.max,
                          "a finite non-negative number", 0.0, to_json=lambda ms: round(ms, 3)),
 }
-
-
-_VARIANTS = ("c", "b", "a")
 
 
 def _cell_names(variant: str) -> tuple[str, ...]:
@@ -156,28 +157,26 @@ def _compiled(id: str) -> IdentityDescriptor:
 
 
 def divisibility_claim(variant: str, p: int, cell: Cell) -> DivisibilityClaim:
-    """Dividend and claimed divisor at one cell of the chosen variant.
+    """Dividend and claimed divisor at one cell of the chosen variant, for an int p >= 0.
 
     For c they are the two sides of the text sum(c(m,k)^p, k=0..n) ==
     binomial(m-1,n), whose == only separates them.  Its dividend is a
-    running sum, so a scan in cell order adds one term per cell.
+    running sum, so a scan in cell order adds one term per cell.  The b and
+    a claims at n are the c claim at (2n, n-1) and (2n+1, n).
     """
+    if not _int(p) or p < 0:
+        raise DomainError("divisibility_claim: p must be an integer >= 0, got %r" % (p,))
     if variant == "c":
         m, n = cell
         if m < 1:
             raise DomainError("divisibility_claim: m must be >= 1, got %d" % m)
         claim = _compiled("divisibility-c")
         return DivisibilityClaim(claim.lhs(m, n, p), claim.rhs(m, n, p), (("m", m), ("n", n)))
-    if variant == "b":
+    if variant in ("b", "a"):
         (n,) = cell
-        dividend = sum(x ** p for x in b_row(n))
-        divisor = exact_div((n + 1) * catalan(n), 2)
-        return DivisibilityClaim(dividend, divisor, (("n", n),))
-    if variant == "a":
-        (n,) = cell
-        dividend = sum(x ** p for x in a_row(n))
-        divisor = (n + 1) * catalan(n)
-        return DivisibilityClaim(dividend, divisor, (("n", n),))
+        # b_row(n) is row 2n of c at columns n-1..0, and a_row(n) row 2n+1 at columns n..0
+        m, top, row = (2 * n, n - 1, b_row(n)) if variant == "b" else (2 * n + 1, n, a_row(n))
+        return DivisibilityClaim(sum(x ** p for x in row), binomial(m - 1, top), (("n", n),))
     raise UsageError("unknown divisibility variant %r (expected one of %s)" % (variant, _VARIANTS))
 
 
@@ -354,8 +353,8 @@ def scan_divisibility(
     variant = variant.lower()
     if variant not in _VARIANTS:
         raise UsageError("unknown divisibility variant %r (expected one of %s)" % (variant, _VARIANTS))
-    if p < 1 or p % 2 == 0:
-        raise UsageError("exponent p must be an odd integer >= 1, got %r" % p)
+    if not _int(p) or p < 1 or p % 2 == 0:
+        raise UsageError("exponent p must be an odd integer >= 1, got %r" % (p,))
     domain = _divisibility_domain(variant, m_range, n_range)
     check = _divisibility_check(variant, p, claim_fn)
     conjecture = "divisibility-" + variant

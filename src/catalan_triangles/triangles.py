@@ -1,10 +1,10 @@
 """Generators for the named sequences and triangles.
 
 Three triangular arrays live here.  The signed triangle c(m, k) =
-((m - 2k)/m) * binomial(m, k) unifies the two classical Catalan triangles:
-its even rows give Shapiro's triangle b(n, k) = (k/n) * binomial(2n, n-k)
-and its odd rows give a(n, k) = ((2k-1)/(2n+1)) * binomial(2n+1, n+1-k).
-All entries are exact integers; exact_div enforces that at runtime.
+((m - 2k)/m) * binomial(m, k) unifies the two classical Catalan triangles,
+and b and a are computed as its entries: Shapiro's b(n, k) = c(2n, n-k) on
+even rows, a(n, k) = c(2n+1, n+1-k) on odd rows.  All entries are exact
+integers; a division that leaves a remainder raises IntegrityError.
 """
 
 from __future__ import annotations
@@ -19,21 +19,24 @@ def _c_ext(m: int, k: int) -> int:
     """c(m, k) extended by zero outside 0 <= k <= m (binomial convention), for rows m >= 1."""
     if m < 1:
         raise DomainError("c: m must be >= 1, got %d" % m)
-    return exact_div((m - 2 * k) * binomial(m, k), m)
+    value, remainder = divmod((m - 2 * k) * binomial(m, k), m)
+    if remainder:
+        raise IntegrityError("c(%d, %d): closed form is not an integer" % (m, k))
+    return value
 
 
 def _b_ext(n: int, k: int) -> int:
-    """b(n, k) extended by zero outside 0 <= k <= n, for rows n >= 1."""
+    """b(n, k) = c(2n, n-k) on 0 <= k <= n, and zero outside, for rows n >= 1."""
     if n < 1:
         raise DomainError("b: n must be >= 1, got %d" % n)
-    return exact_div(k * binomial(2 * n, n - k), n) if k >= 0 else 0
+    return _c_ext(2 * n, n - k) if k >= 0 else 0
 
 
 def _a_ext(n: int, k: int) -> int:
-    """a(n, k) extended by zero outside 1 <= k <= n + 1, for rows n >= 1."""
+    """a(n, k) = c(2n+1, n+1-k) on 1 <= k <= n + 1, and zero outside, for rows n >= 1."""
     if n < 1:
         raise DomainError("a: n must be >= 1, got %d" % n)
-    return exact_div((2 * k - 1) * binomial(2 * n + 1, n + 1 - k), 2 * n + 1) if k >= 1 else 0
+    return _c_ext(2 * n + 1, n + 1 - k) if k >= 1 else 0
 
 
 def catalan(n: int) -> int:
@@ -57,21 +60,21 @@ def c_number(m: int, k: int) -> int:
 
 
 def b_number(n: int, k: int) -> int:
-    """Entry (n, k) of Shapiro's triangle, n >= 1, 0 <= k <= n (k=0 gives 0)."""
+    """Entry (n, k) of Shapiro's triangle, n >= 1, 0 <= k <= n (k=0 gives 0): c_number(2n, n-k)."""
     if n < 1:
         raise DomainError("b_number: n must be >= 1, got %d" % n)
     if k < 0 or k > n:
         raise DomainError("b_number: k must satisfy 0 <= k <= n, got k=%d, n=%d" % (k, n))
-    return _b_ext(n, k)
+    return c_number(2 * n, n - k)
 
 
 def a_number(n: int, k: int) -> int:
-    """Entry (n, k) of the odd-row companion triangle, n >= 1, 1 <= k <= n + 1."""
+    """Entry (n, k) of the odd-row companion triangle, n >= 1, 1 <= k <= n + 1: c_number(2n+1, n+1-k)."""
     if n < 1:
         raise DomainError("a_number: n must be >= 1, got %d" % n)
     if k < 1 or k > n + 1:
         raise DomainError("a_number: k must satisfy 1 <= k <= n+1, got k=%d, n=%d" % (k, n))
-    return _a_ext(n, k)
+    return c_number(2 * n + 1, n + 1 - k)
 
 
 def gen_catalan(k: int, n: int) -> int:
@@ -139,33 +142,31 @@ _ROWS = {"c_row": ("m", 0), "b_row": ("n", 0), "a_row": ("n", 1)}
 
 
 def _row_slice(kind: str, index: int, start: int, stop: int) -> list[int]:
-    """Columns start..stop-1 of one triangle row, from one run of binomials."""
+    """Columns start..stop-1 of one triangle row, each c(m, j) = (m - 2j) * binomial(m, j) / m by one exact divmod.
+
+    One run of binomials walks up row m of c, or down row 2n (b) or 2n+1 (a) from j = n - start or n+1 - start.
+    """
     name, extra = _ROWS[kind]
     if index < 1:
         raise DomainError("%s: %s must be >= 1, got %d" % (kind, name, index))
     if stop - 1 > index + extra:
         raise DomainError("generate: slice %d..%d leaves row %d of %s" % (start, stop - 1, index, kind))
-    columns = range(start, stop)
-    if kind == "b_row":  # b(n, k) = k * binomial(2n, n-k) / n
-        n = index
-        return [exact_div(k * x, n) for k, x in zip(columns, binomials(2 * n, n - start, 0, -1, len(columns)))]
-    if kind == "a_row":  # a(n, k) = (2k-1) * binomial(2n+1, n+1-k) / (2n+1)
-        n = index
-        return [
-            exact_div((2 * k - 1) * x, 2 * n + 1)
-            for k, x in zip(columns, binomials(2 * n + 1, n + 1 - start, 0, -1, len(columns)))
-        ]
-    # c(m, k) = (m - 2k) * binomial(m, k) / m, checked against the Pascal-difference
-    # form binomial(m, k) - 2 * binomial(m-1, k-1), whose run has its own anchor
-    m = index
-    first = max(start, 1)  # binomial(m-1, -1) = 0
-    shifted = [0] * (first - start) + binomials(m - 1, first - 1, 0, 1, stop - first)
+    m, j, step = (index, start, 1) if kind == "c_row" else (2 * index + extra, index + extra - start, -1)
+    run = binomials(m, j, 0, step, stop - start)
     values = []
-    for k, x, y in zip(columns, binomials(m, start, 0, 1, len(columns)), shifted):
-        value = exact_div((m - 2 * k) * x, m)
-        if value != x - 2 * y:
-            raise IntegrityError("c_row(%d) at k=%d: closed form and Pascal-difference form disagree" % (m, k))
+    for x in run:
+        value, remainder = divmod((m - 2 * j) * x, m)
+        if remainder:
+            raise IntegrityError("%s(%d): c(%d, %d) is not an integer" % (kind, index, m, j))
         values.append(value)
+        j += step
+    if kind == "c_row":
+        # checked against binomial(m, k) - 2 * binomial(m-1, k-1), whose run has its own anchor
+        lead = max(start, 1)  # binomial(m-1, -1) = 0
+        shifted = [0] * (lead - start) + binomials(m - 1, lead - 1, 0, 1, stop - lead)
+        for k, value, x, y in zip(range(start, stop), values, run, shifted):
+            if value != x - 2 * y:
+                raise IntegrityError("c_row(%d) at k=%d: closed form and Pascal-difference form disagree" % (m, k))
     return values
 
 

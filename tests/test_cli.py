@@ -363,6 +363,21 @@ def test_scan_resumed_on_another_domain_exits_2(tmp_path):
     assert resumed.stdout == "divisibility-b p=3: 10 cells processed, 0 counterexamples\n"
 
 
+def test_scan_checkpoint_naming_an_unknown_conjecture_is_an_integrity_error(tmp_path):
+    path = tmp_path / "scan.json"
+    scan = ("scan", "b-cubes", "--p", "3", "--n", "1..5", "--checkpoint", str(path))
+    assert run_cli(*scan, "--limit", "2").returncode == 0
+    doc = json.loads(path.read_text())
+    doc["conjecture"] = "nonsense"
+    path.write_text(json.dumps(doc))
+    saved = path.read_bytes()
+    result = run_cli(*scan)
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert result.stderr.startswith("integrity error: ")
+    assert path.read_bytes() == saved
+
+
 def test_scan_version_1_checkpoint_exits_2(tmp_path):
     path = tmp_path / "scan.json"
     path.write_text(json.dumps({"version": 1, "conjecture": "divisibility-b", "p": 3, "frontier": [6],

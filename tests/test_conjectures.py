@@ -94,6 +94,14 @@ def test_the_b_and_a_claims_are_the_c_claim_on_even_and_odd_rows(n, p):
         assert (claim.dividend, claim.divisor) == (c_claim.dividend, c_claim.divisor), (variant, n, p)
 
 
+@given(st.integers(1, 160))
+def test_the_b_and_a_divisors_are_the_papers_catalan_multiples(n):
+    # the c claim's divisor binomial(m-1, n) at (2n, n-1) and (2n+1, n)
+    catalan_n = math.comb(2 * n, n) // (n + 1)
+    assert 2 * divisibility_claim("b", 1, (n,)).divisor == (n + 1) * catalan_n
+    assert divisibility_claim("a", 1, (n,)).divisor == (n + 1) * catalan_n
+
+
 def test_scan_b_exponent_five_clean():
     state = scan_divisibility("b", 5, n_range=(1, 20))
     assert state.processed == 20
@@ -104,6 +112,30 @@ def test_scan_b_exponent_five_clean():
 def test_even_or_nonpositive_exponent_rejected(p):
     with pytest.raises(UsageError):
         scan_divisibility("b", p, n_range=(1, 5))
+
+
+@pytest.mark.parametrize(
+    "variant, p, ranges",
+    [("b", 3.0, {"n_range": (1, 40)}), ("c", 3.0, {"m_range": (2, 40)}), ("b", True, {"n_range": (1, 3)})],
+    ids=["b-float", "c-float", "b-bool"],
+)
+def test_an_exponent_that_is_not_an_int_is_rejected_before_any_cell(variant, p, ranges, monkeypatch):
+    # 3.0 raised entries to float powers, whose rounding was reported as counterexamples; True, which
+    # is 1 to arithmetic, was saved as "p": true, a checkpoint load_checkpoint refuses
+    def evaluated(*args):
+        raise AssertionError("evaluated a cell")
+
+    monkeypatch.setattr(conjectures, "divisibility_claim", evaluated)
+    with pytest.raises(UsageError):
+        scan_divisibility(variant, p, **ranges)
+
+
+@pytest.mark.parametrize("p", [-1, 3.0, True, None])
+@pytest.mark.parametrize("variant, cell", [("c", (6, 2)), ("b", (3,)), ("a", (3,))])
+def test_a_claim_with_an_exponent_that_is_not_an_int_of_at_least_0_raises_domain_error(variant, cell, p):
+    # b at p = -1 would return the float dividend 1.45
+    with pytest.raises(DomainError):
+        divisibility_claim(variant, p, cell)
 
 
 def test_unknown_variant_rejected():

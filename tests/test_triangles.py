@@ -218,10 +218,41 @@ def test_row_antisymmetry():
         assert all(row[k] == -row[m - k] for k in range(m + 1))
 
 
-def test_bridges_to_classical_triangles():
-    for n in range(1, 101):
-        assert all(b_number(n, k) == c_number(2 * n, n - k) for k in range(1, n + 1))
-        assert all(a_number(n, k) == c_number(2 * n + 1, n + 1 - k) for k in range(1, n + 2))
+def paper_b(n, k):
+    """The paper's b(n, k) = k * binomial(2n, n-k) / n, zero outside 0 <= k <= n."""
+    if not 0 <= k <= n:
+        return 0
+    quotient, remainder = divmod(k * math.comb(2 * n, n - k), n)
+    assert remainder == 0
+    return quotient
+
+
+def paper_a(n, k):
+    """The paper's a(n, k) = (2k-1) * binomial(2n+1, n+1-k) / (2n+1), zero outside 1 <= k <= n+1."""
+    if not 1 <= k <= n + 1:
+        return 0
+    quotient, remainder = divmod((2 * k - 1) * math.comb(2 * n + 1, n + 1 - k), 2 * n + 1)
+    assert remainder == 0
+    return quotient
+
+
+@given(st.integers(1, 160), st.data())
+def test_bridges_to_classical_triangles(n, data):
+    # b and a are computed as c(2n, n-k) and c(2n+1, n+1-k); the paper's own forms share no code with c
+    k = data.draw(st.integers(-n - 3, 2 * n + 4), label="k")
+    assert triangles._b_ext(n, k) == paper_b(n, k)
+    assert triangles._a_ext(n, k) == paper_a(n, k)
+    if 0 <= k <= n:
+        assert b_number(n, k) == paper_b(n, k)
+    if 1 <= k <= n + 1:
+        assert a_number(n, k) == paper_a(n, k)
+    for kind, paper, first, last in (("b_row", paper_b, 1, n), ("a_row", paper_a, 1, n + 1)):
+        start = data.draw(st.integers(first, last), label="%s start" % kind)
+        count = data.draw(st.integers(1, last - start + 1), label="%s count" % kind)
+        expected = [paper(n, k) for k in range(start, start + count)]
+        assert generate(SequenceSpec(kind, start, count, param=n)) == expected
+    assert b_row(n) == tuple(paper_b(n, k) for k in range(1, n + 1))
+    assert a_row(n) == tuple(paper_a(n, k) for k in range(1, n + 2))
 
 
 def test_b_and_a_are_zero_outside_their_triangles():
