@@ -9,7 +9,9 @@ for sum(b(n,k)^2 * b(m,k), k=1..min(n,m)).
 The c claim and conjecture two are statement texts in the grammar of
 statements.py, compiled on first use through identities._compiled as the
 registered identities are; the b and a claims sum powers of a row built by
-the row kernel, and take the c claim's divisor binomial(m-1, n).
+the row kernel, and take the c claim's divisor binomial(m-1, n).  Scans
+check cells through identities._lines, the sweep's engine, and the c scan
+runs on its statement's line function along each row m.
 
 Scans are evidence, not proof: a clean state means "no counterexample in the
 scanned domain", nothing more.  Every cell is checked in exact arithmetic;
@@ -25,11 +27,12 @@ import tempfile
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import attrgetter, ne
 from typing import Callable, NamedTuple
 
 from . import identities
 from .errors import CheckpointError, DomainError, EmptyDomainError, UsageError
-from .exact import binomial, keep_partials
+from .exact import binomial
 from .identities import IdentityDescriptor, Parameter
 from .triangles import a_row, b_row
 
@@ -92,11 +95,12 @@ class _Field(NamedTuple):
 
 
 _VARIANTS = ("c", "b", "a")
-_CONJECTURES = tuple("divisibility-" + variant for variant in _VARIANTS) + ("mixed-cube",)
+# each conjecture's names for the values of a cell, in scan order
+_NAMES = {"divisibility-c": ("m", "n"), "divisibility-b": ("n",), "divisibility-a": ("n",), "mixed-cube": ("n", "m")}
 
 # The checkpoint schema, in document order after "version".
 _CHECKPOINT_FIELDS = {
-    "conjecture": _Field(lambda v: v in _CONJECTURES, "one of %s" % ", ".join(_CONJECTURES)),
+    "conjecture": _Field(lambda v: v in _NAMES, "one of %s" % ", ".join(_NAMES)),
     "p": _Field(lambda v: v is None or _int(v), "an integer or null"),
     "domain": _Field(
         lambda v: v is None or isinstance(v, dict) and all(
@@ -119,10 +123,6 @@ _CHECKPOINT_FIELDS = {
 }
 
 
-def _cell_names(variant: str) -> tuple[str, ...]:
-    return ("m", "n") if variant == "c" else ("n",)
-
-
 # The scans' statements, unregistered: _compiled compiles each on its first use.
 _STATEMENTS: dict[str, IdentityDescriptor] = {}
 
@@ -132,7 +132,8 @@ def _statement(id: str, statement: str, parameters: str, constraint: str | None 
     _STATEMENTS[id] = IdentityDescriptor(id, statement, parameters, constraint=constraint)
 
 
-_statement("divisibility-c", "sum(c(m,k)^p, k=0..n) == binomial(m-1,n)", "mnp")
+# n last, so that its line is a row m with n rising and the running sum runs on locals
+_statement("divisibility-c", "sum(c(m,k)^p, k=0..n) == binomial(m-1,n)", "mpn")
 
 # conjecture two, split at min(n, m), the upper bound of its sums
 _statement(
@@ -166,18 +167,21 @@ def divisibility_claim(variant: str, p: int, cell: Cell) -> DivisibilityClaim:
     """
     if not _int(p) or p < 0:
         raise DomainError("divisibility_claim: p must be an integer >= 0, got %r" % (p,))
+    if variant not in _VARIANTS:
+        raise UsageError("unknown divisibility variant %r (expected one of %s)" % (variant, _VARIANTS))
+    names = _NAMES["divisibility-" + variant]
+    if len(cell) != len(names):
+        raise DomainError("divisibility_claim: a %s cell is (%s), got %r" % (variant, ", ".join(names), cell))
     if variant == "c":
         m, n = cell
         if m < 1:
             raise DomainError("divisibility_claim: m must be >= 1, got %d" % m)
         claim = _compiled("divisibility-c")
-        return DivisibilityClaim(claim.lhs(m, n, p), claim.rhs(m, n, p), (("m", m), ("n", n)))
-    if variant in ("b", "a"):
-        (n,) = cell
-        # b_row(n) is row 2n of c at columns n-1..0, and a_row(n) row 2n+1 at columns n..0
-        m, top, row = (2 * n, n - 1, b_row(n)) if variant == "b" else (2 * n + 1, n, a_row(n))
-        return DivisibilityClaim(sum(x ** p for x in row), binomial(m - 1, top), (("n", n),))
-    raise UsageError("unknown divisibility variant %r (expected one of %s)" % (variant, _VARIANTS))
+        return DivisibilityClaim(claim.lhs(m, p, n), claim.rhs(m, p, n), (("m", m), ("n", n)))
+    (n,) = cell
+    # b_row(n) is row 2n of c at columns n-1..0, and a_row(n) row 2n+1 at columns n..0
+    m, top, row = (2 * n, n - 1, b_row(n)) if variant == "b" else (2 * n + 1, n, a_row(n))
+    return DivisibilityClaim(sum(x ** p for x in row), binomial(m - 1, top), (("n", n),))
 
 
 def check_mixed_cube(n: int, m: int) -> tuple[Fraction, Fraction, bool]:
@@ -191,35 +195,38 @@ def check_mixed_cube(n: int, m: int) -> tuple[Fraction, Fraction, bool]:
     return lhs, rhs, lhs == rhs
 
 
-def _divisibility_check(variant: str, p: int, claim_fn: Callable[[Cell], DivisibilityClaim] | None = None):
-    """The cell check of conjecture one: cell -> (counterexample record or None, divisor is zero).
+def _check(conjecture: str, p: int | None, claim_fn: Callable[[Cell], DivisibilityClaim] | None = None):
+    """(names, at, fails, line, record): how identities._lines checks the cells of conjecture.
 
-    The scans record what a check returns; reverify demands the same again.
+    at(cell) gives the two sides (a claim's dividend and divisor), and line
+    is the c claim's line function along a row m unless claim_fn replaces
+    divisibility_claim.  record(cell, lhs, rhs) is a failed cell's record,
+    or None where the divisor is zero; reverify demands it again.
     """
+    names = _NAMES[conjecture]
+    if conjecture == "mixed-cube":
+        record = lambda cell, lhs, rhs: identities.Mismatch(tuple(zip(names, cell)), lhs, rhs).to_dict()
+        return names, lambda cell: check_mixed_cube(*cell)[:2], ne, None, record
+    variant = conjecture.removeprefix("divisibility-")
     build = claim_fn or (lambda cell: divisibility_claim(variant, p, cell))
+    sides = attrgetter("dividend", "divisor")
+    line = None
+    if variant == "c" and claim_fn is None:
+        row = _compiled(conjecture).line[2]
+        line = lambda m, ns: row(m, p, ns)
 
-    def check(cell: Cell) -> tuple[dict | None, bool]:
-        claim = build(cell)
-        if claim.divisor == 0:
-            return None, True
-        remainder = claim.dividend % claim.divisor
-        if remainder == 0:
-            return None, False
+    def record(cell, dividend, divisor):
+        if divisor == 0:
+            return None
         return {
-            "assignment": dict(claim.parameters),
-            "dividend": str(claim.dividend),
-            "divisor": str(claim.divisor),
-            "remainder": str(remainder),
-        }, False
+            "assignment": dict(zip(names, cell)),
+            "dividend": str(dividend),
+            "divisor": str(divisor),
+            "remainder": str(dividend % divisor),
+        }
 
-    return check
-
-
-def _mixed_check(cell: Cell) -> tuple[dict | None, bool]:
-    """The cell check of conjecture two at cell (n, m)."""
-    n, m = cell
-    lhs, rhs, equal = check_mixed_cube(n, m)
-    return None if equal else identities.Mismatch((("n", n), ("m", m)), lhs, rhs).to_dict(), False
+    fails = lambda dividend, divisor: divisor == 0 or dividend % divisor != 0
+    return names, lambda cell: sides(build(cell)), fails, line, record
 
 
 def _bounds(span: tuple[int, int], minimum: int) -> tuple[int, int]:
@@ -292,9 +299,10 @@ def _resume_index(cells: list[Cell], state: ScanState | None) -> int:
     return index
 
 
-def _run_scan(conjecture, p, domain, cells, checkpoint, max_cells, check) -> ScanState:
-    if max_cells is not None and max_cells < 0:
-        raise UsageError("the cell limit must be >= 0, got %d" % max_cells)
+def _run_scan(conjecture, p, domain, checkpoint, max_cells, claim_fn=None) -> ScanState:
+    if max_cells is not None and not (_int(max_cells) and max_cells >= 0):
+        raise UsageError("the cell limit must be >= 0 (an int, not a bool), got %r" % (max_cells,))
+    cells = _cells(conjecture, domain)
     if not cells:
         raise EmptyDomainError("%s: no cells in %s" % (conjecture, {name: list(span) for name, span in domain.items()}))
     if checkpoint is not None:
@@ -307,16 +315,11 @@ def _run_scan(conjecture, p, domain, cells, checkpoint, max_cells, check) -> Sca
             raise CheckpointError("checkpoint scanned the domain %r, not %r" % (checkpoint.domain, domain))
     start_index = _resume_index(cells, checkpoint)
     stop_index = len(cells) if max_cells is None else min(len(cells), start_index + max_cells)
+    names, at, fails, line, record = _check(conjecture, p, claim_fn)
     started = time.perf_counter()
-    found = []
-    zeros = 0
-    with keep_partials():
-        for cell in cells[start_index:stop_index]:
-            record, zero_divisor = check(cell)
-            if zero_divisor:
-                zeros += 1
-            elif record is not None:
-                found.append(record)
+    failed, _ = identities._lines(conjecture, cells[start_index:stop_index], names, at, fails, line)
+    records = [record(*failure) for failure in failed]
+    found = [entry for entry in records if entry is not None]
     elapsed_ms = (time.perf_counter() - started) * 1000.0
 
     previous = checkpoint or ScanState(conjecture, p, frontier=None)
@@ -327,7 +330,7 @@ def _run_scan(conjecture, p, domain, cells, checkpoint, max_cells, check) -> Sca
         frontier=cells[stop_index] if stop_index < len(cells) else None,
         processed=previous.processed + (stop_index - start_index),
         counterexamples=list(previous.counterexamples) + found,
-        skipped_zero_divisor=previous.skipped_zero_divisor + zeros,
+        skipped_zero_divisor=previous.skipped_zero_divisor + len(records) - len(found),
         elapsed_ms=previous.elapsed_ms + elapsed_ms,
     )
 
@@ -346,9 +349,9 @@ def scan_divisibility(
 
     Cells are ordered lexicographically ((m, n) ascending for variant c,
     plain n for b and a), which is also the checkpoint frontier order.
-    claim_fn substitutes the per-cell claim builder; the engine itself
-    never assumes the claim is true.  jobs is accepted for compatibility
-    and has no effect: the scan is serial.
+    claim_fn substitutes the per-cell claim builder, which then runs at
+    every cell; the engine never assumes the claim is true.  jobs is
+    accepted for compatibility and has no effect: the scan is serial.
     """
     variant = variant.lower()
     if variant not in _VARIANTS:
@@ -356,9 +359,7 @@ def scan_divisibility(
     if not _int(p) or p < 1 or p % 2 == 0:
         raise UsageError("exponent p must be an odd integer >= 1, got %r" % (p,))
     domain = _divisibility_domain(variant, m_range, n_range)
-    check = _divisibility_check(variant, p, claim_fn)
-    conjecture = "divisibility-" + variant
-    return _run_scan(conjecture, p, domain, _cells(conjecture, domain), checkpoint, max_cells, check)
+    return _run_scan("divisibility-" + variant, p, domain, checkpoint, max_cells, claim_fn)
 
 
 def scan_mixed(
@@ -373,7 +374,7 @@ def scan_mixed(
     jobs is accepted for compatibility and has no effect: the scan is serial.
     """
     domain = {"n": _bounds(n_range, 1), "m": _bounds(m_range, 1)}
-    return _run_scan("mixed-cube", None, domain, _cells("mixed-cube", domain), checkpoint, max_cells, _mixed_check)
+    return _run_scan("mixed-cube", None, domain, checkpoint, max_cells)
 
 
 def reverify(state: ScanState, claim_fn: Callable[[Cell], DivisibilityClaim] | None = None) -> bool:
@@ -384,24 +385,23 @@ def reverify(state: ScanState, claim_fn: Callable[[Cell], DivisibilityClaim] | N
     once, since a forged cell may be outside every check's domain or
     arbitrarily costly.
     """
-    if state.conjecture == "mixed-cube":
-        names, check = ("n", "m"), _mixed_check
-    elif state.conjecture.startswith("divisibility-"):
-        if state.counterexamples and not (_int(state.p) and state.p >= 1):
-            return False  # no cell check has this exponent
-        variant = state.conjecture.removeprefix("divisibility-")
-        names, check = _cell_names(variant), _divisibility_check(variant, state.p, claim_fn)
-    else:
+    if state.conjecture not in _NAMES:
         raise UsageError("cannot reverify unknown conjecture %r" % state.conjecture)
-    with keep_partials():  # records are in cell order, so running sums extend
-        for record in state.counterexamples:
-            assignment = record.get("assignment")
-            if not isinstance(assignment, dict) or assignment.keys() != set(names):
-                return False
-            cell = tuple(assignment[name] for name in names)
-            if not all(map(_int, cell)) or not _processed(state, names, cell) or check(cell) != (record, False):
-                return False
-    return True
+    if state.conjecture != "mixed-cube" and state.counterexamples and not (_int(state.p) and state.p >= 1):
+        return False  # no claim has this exponent
+    names, at, fails, _, record = _check(state.conjecture, state.p, claim_fn)
+    cells = []
+    for counterexample in state.counterexamples:
+        assignment = counterexample.get("assignment")
+        if not isinstance(assignment, dict) or assignment.keys() != set(names):
+            return False
+        cell = tuple(assignment[name] for name in names)
+        if not all(map(_int, cell)) or not _processed(state, names, cell):
+            return False
+        cells.append(cell)
+    # cell by cell: records out of cell order would feed a line function's running sum backwards
+    failed, _ = identities._lines(state.conjecture, cells, names, at, fails)
+    return [record(*failure) for failure in failed] == state.counterexamples
 
 
 def save_checkpoint(state: ScanState, destination: str | os.PathLike) -> None:

@@ -10,11 +10,12 @@ vanish through the binomial zero convention, never through special cases
 in the sums.  A descriptor may also carry hand-written sides, any
 (**params) -> int | Fraction callables, which are used as given.
 
-The engine sweeps a line of cells at a time: the cells that share all
-parameters but the last.  Compiled sides come with a line function that
-runs a whole line in one call; any other sides run cell by cell.  Either
-way a mismatch record is built from the sides at its cell, so the two
-paths report the same.
+The engine, _lines, checks a line of cells at a time: the cells that
+share all parameters but the last.  Compiled sides come with a line
+function that runs a whole line in one call; any other sides run cell by
+cell.  Either way a failed cell is reported with the sides at that cell,
+so the two paths report the same.  The relation is the caller's: != for a
+sweep, and the conjecture scans run the same engine with theirs.
 """
 
 from __future__ import annotations
@@ -22,8 +23,8 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from itertools import groupby, product
-from operator import itemgetter
+from itertools import compress, groupby, product, starmap
+from operator import itemgetter, ne
 from typing import Callable, Mapping
 
 from .errors import DomainError, EmptyDomainError, IntegrityError, UnknownIdentityError, UsageError
@@ -52,10 +53,11 @@ class IdentityDescriptor:
     constraint, when present, is the relational part of the domain;
     per-parameter lower bounds live in parameters.  default_cap is the
     upper bound a sweep uses for parameters the caller did not range.
-    line is set by the compiler to (lhs, rhs, fn): fn(*head, xs) gives the
-    positions in xs where those two sides differ at head + (x,).  The
-    engine calls fn only while lhs and rhs are still those two, so a
-    descriptor whose sides were replaced never runs a stale one.
+    line is set by the compiler to (lhs, rhs, fn): fn(*head, xs) gives,
+    for each x in xs, those two sides at head + (x,) as a cross-multiplied
+    pair, equal iff the sides are.  The engine calls fn only while lhs and
+    rhs are still those two, so a descriptor whose sides were replaced
+    never runs a stale one.
     """
 
     id: str
@@ -419,22 +421,37 @@ def _line_function(ident: IdentityDescriptor) -> Callable | None:
     return line if lhs is ident.lhs and rhs is ident.rhs else None
 
 
-def _differences(ident, names, line, positions, fail_fast, flagged) -> list[tuple[int, int | Fraction, int | Fraction]]:
-    """(position, lhs, rhs) at each of positions in line where the sides differ, up to the first under fail_fast.
+def _lines(name, cells, names, at, fails, line=None, fail_fast=False) -> tuple[list[tuple], int]:
+    """(failed, checked): (cell, lhs, rhs) at each cell where fails(lhs, rhs), and the count of cells checked.
 
-    flagged says a line function reported every one of positions as a
-    difference, so sides that agree at one raise IntegrityError.
+    at(cell) gives the two sides at a cell.  A line, the cells that share
+    all values but the last, runs in one call of line(*head, xs), which
+    gives a pair per x, and only the cells whose pair fails run at: sides
+    that pass there raise IntegrityError.  Without line, or if its call
+    raises, the line runs cell by cell.  fail_fast stops at the first failure.
     """
-    found = []
-    for i in positions:
-        lhs, rhs = _sides(ident, dict(zip(names, line[i])))
-        if lhs != rhs:
-            found.append((i, lhs, rhs))
-            if fail_fast:
-                break
-        elif flagged:
-            raise IntegrityError("%s: line function and sides disagree at %r" % (ident.id, dict(zip(names, line[i]))))
-    return found
+    failed = []
+    checked = 0
+    with keep_partials():
+        for head, group in groupby(cells, itemgetter(slice(None, -1))):
+            run = list(group)
+            positions, flagged = range(len(run)), False
+            if line is not None:
+                try:
+                    pairs = line(*head, [cell[-1] for cell in run])
+                    positions, flagged = list(compress(range(len(run)), starmap(fails, pairs))), True
+                except Exception:  # then every cell runs through at, which raises where it does
+                    pass
+            for i in positions:
+                lhs, rhs = at(run[i])
+                if fails(lhs, rhs):
+                    failed.append((run[i], lhs, rhs))
+                    if fail_fast:
+                        return failed, checked + i + 1
+                elif flagged:
+                    raise IntegrityError("%s: line function and sides disagree at %r" % (name, dict(zip(names, run[i]))))
+            checked += len(run)
+    return failed, checked
 
 
 def verify_identity(
@@ -451,12 +468,9 @@ def verify_identity(
     else raises TypeError) and turned into Fractions only for a mismatch
     record.  All mismatches are collected (not just the first) unless
     fail_fast is set, which stops at the first mismatch in cell order.
-    Cells run in lexicographic order of the parameters, so mismatches come
-    out canonically sorted.  A line of cells (all parameters but the last
-    fixed) runs in one call of the compiled line function when the sides
-    are the compiled ones; if that call raises, or the sides are any
-    others, the line runs cell by cell, which raises (or stops under
-    fail_fast) where the sides do.  parallelism is accepted for
+    Cells run through _lines in lexicographic order of the parameters, so
+    mismatches come out canonically sorted, with the compiled line function
+    while the sides are the compiled ones.  parallelism is accepted for
     compatibility and has no effect: the sweep is serial, since threads
     only slow pure-Python big-integer work under the GIL.
     """
@@ -469,25 +483,9 @@ def verify_identity(
         )
     names = ident.parameter_names()
     started = time.perf_counter()
-    checked = 0
-    mismatches = []
-    compiled = _line_function(ident)
-    with keep_partials():
-        for _, group in groupby(cells, itemgetter(slice(None, -1))):
-            line = list(group)
-            positions, flagged = range(len(line)), False
-            if compiled is not None:
-                try:
-                    positions, flagged = compiled(*line[0][:-1], [values[-1] for values in line]), True
-                except Exception:  # then every cell runs through the sides, which raise where they do
-                    pass
-            found = _differences(ident, names, line, positions, fail_fast, flagged)
-            for i, lhs, rhs in found:
-                mismatches.append(Mismatch(tuple(zip(names, line[i])), Fraction(lhs), Fraction(rhs)))
-            if fail_fast and found:
-                checked += found[0][0] + 1
-                break
-            checked += len(line)
+    at = lambda cell: _sides(ident, dict(zip(names, cell)))
+    failed, checked = _lines(ident.id, cells, names, at, ne, _line_function(ident), fail_fast)
+    mismatches = [Mismatch(tuple(zip(names, cell)), Fraction(lhs), Fraction(rhs)) for cell, lhs, rhs in failed]
     elapsed_ms = (time.perf_counter() - started) * 1000.0
     return VerificationReport(
         identity=ident.id,

@@ -25,12 +25,12 @@ functions in the namespace it is given, at call time.
 
 A statement also compiles into a line function over its last parameter x:
 line(<the other parameters>, xs) runs both sides for every x in xs
-(increasing) in one loop and returns the positions in xs where they
-differ.  A running sum at the top of a side whose upper bound is x + c
-(x with terms free of x added or subtracted), and whose other names and
-lower bound do not use x, runs the same loop on locals set up once per
-line.  The sides are compared as cross-multiplied pairs; a zero
-denominator raises ZeroDivisionError.
+(increasing) in one loop and returns the cross-multiplied pair (lhs
+numerator * rhs denominator, rhs numerator * lhs denominator) at each x;
+the relation is the caller's.  A running sum at the top of a side whose
+upper bound is x + c (x with terms free of x added or subtracted), and
+whose other names and lower bound do not use x, runs the same loop on
+locals set up once per line.  A zero denominator raises ZeroDivisionError.
 """
 
 from __future__ import annotations
@@ -295,7 +295,7 @@ class _Compiler:
         return "def %s(%s):\n%s" % (name, ", ".join(self.parameters), _indent(scope.lines + ["return " + returned]))
 
     def line(self, node: ast.Compare) -> str:
-        """Source of def line(<parameters but the last>, _xs) returning the positions in _xs where the sides differ."""
+        """Source of def line(<parameters but the last>, _xs) returning the pair of cross-multiplied sides at each x in _xs."""
         *head, x = self.parameters
         init, body, sides = [], [], []
         for side in (node.left, node.comparators[0]):
@@ -308,9 +308,9 @@ class _Compiler:
             body += scope.lines
             sides.append((q.num, den))
         (lhs, lhs_den), (rhs, rhs_den) = sides
-        body.append("if %s != %s:\n    _bad.append(_i)" % (_mul(lhs, rhs_den), _mul(rhs, lhs_den)))
-        loop = "for _i, %s in enumerate(_xs):\n%s" % (x, _indent(body))
-        return "def line(%s):\n%s" % (", ".join(head + ["_xs"]), _indent(init + ["_bad = []", loop, "return _bad"]))
+        body.append("_pairs.append((%s, %s))" % (_mul(lhs, rhs_den), _mul(rhs, lhs_den)))
+        loop = "for %s in _xs:\n%s" % (x, _indent(body))
+        return "def line(%s):\n%s" % (", ".join(head + ["_xs"]), _indent(init + ["_pairs = []", loop, "return _pairs"]))
 
     def test(self, name: str, node: ast.Compare) -> str:
         """Source of def name(parameters) returning the chain of comparisons node."""

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from catalan_triangles import conjectures
+from catalan_triangles import cli, conjectures, identities
 from catalan_triangles.conjectures import (
     DivisibilityClaim,
     ScanState,
@@ -62,6 +62,12 @@ def test_c_quotients_at_exponent_three_match_cube_closed_form():
 def test_a_claim_below_its_first_row_raises_domain_error(variant, cell):
     # a bad request, not an internal fault: c at m = 0 would otherwise divide by binomial(-1, n) = 0
     with pytest.raises(DomainError):
+        divisibility_claim(variant, 3, cell)
+
+
+@pytest.mark.parametrize("variant, cell", [("c", (5,)), ("c", (5, 2, 1)), ("b", (2, 3)), ("a", ())])
+def test_a_claim_at_a_cell_of_the_wrong_length_raises_domain_error(variant, cell):
+    with pytest.raises(DomainError, match="cell is"):
         divisibility_claim(variant, 3, cell)
 
 
@@ -268,6 +274,12 @@ def test_negative_cell_limit_is_a_usage_error():
         scan_divisibility("c", 3, m_range=(2, 5), max_cells=-1)
     with pytest.raises(UsageError):
         scan_mixed((1, 3), (1, 3), max_cells=-2)
+    # True would scan one cell, and 2.5 would fail in slicing
+    for limit in (True, 2.5):
+        with pytest.raises(UsageError, match="cell limit"):
+            scan_divisibility("c", 3, m_range=(2, 5), max_cells=limit)
+        with pytest.raises(UsageError, match="cell limit"):
+            scan_mixed((1, 3), (1, 3), max_cells=limit)
     assert scan_divisibility("c", 3, m_range=(2, 5), max_cells=0).processed == 0
 
 
@@ -335,6 +347,67 @@ def test_resume_equals_uninterrupted_run(tmp_path):
         save_checkpoint(partial, path)
         resumed = scan_divisibility("c", 5, m_range=(2, 20), checkpoint=load_checkpoint(path))
         assert resumed == uninterrupted
+
+
+def _c_claim(p):
+    """claim_fn that is divisibility_claim itself, so the c scan runs cell by cell."""
+    return lambda cell: divisibility_claim("c", p, cell)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from([1, 3, 5, 7]),
+    st.integers(2, 30),
+    st.integers(0, 15),
+    st.one_of(st.none(), st.tuples(st.integers(1, 25), st.integers(0, 15))),
+    st.lists(st.integers(0, 60), max_size=4),
+)
+def test_the_c_scan_on_its_line_function_equals_the_scan_cell_by_cell(p, m_lo, m_span, n_box, cuts):
+    # random boxes, legs cut anywhere (mostly mid-row), each resumed from the last leg's frontier
+    m_range, n_range = (m_lo, m_lo + m_span), None
+    if n_box is not None:
+        n_lo = min(n_box[0], m_range[1] - 1)  # so that (m_hi, n_lo) is a cell
+        n_range = (n_lo, n_lo + n_box[1])
+    on_line = on_cells = None
+    for cut in cuts + [None]:
+        on_line = scan_divisibility("c", p, n_range, m_range, checkpoint=on_line, max_cells=cut)
+        on_cells = scan_divisibility("c", p, n_range, m_range, checkpoint=on_cells, max_cells=cut, claim_fn=_c_claim(p))
+        assert on_line == on_cells
+    assert on_line.frontier is None and not on_line.counterexamples
+
+
+@pytest.mark.parametrize("p", [2, 4])
+def test_the_c_line_function_finds_the_failures_of_even_exponents(p):
+    # no scan runs an even p, where the claim really fails: run the scan's check through _lines directly
+    cells = conjectures._cells("divisibility-c", {"m": (2, 30), "n": (1, 29)})
+    names, at, fails, line, record = conjectures._check("divisibility-c", p)
+    assert line is not None
+
+    def indivisible(m, n):
+        dividend = sum(((m - 2 * k) * math.comb(m, k) // m) ** p for k in range(n + 1))
+        return dividend % math.comb(m - 1, n) != 0
+
+    # the whole domain, then slices that start and end mid-row, as a limit cut and a resumed frontier make them
+    for start, stop in [(0, len(cells)), (4, 61), (100, 101), (250, 406)]:
+        part = cells[start:stop]
+        on_line = identities._lines("divisibility-c", part, names, at, fails, line)
+        on_cells = identities._lines("divisibility-c", part, names, at, fails)
+        assert on_line == on_cells and on_line[1] == len(part)
+        assert [record(*failure) for failure in on_line[0]] == [record(*failure) for failure in on_cells[0]]
+        assert [cell for cell, _, _ in on_line[0]] == [cell for cell in part if indivisible(*cell)] != []
+
+
+def test_a_c_line_function_that_fails_where_the_claim_holds_is_an_integrity_error(monkeypatch, capsys):
+    ident = conjectures._compiled("divisibility-c")
+    lhs, rhs, _ = ident.line
+    # 2 never divides 1, at every cell of every row
+    wrong = dataclasses.replace(ident, line=(lhs, rhs, lambda m, p, ns: [(1, 2)] * len(ns)))
+    monkeypatch.setitem(conjectures._STATEMENTS, "divisibility-c", wrong)
+    with pytest.raises(IntegrityError, match="divisibility-c: line function and sides disagree at"):
+        scan_divisibility("c", 3, m_range=(2, 6))
+    assert scan_divisibility("c", 3, m_range=(2, 6), claim_fn=_c_claim(3)).processed == 15  # cell by cell
+    assert cli.main(["scan", "c-powers", "--p", "3", "--m", "2..6", "--no-timing"]) == cli.EXIT_INTERNAL
+    assert "line function and sides disagree" in capsys.readouterr().err
 
 
 def test_resume_in_many_small_legs():

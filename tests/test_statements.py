@@ -233,8 +233,10 @@ def test_a_replaced_side_never_runs_the_stale_line_function():
 def test_a_line_function_that_flags_agreeing_sides_is_an_integrity_error():
     ident = get_identity("rec-A")
     lhs, rhs, _ = ident.line
+    # a pair of unequal values at every cell, where the sides are equal
+    unequal = replace(ident, line=(lhs, rhs, lambda *args: [(0, 1)] * len(args[-1])))
     with pytest.raises(IntegrityError, match="rec-A: line function and sides disagree at"):
-        verify_identity(replace(ident, line=(lhs, rhs, lambda *args: [0])), cap=6)
+        verify_identity(unequal, cap=6)
 
 
 @pytest.mark.parametrize(
@@ -307,7 +309,8 @@ def test_a_compound_denominator_is_computed_once_per_cell():
         assert built["lhs"](n=n) == built["rhs"](n=n)
     assert len(calls) == 5
     calls.clear()
-    assert built["line"](list(range(1, 6))) == []
+    pairs = built["line"](list(range(1, 6)))
+    assert len(pairs) == 5 and all(lhs == rhs for lhs, rhs in pairs)
     assert len(calls) == 5
 
 
