@@ -149,8 +149,6 @@ def _cmd_scan(args) -> int:
     if args.variant == "mixed":
         if args.p is not None:
             raise UsageError("the mixed scan takes no exponent; drop --p")
-        if args.n is None or args.m is None:
-            raise UsageError("scan mixed needs both --n and --m ranges")
         state = conjectures.scan_mixed(
             args.n, args.m, checkpoint=checkpoint, jobs=args.jobs, max_cells=args.limit
         )

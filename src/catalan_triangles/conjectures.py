@@ -373,6 +373,8 @@ def scan_mixed(
 
     jobs is accepted for compatibility and has no effect: the scan is serial.
     """
+    if n_range is None or m_range is None:
+        raise UsageError("scan mixed needs both --n and --m ranges")
     domain = {"n": _bounds(n_range, 1), "m": _bounds(m_range, 1)}
     return _run_scan("mixed-cube", None, domain, checkpoint, max_cells)
 

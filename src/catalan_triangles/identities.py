@@ -427,8 +427,9 @@ def _lines(name, cells, names, at, fails, line=None, fail_fast=False) -> tuple[l
     at(cell) gives the two sides at a cell.  A line, the cells that share
     all values but the last, runs in one call of line(*head, xs), which
     gives a pair per x, and only the cells whose pair fails run at: sides
-    that pass there raise IntegrityError.  Without line, or if its call
-    raises, the line runs cell by cell.  fail_fast stops at the first failure.
+    that pass there, or a pair count other than the cell count, raise
+    IntegrityError.  Without line, or if its call raises, the line runs
+    cell by cell.  fail_fast stops at the first failure.
     """
     failed = []
     checked = 0
@@ -438,10 +439,13 @@ def _lines(name, cells, names, at, fails, line=None, fail_fast=False) -> tuple[l
             positions, flagged = range(len(run)), False
             if line is not None:
                 try:
-                    pairs = line(*head, [cell[-1] for cell in run])
-                    positions, flagged = list(compress(range(len(run)), starmap(fails, pairs))), True
+                    flags = list(starmap(fails, line(*head, [cell[-1] for cell in run])))
                 except Exception:  # then every cell runs through at, which raises where it does
                     pass
+                else:  # compress would stop at the shorter of flags and cells
+                    if len(flags) != len(run):
+                        raise IntegrityError("%s: line function gave %d pairs for %d cells" % (name, len(flags), len(run)))
+                    positions, flagged = list(compress(range(len(run)), flags)), True
             for i in positions:
                 lhs, rhs = at(run[i])
                 if fails(lhs, rhs):

@@ -11,17 +11,17 @@ Each side becomes generated Python code that keeps every value as an
 integer pair (numerator, denominator) and builds at most one Fraction, in
 its return; an int is returned when the denominator is the literal 1.  A
 sum whose upper bound uses a name its term does not is a running sum; any
-other is a plain sum.  Every sum runs one loop, which adds integers when
-the term's denominator is the literal 1 and otherwise keeps an integer
-numerator over the lcm of the term denominators seen so far; for a
-running sum the loop is a factory-level function _rsN(hi, *fixed), one
-per running sum of the text, that keeps its (next k, numerator,
-denominator) in exact.partials(), so a sweep that raises the bound adds
-one term per cell.  H(x) is the pair of harmonic(x) everywhere, inside a
-sum or not.  An exponent that is not an integer literal raises
-DomainError when it evaluates below 0, before the power is taken.  The
-generated code looks up _c_ext, binomial, harmonic and the other
-functions in the namespace it is given, at call time.
+other is a plain sum.  Every sum runs one loop, in the function that uses
+it, which adds integers when the term's denominator is the literal 1 and
+otherwise keeps an integer numerator over the lcm of the term denominators
+seen so far.  A running sum resumes its (next k, numerator, denominator)
+from exact.partials(), keyed by an object() of its own and the values of
+the other names its term and lower bound read, so a sweep that raises the
+bound adds one term per cell.  H(x) is the pair of harmonic(x)
+everywhere, inside a sum or not.  An exponent that is not an integer
+literal raises DomainError when it evaluates below 0, before the power
+is taken.  The generated code looks up _c_ext, binomial, harmonic and the
+other functions in the namespace it is given, at call time.
 
 A statement also compiles into a line function over its last parameter x:
 line(<the other parameters>, xs) runs both sides for every x in xs
@@ -134,7 +134,7 @@ class _Compiler:
         if len(set(parameters)) != len(parameters):
             raise UsageError("parameter names %s repeat" % (parameters,))
         self.parameters = parameters
-        self.defs: list[str] = []  # factory-level code: the running-sum functions
+        self.defs: list[str] = []  # factory-level code: the running sums' keys
         self.count = 0
 
     def fresh(self, stem: str) -> str:
@@ -247,45 +247,33 @@ class _Compiler:
         running = not _free(hi) <= set(fixed)
         # a running sum along a line function's x runs on locals set up once per line
         along = running and scope.x is not None and scope.x not in fixed and _along(hi, scope.x)
-        if running and not along:
-            return self.call_rs(node, fixed, scope)
-        start = _Scope(scope.names) if along else scope
+        start = _Scope(scope.names) if running else scope
         lo_code = self.integer(lo, start, "a lower bound")
-        hi_code = self.integer(hi, scope, "an upper bound")
+        hi_code = self.local(self.integer(hi, scope, "an upper bound"), scope)
         inner = _Scope(scope.names | {v})
-        k, num, den, code, total = self.loop(v, inner, self.expr(term, inner), self.local(hi_code, scope))
+        k, num, den, code, total = self.loop(v, inner, self.expr(term, inner), hi_code)
         first = "%s, %s, %s = %s, 0, 1" % (k, num, den, lo_code)
-        if along:
+        if not running:
+            scope.lines += [first, code]
+        elif along:
             scope.init += start.lines + [first]
+            scope.lines.append(code)
         else:
-            scope.lines.append(first)
-        scope.lines.append(code)
+            # any other running sum resumes its partial in exact.partials() unless that passed the bound
+            key = self.fresh("rs")
+            self.defs.append("%s = object()" % key)
+            key = "(%s)" % ", ".join((key,) + fixed) if fixed else key
+            scope.lines += [
+                "_store = _partials()",
+                "_last = None if _store is None else _store.get(%s)" % key,
+                "if _last is not None and _last[0] <= %s + 1:" % hi_code,
+                "    %s, %s, %s = _last" % (k, num, den),
+                "else:\n%s" % _indent(start.lines + [first]),
+                code,
+                "if _store is not None:",
+                "    _store[%s] = %s, %s, %s" % (key, k, num, den),
+            ]
         return total
-
-    def call_rs(self, node: ast.Call, fixed: tuple[str, ...], scope: _Scope) -> _Q:
-        """A call of a new def _rsN(_hi, *fixed), which resumes its partial in exact.partials() unless that passed _hi."""
-        term, var, lo, hi = node.args
-        rs = self.fresh("rs")
-        start, inner = _Scope(scope.names), _Scope(scope.names | {var.id})
-        lo_code = self.integer(lo, start, "a lower bound")
-        k, num, den, code, total = self.loop(var.id, inner, self.expr(term, inner), "_hi")
-        key = "(%s)" % ", ".join((rs,) + fixed) if fixed else rs
-        body = [
-            "_store = _partials()",
-            "_last = None if _store is None else _store.get(%s)" % key,
-            "if _last is not None and _last[0] <= _hi + 1:",
-            "    %s, %s, %s = _last" % (k, num, den),
-            "else:\n%s" % _indent(start.lines + ["%s, %s, %s = %s, 0, 1" % (k, num, den, lo_code)]),
-            code,
-            "if _store is not None:",
-            "    _store[%s] = %s, %s, %s" % (key, k, num, den),
-            "return %s, %s" % (num, den),
-        ]
-        self.defs.append("def %s(%s):\n%s" % (rs, ", ".join(("_hi",) + fixed), _indent(body)))
-        num, returned = self.fresh("num"), self.fresh("den")
-        hi_code = self.integer(hi, scope, "an upper bound")
-        scope.lines.append("%s, %s = %s(%s)" % (num, returned, rs, ", ".join((hi_code,) + fixed)))
-        return _Q(num, total.den if total.den == "1" else returned)
 
     def function(self, name: str, node: ast.AST) -> str:
         """Source of def name(parameters) returning node's value."""

@@ -154,6 +154,9 @@ def test_missing_ranges_rejected():
         scan_divisibility("c", 3)
     with pytest.raises(UsageError):
         scan_divisibility("b", 3)
+    for n_range, m_range in [(None, (1, 3)), ((1, 3), None)]:
+        with pytest.raises(UsageError, match="needs both"):
+            scan_mixed(n_range, m_range)
 
 
 def test_worker_count_does_not_change_the_state():
@@ -242,6 +245,14 @@ def test_scan_mixed_clean():
     assert not state.counterexamples
     assert state.conjecture == "mixed-cube"
     assert state.p is None
+
+
+@pytest.mark.parametrize("text", ["mixed-cube n<=m", "mixed-cube m<n"])
+def test_each_mixed_cube_text_holds_on_the_whole_box_without_its_constraint(text):
+    # the split at min(n, m) is for speed: each text's sums then run only to min(n, m)
+    ident = identities._compiled(dataclasses.replace(conjectures._STATEMENTS[text], constraint=None))
+    report = identities.verify_identity(ident, {"n": (1, 20), "m": (1, 20)})
+    assert report.passed and report.cells == 400
 
 
 def test_checkpoint_round_trip(tmp_path):

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from catalan_triangles import cli, identities
-from catalan_triangles.errors import DomainError, EmptyDomainError, UnknownIdentityError
+from catalan_triangles.errors import DomainError, EmptyDomainError, IntegrityError, UnknownIdentityError
 from catalan_triangles.exact import binomial, harmonic
 from catalan_triangles.identities import (
     IdentityDescriptor,
@@ -279,6 +279,23 @@ def test_fail_fast_cell_count_does_not_depend_on_parallelism():
     # the first mismatch in cell order is (7, 1), after 6 full rows of 12
     assert reports[0].cells == 6 * 12 + 1
     assert [m.assignment for m in reports[0].mismatches] == [(("m", 7), ("n", 1))]
+
+
+@pytest.mark.parametrize("extra", [-1, 1], ids=["short", "long"])
+def test_a_line_function_with_a_pair_count_other_than_its_cell_count_is_an_integrity_error(extra, monkeypatch, capsys):
+    # the right side is one too large at n = 5, the last cell of each line, which a line one pair
+    # short never flags; a line one pair long, which zip-like code cuts to the cells, flags nothing
+    true = get_identity("thm-linear-sum")
+    rhs = lambda m, n: true.rhs(m=m, n=n) + (n == 5)
+    line = (true.lhs, rhs, lambda m, ns: [(1, 1)] * (len(ns) + extra))
+    wrong = dataclasses.replace(true, rhs=rhs, line=line)
+    ranges = {"m": (6, 8), "n": (1, 5)}
+    with pytest.raises(IntegrityError, match="thm-linear-sum: line function gave %d pairs for 5 cells" % (5 + extra)):
+        verify_identity(wrong, ranges)
+    assert len(verify_identity(dataclasses.replace(wrong, line=None), ranges).mismatches) == 3  # cell by cell
+    monkeypatch.setitem(identities._REGISTRY, "thm-linear-sum", wrong)
+    assert cli.main(["verify", "thm-linear-sum", "--m", "6..8", "--n", "1..5", "--no-timing"]) == cli.EXIT_INTERNAL == 3
+    assert "line function gave %d pairs for 5 cells" % (5 + extra) in capsys.readouterr().err
 
 
 def test_allow_outside_domain_explores_beyond_constraints():

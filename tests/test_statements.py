@@ -266,7 +266,7 @@ def test_a_zero_denominator_mid_line_raises_as_the_scalar_path_does(statement, n
         ("2^(4-n) * 2^n == 16", ("n",), 6, {"n": 5}, "below 0"),
         # in the term of a running sum along n, from the line m = 2 on
         ("sum(2^(k-m) * 0, k=1..n) == 0", ("m", "n"), 4, {"m": 2, "n": 1}, "below 0"),
-        # in the term of a running sum that stays a call of its _rsN in the line function
+        # in the term of a running sum that resumes its partial from the store in the line function
         ("sum((-1)^(k-n) * 0, k=1..m) == 0", ("m", "n"), 4, {"m": 1, "n": 2}, "below 0"),
         # c(0, k) would divide by zero: a bad request, not a failed exactness check
         ("c(n-1, 0) == 1", ("n",), 3, {"n": 1}, "must be >= 1"),
