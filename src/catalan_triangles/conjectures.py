@@ -33,7 +33,7 @@ from typing import Callable, NamedTuple
 from . import identities
 from .errors import CheckpointError, DomainError, EmptyDomainError, UsageError
 from .exact import binomial
-from .identities import IdentityDescriptor, Parameter
+from .identities import IdentityDescriptor, Parameter, _int, _range
 from .triangles import a_row, b_row
 
 CHECKPOINT_VERSION = 2
@@ -80,10 +80,6 @@ class ScanState:
             if include_timing or name != "elapsed_ms":
                 doc[name] = spec.to_json(getattr(self, name))
         return doc
-
-
-def _int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)  # JSON true is no count
 
 
 class _Field(NamedTuple):
@@ -229,8 +225,9 @@ def _check(conjecture: str, p: int | None, claim_fn: Callable[[Cell], Divisibili
     return names, lambda cell: sides(build(cell)), fails, line, record
 
 
-def _bounds(span: tuple[int, int], minimum: int) -> tuple[int, int]:
-    return max(span[0], minimum), span[1]
+def _bounds(name: str, span: tuple[int, int], minimum: int) -> tuple[int, int]:
+    lo, hi = _range(name, span)
+    return max(lo, minimum), hi
 
 
 def _divisibility_domain(variant: str, m_range, n_range) -> dict[str, tuple[int, int]]:
@@ -238,13 +235,13 @@ def _divisibility_domain(variant: str, m_range, n_range) -> dict[str, tuple[int,
     if variant == "c":
         if m_range is None:
             raise UsageError("variant c needs an m range")
-        m = _bounds(m_range, 2)
-        return {"m": m, "n": (1, m[1] - 1) if n_range is None else _bounds(n_range, 1)}
+        m = _bounds("m", m_range, 2)
+        return {"m": m, "n": (1, m[1] - 1) if n_range is None else _bounds("n", n_range, 1)}
     if m_range is not None:
         raise UsageError("variant %s takes no m range; drop --m" % variant)
     if n_range is None:
         raise UsageError("variant %s needs an n range" % variant)
-    return {"n": _bounds(n_range, 1)}
+    return {"n": _bounds("n", n_range, 1)}
 
 
 def _cells(conjecture: str, domain: dict[str, tuple[int, int]]) -> list[Cell]:
@@ -375,7 +372,7 @@ def scan_mixed(
     """
     if n_range is None or m_range is None:
         raise UsageError("scan mixed needs both --n and --m ranges")
-    domain = {"n": _bounds(n_range, 1), "m": _bounds(m_range, 1)}
+    domain = {"n": _bounds("n", n_range, 1), "m": _bounds("m", m_range, 1)}
     return _run_scan("mixed-cube", None, domain, checkpoint, max_cells)
 
 

@@ -37,6 +37,17 @@ from .triangles import _a_ext, _b_ext, _c_ext, catalan, gen_catalan, seq_a, seq_
 Assignment = Mapping[str, int]
 
 
+def _int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)  # True would read as 1
+
+
+def _range(name: str, span) -> tuple[int, int]:
+    """span, a 2-item tuple or list of ints, as a (lo, hi) tuple; anything else raises UsageError."""
+    if not (isinstance(span, (tuple, list)) and len(span) == 2 and all(map(_int, span))):
+        raise UsageError("the %s range must be two integers (lo, hi), got %r" % (name, span))
+    return tuple(span)
+
+
 @dataclass(frozen=True)
 class Parameter:
     name: str
@@ -381,6 +392,9 @@ def evaluate_sides(identity: str | IdentityDescriptor, assignment: Assignment) -
         raise DomainError(
             "%s expects parameters %s, got %s" % (ident.id, names, tuple(assignment))
         )
+    for name in names:
+        if not _int(assignment[name]):
+            raise DomainError("%s: %s must be an integer, got %r" % (ident.id, name, assignment[name]))
     if not ident.admits(assignment):
         raise DomainError("%s: assignment %r violates the identity's domain" % (ident.id, dict(assignment)))
     lhs, rhs = _sides(ident, dict(assignment))
@@ -398,9 +412,12 @@ def effective_domain(
     unknown = set(ranges) - set(ident.parameter_names())
     if unknown:
         raise UsageError("%s has no parameter(s) %s" % (ident.id, sorted(unknown)))
+    if cap is not None and not _int(cap):
+        raise UsageError("the cap must be an integer, got %r" % (cap,))
+    top = ident.default_cap if cap is None else cap
     domain = {}
     for param in ident.parameters:
-        lo, hi = ranges.get(param.name, (param.minimum, ident.default_cap if cap is None else cap))
+        lo, hi = _range(param.name, ranges.get(param.name, (param.minimum, top)))
         domain[param.name] = (max(lo, param.minimum), hi)
     return domain
 

@@ -14,23 +14,25 @@ sum whose upper bound uses a name its term does not is a running sum; any
 other is a plain sum.  Every sum runs one loop, in the function that uses
 it, which adds integers when the term's denominator is the literal 1 and
 otherwise keeps an integer numerator over the lcm of the term denominators
-seen so far.  A running sum resumes its (next k, numerator, denominator)
-from exact.partials(), keyed by an object() of its own and the values of
-the other names its term and lower bound read, so a sweep that raises the
-bound adds one term per cell.  H(x) is the pair of harmonic(x)
-everywhere, inside a sum or not.  An exponent that is not an integer
-literal raises DomainError when it evaluates below 0, before the power
-is taken.  The generated code looks up _c_ext, binomial, harmonic and the
-other functions in the namespace it is given, at call time.
+seen so far.  A running sum keeps its partial (next k, numerator,
+denominator) for the values of its key, the names its term and lower
+bound read: it resumes the partial when the next k is at most the bound
++ 1, and otherwise restarts from the lower bound, so a sweep that raises
+the bound adds one term per cell.  The partial lives in exact.partials(),
+under an object() of the sum's own and the key's values.  H(x) is the
+pair of harmonic(x) everywhere, inside a sum or not.  An exponent that is
+not an integer literal raises DomainError when it evaluates below 0,
+before the power is taken.  The generated code looks up _c_ext, binomial,
+harmonic and the other functions in the namespace it is given, at call
+time.
 
 A statement also compiles into a line function over its last parameter x:
 line(<the other parameters>, xs) runs both sides for every x in xs
 (increasing) in one loop and returns the cross-multiplied pair (lhs
 numerator * rhs denominator, rhs numerator * lhs denominator) at each x;
-the relation is the caller's.  A running sum at the top of a side whose
-upper bound is x + c (x with terms free of x added or subtracted), and
-whose other names and lower bound do not use x, runs the same loop on
-locals set up once per line.  A zero denominator raises ZeroDivisionError.
+the relation is the caller's.  A running sum of a side whose key does not
+include x keeps its partial on the line function's locals instead, empty
+at the start of each line.  A zero denominator raises ZeroDivisionError.
 """
 
 from __future__ import annotations
@@ -89,16 +91,6 @@ def _free(node: ast.AST) -> frozenset[str]:
             return (_free(term) - {var.id}) | _free(lo) | _free(hi)
         return frozenset().union(*map(_free, node.args))
     return frozenset().union(*map(_free, ast.iter_child_nodes(node)))
-
-
-def _along(hi: ast.AST, x: str) -> bool:
-    """Whether hi is x + c: x itself, or y + e, e + y or y - e with y of that form and e free of x."""
-    if getattr(hi, "id", None) == x:
-        return True
-    if not (isinstance(hi, ast.BinOp) and isinstance(hi.op, (ast.Add, ast.Sub))):
-        return False
-    pairs = ((hi.left, hi.right), (hi.right, hi.left)) if isinstance(hi.op, ast.Add) else ((hi.left, hi.right),)
-    return any(x not in _free(e) and _along(y, x) for y, e in pairs)
 
 
 def _mul(x: str, y: str) -> str:
@@ -245,8 +237,6 @@ class _Compiler:
             raise UsageError("unknown name %r" % min(unknown))
         fixed = tuple(sorted((_free(term) - {v}) | _free(lo)))
         running = not _free(hi) <= set(fixed)
-        # a running sum along a line function's x runs on locals set up once per line
-        along = running and scope.x is not None and scope.x not in fixed and _along(hi, scope.x)
         start = _Scope(scope.names) if running else scope
         lo_code = self.integer(lo, start, "a lower bound")
         hi_code = self.local(self.integer(hi, scope, "an upper bound"), scope)
@@ -255,24 +245,23 @@ class _Compiler:
         first = "%s, %s, %s = %s, 0, 1" % (k, num, den, lo_code)
         if not running:
             scope.lines += [first, code]
-        elif along:
-            scope.init += start.lines + [first]
-            scope.lines.append(code)
-        else:
-            # any other running sum resumes its partial in exact.partials() unless that passed the bound
-            key = self.fresh("rs")
-            self.defs.append("%s = object()" % key)
-            key = "(%s)" % ", ".join((key,) + fixed) if fixed else key
-            scope.lines += [
-                "_store = _partials()",
-                "_last = None if _store is None else _store.get(%s)" % key,
-                "if _last is not None and _last[0] <= %s + 1:" % hi_code,
-                "    %s, %s, %s = _last" % (k, num, den),
-                "else:\n%s" % _indent(start.lines + [first]),
-                code,
-                "if _store is not None:",
-                "    _store[%s] = %s, %s, %s" % (key, k, num, den),
-            ]
+            return total
+        # a running sum resumes its partial unless that is empty or passed the bound
+        resume = ["if %s is None or %s > %s + 1:\n%s" % (k, k, hi_code, _indent(start.lines + [first])), code]
+        if scope.x is not None and scope.x not in fixed:
+            scope.init.append("%s = None" % k)  # on locals, empty at the start of each line
+            scope.lines += resume
+            return total
+        key = self.fresh("rs")
+        self.defs.append("%s = object()" % key)
+        key = "(%s)" % ", ".join((key,) + fixed) if fixed else key
+        scope.lines += [
+            "_store = _partials()",
+            "%s, %s, %s = (None, 0, 1) if _store is None else _store.get(%s, (None, 0, 1))" % (k, num, den, key),
+            *resume,
+            "if _store is not None:",
+            "    _store[%s] = %s, %s, %s" % (key, k, num, den),
+        ]
         return total
 
     def function(self, name: str, node: ast.AST) -> str:

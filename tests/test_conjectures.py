@@ -280,6 +280,27 @@ def test_failed_checkpoint_write_leaves_the_old_file_and_no_temp(tmp_path, monke
     assert os.listdir(tmp_path) == ["scan.json"]
 
 
+MALFORMED_SCANS = {
+    "mixed n (1,)": (lambda: scan_mixed((1,), (1, 3)), "n range"),
+    "mixed m (1, 3.5)": (lambda: scan_mixed((1, 3), (1, 3.5)), "m range"),
+    "mixed n (True, 3)": (lambda: scan_mixed((True, 3), (1, 3)), "n range"),  # would run as (1, 3)
+    "mixed n [1, 2, 3]": (lambda: scan_mixed([1, 2, 3], (1, 3)), "n range"),  # would be cut to (1, 2)
+    "b n (1,)": (lambda: scan_divisibility("b", 3, n_range=(1,)), "n range"),
+    "a n (1, 2, 3)": (lambda: scan_divisibility("a", 3, n_range=(1, 2, 3)), "n range"),
+    "c m (2, '9')": (lambda: scan_divisibility("c", 3, m_range=(2, "9")), "m range"),
+    "c m (True, 9)": (lambda: scan_divisibility("c", 3, m_range=(True, 9)), "m range"),
+    "c n (1, 2.5)": (lambda: scan_divisibility("c", 3, m_range=(2, 9), n_range=(1, 2.5)), "n range"),
+    "c m 5": (lambda: scan_divisibility("c", 3, m_range=5), "m range"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_SCANS))
+def test_a_malformed_range_is_a_usage_error_naming_it(case):
+    scan, named = MALFORMED_SCANS[case]
+    with pytest.raises(UsageError, match=named):
+        scan()
+
+
 def test_negative_cell_limit_is_a_usage_error():
     with pytest.raises(UsageError):
         scan_divisibility("c", 3, m_range=(2, 5), max_cells=-1)

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from catalan_triangles import cli, identities
-from catalan_triangles.errors import DomainError, EmptyDomainError, IntegrityError, UnknownIdentityError
+from catalan_triangles.errors import DomainError, EmptyDomainError, IntegrityError, UnknownIdentityError, UsageError
 from catalan_triangles.exact import binomial, harmonic
 from catalan_triangles.identities import (
     IdentityDescriptor,
@@ -104,6 +104,32 @@ def test_constraint_violation_is_reported_distinctly():
         evaluate_sides("thm-linear-sum", {"m": 1, "n": 1})  # needs m >= 2
     with pytest.raises(DomainError):
         evaluate_sides("thm-b-cube", {"m": 2})  # wrong parameter name
+
+
+@pytest.mark.parametrize(
+    "options, named",
+    [
+        ({"ranges": {"n": (1,)}}, "n range"),
+        ({"ranges": {"n": (1, 2.5)}}, "n range"),
+        ({"ranges": {"m": (2, "9")}}, "m range"),
+        ({"ranges": {"n": (True, 3)}}, "n range"),  # would run as (1, 3)
+        ({"ranges": {"n": (1, 2, 3)}}, "n range"),  # would be cut to (1, 2)
+        ({"ranges": {"n": 3}}, "n range"),
+        ({"cap": 2.5}, "cap"),
+        ({"cap": True}, "cap"),
+    ],
+)
+def test_a_malformed_range_or_cap_is_a_usage_error_naming_it(options, named):
+    with pytest.raises(UsageError, match=named):
+        verify_identity("thm-linear-sum", **options)
+    with pytest.raises(UsageError, match=named):
+        identities.effective_domain("thm-linear-sum", options.get("ranges"), options.get("cap"))
+
+
+@pytest.mark.parametrize("value", [2.0, True, "2", None, Fraction(2)])
+def test_a_value_that_is_not_an_int_is_a_domain_error(value):
+    with pytest.raises(DomainError, match="n must be an integer"):
+        evaluate_sides("thm-linear-sum", {"m": 5, "n": value})
 
 
 def test_verify_recurrence_box():

@@ -6,7 +6,11 @@ each sum bound (+1 and -1), and printed back into the grammar.  A sweep of
 each mutant at cap 6 must report the same on the line path as on the cell
 path, inside the domain and outside it; a mutant the compiler refuses must
 raise UsageError.  The number of mutants the sweep kills is pinned: a drop
-means a cap too small or an engine that stopped seeing a mismatch."""
+means a cap too small or an engine that stopped seeing a mismatch.
+
+Conjecture one's relation (a zero divisor or a non-zero remainder) gets the
+same oracle: each mutant of the c claim's text is scanned with that
+relation on the claim's line function and cell by cell."""
 
 import ast
 import copy
@@ -17,10 +21,14 @@ import pytest
 
 from catalan_triangles import conjectures, identities, statements
 from catalan_triangles.errors import UsageError
+from catalan_triangles.conjectures import divisibility_claim
 from catalan_triangles.identities import list_identities, verify_identity
 
 CAP = 6
 STATEMENTS = {ident.id: ident for ident in list_identities()} | conjectures._STATEMENTS
+# the c cells the claim's mutants are scanned on, the exponents, and the (mutant, p) runs that report a
+# finding: the four runs that report none put the lower bound at -1, whose extra term c(m,-1) is 0
+C_CELLS, C_EXPONENTS, C_FINDINGS = conjectures._cells("divisibility-c", {"m": (2, 9), "n": (1, 8)}), (3, 5), 14
 # mutants, those the compiler refuses, and those whose sweep at CAP inside the domain does not pass (a
 # mismatch, or 67 that raise DomainError or ZeroDivisionError); the 39 registered statements give 766
 # mutants and 672 kills
@@ -121,3 +129,32 @@ def test_the_mutants_killed_at_cap_6_are_pinned():
     refused = [text for text, line, *_ in sweeps if line is UsageError]
     killed = [text for text, line, *_ in sweeps if line is not UsageError and not getattr(line, "passed", False)]
     assert (len(sweeps), len(refused), len(killed)) == (MUTANTS, REFUSED, KILLED)
+
+
+def _scan(p: int, on_cells: bool):
+    """(cells checked, records of the failed cells) of a c scan of C_CELLS at p, or the type of what it raised.
+
+    Both paths use conjectures._check's relation and records; on_cells replaces the line function by
+    divisibility_claim at each cell."""
+    claim_fn = (lambda cell: divisibility_claim("c", p, cell)) if on_cells else None
+    names, at, fails, line, record = conjectures._check("divisibility-c", p, claim_fn)
+    assert (line is None) == on_cells
+    try:
+        failed, checked = identities._lines("divisibility-c", C_CELLS, names, at, fails, line)
+        return checked, [record(*failure) for failure in failed]
+    except Exception as exc:
+        return type(exc)
+
+
+def test_every_mutant_of_the_c_claim_reports_the_same_on_its_line_and_on_the_cells(monkeypatch):
+    base = conjectures._STATEMENTS["divisibility-c"]
+    texts = _mutants(base.statement)
+    findings = 0
+    for text in texts:
+        mutant = replace(base, statement=text, lhs=None, rhs=None, line=None)
+        monkeypatch.setitem(conjectures._STATEMENTS, "divisibility-c", mutant)
+        for p in C_EXPONENTS:
+            line, cells = _scan(p, on_cells=False), _scan(p, on_cells=True)
+            assert line == cells, (text, p)
+            findings += isinstance(line, type) or bool(line[1])
+    assert (len(texts), findings) == (9, C_FINDINGS)
