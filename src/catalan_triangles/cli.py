@@ -107,13 +107,11 @@ def _cmd_verify(args) -> int:
 
 # --- scan -------------------------------------------------------------------
 
-_SCAN_VARIANTS = {
+# the longer names of the divisibility variants c, b and a
+_SCAN_ALIASES = {
     "c-powers": "c",
     "b-cubes": "b",
     "a-cubes": "a",
-    "c": "c",
-    "b": "b",
-    "a": "a",
 }
 
 
@@ -153,7 +151,7 @@ def _cmd_scan(args) -> int:
             args.n, args.m, checkpoint=checkpoint, jobs=args.jobs, max_cells=args.limit
         )
     else:
-        variant = _SCAN_VARIANTS[args.variant]
+        variant = _SCAN_ALIASES.get(args.variant, args.variant)
         if args.p is None:
             raise UsageError("scan %s needs an odd exponent --p" % args.variant)
         state = conjectures.scan_divisibility(
@@ -177,23 +175,22 @@ def _cmd_scan(args) -> int:
 
 # --- seq --------------------------------------------------------------------
 
-_SEQ_KINDS = {"catalan": "catalan", "a": "seq_a", "b": "seq_b"}
-_SEQ_PARAMETRIC_KINDS = {"gen-catalan": "gen_catalan", "c-row": "c_row", "b-row": "b_row", "a-row": "a_row"}
+# Each kind of triangles._KINDS is a seq name: the kind with - for _, and a and b for seq_a and seq_b.
+# A kind with a param takes it after a colon, so its name here ends in one.
+_SEQ_NAMES = {
+    kind.replace("_", "-").removeprefix("seq-") + (":" if param else ""): kind
+    for kind, (_, param, _) in triangles._KINDS.items()
+}
+_SEQ_USAGE = " | ".join(name + (triangles._KINDS[kind][1] or "").upper() for name, kind in _SEQ_NAMES.items())
 
 
 def _parse_seq_name(name: str) -> tuple[str, int | None]:
     base, sep, param = name.partition(":")
-    if not sep:
-        if base in _SEQ_KINDS:
-            return _SEQ_KINDS[base], None
-        raise UsageError(
-            "unknown sequence %r; expected one of %s or %s with ':INDEX'"
-            % (name, sorted(_SEQ_KINDS), sorted(_SEQ_PARAMETRIC_KINDS))
-        )
-    if base not in _SEQ_PARAMETRIC_KINDS:
-        raise UsageError("unknown parametric sequence %r" % name)
+    kind = _SEQ_NAMES.get(base + sep)
+    if kind is None:
+        raise UsageError("unknown sequence %r; expected %s" % (name, _SEQ_USAGE))
     try:
-        return _SEQ_PARAMETRIC_KINDS[base], int(param)
+        return kind, int(param) if sep else None
     except ValueError:
         raise UsageError("bad index in %r; expected %s:INT" % (name, base)) from None
 
@@ -255,7 +252,7 @@ def _build_parser() -> argparse.ArgumentParser:
     verify.set_defaults(handler=_cmd_verify)
 
     scan = sub.add_parser("scan", help="search a conjecture domain for counterexamples")
-    scan.add_argument("variant", choices=sorted(set(_SCAN_VARIANTS) | {"mixed"}))
+    scan.add_argument("variant", choices=sorted({*_SCAN_ALIASES, *_SCAN_ALIASES.values(), "mixed"}))
     scan.add_argument("--p", type=int, default=None, help="odd exponent for divisibility scans")
     scan.add_argument("--n", type=_span, default=None, metavar="A..B")
     scan.add_argument("--m", type=_span, default=None, metavar="A..B")
@@ -270,7 +267,7 @@ def _build_parser() -> argparse.ArgumentParser:
     scan.set_defaults(handler=_cmd_scan)
 
     seq = sub.add_parser("seq", help="print a slice of a sequence or triangle row")
-    seq.add_argument("name", help="catalan | a | b | gen-catalan:K | c-row:M | b-row:N | a-row:N")
+    seq.add_argument("name", help=_SEQ_USAGE)
     seq.add_argument("start", type=int)
     seq.add_argument("count", type=int)
     seq.add_argument("--format", choices=("plain", "csv", "json", "oeis-bfile", "plain-table"),

@@ -32,8 +32,8 @@ from typing import Callable, NamedTuple
 
 from . import identities
 from .errors import CheckpointError, DomainError, EmptyDomainError, UsageError
-from .exact import binomial
-from .identities import IdentityDescriptor, Parameter, _int, _range
+from .exact import _int, binomial
+from .identities import IdentityDescriptor, Parameter, _range
 from .triangles import a_row, b_row
 
 CHECKPOINT_VERSION = 2
@@ -166,7 +166,7 @@ def divisibility_claim(variant: str, p: int, cell: Cell) -> DivisibilityClaim:
     if variant not in _VARIANTS:
         raise UsageError("unknown divisibility variant %r (expected one of %s)" % (variant, _VARIANTS))
     names = _NAMES["divisibility-" + variant]
-    if len(cell) != len(names):
+    if len(cell) != len(names) or not all(map(_int, cell)):
         raise DomainError("divisibility_claim: a %s cell is (%s), got %r" % (variant, ", ".join(names), cell))
     if variant == "c":
         m, n = cell
@@ -225,23 +225,18 @@ def _check(conjecture: str, p: int | None, claim_fn: Callable[[Cell], Divisibili
     return names, lambda cell: sides(build(cell)), fails, line, record
 
 
-def _bounds(name: str, span: tuple[int, int], minimum: int) -> tuple[int, int]:
-    lo, hi = _range(name, span)
-    return max(lo, minimum), hi
-
-
 def _divisibility_domain(variant: str, m_range, n_range) -> dict[str, tuple[int, int]]:
     """The scanned bounds; variant c without an n range scans 1 <= n < m."""
     if variant == "c":
         if m_range is None:
             raise UsageError("variant c needs an m range")
-        m = _bounds("m", m_range, 2)
-        return {"m": m, "n": (1, m[1] - 1) if n_range is None else _bounds("n", n_range, 1)}
+        m = _range("m", m_range, 2)
+        return {"m": m, "n": (1, m[1] - 1) if n_range is None else _range("n", n_range, 1)}
     if m_range is not None:
         raise UsageError("variant %s takes no m range; drop --m" % variant)
     if n_range is None:
         raise UsageError("variant %s needs an n range" % variant)
-    return {"n": _bounds("n", n_range, 1)}
+    return {"n": _range("n", n_range, 1)}
 
 
 def _cells(conjecture: str, domain: dict[str, tuple[int, int]]) -> list[Cell]:
@@ -372,7 +367,7 @@ def scan_mixed(
     """
     if n_range is None or m_range is None:
         raise UsageError("scan mixed needs both --n and --m ranges")
-    domain = {"n": _bounds("n", n_range, 1), "m": _bounds("m", m_range, 1)}
+    domain = {"n": _range("n", n_range, 1), "m": _range("m", m_range, 1)}
     return _run_scan("mixed-cube", None, domain, checkpoint, max_cells)
 
 
@@ -398,7 +393,7 @@ def reverify(state: ScanState, claim_fn: Callable[[Cell], DivisibilityClaim] | N
         if not all(map(_int, cell)) or not _processed(state, names, cell):
             return False
         cells.append(cell)
-    # cell by cell: records out of cell order would feed a line function's running sum backwards
+    # no line function: every recorded cell should fail again, and each failing cell runs through at anyway
     failed, _ = identities._lines(state.conjecture, cells, names, at, fails)
     return [record(*failure) for failure in failed] == state.counterexamples
 

@@ -19,6 +19,10 @@ from .errors import DomainError, IntegrityError
 Rational = Fraction
 
 
+def _int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)  # True would read as 1
+
+
 def binomial(u: int, v: int) -> int:
     """Binomial coefficient C(u, v), zero whenever v < 0 or v > u."""
     if u < 0:

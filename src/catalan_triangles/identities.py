@@ -31,21 +31,17 @@ from .errors import DomainError, EmptyDomainError, IntegrityError, UnknownIdenti
 # binomial, harmonic and the triangle functions are what compiled sides call
 # (statements.FUNCTIONS); the sides look them up in this module at call time,
 # so rebinding one here reaches every side.
-from .exact import binomial, harmonic, keep_partials
+from .exact import _int, binomial, harmonic, keep_partials
 from .triangles import _a_ext, _b_ext, _c_ext, catalan, gen_catalan, seq_a, seq_b
 
 Assignment = Mapping[str, int]
 
 
-def _int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)  # True would read as 1
-
-
-def _range(name: str, span) -> tuple[int, int]:
-    """span, a 2-item tuple or list of ints, as a (lo, hi) tuple; anything else raises UsageError."""
+def _range(name: str, span, minimum: int) -> tuple[int, int]:
+    """span, a 2-item tuple or list of ints, as (lo, hi) with lo raised to minimum; anything else raises UsageError."""
     if not (isinstance(span, (tuple, list)) and len(span) == 2 and all(map(_int, span))):
         raise UsageError("the %s range must be two integers (lo, hi), got %r" % (name, span))
-    return tuple(span)
+    return max(span[0], minimum), span[1]
 
 
 @dataclass(frozen=True)
@@ -415,11 +411,7 @@ def effective_domain(
     if cap is not None and not _int(cap):
         raise UsageError("the cap must be an integer, got %r" % (cap,))
     top = ident.default_cap if cap is None else cap
-    domain = {}
-    for param in ident.parameters:
-        lo, hi = _range(param.name, ranges.get(param.name, (param.minimum, top)))
-        domain[param.name] = (max(lo, param.minimum), hi)
-    return domain
+    return {p.name: _range(p.name, ranges.get(p.name, (p.minimum, top)), p.minimum) for p in ident.parameters}
 
 
 def _admissible_cells(ident: IdentityDescriptor, domain: dict[str, tuple[int, int]], ignore_constraint: bool):

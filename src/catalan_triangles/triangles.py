@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import DomainError, IntegrityError
-from .exact import binomial, binomials, exact_div
+from .exact import _int, binomial, binomials, exact_div
 
 
 def _c_ext(m: int, k: int) -> int:
@@ -137,8 +137,16 @@ def _recurrent_slice(kind: str, direct, indices: range) -> list[int]:
     return values
 
 
-# kind: (name of the row index, last column minus row index)
-_ROWS = {"c_row": ("m", 0), "b_row": ("n", 0), "a_row": ("n", 1)}
+# kind: (first index, name of its param or None, last column of a row minus the row index)
+_KINDS = {
+    "catalan": (0, None, None),
+    "seq_a": (0, None, None),
+    "seq_b": (1, None, None),
+    "gen_catalan": (1, "k", None),
+    "c_row": (0, "m", 0),
+    "b_row": (1, "n", 0),
+    "a_row": (1, "n", 1),
+}
 
 
 def _row_slice(kind: str, index: int, start: int, stop: int) -> list[int]:
@@ -146,7 +154,7 @@ def _row_slice(kind: str, index: int, start: int, stop: int) -> list[int]:
 
     One run of binomials walks up row m of c, or down row 2n (b) or 2n+1 (a) from j = n - start or n+1 - start.
     """
-    name, extra = _ROWS[kind]
+    _, name, extra = _KINDS[kind]
     if index < 1:
         raise DomainError("%s: %s must be >= 1, got %d" % (kind, name, index))
     if stop - 1 > index + extra:
@@ -189,26 +197,14 @@ def a_row(n: int) -> tuple[int, ...]:
 class SequenceSpec:
     """A contiguous slice request against one named sequence or triangle row.
 
-    kind is one of catalan, gen_catalan, seq_a, seq_b, c_row, b_row, a_row;
-    param carries the extra index (the order k of gen_catalan, or the row).
+    kind is a key of _KINDS, which gives its first index and whether it
+    takes a param: the order k of gen_catalan, or the row of a triangle.
     """
 
     kind: str
     start: int
     count: int
     param: int | None = None
-
-
-_PARAMETRIC_KINDS = {"gen_catalan", "c_row", "b_row", "a_row"}
-_KIND_FIRST_INDEX = {
-    "catalan": 0,
-    "gen_catalan": 1,
-    "seq_a": 0,
-    "seq_b": 1,
-    "c_row": 0,
-    "b_row": 1,
-    "a_row": 1,
-}
 
 
 def generate(spec: SequenceSpec) -> list[int]:
@@ -220,13 +216,17 @@ def generate(spec: SequenceSpec) -> list[int]:
     exact division per term, and checks its last term against a fresh direct
     sum; a remainder or a disagreement raises IntegrityError.
     """
-    if spec.kind not in _KIND_FIRST_INDEX:
+    if spec.kind not in _KINDS:
         raise DomainError("generate: unknown kind %r" % spec.kind)
+    first, param, _ = _KINDS[spec.kind]
+    if (spec.param is None) == (param is not None):
+        raise DomainError("generate: kind %r and param %r do not agree" % (spec.kind, spec.param))
+    for name in ("start", "count", "param") if param else ("start", "count"):
+        if not _int(getattr(spec, name)):
+            raise DomainError("generate: %s must be an integer, got %r" % (name, getattr(spec, name)))
     if spec.count < 1:
         raise DomainError("generate: count must be >= 1, got %d" % spec.count)
-    if (spec.param is None) == (spec.kind in _PARAMETRIC_KINDS):
-        raise DomainError("generate: kind %r and param %r do not agree" % (spec.kind, spec.param))
-    if spec.start < _KIND_FIRST_INDEX[spec.kind]:
+    if spec.start < first:
         raise DomainError("generate: start %d below first index of %s" % (spec.start, spec.kind))
     indices = range(spec.start, spec.start + spec.count)
 

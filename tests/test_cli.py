@@ -10,7 +10,7 @@ import sys
 
 import pytest
 
-from catalan_triangles import cli, exact, identities
+from catalan_triangles import cli, exact, identities, triangles
 from catalan_triangles.conjectures import load_checkpoint, scan_divisibility
 from catalan_triangles.identities import IdentityDescriptor, Parameter
 
@@ -422,6 +422,22 @@ def test_scan_checkpoint_whose_counterexamples_do_not_recheck_exits_2(tmp_path, 
     assert path.read_bytes() == saved
 
 
+def test_scan_checkpoint_whose_frontier_is_not_a_cell_of_its_domain_exits_2(tmp_path, capsys):
+    path = tmp_path / "scan.json"
+    scan = ["scan", "c-powers", "--p", "5", "--m", "2..6", "--checkpoint", str(path)]
+    assert cli.main([*scan, "--limit", "3"]) == 0
+    doc = json.loads(path.read_text())
+    doc["frontier"] = [3, 5]  # the c cells have n < m
+    path.write_text(json.dumps(doc))
+    saved = path.read_bytes()
+    capsys.readouterr()
+    assert cli.main(scan) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "does not belong to the scan domain" in captured.err
+    assert path.read_bytes() == saved
+
+
 @pytest.mark.parametrize(
     "cell",
     [{"m": 0, "n": 1}, {"m": 60000, "n": 30000}],
@@ -587,10 +603,52 @@ def test_seq_plain_table_aligned():
         ("seq", "catalan", "0", "0"),
         ("seq", "b", "0", "3"),
         ("seq", "c-row:6", "0", "8"),
+        ("seq", "c-row", "1", "2"),
+        ("seq", "catalan:3", "1", "2"),
+        ("seq", "a:2", "1", "2"),
+        ("seq", "c_row:5", "1", "2"),
+        ("seq", "seq_a", "1", "2"),
+        ("seq", "c-row:x", "1", "2"),
     ],
 )
 def test_seq_invalid_specs_exit_2(args):
     assert run_cli(*args).returncode == 2
+
+
+@pytest.mark.parametrize(
+    "name, kind, start, param",
+    [
+        ("catalan", "catalan", 0, None),
+        ("a", "seq_a", 0, None),
+        ("b", "seq_b", 1, None),
+        ("gen-catalan:3", "gen_catalan", 1, 3),
+        ("c-row:5", "c_row", 0, 5),
+        ("b-row:4", "b_row", 1, 4),
+        ("a-row:4", "a_row", 1, 4),
+    ],
+)
+def test_each_seq_name_prints_its_kind(capsys, name, kind, start, param):
+    assert cli.main(["seq", name, str(start), "3"]) == 0
+    values = triangles.generate(triangles.SequenceSpec(kind, start, 3, param))
+    assert capsys.readouterr().out == " ".join(map(str, values)) + "\n"
+
+
+@pytest.mark.parametrize(
+    "name, domain, label",
+    [
+        ("c", ["--m", "2..5"], "divisibility-c p=3: 10 cells"),
+        ("c-powers", ["--m", "2..5"], "divisibility-c p=3: 10 cells"),
+        ("b", ["--n", "1..4"], "divisibility-b p=3: 4 cells"),
+        ("b-cubes", ["--n", "1..4"], "divisibility-b p=3: 4 cells"),
+        ("a", ["--n", "1..4"], "divisibility-a p=3: 4 cells"),
+        ("a-cubes", ["--n", "1..4"], "divisibility-a p=3: 4 cells"),
+        ("mixed", ["--n", "1..3", "--m", "1..3"], "mixed-cube: 9 cells"),
+    ],
+)
+def test_each_scan_name_scans_its_conjecture(capsys, name, domain, label):
+    exponent = [] if name == "mixed" else ["--p", "3"]
+    assert cli.main(["scan", name, *exponent, *domain, "--no-timing"]) == 0
+    assert capsys.readouterr().out == label + " processed, 0 counterexamples\n"
 
 
 def _decimal(value):

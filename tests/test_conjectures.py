@@ -65,10 +65,29 @@ def test_a_claim_below_its_first_row_raises_domain_error(variant, cell):
         divisibility_claim(variant, 3, cell)
 
 
-@pytest.mark.parametrize("variant, cell", [("c", (5,)), ("c", (5, 2, 1)), ("b", (2, 3)), ("a", ())])
+@pytest.mark.parametrize(
+    "variant, cell",
+    [
+        ("c", (5,)),
+        ("c", (5, 2, 1)),
+        ("b", (2, 3)),
+        ("a", ()),
+        ("c", (5.0, 2)),
+        ("b", (2.0,)),
+        ("b", (True,)),  # would read as n = 1
+        ("a", ("3",)),
+    ],
+)
 def test_a_claim_at_a_cell_of_the_wrong_length_raises_domain_error(variant, cell):
     with pytest.raises(DomainError, match="cell is"):
         divisibility_claim(variant, 3, cell)
+
+
+def test_an_unknown_variant_or_conjecture_is_a_usage_error():
+    with pytest.raises(UsageError, match="unknown divisibility variant"):
+        divisibility_claim("d", 3, (2,))
+    with pytest.raises(UsageError, match="unknown conjecture"):
+        reverify(ScanState("nope", 3, None))
 
 
 def test_b_quotients_at_exponent_three_are_seq_b():

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from catalan_triangles.errors import DomainError, IntegrityError
-from catalan_triangles.exact import binomial, exact_div, harmonic
+from catalan_triangles.exact import binomial, exact_div, harmonic, keep_partials, partials
 
 
 def comb_oracle(u, v):
@@ -137,3 +137,16 @@ def test_binomial_concurrent_consistency():
 @given(st.integers(1, 400))
 def test_harmonic_closed_prefix(n):
     assert harmonic(n) == sum(Fraction(1, k) for k in range(1, n + 1))
+
+
+def test_nested_keep_partials_blocks_share_one_store_until_the_outer_exit():
+    assert partials() is None
+    with keep_partials():
+        store = partials()
+        store["outer"] = 1
+        with keep_partials():
+            assert partials() is store
+            store["inner"] = 2
+        assert partials() is store
+        assert store == {"outer": 1, "inner": 2}
+    assert partials() is None

@@ -360,3 +360,8 @@ def test_random_admissible_cells_balance(data):
         return
     lhs, rhs = evaluate_sides(ident, assignment)
     assert lhs == rhs
+
+
+def test_registering_an_existing_id_is_a_usage_error():
+    with pytest.raises(UsageError, match="already registered"):
+        identities.register(get_identity("thm-harmonic"))

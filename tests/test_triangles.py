@@ -190,6 +190,23 @@ def test_generate_rejects_invalid_specs(spec):
         generate(spec)
 
 
+@pytest.mark.parametrize(
+    "spec, field",
+    [
+        (SequenceSpec("catalan", 0, 2.5), "count"),
+        (SequenceSpec("catalan", 2.0, 3), "start"),
+        (SequenceSpec("catalan", True, 2), "start"),  # would read as start 1
+        (SequenceSpec("catalan", 0, True), "count"),
+        (SequenceSpec("c_row", 0, 3, param=2.0), "param"),
+        (SequenceSpec("c_row", 0, 2, param=True), "param"),  # would read as row 1
+        (SequenceSpec("gen_catalan", 1, 3, param="3"), "param"),
+    ],
+)
+def test_generate_rejects_a_field_that_is_not_an_int(spec, field):
+    with pytest.raises(DomainError, match="%s must be an integer" % field):
+        generate(spec)
+
+
 def test_rows_match_scalar_entries():
     for m in range(1, 40):
         assert c_row(m) == tuple(c_number(m, k) for k in range(m + 1))
