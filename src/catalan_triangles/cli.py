@@ -14,6 +14,7 @@ import argparse
 import json
 import os
 import sys
+from decimal import Decimal
 
 from . import conjectures, identities, triangles
 from .errors import CheckpointError, DomainError, UsageError
@@ -197,14 +198,15 @@ def _parse_seq_name(name: str) -> tuple[str, int | None]:
 
 def _cmd_seq(args) -> int:
     kind, param = _parse_seq_name(args.name)
-    values = triangles.generate(triangles.SequenceSpec(kind, args.start, args.count, param))
+    # computed in Decimal, whose str() is linear where int's is quadratic; seq_a and seq_b terms stay ints
+    values = triangles.generate(triangles.SequenceSpec(kind, args.start, args.count, param), Decimal)
     indices = range(args.start, args.start + args.count)
     if args.format == "plain":
         print(" ".join(str(v) for v in values))
     elif args.format == "csv":
         print(",".join(str(v) for v in values))
     elif args.format == "oeis-bfile":
-        sys.stdout.write("".join("%d %d\n" % (i, v) for i, v in zip(indices, values)))
+        sys.stdout.write("".join("%d %s\n" % (i, v) for i, v in zip(indices, values)))
     elif args.format == "json":
         print(json.dumps(
             {"name": args.name, "start": args.start, "count": args.count,

@@ -166,7 +166,7 @@ def divisibility_claim(variant: str, p: int, cell: Cell) -> DivisibilityClaim:
     if variant not in _VARIANTS:
         raise UsageError("unknown divisibility variant %r (expected one of %s)" % (variant, _VARIANTS))
     names = _NAMES["divisibility-" + variant]
-    if len(cell) != len(names) or not all(map(_int, cell)):
+    if not isinstance(cell, (tuple, list)) or len(cell) != len(names) or not all(map(_int, cell)):
         raise DomainError("divisibility_claim: a %s cell is (%s), got %r" % (variant, ", ".join(names), cell))
     if variant == "c":
         m, n = cell

@@ -3,12 +3,15 @@
 Arbitrary precision comes from Python's native int and fractions.Fraction
 (always in lowest terms, positive denominator), so every operation here is
 exact by construction; there is deliberately no floating-point fast path.
+Integer runs can also be taken in decimal.Decimal under EXACT_DECIMAL,
+whose str() is linear where CPython's int to str is quadratic.
 """
 
 from __future__ import annotations
 
 import threading
 from contextlib import contextmanager
+from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, DivisionByZero, Inexact, InvalidOperation, Overflow, Rounded
 from fractions import Fraction
 from itertools import repeat
 from math import comb, prod
@@ -17,6 +20,16 @@ from typing import Iterator
 from .errors import DomainError, IntegrityError
 
 Rational = Fraction
+
+# Decimal integers that stay exact: any step that would round or cannot be
+# represented raises its signal instead.  Use it only through localcontext,
+# with divmod, never "/", which would compute MAX_PREC digits.
+EXACT_DECIMAL = Context(
+    prec=MAX_PREC,
+    Emax=MAX_EMAX,
+    Emin=MIN_EMIN,
+    traps=[Inexact, Rounded, InvalidOperation, DivisionByZero, Overflow],
+)
 
 
 def _int(value) -> bool:
@@ -42,7 +55,7 @@ def exact_div(a: int, b: int) -> int:
     return quotient
 
 
-def binomials(u: int, v: int, du: int, dv: int, count: int) -> list[int]:
+def binomials(u: int, v: int, du: int, dv: int, count: int, number=int) -> list:
     """[binomial(u + i*du, v + i*dv) for i = 0..count-1], one exact step per entry.
 
     One comb() anchors the run; each next value is the last one times the
@@ -50,6 +63,7 @@ def binomials(u: int, v: int, du: int, dv: int, count: int) -> list[int]:
     be zero, and the last value is checked against a fresh comb(), so a
     wrong step raises IntegrityError.  Every point of the run must satisfy
     0 <= v <= u; since the run is a line, checking its two ends suffices.
+    The values are of type number: int, or decimal.Decimal under EXACT_DECIMAL.
     """
     if count < 0:
         raise DomainError("binomials: count must be >= 0, got %d" % count)
@@ -69,7 +83,7 @@ def binomials(u: int, v: int, du: int, dv: int, count: int) -> list[int]:
     for base, d, grows, shrinks in ((u, du, up, down), (v, dv, down, up), (u - v, du - dv, down, up)):
         offsets, side = (range(1, d + 1), grows) if d > 0 else (range(d + 1, 1), shrinks)
         side.extend(range(base + o, base + o + steps * d, d) for o in offsets)
-    value = comb(u, v)
+    value = number(comb(u, v))
     values = [value]
     for num, den in zip(_per_step(up, steps), _per_step(down, steps)):
         value, remainder = divmod(value * num, den)

@@ -21,11 +21,12 @@ sweep, and the conjecture scans run the same engine with theirs.
 from __future__ import annotations
 
 import time
+from collections.abc import Mapping
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from itertools import compress, groupby, product, starmap
 from operator import itemgetter, ne
-from typing import Callable, Mapping
+from typing import Callable
 
 from .errors import DomainError, EmptyDomainError, IntegrityError, UnknownIdentityError, UsageError
 # binomial, harmonic and the triangle functions are what compiled sides call
@@ -404,7 +405,10 @@ def effective_domain(
 ) -> dict[str, tuple[int, int]]:
     """Per-parameter sweep bounds: explicit range, else minimum..cap."""
     ident = _resolve(identity)
-    ranges = dict(ranges or {})
+    if ranges is None:
+        ranges = {}
+    elif not isinstance(ranges, Mapping):  # a list of pairs would pass dict()
+        raise UsageError("ranges must map parameter names to (lo, hi), got %r" % (ranges,))
     unknown = set(ranges) - set(ident.parameter_names())
     if unknown:
         raise UsageError("%s has no parameter(s) %s" % (ident.id, sorted(unknown)))

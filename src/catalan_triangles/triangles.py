@@ -10,9 +10,10 @@ integers; a division that leaves a remainder raises IntegrityError.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from decimal import Decimal, localcontext
 
-from .errors import DomainError, IntegrityError
-from .exact import _int, binomial, binomials, exact_div
+from .errors import DomainError, IntegrityError, UsageError
+from .exact import EXACT_DECIMAL, _int, binomial, binomials, exact_div
 
 
 def _c_ext(m: int, k: int) -> int:
@@ -149,10 +150,11 @@ _KINDS = {
 }
 
 
-def _row_slice(kind: str, index: int, start: int, stop: int) -> list[int]:
+def _row_slice(kind: str, index: int, start: int, stop: int, number=int) -> list:
     """Columns start..stop-1 of one triangle row, each c(m, j) = (m - 2j) * binomial(m, j) / m by one exact divmod.
 
     One run of binomials walks up row m of c, or down row 2n (b) or 2n+1 (a) from j = n - start or n+1 - start.
+    The entries are of type number, as binomials gives them.
     """
     _, name, extra = _KINDS[kind]
     if index < 1:
@@ -160,7 +162,7 @@ def _row_slice(kind: str, index: int, start: int, stop: int) -> list[int]:
     if stop - 1 > index + extra:
         raise DomainError("generate: slice %d..%d leaves row %d of %s" % (start, stop - 1, index, kind))
     m, j, step = (index, start, 1) if kind == "c_row" else (2 * index + extra, index + extra - start, -1)
-    run = binomials(m, j, 0, step, stop - start)
+    run = binomials(m, j, 0, step, stop - start, number)
     values = []
     for x in run:
         value, remainder = divmod((m - 2 * j) * x, m)
@@ -171,9 +173,9 @@ def _row_slice(kind: str, index: int, start: int, stop: int) -> list[int]:
     if kind == "c_row":
         # checked against binomial(m, k) - 2 * binomial(m-1, k-1), whose run has its own anchor
         lead = max(start, 1)  # binomial(m-1, -1) = 0
-        shifted = [0] * (lead - start) + binomials(m - 1, lead - 1, 0, 1, stop - lead)
+        shifted = [0] * (lead - start) + binomials(m - 1, lead - 1, 0, 1, stop - lead, number)
         for k, value, x, y in zip(range(start, stop), values, run, shifted):
-            if value != x - 2 * y:
+            if value != x - y - y:  # in Decimal, 2 * y would convert the 2 at every k
                 raise IntegrityError("c_row(%d) at k=%d: closed form and Pascal-difference form disagree" % (m, k))
     return values
 
@@ -207,7 +209,7 @@ class SequenceSpec:
     param: int | None = None
 
 
-def generate(spec: SequenceSpec) -> list[int]:
+def generate(spec: SequenceSpec, number=int) -> list:
     """Evaluate the slice described by spec; invalid specs raise DomainError.
 
     Catalan, generalized Catalan and row slices are one run of exact.binomials
@@ -215,9 +217,16 @@ def generate(spec: SequenceSpec) -> list[int]:
     sums and every later term from the sequence's order-2 P-recurrence, one
     exact division per term, and checks its last term against a fresh direct
     sum; a remainder or a disagreement raises IntegrityError.
+
+    The terms are ints.  With number=decimal.Decimal, the binomial runs and
+    every step on them are taken in Decimal under exact.EXACT_DECIMAL, with
+    the same checks, so a step that would round raises its decimal signal;
+    seq_a and seq_b terms stay ints.
     """
-    if spec.kind not in _KINDS:
-        raise DomainError("generate: unknown kind %r" % spec.kind)
+    if not (isinstance(spec.kind, str) and spec.kind in _KINDS):
+        raise DomainError("generate: unknown kind %r" % (spec.kind,))
+    if number is not int and number is not Decimal:
+        raise UsageError("generate: number must be int or decimal.Decimal, got %r" % (number,))
     first, param, _ = _KINDS[spec.kind]
     if (spec.param is None) == (param is not None):
         raise DomainError("generate: kind %r and param %r do not agree" % (spec.kind, spec.param))
@@ -230,18 +239,20 @@ def generate(spec: SequenceSpec) -> list[int]:
         raise DomainError("generate: start %d below first index of %s" % (spec.start, spec.kind))
     indices = range(spec.start, spec.start + spec.count)
 
-    if spec.kind == "catalan":  # binomial(2i, i) / (i + 1)
-        return [exact_div(x, i + 1) for i, x in zip(indices, binomials(2 * spec.start, spec.start, 2, 1, spec.count))]
-    if spec.kind == "gen_catalan":  # binomial(i*K, i-1) / i
-        order = spec.param
-        if order < 1:
-            raise DomainError("gen_catalan: k must be >= 1, got %d" % order)
-        run = binomials(order * spec.start, spec.start - 1, order, 1, spec.count)
-        return [exact_div(x, i) for i, x in zip(indices, run)]
-    if spec.kind == "seq_a":  # seq_a and seq_b are looked up here, so a rebinding reaches them
-        return _recurrent_slice("seq_a", seq_a, indices)
-    if spec.kind == "seq_b":
-        return _recurrent_slice("seq_b", seq_b, indices)
+    with localcontext(EXACT_DECIMAL):
+        if spec.kind == "catalan":  # binomial(2i, i) / (i + 1)
+            run = binomials(2 * spec.start, spec.start, 2, 1, spec.count, number)
+            return [exact_div(x, i + 1) for i, x in zip(indices, run)]
+        if spec.kind == "gen_catalan":  # binomial(i*K, i-1) / i
+            order = spec.param
+            if order < 1:
+                raise DomainError("gen_catalan: k must be >= 1, got %d" % order)
+            run = binomials(order * spec.start, spec.start - 1, order, 1, spec.count, number)
+            return [exact_div(x, i) for i, x in zip(indices, run)]
+        if spec.kind == "seq_a":  # seq_a and seq_b are looked up here, so a rebinding reaches them
+            return _recurrent_slice("seq_a", seq_a, indices)
+        if spec.kind == "seq_b":
+            return _recurrent_slice("seq_b", seq_b, indices)
 
-    # triangle rows: the slice must stay inside the row
-    return _row_slice(spec.kind, spec.param, spec.start, indices.stop)
+        # triangle rows: the slice must stay inside the row
+        return _row_slice(spec.kind, spec.param, spec.start, indices.stop, number)

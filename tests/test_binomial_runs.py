@@ -3,6 +3,7 @@ per-entry and from-scratch evaluations it replaced; wrong anchors, wrong
 steps and a drifted check run must raise, never print a value."""
 
 import math
+import re
 from functools import cache
 
 import pytest
@@ -182,6 +183,19 @@ def test_wrong_anchor_raises_instead_of_printing(argv, monkeypatch, capsys):
     assert "internal error: IntegrityError" in captured.err
 
 
+@pytest.mark.parametrize("argv", [argv for argv in FAULT_SPECS if argv[0] not in ("a", "b")], ids=" ".join)
+def test_a_decimal_step_that_would_round_raises_instead_of_printing(argv, monkeypatch, capsys):
+    # the row and Catalan runs print from Decimal; with five digits a step's product would round (Rounded
+    # alone when the digits dropped are zeros), and the trap raises before the end check could see it
+    narrow = exact.EXACT_DECIMAL.copy()
+    narrow.prec = 5
+    monkeypatch.setattr(triangles, "EXACT_DECIMAL", narrow)
+    assert cli.main(["seq", *argv]) == cli.EXIT_INTERNAL
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert re.search(r"^internal error: (Inexact|Rounded): ", captured.err, re.MULTILINE)
+
+
 def wrong_divmod_at(call):
     """divmod, except that call number `call` returns a quotient one too large and no remainder."""
     calls = []
@@ -220,13 +234,23 @@ def test_wrong_recurrence_step_raises_instead_of_printing(argv, step, monkeypatc
     assert len(calls) >= step
 
 
-def test_c_row_check_run_catches_a_consistently_wrong_closed_form_run(monkeypatch):
-    # a run that is wrong but self-consistent (every value doubled) passes its
-    # own anchor and end checks; only the separately anchored run catches it
-    def doubled_for_row(u, v, du, dv, count):
-        values = binomials(u, v, du, dv, count)
-        return [2 * x for x in values] if u == 30 else values
+def doubled_for_row(u, v, du, dv, count, number=int):
+    """binomials, except that the run on row 30 is doubled: wrong, but it passes its own anchor and end checks."""
+    values = binomials(u, v, du, dv, count, number)
+    return [2 * x for x in values] if u == 30 else values
 
+
+def test_c_row_check_run_catches_a_consistently_wrong_closed_form_run(monkeypatch):
+    # only the separately anchored run catches a self-consistent wrong run
     monkeypatch.setattr(triangles, "binomials", doubled_for_row)
     with pytest.raises(IntegrityError):
         generate(SequenceSpec("c_row", 0, 31, param=30))
+
+
+def test_c_row_check_run_catches_a_consistently_wrong_closed_form_run_in_decimal(monkeypatch, capsys):
+    # the same wrong run on the CLI's Decimal path
+    monkeypatch.setattr(triangles, "binomials", doubled_for_row)
+    assert cli.main(["seq", "c-row:30", "0", "31"]) == cli.EXIT_INTERNAL
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "internal error: IntegrityError: c_row(30) at k=1: closed form and Pascal-difference form disagree" in captured.err

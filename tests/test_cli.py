@@ -1,7 +1,9 @@
 """CLI behavior end to end: exact output bytes, exit-code discipline,
 format stability, and checkpointed scans."""
 
+import contextlib
 import hashlib
+import io
 import json
 import math
 import os
@@ -9,6 +11,8 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from catalan_triangles import cli, exact, identities, triangles
 from catalan_triangles.conjectures import load_checkpoint, scan_divisibility
@@ -673,8 +677,81 @@ def test_seq_beyond_int_str_digit_limit_exits_0():
     assert result.stdout == _decimal((16000 - 2 * 7000) * math.comb(16000, 7000) // 16000) + "\n"
 
 
+def _c(m, k):
+    return (m - 2 * k) * math.comb(m, k) // m
+
+
+# the terms of each seq name the CLI computes in Decimal, from math.comb ints
+_COMB_TERMS = {
+    "c-row": _c,
+    "b-row": lambda n, k: _c(2 * n, n - k),
+    "a-row": lambda n, k: _c(2 * n + 1, n + 1 - k),
+    "catalan": lambda _, i: math.comb(2 * i, i) // (i + 1),
+    "gen-catalan": lambda order, i: math.comb(i * order, i - 1) // i,
+}
+
+
+def _int_rendering(name, start, values, fmt):
+    """What each --format prints for int values, under no int-to-str digit limit."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        indices = range(start, start + len(values))
+        if fmt == "plain":
+            return " ".join(str(v) for v in values) + "\n"
+        if fmt == "csv":
+            return ",".join(str(v) for v in values) + "\n"
+        if fmt == "oeis-bfile":
+            return "".join("%d %d\n" % (i, v) for i, v in zip(indices, values))
+        if fmt == "json":
+            doc = {"name": name, "start": start, "count": len(values), "terms": [str(v) for v in values]}
+            return json.dumps(doc, indent=2) + "\n"
+        width = len(str(indices[-1]))
+        return "".join("%*d  %d\n" % (width, i, v) for i, v in zip(indices, values))
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+@st.composite
+def decimal_seq_slices(draw):
+    """(seq name, param, start, count) of a run kind, inside its row or domain."""
+    name = draw(st.sampled_from(sorted(_COMB_TERMS)))
+    if name == "catalan":
+        return name, None, draw(st.integers(0, 500)), draw(st.integers(1, 120))
+    if name == "gen-catalan":
+        return name, draw(st.integers(1, 8)), draw(st.integers(1, 200)), draw(st.integers(1, 80))
+    param = draw(st.integers(1, 300))
+    first, last = {"c-row": (0, param), "b-row": (1, param), "a-row": (1, param + 1)}[name]
+    start = draw(st.integers(first, last))
+    return name, param, start, draw(st.integers(1, last - start + 1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(decimal_seq_slices())
+@example(("c-row", 40, 0, 41))  # negative entries and the zero at k = 20
+@example(("c-row", 40, 20, 1))  # the zero alone
+@example(("c-row", 41, 25, 10))  # negative entries only
+@example(("c-row", 1, 0, 2))
+@example(("b-row", 1, 1, 1))
+@example(("a-row", 1, 1, 2))
+@example(("catalan", None, 0, 1))
+@example(("gen-catalan", 1, 1, 3))
+@example(("c-row", 15000, 7499, 3))  # terms of more than 4300 digits
+def test_decimal_seq_output_equals_the_int_rendering_in_every_format(spec):
+    name, param, start, count = spec
+    values = [_COMB_TERMS[name](param, i) for i in range(start, start + count)]
+    kind = name.replace("-", "_")
+    assert triangles.generate(triangles.SequenceSpec(kind, start, count, param)) == values
+    arg = name if param is None else "%s:%d" % (name, param)
+    for fmt in ("plain", "csv", "json", "oeis-bfile", "plain-table"):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert cli.main(["seq", arg, str(start), str(count), "--format", fmt]) == 0
+        assert out.getvalue() == _int_rendering(arg, start, values, fmt)
+
+
 def test_unexpected_exception_exits_3(monkeypatch, capsys):
-    def broken(spec):
+    def broken(spec, number=int):
         raise RuntimeError("injected fault")
 
     monkeypatch.setattr(cli.triangles, "generate", broken)

@@ -76,6 +76,9 @@ def test_a_claim_below_its_first_row_raises_domain_error(variant, cell):
         ("b", (2.0,)),
         ("b", (True,)),  # would read as n = 1
         ("a", ("3",)),
+        ("b", 5),  # not a tuple or list
+        ("b", None),
+        ("c", "52"),
     ],
 )
 def test_a_claim_at_a_cell_of_the_wrong_length_raises_domain_error(variant, cell):

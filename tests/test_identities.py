@@ -115,6 +115,10 @@ def test_constraint_violation_is_reported_distinctly():
         ({"ranges": {"n": (True, 3)}}, "n range"),  # would run as (1, 3)
         ({"ranges": {"n": (1, 2, 3)}}, "n range"),  # would be cut to (1, 2)
         ({"ranges": {"n": 3}}, "n range"),
+        ({"ranges": 5}, "ranges must map"),
+        ({"ranges": [("n", 1, 2)]}, "ranges must map"),
+        ({"ranges": [("n", (1, 3))]}, "ranges must map"),  # dict() would read it as {"n": (1, 3)}
+        ({"ranges": []}, "ranges must map"),
         ({"cap": 2.5}, "cap"),
         ({"cap": True}, "cap"),
     ],

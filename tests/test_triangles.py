@@ -2,13 +2,15 @@
 oracles, and the cross-triangle bridge relations."""
 
 import math
+from decimal import Decimal
+from fractions import Fraction
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from catalan_triangles import exact, triangles
-from catalan_triangles.errors import DomainError, IntegrityError
+from catalan_triangles.errors import DomainError, IntegrityError, UsageError
 from catalan_triangles.triangles import (
     SequenceSpec,
     a_number,
@@ -183,11 +185,32 @@ def test_c_number_forms_that_disagree_raise_integrity_error(monkeypatch):
         SequenceSpec("nonsense", 0, 3),
         SequenceSpec("catalan", 0, 3, param=5),  # param on a plain sequence
         SequenceSpec("c_row", 0, 3),  # missing param
+        SequenceSpec(["c_row"], 0, 3, param=2),  # unhashable kind
     ],
 )
 def test_generate_rejects_invalid_specs(spec):
     with pytest.raises(DomainError):
         generate(spec)
+
+
+@pytest.mark.parametrize("number", [float, Fraction, str, None])
+def test_generate_computes_in_int_or_decimal_only(number):
+    with pytest.raises(UsageError, match="number must be int or decimal.Decimal"):
+        generate(SequenceSpec("catalan", 0, 3), number)
+
+
+@pytest.mark.parametrize("spec", [
+    SequenceSpec("c_row", 0, 9, param=8),
+    SequenceSpec("b_row", 2, 3, param=5),
+    SequenceSpec("a_row", 1, 6, param=5),
+    SequenceSpec("catalan", 4, 6),
+    SequenceSpec("gen_catalan", 1, 6, param=3),
+])
+def test_generate_in_decimal_gives_the_int_terms_as_integral_decimals(spec):
+    terms = generate(spec, Decimal)
+    assert terms == generate(spec)
+    assert all(type(x) is Decimal and x.as_tuple().exponent == 0 for x in terms)
+    assert all(type(x) is int for x in generate(SequenceSpec("seq_a", 0, 4), Decimal))  # a and b stay ints
 
 
 @pytest.mark.parametrize(
