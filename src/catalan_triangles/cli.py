@@ -282,10 +282,11 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     # Exact values are the product: print and read integers of any length
     # (CPython 3.10.7+ caps int<->str conversion at 4300 digits by default).
-    if hasattr(sys, "set_int_max_str_digits"):
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+    if limit is not None:
         sys.set_int_max_str_digits(0)
-    args = _build_parser().parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         code = args.handler(args)
         sys.stdout.flush()  # here, so that a closed pipe raises inside the try
         return code
@@ -305,6 +306,9 @@ def main(argv=None) -> int:
         traceback.print_exc()
         print("internal error: %s: %s" % (type(exc).__name__, exc), file=sys.stderr)
         return EXIT_INTERNAL
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
 
 
 def entrypoint() -> None:

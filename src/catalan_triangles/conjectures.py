@@ -208,7 +208,7 @@ def _check(conjecture: str, p: int | None, claim_fn: Callable[[Cell], Divisibili
     sides = attrgetter("dividend", "divisor")
     line = None
     if variant == "c" and claim_fn is None:
-        row = _compiled(conjecture).line[2]
+        row = _compiled(conjecture).line
         line = lambda m, ns: row(m, p, ns)
 
     def record(cell, dividend, divisor):
@@ -345,9 +345,9 @@ def scan_divisibility(
     every cell; the engine never assumes the claim is true.  jobs is
     accepted for compatibility and has no effect: the scan is serial.
     """
-    variant = variant.lower()
-    if variant not in _VARIANTS:
+    if not isinstance(variant, str) or variant.lower() not in _VARIANTS:
         raise UsageError("unknown divisibility variant %r (expected one of %s)" % (variant, _VARIANTS))
+    variant = variant.lower()
     if not _int(p) or p < 1 or p % 2 == 0:
         raise UsageError("exponent p must be an odd integer >= 1, got %r" % (p,))
     domain = _divisibility_domain(variant, m_range, n_range)

@@ -11,10 +11,11 @@ in the sums.  A descriptor may also carry hand-written sides, any
 (**params) -> int | Fraction callables, which are used as given.
 
 The engine, _lines, checks a line of cells at a time: the cells that
-share all parameters but the last.  Compiled sides come with a line
-function that runs a whole line in one call; any other sides run cell by
-cell.  Either way a failed cell is reported with the sides at that cell,
-so the two paths report the same.  The relation is the caller's: != for a
+share all parameters but the last.  A descriptor whose two sides were
+both compiled comes with a line function that runs a whole line in one
+call; any other, a dataclasses.replace copy included, runs cell by cell.
+Either way a failed cell is reported with the sides at that cell, so the
+two paths report the same.  The relation is the caller's: != for a
 sweep, and the conjecture scans run the same engine with theirs.
 """
 
@@ -61,11 +62,11 @@ class IdentityDescriptor:
     constraint, when present, is the relational part of the domain;
     per-parameter lower bounds live in parameters.  default_cap is the
     upper bound a sweep uses for parameters the caller did not range.
-    line is set by the compiler to (lhs, rhs, fn): fn(*head, xs) gives,
-    for each x in xs, those two sides at head + (x,) as a cross-multiplied
-    pair, equal iff the sides are.  The engine calls fn only while lhs and
-    rhs are still those two, so a descriptor whose sides were replaced
-    never runs a stale one.
+    line, set only by _compiled when it compiled both sides, is fn with
+    fn(*head, xs) giving, for each x in xs, those two sides at head + (x,)
+    as a cross-multiplied pair, equal iff the sides are.  No caller can pass
+    it, and dataclasses.replace never copies it, so every copy runs cell by
+    cell.
     """
 
     id: str
@@ -75,7 +76,7 @@ class IdentityDescriptor:
     rhs: Callable[..., Fraction | int] | None = None
     constraint: Callable[..., bool] | str | None = None
     default_cap: int = 100
-    line: tuple[Callable, Callable, Callable] | None = field(default=None, compare=False, repr=False)
+    line: Callable | None = field(default=None, init=False, compare=False, repr=False)
 
     def parameter_names(self) -> tuple[str, ...]:
         return tuple(p.name for p in self.parameters)
@@ -148,10 +149,11 @@ def _compiled(ident: IdentityDescriptor) -> IdentityDescriptor:
         )
     except UsageError as exc:
         raise UsageError("%s: %s" % (ident.id, exc)) from None
-    fields = {name: fn for name, fn in built.items() if name != "line" and not callable(getattr(ident, name))}
-    if "line" in built:
-        fields["line"] = (built["lhs"], built["rhs"], built["line"])
-    return replace(ident, **fields)
+    line = built.pop("line", None)
+    compiled = replace(ident, **{name: fn for name, fn in built.items() if not callable(getattr(ident, name))})
+    if ident.lhs is ident.rhs is None:  # the line runs the compiled sides, so only they get it
+        object.__setattr__(compiled, "line", line)
+    return compiled
 
 
 def _store(descriptor: IdentityDescriptor) -> IdentityDescriptor:
@@ -167,11 +169,9 @@ def register(descriptor: IdentityDescriptor) -> IdentityDescriptor:
 
 
 def _lookup(identity_id: str) -> IdentityDescriptor:
-    try:
-        ident = _REGISTRY[identity_id]
-    except KeyError:
-        raise UnknownIdentityError(identity_id, _REGISTRY) from None
-    _REGISTRY[identity_id] = ident = _compiled(ident)
+    if not isinstance(identity_id, str) or identity_id not in _REGISTRY:
+        raise UnknownIdentityError(identity_id, _REGISTRY)
+    _REGISTRY[identity_id] = ident = _compiled(_REGISTRY[identity_id])
     return ident
 
 
@@ -385,6 +385,8 @@ def evaluate_sides(identity: str | IdentityDescriptor, assignment: Assignment) -
     """Evaluate both sides exactly at one admissible parameter assignment."""
     ident = _resolve(identity)
     names = ident.parameter_names()
+    if not isinstance(assignment, Mapping):
+        raise DomainError("%s: an assignment maps parameter names to integers, got %r" % (ident.id, assignment))
     if set(assignment) != set(names):
         raise DomainError(
             "%s expects parameters %s, got %s" % (ident.id, names, tuple(assignment))
@@ -424,14 +426,6 @@ def _admissible_cells(ident: IdentityDescriptor, domain: dict[str, tuple[int, in
     if ignore_constraint or ident.constraint is None:
         return list(product(*spans))
     return [values for values in product(*spans) if ident.constraint(**dict(zip(names, values)))]
-
-
-def _line_function(ident: IdentityDescriptor) -> Callable | None:
-    """The compiled line function, if ident's sides are still the ones it was compiled with."""
-    if ident.line is None:
-        return None
-    lhs, rhs, line = ident.line
-    return line if lhs is ident.lhs and rhs is ident.rhs else None
 
 
 def _lines(name, cells, names, at, fails, line=None, fail_fast=False) -> tuple[list[tuple], int]:
@@ -486,10 +480,10 @@ def verify_identity(
     record.  All mismatches are collected (not just the first) unless
     fail_fast is set, which stops at the first mismatch in cell order.
     Cells run through _lines in lexicographic order of the parameters, so
-    mismatches come out canonically sorted, with the compiled line function
-    while the sides are the compiled ones.  parallelism is accepted for
-    compatibility and has no effect: the sweep is serial, since threads
-    only slow pure-Python big-integer work under the GIL.
+    mismatches come out canonically sorted, with ident's line function if
+    it has one.  parallelism is accepted for compatibility and has no
+    effect: the sweep is serial, since threads only slow pure-Python
+    big-integer work under the GIL.
     """
     ident = _resolve(identity)
     domain = effective_domain(ident, ranges, cap)
@@ -501,7 +495,7 @@ def verify_identity(
     names = ident.parameter_names()
     started = time.perf_counter()
     at = lambda cell: _sides(ident, dict(zip(names, cell)))
-    failed, checked = _lines(ident.id, cells, names, at, ne, _line_function(ident), fail_fast)
+    failed, checked = _lines(ident.id, cells, names, at, ne, ident.line, fail_fast)
     mismatches = [Mismatch(tuple(zip(names, cell)), Fraction(lhs), Fraction(rhs)) for cell, lhs, rhs in failed]
     elapsed_ms = (time.perf_counter() - started) * 1000.0
     return VerificationReport(

@@ -1,5 +1,6 @@
-"""Test-session set-up shared by every test module."""
+"""Test-session set-up shared by every test module, and with_line."""
 
+import dataclasses
 import warnings
 
 # When a property test fails, hypothesis's pytest plugin imports
@@ -15,3 +16,15 @@ with warnings.catch_warnings():
         import hypothesis.extra._patching  # noqa: F401
     except ImportError:
         pass
+
+
+def with_line(ident, line, **changes):
+    """dataclasses.replace(ident, **changes) carrying line as its line function.
+
+    Only identities._compiled gives a descriptor a line function, and no
+    copy keeps it; a test plants one here to see what the engine makes of
+    a line function that is wrong or counted.
+    """
+    planted = dataclasses.replace(ident, **changes)
+    object.__setattr__(planted, "line", line)
+    return planted

@@ -750,6 +750,32 @@ def test_decimal_seq_output_equals_the_int_rendering_in_every_format(spec):
         assert out.getvalue() == _int_rendering(arg, start, values, fmt)
 
 
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["value", "c", "6", "2"], cli.EXIT_OK),
+        (["verify", "thm-everything"], cli.EXIT_USAGE),
+        (["value", "c", "6"], cli.EXIT_USAGE),  # argparse exits
+        (["seq", "catalan", "0", "3"], cli.EXIT_INTERNAL),
+    ],
+)
+def test_main_puts_back_the_callers_int_str_digit_limit(monkeypatch, capsys, argv, code):
+    def broken(spec, number=int):
+        raise RuntimeError("injected fault")
+
+    monkeypatch.setattr(cli.triangles, "generate", broken)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(5000)
+    try:
+        try:
+            assert cli.main(argv) == code
+        except SystemExit as exc:
+            assert exc.code == code
+        assert sys.get_int_max_str_digits() == 5000
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 def test_unexpected_exception_exits_3(monkeypatch, capsys):
     def broken(spec, number=int):
         raise RuntimeError("injected fault")

@@ -8,6 +8,7 @@ import os
 from fractions import Fraction
 
 import pytest
+from conftest import with_line
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -166,9 +167,10 @@ def test_a_claim_with_an_exponent_that_is_not_an_int_of_at_least_0_raises_domain
         divisibility_claim(variant, p, cell)
 
 
-def test_unknown_variant_rejected():
+@pytest.mark.parametrize("variant", ["x", 5, None, ["b"]])
+def test_unknown_variant_rejected(variant):
     with pytest.raises(UsageError):
-        scan_divisibility("x", 3, n_range=(1, 5))
+        scan_divisibility(variant, 3, n_range=(1, 5))
 
 
 def test_missing_ranges_rejected():
@@ -271,8 +273,11 @@ def test_scan_mixed_clean():
 
 @pytest.mark.parametrize("text", ["mixed-cube n<=m", "mixed-cube m<n"])
 def test_each_mixed_cube_text_holds_on_the_whole_box_without_its_constraint(text):
-    # the split at min(n, m) is for speed: each text's sums then run only to min(n, m)
-    ident = identities._compiled(dataclasses.replace(conjectures._STATEMENTS[text], constraint=None))
+    # the split at min(n, m) is for speed: each text's sums then run only to min(n, m); the sides are
+    # compiled again, so the sweep runs on their line function whether or not a scan compiled them before
+    base = conjectures._STATEMENTS[text]
+    ident = identities._compiled(dataclasses.replace(base, lhs=None, rhs=None, constraint=None))
+    assert ident.line is not None
     report = identities.verify_identity(ident, {"n": (1, 20), "m": (1, 20)})
     assert report.passed and report.cells == 400
 
@@ -452,10 +457,8 @@ def test_the_c_line_function_finds_the_failures_of_even_exponents(p):
 
 
 def test_a_c_line_function_that_fails_where_the_claim_holds_is_an_integrity_error(monkeypatch, capsys):
-    ident = conjectures._compiled("divisibility-c")
-    lhs, rhs, _ = ident.line
     # 2 never divides 1, at every cell of every row
-    wrong = dataclasses.replace(ident, line=(lhs, rhs, lambda m, p, ns: [(1, 2)] * len(ns)))
+    wrong = with_line(conjectures._compiled("divisibility-c"), lambda m, p, ns: [(1, 2)] * len(ns))
     monkeypatch.setitem(conjectures._STATEMENTS, "divisibility-c", wrong)
     with pytest.raises(IntegrityError, match="divisibility-c: line function and sides disagree at"):
         scan_divisibility("c", 3, m_range=(2, 6))

@@ -6,6 +6,7 @@ import dataclasses
 from fractions import Fraction
 
 import pytest
+from conftest import with_line
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -95,6 +96,19 @@ def test_unknown_identity_is_reported_distinctly():
     with pytest.raises(UnknownIdentityError) as caught:
         evaluate_sides("no-such-identity", {"n": 1})
     assert "prop-recurrence" in str(caught.value)
+
+
+@pytest.mark.parametrize("identity_id", [["eq-vandermonde"], 5, None, b"eq-vandermonde"])
+@pytest.mark.parametrize("lookup", [get_identity, verify_identity, lambda id: evaluate_sides(id, {"n": 1})])
+def test_an_id_that_is_not_a_registered_string_is_an_unknown_identity(lookup, identity_id):
+    with pytest.raises(UnknownIdentityError, match="prop-recurrence"):
+        lookup(identity_id)
+
+
+@pytest.mark.parametrize("assignment", [None, [("n", 1)], "n", 1])
+def test_an_assignment_that_is_not_a_mapping_is_a_domain_error(assignment):
+    with pytest.raises(DomainError, match="an assignment maps parameter names to integers"):
+        evaluate_sides("eq-vandermonde", assignment)
 
 
 def test_constraint_violation_is_reported_distinctly():
@@ -317,12 +331,11 @@ def test_a_line_function_with_a_pair_count_other_than_its_cell_count_is_an_integ
     # short never flags; a line one pair long, which zip-like code cuts to the cells, flags nothing
     true = get_identity("thm-linear-sum")
     rhs = lambda m, n: true.rhs(m=m, n=n) + (n == 5)
-    line = (true.lhs, rhs, lambda m, ns: [(1, 1)] * (len(ns) + extra))
-    wrong = dataclasses.replace(true, rhs=rhs, line=line)
+    wrong = with_line(true, lambda m, ns: [(1, 1)] * (len(ns) + extra), rhs=rhs)
     ranges = {"m": (6, 8), "n": (1, 5)}
     with pytest.raises(IntegrityError, match="thm-linear-sum: line function gave %d pairs for 5 cells" % (5 + extra)):
         verify_identity(wrong, ranges)
-    assert len(verify_identity(dataclasses.replace(wrong, line=None), ranges).mismatches) == 3  # cell by cell
+    assert len(verify_identity(dataclasses.replace(wrong), ranges).mismatches) == 3  # a copy runs cell by cell
     monkeypatch.setitem(identities._REGISTRY, "thm-linear-sum", wrong)
     assert cli.main(["verify", "thm-linear-sum", "--m", "6..8", "--n", "1..5", "--no-timing"]) == cli.EXIT_INTERNAL == 3
     assert "line function gave %d pairs for 5 cells" % (5 + extra) in capsys.readouterr().err

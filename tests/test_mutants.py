@@ -99,13 +99,13 @@ def _sweeps(identity: str) -> list[tuple]:
     sweeps = []
     for text in _mutants(base.statement):
         try:
-            ident = identities._compiled(replace(base, statement=text, lhs=None, rhs=None, line=None))
+            ident = identities._compiled(replace(base, statement=text, lhs=None, rhs=None))
         except UsageError:
             sweeps.append((text,) + (UsageError,) * 4)
             continue
         lhs, rhs = ident.lhs, ident.rhs
         cells = replace(ident, lhs=lambda **cell: lhs(**cell), rhs=lambda **cell: rhs(**cell))
-        assert identities._line_function(ident) is not None and identities._line_function(cells) is None
+        assert ident.line is not None and cells.line is None
         outcomes = [_outcome(path, allow_outside_domain=outside) for outside in (False, True) for path in (ident, cells)]
         sweeps.append((text, *outcomes))
     return sweeps
@@ -151,7 +151,7 @@ def test_every_mutant_of_the_c_claim_reports_the_same_on_its_line_and_on_the_cel
     texts = _mutants(base.statement)
     findings = 0
     for text in texts:
-        mutant = replace(base, statement=text, lhs=None, rhs=None, line=None)
+        mutant = replace(base, statement=text, lhs=None, rhs=None)
         monkeypatch.setitem(conjectures._STATEMENTS, "divisibility-c", mutant)
         for p in C_EXPONENTS:
             line, cells = _scan(p, on_cells=False), _scan(p, on_cells=True)

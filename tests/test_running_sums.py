@@ -9,6 +9,7 @@ partials must agree with them at every cell, in any call order."""
 import dataclasses
 from fractions import Fraction
 
+from conftest import with_line
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -157,7 +158,7 @@ def test_perturbed_term_fails_every_cell_at_or_beyond_it():
     built = compile_identity(("m", "n"), namespace, ident.statement)
     for wrong in (
         dataclasses.replace(ident, lhs=built["lhs"]),
-        dataclasses.replace(ident, lhs=built["lhs"], rhs=built["rhs"], line=(built["lhs"], built["rhs"], built["line"])),
+        with_line(ident, built["line"], lhs=built["lhs"], rhs=built["rhs"]),
     ):
         report = verify_identity(wrong, {"m": (2, 12), "n": (1, 12)})
         failed = {tuple(value for _, value in mismatch.assignment) for mismatch in report.mismatches}

@@ -10,6 +10,7 @@ from fractions import Fraction
 from math import comb
 
 import pytest
+from conftest import with_line
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -151,8 +152,8 @@ def test_every_registered_identity_is_in_the_oracle():
 def test_only_thm_square_decomp_i_keeps_a_line_partial_in_the_store():
     # its running sum's term and lower bound read the line variable n; every other line sum keeps its partial on
     # locals, which against the store is about 6% of the sweep and 16% of the c scan
-    lines = {ident.id: identities._line_function(ident) for ident in list_identities()}
-    lines["divisibility-c"] = identities._line_function(conjectures._compiled("divisibility-c"))
+    lines = {ident.id: ident.line for ident in list_identities()}
+    lines["divisibility-c"] = conjectures._compiled("divisibility-c").line
     assert {name for name, line in lines.items() if "_partials" in line.__code__.co_freevars} == {"thm-square-decomp-i"}
 
 
@@ -186,7 +187,7 @@ def boxes(draw, ident):
 @given(data=st.data())
 def test_the_line_path_reports_what_the_scalar_path_reports(identity, data):
     ident = ORACLE[identity]
-    assert identities._line_function(ident) is not None
+    assert ident.line is not None
     options = data.draw(boxes(ident))
     assert _outcome(ident, **options) == _outcome(_scalar(ident), **options)
 
@@ -216,7 +217,7 @@ def test_a_right_side_one_too_large_at_one_cell_is_one_mismatch(identity):
 def test_fail_fast_counts_the_cells_the_scalar_path_counts():
     # the sides differ from the third cell of the line m = 2 on, after a passing line m = 1
     ident = _descriptor_of("sum(c(m,k), k=0..n) == binomial(m-1,n) + (m-1)*(n-1)*(n-2)", ("m", "n"))
-    assert identities._line_function(ident) is not None
+    assert ident.line is not None
     fast = verify_identity(ident, cap=6, fail_fast=True)
     assert fast == verify_identity(_scalar(ident), cap=6, fail_fast=True)
     assert fast.cells == 6 + 3 and [dict(m.assignment) for m in fast.mismatches] == [{"m": 2, "n": 3}]
@@ -226,9 +227,9 @@ def test_fail_fast_counts_the_cells_the_scalar_path_counts():
 
 def test_a_replaced_side_never_runs_the_stale_line_function():
     ident = get_identity("thm-square-sum")
-    lhs, rhs, line = ident.line
+    rhs, line = ident.rhs, ident.line
     calls = []
-    counted = replace(ident, line=(lhs, rhs, lambda *args: calls.append(args) or line(*args)))
+    counted = with_line(ident, lambda *args: calls.append(args) or line(*args))
     assert verify_identity(counted, cap=6).passed and calls  # the compiled sides run through the line function
     calls.clear()
 
@@ -242,12 +243,36 @@ def test_a_replaced_side_never_runs_the_stale_line_function():
 
 
 def test_a_line_function_that_flags_agreeing_sides_is_an_integrity_error():
-    ident = get_identity("rec-A")
-    lhs, rhs, _ = ident.line
     # a pair of unequal values at every cell, where the sides are equal
-    unequal = replace(ident, line=(lhs, rhs, lambda *args: [(0, 1)] * len(args[-1])))
+    unequal = with_line(get_identity("rec-A"), lambda *args: [(0, 1)] * len(args[-1]))
     with pytest.raises(IntegrityError, match="rec-A: line function and sides disagree at"):
         verify_identity(unequal, cap=6)
+
+
+def test_a_line_function_is_never_an_argument():
+    # so no caller can vouch for false sides with a line function of its own
+    f, g = (lambda n: n), (lambda n: n + 1)
+    fake = lambda ns: [(0, 0)] * len(ns)
+    with pytest.raises(TypeError, match="'line'"):
+        IdentityDescriptor("x", "n == n + 1", (Parameter("n", 1),), lhs=f, rhs=g, line=fake)
+    with pytest.raises(ValueError, match="line"):
+        replace(get_identity("eq-vandermonde"), line=fake)
+    report = verify_identity(IdentityDescriptor("x", "n == n + 1", (Parameter("n", 1),), lhs=f, rhs=g), cap=5)
+    assert report.status == "FAIL" and len(report.mismatches) == report.cells == 5
+
+
+@pytest.mark.parametrize("identity", sorted(ORACLE))
+def test_a_replaced_descriptor_runs_cell_by_cell_and_reports_what_the_compiled_one_reports(identity):
+    compiled = ORACLE[identity]
+    copy = replace(compiled, default_cap=compiled.default_cap)
+    assert compiled.line is not None and copy.line is None and copy == compiled
+    recompiled = identities._compiled(replace(compiled, lhs=None, rhs=None))
+    assert recompiled.line is not None
+    assert identities._compiled(replace(compiled, rhs=None)).line is None  # one compiled side gets no line
+    for outside in (False, True):
+        report = _outcome(compiled, cap=8, allow_outside_domain=outside)
+        assert _outcome(copy, cap=8, allow_outside_domain=outside) == report
+        assert _outcome(recompiled, cap=8, allow_outside_domain=outside) == report
 
 
 @pytest.mark.parametrize(
