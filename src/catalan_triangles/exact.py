@@ -81,8 +81,10 @@ def binomials(u: int, v: int, du: int, dv: int, count: int, number=int) -> list:
     steps = count - 1
     up, down = [], []
     for base, d, grows, shrinks in ((u, du, up, down), (v, dv, down, up), (u - v, du - dv, down, up)):
-        offsets, side = (range(1, d + 1), grows) if d > 0 else (range(d + 1, 1), shrinks)
-        side.extend(range(base + o, base + o + steps * d, d) for o in offsets)
+        if d > 0:
+            grows += [range(base + o, base + o + steps * d, d) for o in range(1, d + 1)]
+        elif d:
+            shrinks += [range(base + o, base + o + steps * d, d) for o in range(d + 1, 1)]
     value = number(comb(u, v))
     values = [value]
     for num, den in zip(_per_step(up, steps), _per_step(down, steps)):

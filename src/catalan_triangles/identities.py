@@ -24,6 +24,7 @@ from __future__ import annotations
 import time
 from collections.abc import Mapping
 from dataclasses import dataclass, field, replace
+from functools import partial
 from fractions import Fraction
 from itertools import compress, groupby, product, starmap
 from operator import itemgetter, ne
@@ -31,12 +32,43 @@ from typing import Callable
 
 from .errors import DomainError, EmptyDomainError, IntegrityError, UnknownIdentityError, UsageError
 # binomial, harmonic and the triangle functions are what compiled sides call
-# (statements.FUNCTIONS); the sides look them up in this module at call time,
+# (statements.FUNCTIONS), next to the row-table builders below
+# (statements.TABLES); the sides look them up in this module at call time,
 # so rebinding one here reaches every side.
-from .exact import _int, binomial, harmonic, keep_partials
-from .triangles import _a_ext, _b_ext, _c_ext, catalan, gen_catalan, seq_a, seq_b
+from .exact import _int, binomial, binomials, harmonic, keep_partials
+from .triangles import _KINDS, _a_ext, _b_ext, _c_ext, _row_slice, catalan, gen_catalan, seq_a, seq_b
 
 Assignment = Mapping[str, int]
+
+
+def _table(entry, kind, r, start=0, stop=None, width=None) -> list[int]:
+    """[entry(r, j) for j in start..stop-1]; with stop None, to the row's last column, or [] past width columns.
+
+    The columns inside the row come from one checked kernel run, of
+    triangles._row_slice for a triangle kind and of exact.binomials for
+    Pascal's triangle (kind None); the others are 0, as entry gives them.
+    A row entry refuses raises entry's own DomainError.
+    """
+    first, _, extra = (0, None, 0) if kind is None else _KINDS[kind]
+    if r < (0 if kind is None else 1):
+        entry(r, start)  # raises
+    end = r + extra + 1
+    if stop is None:
+        if width is not None and end - start > width:
+            return []
+        stop = end
+    lo, hi = max(start, first), min(stop, end)
+    if lo >= hi:
+        return [0] * (stop - start)
+    run = binomials(r, lo, 0, 1, hi - lo) if kind is None else _row_slice(kind, r, lo, hi)
+    return [0] * (lo - start) + run + [0] * (stop - hi)
+
+
+# The row tables compiled statements read (statements.TABLES), looked up here at call time as the entries are.
+_c_table = partial(_table, _c_ext, "c_row")
+_b_table = partial(_table, _b_ext, "b_row")
+_a_table = partial(_table, _a_ext, "a_row")
+_binomial_table = partial(_table, binomial, None)
 
 
 def _range(name: str, span, minimum: int) -> tuple[int, int]:
@@ -435,8 +467,10 @@ def _lines(name, cells, names, at, fails, line=None, fail_fast=False) -> tuple[l
     all values but the last, runs in one call of line(*head, xs), which
     gives a pair per x, and only the cells whose pair fails run at: sides
     that pass there, or a pair count other than the cell count, raise
-    IntegrityError.  Without line, or if its call raises, the line runs
-    cell by cell.  fail_fast stops at the first failure.
+    IntegrityError.  Without line, or if its call raises anything but
+    IntegrityError, the line runs cell by cell; a failed check inside the
+    line (a table's kernel run, say) is raised as it is.  fail_fast stops
+    at the first failure.
     """
     failed = []
     checked = 0
@@ -447,6 +481,8 @@ def _lines(name, cells, names, at, fails, line=None, fail_fast=False) -> tuple[l
             if line is not None:
                 try:
                     flags = list(starmap(fails, line(*head, [cell[-1] for cell in run])))
+                except IntegrityError:  # a failed check, which the cells need not repeat
+                    raise
                 except Exception:  # then every cell runs through at, which raises where it does
                     pass
                 else:  # compress would stop at the shorter of flags and cells

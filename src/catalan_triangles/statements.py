@@ -26,6 +26,20 @@ before the power is taken.  The generated code looks up _c_ext, binomial,
 harmonic and the other functions in the namespace it is given, at call
 time.
 
+A call c(r,e), b(r,e), a(r,e) or binomial(r,e) reads a row table, not the
+entry function, where its row r stays fixed: in a line function, when r
+reads only the parameters before the line variable, a table of the whole
+row built once per line; else in the term of a plain sum whose variable r
+does not read, a table built for that evaluation of the sum, of the
+columns from the first read to the last when the column is the variable
+plus or minus terms free of it, and of the whole row otherwise.  A row
+with more than twice the columns the line has cells, or the sum has terms
+left, gets no whole-row table: each read is then a call.  Every other
+call, a running-sum term in a side included, stays a call.  A table is
+built at its first read, where the call would have run first, by the
+builder TABLES names, from one checked kernel run; a read outside it
+gives 0 through an index guard.
+
 A statement also compiles into a line function over its last parameter x:
 line(<the other parameters>, xs) runs both sides for every x in xs
 (increasing) in one loop and returns the cross-multiplied pair (lhs
@@ -59,9 +73,13 @@ FUNCTIONS = {
     "seq_b": ("seq_b", 1),
     "H": ("harmonic", 1),
 }
+# statement name -> name of the builder the generated code calls for a row table
+TABLES = {"c": "_c_table", "b": "_b_table", "a": "_a_table", "binomial": "_binomial_table"}
 # Names a parameter or a summation variable may not take: they would shadow
 # what the generated code calls.
-_RESERVED = {*FUNCTIONS, *(target for target, _ in FUNCTIONS.values()), "sum", "range", "Fraction", "DomainError"}
+_RESERVED = {
+    *FUNCTIONS, *(target for target, _ in FUNCTIONS.values()), *TABLES.values(), "sum", "range", "Fraction", "DomainError"
+}
 _COMPARISONS = {ast.Lt: "<", ast.LtE: "<=", ast.Gt: ">", ast.GtE: ">="}
 _CHARACTERS = frozenset("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_ \t\n+-*/^().,=<>")
 _PRODUCT = re.compile(r"\b(\d+)(?=[A-Za-z_(])")  # 2n -> 2*n, 3(n+1) -> 3*(n+1)
@@ -93,6 +111,17 @@ def _free(node: ast.AST) -> frozenset[str]:
     return frozenset().union(*map(_free, ast.iter_child_nodes(node)))
 
 
+def _shifted(node: ast.AST, v: str) -> bool:
+    """node is v plus or minus terms free of v, so it climbs by one with v."""
+    if isinstance(node, ast.Name):
+        return node.id == v
+    if isinstance(node, ast.BinOp) and isinstance(node.op, (ast.Add, ast.Sub)):
+        if v not in _free(node.right):
+            return _shifted(node.left, v)
+        return isinstance(node.op, ast.Add) and v not in _free(node.left) and _shifted(node.right, v)
+    return False
+
+
 def _mul(x: str, y: str) -> str:
     return y if x == "1" else x if y == "1" else "(%s*%s)" % (x, y)
 
@@ -111,11 +140,14 @@ class _Q(NamedTuple):
 class _Scope:
     """One generated function body: a side, or the term of a sum."""
 
-    def __init__(self, names, x=None):
+    def __init__(self, names, x=None, var=None, hi=None):
         self.names = frozenset(names)  # the statement names it can read
         self.x = x  # the line variable of a side in a line function
+        self.var, self.hi = var, hi  # the variable and upper bound of the plain sum whose term this is
         self.lines: list[str] = []  # statements that run before the returned expression
         self.init: list[str] = []  # statements a line function runs once per line
+        self.tables: dict[tuple, str] = {}  # that sum's row tables, emptied before its loop
+        self.built: set[str] = set()  # the tables its lines have built by now
 
 
 class _Compiler:
@@ -128,6 +160,7 @@ class _Compiler:
         self.parameters = parameters
         self.defs: list[str] = []  # factory-level code: the running sums' keys
         self.count = 0
+        self.line_tables: dict[tuple, str] | None = None  # while a line function compiles, its row tables
 
     def fresh(self, stem: str) -> str:
         self.count += 1
@@ -166,6 +199,8 @@ class _Compiler:
             if name in FUNCTIONS and len(node.args) == FUNCTIONS[name][1]:
                 if name == "H":
                     return self.harmonic(node.args[0], scope)
+                if name in TABLES:
+                    return _Q(self.entry(name, *node.args, scope))
                 args = [self.integer(arg, scope, "an argument of %s" % name) for arg in node.args]
                 return _Q("%s(%s)" % (FUNCTIONS[name][0], ", ".join(args)))
             raise UsageError("unknown function or wrong arity in %r" % ast.unparse(node))
@@ -200,6 +235,43 @@ class _Compiler:
         p, q = self.fresh("p"), self.fresh("q")
         scope.lines.append("%s, %s = harmonic(%s).as_integer_ratio()" % (p, q, x))
         return _Q(p, q)
+
+    def entry(self, name: str, row: ast.AST, column: ast.AST, scope: _Scope) -> str:
+        """Code for name(row, column): an entry of a row table where the row stays fixed, else a call.
+
+        A line table lives on the line function's locals, a sum's table on
+        that sum's (emptied before its loop); either is built at its first
+        read, after the row and column are evaluated, as the call would run.
+        """
+        what = "an argument of %s" % name
+        free = _free(row)
+        if self.line_tables is not None and free <= set(self.parameters[:-1]):
+            tables, whole = self.line_tables, True
+        elif scope.var is not None and scope.var not in free:
+            tables, whole = scope.tables, not _shifted(column, scope.var)
+        else:
+            return "%s(%s, %s)" % (FUNCTIONS[name][0], self.integer(row, scope, what), self.integer(column, scope, what))
+        r = self.integer(row, scope, what)
+        if re.search(r"\w\(", r):  # a call in the row: evaluated at each read, as the call's argument is
+            r = self.local(r, scope)
+        e = self.local(self.integer(column, scope, what), scope)
+        key = (name, r) if whole else (name, r, e)
+        if key not in tables:
+            tables[key] = self.fresh("t")
+        t = tables[key]
+        if whole:  # the whole row, unless it has more than twice the columns the line has cells or the sum terms
+            width = "2 * len(_xs)" if tables is self.line_tables else "2 * (%s - %s + 1)" % (scope.hi, scope.var)
+            build = ["%s = %s(%s, width=%s)" % (t, TABLES[name], r, width)]
+            miss = "0 if %sn else %s(%s, %s)" % (t, FUNCTIONS[name][0], r, e)  # an empty table: a call per read
+        else:  # columns e..e + hi - v, with the first read's e
+            stop = "%s + %s - %s + 1" % (e, scope.hi, scope.var)
+            build = ["%ss = %s" % (t, e), "%s = %s(%s, %s, %s)" % (t, TABLES[name], r, e, stop)]
+            miss = "0"
+        if t not in scope.built:  # the scope's lines run in order, so one build test per table suffices
+            scope.built.add(t)
+            scope.lines.append("if %s is None:\n%s" % (t, _indent(build + ["%sn = len(%s)" % (t, t)])))
+        i = e if whole else self.local("(%s - %ss)" % (e, t), scope)
+        return "(%s[%s] if 0 <= %s < %sn else %s)" % (t, i, i, t, miss)  # a negative index would wrap
 
     def loop(self, v: str, inner: _Scope, q: _Q, bound: str) -> tuple[str, str, str, str, _Q]:
         """(k, num, den, code, sum): code adds term q for v = k..bound to num/den, set by the caller.
@@ -240,11 +312,11 @@ class _Compiler:
         start = _Scope(scope.names) if running else scope
         lo_code = self.integer(lo, start, "a lower bound")
         hi_code = self.local(self.integer(hi, scope, "an upper bound"), scope)
-        inner = _Scope(scope.names | {v})
+        inner = _Scope(scope.names | {v}, var=None if running else v, hi=hi_code)
         k, num, den, code, total = self.loop(v, inner, self.expr(term, inner), hi_code)
         first = "%s, %s, %s = %s, 0, 1" % (k, num, den, lo_code)
         if not running:
-            scope.lines += [first, code]
+            scope.lines += ["%s = None" % t for t in inner.tables.values()] + [first, code]
             return total
         # a running sum resumes its partial unless that is empty or passed the bound
         resume = ["if %s is None or %s > %s + 1:\n%s" % (k, k, hi_code, _indent(start.lines + [first])), code]
@@ -275,6 +347,7 @@ class _Compiler:
         """Source of def line(<parameters but the last>, _xs) returning the pair of cross-multiplied sides at each x in _xs."""
         *head, x = self.parameters
         init, body, sides = [], [], []
+        self.line_tables = {}
         for side in (node.left, node.comparators[0]):
             scope = _Scope(self.parameters, x=x)
             q = self.expr(side, scope)
@@ -284,6 +357,8 @@ class _Compiler:
             init += scope.init
             body += scope.lines
             sides.append((q.num, den))
+        init += ["%s = None" % t for t in self.line_tables.values()]
+        self.line_tables = None
         (lhs, lhs_den), (rhs, rhs_den) = sides
         body.append("_pairs.append((%s, %s))" % (_mul(lhs, rhs_den), _mul(rhs, lhs_den)))
         loop = "for %s in _xs:\n%s" % (x, _indent(body))

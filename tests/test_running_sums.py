@@ -152,9 +152,15 @@ def test_a_partial_below_lo_is_never_extended():
 
 def test_perturbed_term_fails_every_cell_at_or_beyond_it():
     # a wrong term at k = 4 must stay in every later partial of a sweep,
-    # not just the cell that added it, cell by cell and along a line
+    # not just the cell that added it, cell by cell and along a line (which reads row m from a table)
     ident = get_identity("thm-linear-sum")
-    namespace = dict(vars(identities), _c_ext=lambda m, k: identities._c_ext(m, k) + (k == 4))
+
+    def table(m, start=0, stop=None, width=None):
+        # out to column 4 at least, so that rows 2 and 3 read the wrong term there too, as _c_ext gives it
+        stop = max(m + 1 if stop is None else stop, 5)
+        return [x + (k == 4) for k, x in enumerate(identities._c_table(m, start, stop), start)]
+
+    namespace = dict(vars(identities), _c_ext=lambda m, k: identities._c_ext(m, k) + (k == 4), _c_table=table)
     built = compile_identity(("m", "n"), namespace, ident.statement)
     for wrong in (
         dataclasses.replace(ident, lhs=built["lhs"]),

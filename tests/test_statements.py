@@ -5,6 +5,7 @@ with, the grammar's refusals, and compiling on first lookup only."""
 import re
 import subprocess
 import sys
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 from math import comb
@@ -14,7 +15,7 @@ from conftest import with_line
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from catalan_triangles import conjectures, exact, identities, statements
+from catalan_triangles import cli, conjectures, exact, identities, statements
 from catalan_triangles.errors import DomainError, IntegrityError, UsageError
 from catalan_triangles.exact import harmonic, keep_partials
 from catalan_triangles.identities import (
@@ -44,12 +45,23 @@ def _integers(f):
     return lambda *xs: f(*map(_int, xs))
 
 
+def _rows(first, f):
+    """f over integer arguments, refusing a row below first with DomainError as the library does."""
+
+    def entry(row, column):
+        if _int(row) < first:
+            raise DomainError("row %s is below %d" % (row, first))
+        return f(_int(row), _int(column))
+
+    return entry
+
+
 NAIVE = {
     "F": Fraction,
-    "binomial": _binomial,
-    "c": _integers(lambda m, k: Fraction(m - 2 * k, m) * _binomial(m, k)),
-    "b": _integers(lambda n, k: Fraction(k, n) * _binomial(2 * n, n - k) if k >= 0 else 0),
-    "a": _integers(lambda n, k: Fraction(2 * k - 1, 2 * n + 1) * _binomial(2 * n + 1, n + 1 - k) if k >= 1 else 0),
+    "binomial": _rows(0, _binomial),
+    "c": _rows(1, lambda m, k: Fraction(m - 2 * k, m) * _binomial(m, k)),
+    "b": _rows(1, lambda n, k: Fraction(k, n) * _binomial(2 * n, n - k) if k >= 0 else 0),
+    "a": _rows(1, lambda n, k: Fraction(2 * k - 1, 2 * n + 1) * _binomial(2 * n + 1, n + 1 - k) if k >= 1 else 0),
     "catalan": _integers(lambda n: Fraction(_binomial(2 * n, n), n + 1)),
     "gen_catalan": _integers(lambda k, n: Fraction(_binomial(n * k, n - 1), n)),
     "seq_a": _integers(lambda n: sum(_binomial(n + k, n) ** 2 for k in range(n + 1))),
@@ -80,12 +92,24 @@ def naive(side: str, cell: dict) -> Fraction:
     return Fraction(eval(_python(side), {**NAIVE, **{name: Fraction(value) for name, value in cell.items()}}))
 
 
+def _value(evaluate):
+    """evaluate(), or DomainError where it raises that: a row below the first is refused on both readings."""
+    try:
+        return evaluate()
+    except DomainError:
+        return DomainError
+
+
 # Statements that take the compiler's other paths: H of a square, of a
 # product and of a difference, H in a running sum, terms whose denominator
 # moves with the variable, sums inside sums, several H-weighted sums in one
 # side, empty ranges, and running sums on a line function's locals whose
 # bounds fall or climb by two, next to running sums whose term or lower
 # bound reads the line variable, which keep their partials in the store.
+# Then the row tables: reads outside the row at both ends, a row that moves
+# with the line variable, one fixed row read by a running sum and outside
+# any sum, one row read at two column offsets, empty ranges over rows below
+# the first, and rows below the first that a cell reaches.
 # Only each side's value is checked, not the equation.
 PATHS = [
     ("path-h-square", "sum(H(k^2) / k, k=1..n) == sum(sum(1/j, j=1..k), k=1..n)", [("n", 1)]),
@@ -104,6 +128,23 @@ PATHS = [
         " == sum(binomial(m,m-k), k=n..m) + 2^n - binomial(n,m+n-1) + n*(2n+1)*H(2n) - n*(2n-1)/2",
         [("m", 1), ("n", 1)],
     ),
+    # along n: c row m is a line table read from column -2 and -3 on and past m; b row n and Pascal row n are
+    # each sum's tables, from column -2 to n+1, and whole for the columns 2k-3
+    ("path-table-ends", "sum(c(m,k-2), k=0..n) + c(m,n-3) == sum(b(n,k-2) * binomial(n,2k-3), k=0..n+3)", [("m", 1), ("n", 1)]),
+    # rows n and n+m move with the line variable n, so each is a table of its sum's evaluation
+    ("path-table-moving", "sum(a(n,k)^2 * binomial(n+m,k+1), k=0..m) == sum(b(n+1,k) * c(n,k), k=1..m)", [("m", 1), ("n", 1)]),
+    # true; one table of row m per line, read by two running sums and outside any sum
+    ("path-table-fixed", "sum(c(m,k)^2, k=0..n) - c(m,n)^2 == sum(c(m,k)^2, k=0..n-1)", [("m", 1), ("n", 1)]),
+    # rows m, n and 2m, each read at two column offsets in one plain sum (the eq-convolution shape)
+    (
+        "path-table-offsets",
+        "sum(c(m,k)*c(m,k+n) + b(n,k)*b(n,n+k-1), k=0..n) == sum(binomial(2m,k) * binomial(2m,k+m), k=0..m)",
+        [("m", 1), ("n", 1)],
+    ),
+    # at n = 1 or m = 1 each sum is empty over row 0, which no table may build
+    ("path-table-empty", "sum(c(n-1,k), k=1..n-1) + sum(a(m-1,k), k=1..(m-1)*n) == sum(b(m-1,k), k=m..m-1)", [("m", 1), ("n", 1)]),
+    # rows n-2, m-2 and m-1 fall below the first at n <= 2 or m <= 2: DomainError on every path there
+    ("path-table-below", "sum(a(n-2,k), k=0..m) == b(m-2,n) + sum(c(m-1,k), k=0..n)", [("m", 1), ("n", 1)]),
 ]
 for _id, _statement, _parameters in PATHS:
     identities._ident(_id, _statement, _parameters, cap=12)
@@ -136,9 +177,9 @@ def test_compiled_sides_match_a_naive_reading_of_the_statement(drawn):
     with keep_partials():  # running sums extend, shrink and hop between fixed values
         for cell in admissible:
             for compiled, text in ((ident.lhs, lhs_text), (ident.rhs, rhs_text)):
-                value = compiled(**cell)
-                assert type(value) in (int, Fraction), (ident.id, cell)
-                assert value == naive(text, cell), (ident.id, text, cell)
+                value = _value(lambda: compiled(**cell))
+                assert type(value) in (int, Fraction) or value is DomainError, (ident.id, cell)
+                assert value == _value(lambda: naive(text, cell)), (ident.id, text, cell)
 
 
 def test_every_registered_identity_is_in_the_oracle():
@@ -348,6 +389,183 @@ def test_a_compound_denominator_is_computed_once_per_cell():
     pairs = built["line"](list(range(1, 6)))
     assert len(pairs) == 5 and all(lhs == rhs for lhs, rhs in pairs)
     assert len(calls) == 5
+
+
+# --- row tables ------------------------------------------------------------------
+
+ENTRIES = {
+    "_c_table": (identities._c_ext, 1, 0),  # builder: (entry function, first row, last column minus the row)
+    "_b_table": (identities._b_ext, 1, 0),
+    "_a_table": (identities._a_ext, 1, 1),
+    "_binomial_table": (identities.binomial, 0, 0),
+}
+
+
+@pytest.mark.parametrize("builder", sorted(ENTRIES))
+def test_a_table_is_its_entry_function_over_its_columns(builder):
+    table, (entry, first, extra) = getattr(identities, builder), ENTRIES[builder]
+    for row in range(first, first + 9):
+        whole = [entry(row, j) for j in range(row + extra + 1)]
+        assert table(row) == whole
+        assert table(row, width=len(whole)) == whole and table(row, width=len(whole) - 1) == []  # wider: no table
+        for start in range(-3, row + 4):
+            for stop in range(start + 1, row + 6):
+                assert table(row, start, stop) == [entry(row, j) for j in range(start, stop)], (row, start, stop)
+    for row in (first - 1, first - 2):  # a refused row raises the entry function's own DomainError
+        with pytest.raises(DomainError) as refused:
+            entry(row, 0)
+        with pytest.raises(DomainError, match="^%s$" % re.escape(str(refused.value))):
+            table(row, 0, 3)
+
+
+def test_a_fixed_row_reads_a_table_and_every_other_call_stays_a_call(monkeypatch):
+    calls = []
+    for name in ("_c_ext", "binomial", "_c_table", "_binomial_table"):
+        real = getattr(identities, name)
+        monkeypatch.setattr(identities, name, lambda *args, name=name, real=real, **kw: calls.append(name) or real(*args, **kw))
+
+    def called(function, *args, **kwargs):
+        calls.clear()
+        function(*args, **kwargs)
+        return Counter(calls)
+
+    linear, vandermonde, decomp = map(get_identity, ("thm-linear-sum", "eq-vandermonde", "thm-square-decomp-i"))
+    # a running sum and the divisor along n read rows m and m-1 from one table each per line; in a side, a call per term
+    assert called(linear.line, 12, list(range(1, 13))) == {"_c_table": 1, "_binomial_table": 1}
+    assert called(linear.lhs, m=12, n=5) == {"_c_ext": 6} and called(linear.rhs, m=12, n=5) == {"binomial": 1}
+    # row n moves with the line variable n, so the plain sum over it reads a table of its own, in the sides too;
+    # binomial(2n,n) outside any sum is a call
+    assert called(vandermonde.line, [3, 4]) == {"_binomial_table": 2, "binomial": 2}
+    assert called(vandermonde.lhs, n=4) == {"_binomial_table": 1}
+    # binomial(m,n) is a line table, and binomial(j-1,n-1) reads the summation variable j: a call per term
+    assert called(decomp.line, 5, [1, 2, 3, 4, 5]) == {"_binomial_table": 1, "binomial": 5 + 4 + 3 + 2 + 1}
+
+
+def test_a_row_wider_than_twice_its_line_is_read_a_call_per_term(monkeypatch):
+    # a line of two cells reads three columns of row 300 of c and Pascal's row 299: no kernel run
+    # builds the rows, while a line of 299 cells builds each once
+    ident = get_identity("thm-linear-sum")
+    runs = []
+    for name in ("_row_slice", "binomials"):
+        real = getattr(identities, name)
+        monkeypatch.setattr(identities, name, lambda *args, real=real: runs.append(args) or real(*args))
+    with keep_partials():
+        assert ident.line(300, [1, 2]) == [(ident.lhs(m=300, n=n), ident.rhs(m=300, n=n)) for n in (1, 2)]
+        assert runs == []
+        assert len(ident.line(300, list(range(1, 300)))) == 299
+        assert [args[0] for args in runs] == ["c_row", 299]  # _row_slice("c_row", 300, ...), binomials(299, ...)
+
+
+def test_an_integrity_error_in_a_line_function_is_raised_not_retried_cell_by_cell(monkeypatch, capsys):
+    ident = get_identity("thm-linear-sum")
+
+    def planted(*args):
+        raise IntegrityError("planted")
+
+    with pytest.raises(IntegrityError, match="planted"):
+        verify_identity(with_line(ident, planted), cap=6)
+    # any other exception still sends the line through its cells, which pass
+    assert verify_identity(with_line(ident, lambda *args: 1 / 0), cap=6).passed
+
+    def failed(m, start=0, stop=None, width=None):
+        raise IntegrityError("c_row(%d): a kernel check failed" % m)
+
+    # a table builder whose check fails, compiled into the line function: no call in the sides reaches it
+    built = statements.compile_identity(("m", "n"), dict(vars(identities), _c_table=failed), ident.statement)
+    with pytest.raises(IntegrityError, match="kernel check failed"):
+        verify_identity(with_line(ident, built["line"], lhs=built["lhs"], rhs=built["rhs"]), cap=6)
+    # and through the CLI, where the registered line function reads the builder from identities
+    monkeypatch.setattr(identities, "_c_table", failed)
+    assert cli.main(["verify", "thm-linear-sum", "--max", "6", "--no-timing"]) == 3
+    assert "kernel check failed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "builder, identity",
+    [("_c_table", "thm-linear-sum"), ("_b_table", "rec-B"), ("_a_table", "rec-A"), ("_binomial_table", "eq-vandermonde")],
+)
+def test_a_table_one_column_short_fails_the_sweep(monkeypatch, builder, identity):
+    real = getattr(identities, builder)
+    monkeypatch.setattr(identities, builder, lambda row, start=0, stop=None, width=None: real(row, start, stop, width)[:-1])
+    outcome = _outcome(identity, cap=8)
+    # the line flags cells whose sides agree, or the sides read the short table too and disagree
+    assert outcome[0] is IntegrityError if isinstance(outcome, tuple) else not outcome.passed
+
+
+# --- random statements from the grammar ----------------------------------------
+# Trees over literals 0..3, + - * /, powers 0..3, c b a binomial on row name+1
+# or name+2, H(name+1) and sums whose bounds are 0, 1, a name or a name + 1
+# (or m - n above).  A leaf or a row names an index into the names in scope,
+# so every tree renders to a statement; a denominator is B^2 + 1, never 0.
+# Every name is at least 0, so every row is 1 or more, where naive and the
+# library agree.
+
+_LEAVES = st.one_of(st.tuples(st.just("literal"), st.integers(0, 3)), st.tuples(st.just("name"), st.integers(0, 7)))
+_INTEGERS = st.recursive(_LEAVES, lambda children: st.tuples(st.sampled_from("+-*"), children, children), max_leaves=3)
+
+
+def _extend(children):
+    return st.one_of(
+        st.tuples(st.sampled_from("+-*/"), children, children),
+        st.tuples(st.just("^"), children, st.integers(0, 3)),
+        # the column the innermost name (the summation variable inside a sum) plus or minus an integer
+        # expression, an integer expression minus it, any integer expression, or any, which is refused
+        # unless it is an integer
+        st.tuples(st.just("call"), st.sampled_from(("c", "b", "a", "binomial")), st.integers(0, 7), st.integers(1, 2),
+                  st.one_of(st.tuples(st.sampled_from("+-"), st.just(("name", -1)), _INTEGERS),
+                            st.tuples(st.just("-"), _INTEGERS, st.just(("name", -1))), _INTEGERS, children)),
+        st.tuples(st.just("H"), st.integers(0, 7)),
+        st.tuples(st.just("sum"), children, st.integers(0, 3), st.integers(0, 4), st.integers(0, 7)),
+    )
+
+
+def _render(tree, names=("m", "n")):
+    kind, *args = tree
+    if kind == "literal":
+        return str(args[0])
+    if kind in ("name", "H"):
+        name = names[args[0] % len(names)]
+        return name if kind == "name" else "H(%s+1)" % name
+    if kind == "^":
+        return "(%s)^%d" % (_render(args[0], names), args[1])
+    if kind == "/":
+        return "(%s)/((%s)^2 + 1)" % (_render(args[0], names), _render(args[1], names))
+    if kind in "+-*":
+        return "(%s %s %s)" % (_render(args[0], names), kind, _render(args[1], names))
+    if kind == "call":
+        function, row, offset, column = args
+        return "%s(%s+%d, %s)" % (function, names[row % len(names)], offset, _render(column, names))
+    term, lo, hi, bound = args
+    name, v = names[bound % len(names)], "v%d" % len(names)
+    lo, hi = ("0", "1", name, name + "+1")[lo], ("0", "1", name, name + "+1", "m-n")[hi]
+    return "sum(%s, %s=%s..%s)" % (_render(term, names + (v,)), v, lo, hi)
+
+
+_TREES = st.recursive(_LEAVES, _extend, max_leaves=6)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_TREES, _TREES)
+def test_random_statements_agree_with_naive_on_every_path(lhs_tree, rhs_tree):
+    statement = "%s == %s" % (_render(lhs_tree), _render(rhs_tree))
+    try:
+        ident = _descriptor_of(statement, ("m", "n"))
+    except UsageError:
+        return  # a refused statement raises UsageError and nothing else
+    lhs_text, rhs_text = statement.split(" == ")
+    cells = [{"m": m, "n": n} for m in range(1, 7) for n in range(1, 7)]
+    with keep_partials():
+        sides = [(ident.lhs(**cell), ident.rhs(**cell)) for cell in cells]
+    for cell, (lhs, rhs) in zip(cells, sides):
+        assert (lhs, rhs) == (naive(lhs_text, cell), naive(rhs_text, cell)), (statement, cell)
+    for m in range(1, 7):  # each pair is the sides cross-multiplied by one common denominator
+        pairs = ident.line(m, list(range(1, 7)))
+        assert len(pairs) == 6
+        for (p, q), (lhs, rhs) in zip(pairs, sides[6 * m - 6:6 * m]):
+            assert p * rhs == q * lhs and (p == q) == (lhs == rhs), (statement, m)
+    for fail_fast in (False, True):
+        options = {"ranges": {"m": (1, 6), "n": (1, 6)}, "fail_fast": fail_fast}
+        assert _outcome(ident, **options) == _outcome(_scalar(ident), **options), statement
 
 
 # --- the grammar ---------------------------------------------------------------
