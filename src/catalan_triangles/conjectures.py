@@ -11,7 +11,11 @@ statements.py, compiled on first use through identities._compiled as the
 registered identities are; the b and a claims sum powers of a row built by
 the row kernel, and take the c claim's divisor binomial(m-1, n).  Scans
 check cells through identities._lines, the sweep's engine, and the c scan
-runs on its statement's line function along each row m.
+runs on its statement's line function along each row m.  A scan makes its
+lines straight from the domain (a row m with n below m for c, a row n for
+the mixed claim, one line for b and a): a leg starts at its frontier's line
+and cuts only its first and last line, so it costs what it scans, never
+the domain's cell list.
 
 Scans are evidence, not proof: a clean state means "no counterexample in the
 scanned domain", nothing more.  Every cell is checked in exact arithmetic;
@@ -27,6 +31,7 @@ import tempfile
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import product
 from operator import attrgetter, ne
 from typing import Callable, NamedTuple
 
@@ -239,44 +244,71 @@ def _divisibility_domain(variant: str, m_range, n_range) -> dict[str, tuple[int,
     return {"n": _range("n", n_range, 1)}
 
 
-def _cells(conjecture: str, domain: dict[str, tuple[int, int]]) -> list[Cell]:
-    """The cells of domain in scan order, which is lexicographic: (m, n) with n < m for c, n, or (n, m) for mixed."""
-    n_lo, n_hi = domain["n"]
-    if conjecture == "mixed-cube":
-        m_lo, m_hi = domain["m"]
-        return [(n, m) for n in range(n_lo, n_hi + 1) for m in range(m_lo, m_hi + 1)]
-    if conjecture == "divisibility-c":
-        m_lo, m_hi = domain["m"]
-        return [(m, n) for m in range(m_lo, m_hi + 1) for n in range(n_lo, min(n_hi, m - 1) + 1)]
-    return [(n,) for n in range(n_lo, n_hi + 1)]
+def _line(conjecture: str, domain: dict[str, tuple[int, int]], head: Cell) -> range:
+    """The last values of domain's cells that start with head, in scan order (for c, n < m); none if head is no head.
+
+    Scan order is lexicographic, (m, n) for c, n for b and a, (n, m) for
+    mixed, so a line holds the cells that share all values but the last,
+    their head: a row m for c, a row n for mixed, and () for b and a.
+    """
+    *outer, last = _NAMES[conjecture]
+    if len(head) != len(outer) or not all(domain[name][0] <= x <= domain[name][1] for name, x in zip(outer, head)):
+        return range(0)
+    lo, hi = domain[last]
+    return range(lo, (min(hi, head[0] - 1) if conjecture == "divisibility-c" else hi) + 1)
+
+
+def _domain_lines(conjecture: str, domain: dict[str, tuple[int, int]]):
+    """Every (head, xs) line of domain in scan order, empty ones included."""
+    heads = product(*(range(domain[name][0], domain[name][1] + 1) for name in _NAMES[conjecture][:-1]))
+    return ((head, _line(conjecture, domain, head)) for head in heads)
+
+
+def _leg(conjecture: str, domain: dict[str, tuple[int, int]], start: int, stop: int | None):
+    """(lines, frontier): the non-empty lines of domain's cells start..stop-1 (to its last if stop is None), and its
+    cell at stop (None if none).  It walks no line past the one that holds stop."""
+    lines, offset = [], 0
+    for head, xs in _domain_lines(conjecture, domain):
+        part = xs[max(start - offset, 0):None if stop is None else stop - offset]
+        if part:
+            lines.append((head, part))
+        if stop is not None and stop < offset + len(xs):
+            return lines, (*head, xs[stop - offset])
+        offset += len(xs)
+    return lines, None
 
 
 def _processed(state: ScanState, names: tuple[str, ...], cell: Cell) -> bool:
     """Whether the scan that wrote state checked cell: a cell of state.domain before state.frontier.
 
-    The domain clipped to the single cell has that cell as its one cell iff
-    the cell belongs to the domain; in lexicographic order the cells before
-    the frontier are those below it.
+    The cell belongs to the domain iff its last value is on its own line;
+    in lexicographic order the cells before the frontier are those below it.
     """
     if state.domain is None or state.domain.keys() != set(names):
         return False
-    point = {name: (max(state.domain[name][0], x), min(state.domain[name][1], x)) for name, x in zip(names, cell)}
-    return _cells(state.conjecture, point) == [cell] and (state.frontier is None or cell < state.frontier)
+    on_line = cell[-1] in _line(state.conjecture, state.domain, cell[:-1])
+    return on_line and (state.frontier is None or cell < state.frontier)
 
 
-def _resume_index(cells: list[Cell], state: ScanState | None) -> int:
-    """Index in cells of the checkpoint's frontier, which its counts must agree with."""
+def _resume_index(conjecture: str, domain: dict[str, tuple[int, int]], state: ScanState | None) -> int:
+    """The count of domain's cells before the checkpoint's frontier (all of them if it is None), by line lengths.
+
+    The checkpoint's counts must agree with it.
+    """
     if state is None:
         return 0
-    if state.frontier is None:
-        index = len(cells)
+    frontier = state.frontier
+    if frontier is None:
+        index = sum(len(xs) for _, xs in _domain_lines(conjecture, domain))
     else:
-        try:
-            index = cells.index(state.frontier)
-        except ValueError:
-            raise CheckpointError(
-                "checkpoint frontier %r does not belong to the scan domain" % (state.frontier,)
-            ) from None
+        line = _line(conjecture, domain, frontier[:-1])
+        if not frontier or frontier[-1] not in line:
+            raise CheckpointError("checkpoint frontier %r does not belong to the scan domain" % (frontier,))
+        index = line.index(frontier[-1])
+        for head, xs in _domain_lines(conjecture, domain):  # the lines before the frontier's, which is among them
+            if head == frontier[:-1]:
+                break
+            index += len(xs)
     # every scan starts at the first cell of the domain, so the frontier fixes the count
     if state.processed != index:
         raise CheckpointError(
@@ -294,8 +326,7 @@ def _resume_index(cells: list[Cell], state: ScanState | None) -> int:
 def _run_scan(conjecture, p, domain, checkpoint, max_cells, claim_fn=None) -> ScanState:
     if max_cells is not None and not (_int(max_cells) and max_cells >= 0):
         raise UsageError("the cell limit must be >= 0 (an int, not a bool), got %r" % (max_cells,))
-    cells = _cells(conjecture, domain)
-    if not cells:
+    if not any(xs for _, xs in _domain_lines(conjecture, domain)):
         raise EmptyDomainError("%s: no cells in %s" % (conjecture, {name: list(span) for name, span in domain.items()}))
     if checkpoint is not None:
         if checkpoint.conjecture != conjecture or checkpoint.p != p:
@@ -305,11 +336,11 @@ def _run_scan(conjecture, p, domain, checkpoint, max_cells, claim_fn=None) -> Sc
             )
         if checkpoint.domain != domain:
             raise CheckpointError("checkpoint scanned the domain %r, not %r" % (checkpoint.domain, domain))
-    start_index = _resume_index(cells, checkpoint)
-    stop_index = len(cells) if max_cells is None else min(len(cells), start_index + max_cells)
+    start_index = _resume_index(conjecture, domain, checkpoint)
     names, at, fails, line, record = _check(conjecture, p, claim_fn)
     started = time.perf_counter()
-    failed, _ = identities._lines(conjecture, cells[start_index:stop_index], names, at, fails, line)
+    lines, frontier = _leg(conjecture, domain, start_index, None if max_cells is None else start_index + max_cells)
+    failed, checked = identities._lines(conjecture, lines, names, at, fails, line)
     records = [record(*failure) for failure in failed]
     found = [entry for entry in records if entry is not None]
     elapsed_ms = (time.perf_counter() - started) * 1000.0
@@ -319,8 +350,8 @@ def _run_scan(conjecture, p, domain, checkpoint, max_cells, claim_fn=None) -> Sc
         conjecture=conjecture,
         p=p,
         domain=domain,
-        frontier=cells[stop_index] if stop_index < len(cells) else None,
-        processed=previous.processed + (stop_index - start_index),
+        frontier=frontier,
+        processed=previous.processed + checked,
         counterexamples=list(previous.counterexamples) + found,
         skipped_zero_divisor=previous.skipped_zero_divisor + len(records) - len(found),
         elapsed_ms=previous.elapsed_ms + elapsed_ms,
@@ -384,7 +415,7 @@ def reverify(state: ScanState, claim_fn: Callable[[Cell], DivisibilityClaim] | N
     if state.conjecture != "mixed-cube" and state.counterexamples and not (_int(state.p) and state.p >= 1):
         return False  # no claim has this exponent
     names, at, fails, _, record = _check(state.conjecture, state.p, claim_fn)
-    cells = []
+    lines = []  # a line per record: no line function runs, so grouping them would save nothing
     for counterexample in state.counterexamples:
         assignment = counterexample.get("assignment")
         if not isinstance(assignment, dict) or assignment.keys() != set(names):
@@ -392,9 +423,9 @@ def reverify(state: ScanState, claim_fn: Callable[[Cell], DivisibilityClaim] | N
         cell = tuple(assignment[name] for name in names)
         if not all(map(_int, cell)) or not _processed(state, names, cell):
             return False
-        cells.append(cell)
+        lines.append((cell[:-1], cell[-1:]))
     # no line function: every recorded cell should fail again, and each failing cell runs through at anyway
-    failed, _ = identities._lines(state.conjecture, cells, names, at, fails)
+    failed, _ = identities._lines(state.conjecture, lines, names, at, fails)
     return [record(*failure) for failure in failed] == state.counterexamples
 
 

@@ -11,9 +11,11 @@ in the sums.  A descriptor may also carry hand-written sides, any
 (**params) -> int | Fraction callables, which are used as given.
 
 The engine, _lines, checks a line of cells at a time: the cells that
-share all parameters but the last.  A descriptor whose two sides were
-both compiled comes with a line function that runs a whole line in one
-call; any other, a dataclasses.replace copy included, runs cell by cell.
+share all parameters but the last.  A sweep builds its lines straight from
+the box, one per value of those parameters, and applies the constraint
+once per line.  A descriptor whose two sides were both compiled comes with
+a line function that runs a whole line in one call; any other, a
+dataclasses.replace copy included, runs cell by cell.
 Either way a failed cell is reported with the sides at that cell, so the
 two paths report the same.  The relation is the caller's: != for a
 sweep, and the conjecture scans run the same engine with theirs.
@@ -26,8 +28,8 @@ from collections.abc import Mapping
 from dataclasses import dataclass, field, replace
 from functools import partial
 from fractions import Fraction
-from itertools import compress, groupby, product, starmap
-from operator import itemgetter, ne
+from itertools import compress, product, starmap
+from operator import ne
 from typing import Callable
 
 from .errors import DomainError, EmptyDomainError, IntegrityError, UnknownIdentityError, UsageError
@@ -96,9 +98,12 @@ class IdentityDescriptor:
     upper bound a sweep uses for parameters the caller did not range.
     line, set only by _compiled when it compiled both sides, is fn with
     fn(*head, xs) giving, for each x in xs, those two sides at head + (x,)
-    as a cross-multiplied pair, equal iff the sides are.  No caller can pass
-    it, and dataclasses.replace never copies it, so every copy runs cell by
-    cell.
+    as a cross-multiplied pair, equal iff the sides are.  admit, set only
+    by _compiled when it compiled a text constraint, is the line filter
+    admit(*head, xs) giving the xs whose cells head + (x,) the constraint
+    admits.  No caller can pass either, and dataclasses.replace copies
+    neither, so every copy runs cell by cell and calls its constraint once
+    per cell, with keywords, as a hand-written constraint is called.
     """
 
     id: str
@@ -109,6 +114,7 @@ class IdentityDescriptor:
     constraint: Callable[..., bool] | str | None = None
     default_cap: int = 100
     line: Callable | None = field(default=None, init=False, compare=False, repr=False)
+    admit: Callable | None = field(default=None, init=False, compare=False, repr=False)
 
     def parameter_names(self) -> tuple[str, ...]:
         return tuple(p.name for p in self.parameters)
@@ -168,7 +174,7 @@ _REGISTRY: dict[str, IdentityDescriptor] = {}
 
 
 def _compiled(ident: IdentityDescriptor) -> IdentityDescriptor:
-    """ident with each side left as None compiled from its statement, and a text constraint compiled."""
+    """ident with each side left as None compiled from its statement, and a text constraint compiled with its filter."""
     sides = ident.lhs is None or ident.rhs is None
     text = ident.constraint if isinstance(ident.constraint, str) else None
     if not sides and text is None:
@@ -181,10 +187,11 @@ def _compiled(ident: IdentityDescriptor) -> IdentityDescriptor:
         )
     except UsageError as exc:
         raise UsageError("%s: %s" % (ident.id, exc)) from None
-    line = built.pop("line", None)
+    line, admit = built.pop("line", None), built.pop("admit", None)
     compiled = replace(ident, **{name: fn for name, fn in built.items() if not callable(getattr(ident, name))})
     if ident.lhs is ident.rhs is None:  # the line runs the compiled sides, so only they get it
         object.__setattr__(compiled, "line", line)
+    object.__setattr__(compiled, "admit", admit)
     return compiled
 
 
@@ -452,52 +459,62 @@ def effective_domain(
     return {p.name: _range(p.name, ranges.get(p.name, (p.minimum, top)), p.minimum) for p in ident.parameters}
 
 
-def _admissible_cells(ident: IdentityDescriptor, domain: dict[str, tuple[int, int]], ignore_constraint: bool):
-    names = ident.parameter_names()
-    spans = [range(domain[name][0], domain[name][1] + 1) for name in names]
-    if ignore_constraint or ident.constraint is None:
-        return list(product(*spans))
-    return [values for values in product(*spans) if ident.constraint(**dict(zip(names, values)))]
+def _domain_lines(ident: IdentityDescriptor, domain: dict[str, tuple[int, int]], ignore_constraint: bool) -> list:
+    """The lines of the box domain that hold a cell the constraint admits, in lexicographic order.
+
+    A line is (head, xs): one value per parameter but the last, and the
+    values of the last whose cells are admitted, increasing; with
+    ignore_constraint or no constraint, all of them.  The constraint runs
+    once per line through the descriptor's filter, or without one once per
+    cell, with keywords.
+    """
+    *heads, last = [range(lo, hi + 1) for lo, hi in domain.values()]
+    names, test = ident.parameter_names(), ident.constraint
+    if ignore_constraint or test is None:
+        admit = lambda *args: args[-1]
+    else:
+        admit = ident.admit or (lambda *args: [x for x in args[-1] if test(**dict(zip(names, (*args[:-1], x))))])
+    return [(head, xs) for head in product(*heads) if (xs := admit(*head, last))]
 
 
-def _lines(name, cells, names, at, fails, line=None, fail_fast=False) -> tuple[list[tuple], int]:
+def _lines(name, lines, names, at, fails, line=None, fail_fast=False) -> tuple[list[tuple], int]:
     """(failed, checked): (cell, lhs, rhs) at each cell where fails(lhs, rhs), and the count of cells checked.
 
-    at(cell) gives the two sides at a cell.  A line, the cells that share
-    all values but the last, runs in one call of line(*head, xs), which
-    gives a pair per x, and only the cells whose pair fails run at: sides
-    that pass there, or a pair count other than the cell count, raise
-    IntegrityError.  Without line, or if its call raises anything but
-    IntegrityError, the line runs cell by cell; a failed check inside the
-    line (a table's kernel run, say) is raised as it is.  fail_fast stops
-    at the first failure.
+    lines are (head, xs) pairs, whose cells head + (x,) for x in xs are
+    checked in that order.  at(cell) gives the two sides at a cell.  A line
+    runs in one call of line(*head, xs), which gives a pair per x, and only
+    the cells whose pair fails run at: sides that pass there, or a pair
+    count other than the cell count, raise IntegrityError.  Without line,
+    or if its call raises anything but IntegrityError, the line runs cell
+    by cell; a failed check inside the line (a table's kernel run, say) is
+    raised as it is.  fail_fast stops at the first failure.
     """
     failed = []
     checked = 0
     with keep_partials():
-        for head, group in groupby(cells, itemgetter(slice(None, -1))):
-            run = list(group)
-            positions, flagged = range(len(run)), False
+        for head, xs in lines:
+            positions, flagged = range(len(xs)), False
             if line is not None:
                 try:
-                    flags = list(starmap(fails, line(*head, [cell[-1] for cell in run])))
+                    flags = list(starmap(fails, line(*head, xs)))
                 except IntegrityError:  # a failed check, which the cells need not repeat
                     raise
                 except Exception:  # then every cell runs through at, which raises where it does
                     pass
                 else:  # compress would stop at the shorter of flags and cells
-                    if len(flags) != len(run):
-                        raise IntegrityError("%s: line function gave %d pairs for %d cells" % (name, len(flags), len(run)))
-                    positions, flagged = list(compress(range(len(run)), flags)), True
+                    if len(flags) != len(xs):
+                        raise IntegrityError("%s: line function gave %d pairs for %d cells" % (name, len(flags), len(xs)))
+                    positions, flagged = list(compress(range(len(xs)), flags)), True
             for i in positions:
-                lhs, rhs = at(run[i])
+                cell = (*head, xs[i])
+                lhs, rhs = at(cell)
                 if fails(lhs, rhs):
-                    failed.append((run[i], lhs, rhs))
+                    failed.append((cell, lhs, rhs))
                     if fail_fast:
                         return failed, checked + i + 1
                 elif flagged:
-                    raise IntegrityError("%s: line function and sides disagree at %r" % (name, dict(zip(names, run[i]))))
-            checked += len(run)
+                    raise IntegrityError("%s: line function and sides disagree at %r" % (name, dict(zip(names, cell))))
+            checked += len(xs)
     return failed, checked
 
 
@@ -515,23 +532,24 @@ def verify_identity(
     else raises TypeError) and turned into Fractions only for a mismatch
     record.  All mismatches are collected (not just the first) unless
     fail_fast is set, which stops at the first mismatch in cell order.
-    Cells run through _lines in lexicographic order of the parameters, so
-    mismatches come out canonically sorted, with ident's line function if
-    it has one.  parallelism is accepted for compatibility and has no
-    effect: the sweep is serial, since threads only slow pure-Python
-    big-integer work under the GIL.
+    The box is walked a line at a time (_domain_lines), inside the timed
+    span, and the lines run through _lines in lexicographic order of the
+    parameters, so mismatches come out canonically sorted, with ident's
+    line function if it has one.  parallelism is accepted for
+    compatibility and has no effect: the sweep is serial, since threads
+    only slow pure-Python big-integer work under the GIL.
     """
     ident = _resolve(identity)
     domain = effective_domain(ident, ranges, cap)
-    cells = _admissible_cells(ident, domain, allow_outside_domain)
-    if not cells:
+    started = time.perf_counter()
+    lines = _domain_lines(ident, domain, allow_outside_domain)
+    if not lines:
         raise EmptyDomainError(
             "%s: no admissible cells in %s" % (ident.id, {k: list(v) for k, v in domain.items()})
         )
     names = ident.parameter_names()
-    started = time.perf_counter()
     at = lambda cell: _sides(ident, dict(zip(names, cell)))
-    failed, checked = _lines(ident.id, cells, names, at, ne, ident.line, fail_fast)
+    failed, checked = _lines(ident.id, lines, names, at, ne, ident.line, fail_fast)
     mismatches = [Mismatch(tuple(zip(names, cell)), Fraction(lhs), Fraction(rhs)) for cell, lhs, rhs in failed]
     elapsed_ms = (time.perf_counter() - started) * 1000.0
     return VerificationReport(

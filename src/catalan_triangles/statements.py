@@ -47,6 +47,11 @@ numerator * rhs denominator, rhs numerator * lhs denominator) at each x;
 the relation is the caller's.  A running sum of a side whose key does not
 include x keeps its partial on the line function's locals instead, empty
 at the start of each line.  A zero denominator raises ZeroDivisionError.
+
+A constraint compiles, next to its per-cell test, into a line filter over
+the same last parameter: admit(<the other parameters>, xs) is one list
+comprehension giving the xs at which the chain holds, with the
+comparisons inline.
 """
 
 from __future__ import annotations
@@ -364,12 +369,19 @@ class _Compiler:
         loop = "for %s in _xs:\n%s" % (x, _indent(body))
         return "def line(%s):\n%s" % (", ".join(head + ["_xs"]), _indent(init + ["_pairs = []", loop, "return _pairs"]))
 
-    def test(self, name: str, node: ast.Compare) -> str:
-        """Source of def name(parameters) returning the chain of comparisons node."""
+    def test(self, node: ast.Compare) -> tuple[str, str]:
+        """Sources of def constraint(parameters), the chain of comparisons node, and of its line filter
+        def admit(<parameters but the last>, _xs), the list of the xs in _xs at which the chain holds."""
         scope = _Scope(self.parameters)
         operands = [self.integer(x, scope, "a compared value") for x in (node.left, *node.comparators)]
         chain = operands[0] + "".join(" %s %s" % (_COMPARISONS[type(op)], x) for op, x in zip(node.ops, operands[1:]))
-        return "def %s(%s):\n%s" % (name, ", ".join(self.parameters), _indent(scope.lines + ["return " + chain]))
+        *head, x = self.parameters
+        # a chain that needs statements first (a sum, say) is tested through constraint, positionally
+        test = "constraint(%s)" % ", ".join(self.parameters) if scope.lines else chain
+        return (
+            "def constraint(%s):\n%s" % (", ".join(self.parameters), _indent(scope.lines + ["return " + chain])),
+            "def admit(%s):\n    return [%s for %s in _xs if %s]" % (", ".join(head + ["_xs"]), x, x, test),
+        )
 
 
 def compile_identity(
@@ -378,10 +390,10 @@ def compile_identity(
     statement: str | None = None,
     constraint: str | None = None,
 ) -> dict[str, Callable]:
-    """Callables compiled from statement ("lhs", "rhs", "line") and constraint ("constraint").
+    """Callables compiled from statement ("lhs", "rhs", "line") and constraint ("constraint", "admit").
 
     The sides and the constraint take the parameters as keywords; line
-    takes all but the last positionally, then a list of values of the
+    and admit take all but the last positionally, then the values of the
     last (see the module docstring).  Their calls to the statement's
     functions read namespace at call time (c is namespace["_c_ext"]).
     """
@@ -398,7 +410,7 @@ def compile_identity(
         tree = _parse(constraint)
         if not (isinstance(tree, ast.Compare) and all(type(op) in _COMPARISONS for op in tree.ops)):
             raise UsageError("a constraint is a chain of comparisons, got %r" % constraint)
-        functions["constraint"] = compiler.test("constraint", tree)
+        functions["constraint"], functions["admit"] = compiler.test(tree)
     returned = "return {%s}" % ", ".join("%r: %s" % (name, name) for name in functions)
     source = "def _build(Fraction, _lcm, _partials, DomainError):\n%s\n" % _indent(
         compiler.defs + list(functions.values()) + [returned]

@@ -438,7 +438,8 @@ def test_the_c_scan_on_its_line_function_equals_the_scan_cell_by_cell(p, m_lo, m
 @pytest.mark.parametrize("p", [2, 4])
 def test_the_c_line_function_finds_the_failures_of_even_exponents(p):
     # no scan runs an even p, where the claim really fails: run the scan's check through _lines directly
-    cells = conjectures._cells("divisibility-c", {"m": (2, 30), "n": (1, 29)})
+    domain = {"m": (2, 30), "n": (1, 29)}
+    cells = [(*head, x) for head, xs in conjectures._domain_lines("divisibility-c", domain) for x in xs]
     names, at, fails, line, record = conjectures._check("divisibility-c", p)
     assert line is not None
 
@@ -449,8 +450,9 @@ def test_the_c_line_function_finds_the_failures_of_even_exponents(p):
     # the whole domain, then slices that start and end mid-row, as a limit cut and a resumed frontier make them
     for start, stop in [(0, len(cells)), (4, 61), (100, 101), (250, 406)]:
         part = cells[start:stop]
-        on_line = identities._lines("divisibility-c", part, names, at, fails, line)
-        on_cells = identities._lines("divisibility-c", part, names, at, fails)
+        lines, _ = conjectures._leg("divisibility-c", domain, start, stop)
+        on_line = identities._lines("divisibility-c", lines, names, at, fails, line)
+        on_cells = identities._lines("divisibility-c", lines, names, at, fails)
         assert on_line == on_cells and on_line[1] == len(part)
         assert [record(*failure) for failure in on_line[0]] == [record(*failure) for failure in on_cells[0]]
         assert [cell for cell, _, _ in on_line[0]] == [cell for cell in part if indivisible(*cell)] != []

@@ -26,9 +26,10 @@ from catalan_triangles.identities import list_identities, verify_identity
 
 CAP = 6
 STATEMENTS = {ident.id: ident for ident in list_identities()} | conjectures._STATEMENTS
-# the c cells the claim's mutants are scanned on, the exponents, and the (mutant, p) runs that report a
+# the c lines the claim's mutants are scanned on, the exponents, and the (mutant, p) runs that report a
 # finding: the four runs that report none put the lower bound at -1, whose extra term c(m,-1) is 0
-C_CELLS, C_EXPONENTS, C_FINDINGS = conjectures._cells("divisibility-c", {"m": (2, 9), "n": (1, 8)}), (3, 5), 14
+C_LINES = [line for line in conjectures._domain_lines("divisibility-c", {"m": (2, 9), "n": (1, 8)}) if line[1]]
+C_EXPONENTS, C_FINDINGS = (3, 5), 14
 # mutants, those the compiler refuses, and those whose sweep at CAP inside the domain does not pass (a
 # mismatch, or 67 that raise DomainError or ZeroDivisionError); the 39 registered statements give 766
 # mutants and 672 kills
@@ -132,7 +133,7 @@ def test_the_mutants_killed_at_cap_6_are_pinned():
 
 
 def _scan(p: int, on_cells: bool):
-    """(cells checked, records of the failed cells) of a c scan of C_CELLS at p, or the type of what it raised.
+    """(cells checked, records of the failed cells) of a c scan of C_LINES at p, or the type of what it raised.
 
     Both paths use conjectures._check's relation and records; on_cells replaces the line function by
     divisibility_claim at each cell."""
@@ -140,7 +141,7 @@ def _scan(p: int, on_cells: bool):
     names, at, fails, line, record = conjectures._check("divisibility-c", p, claim_fn)
     assert (line is None) == on_cells
     try:
-        failed, checked = identities._lines("divisibility-c", C_CELLS, names, at, fails, line)
+        failed, checked = identities._lines("divisibility-c", C_LINES, names, at, fails, line)
         return checked, [record(*failure) for failure in failed]
     except Exception as exc:
         return type(exc)

@@ -243,7 +243,8 @@ def _descriptor_of(statement, names):
 def test_a_right_side_one_too_large_at_one_cell_is_one_mismatch(identity):
     ident = get_identity(identity)
     names = ident.parameter_names()
-    cells = identities._admissible_cells(ident, identities.effective_domain(ident, cap=9), False)
+    lines = identities._domain_lines(ident, identities.effective_domain(ident, cap=9), False)
+    cells = [(*head, x) for head, xs in lines for x in xs]
     cell = dict(zip(names, cells[len(cells) // 2]))
     rhs = ident.rhs
 
