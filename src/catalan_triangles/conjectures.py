@@ -259,9 +259,11 @@ def _line(conjecture: str, domain: dict[str, tuple[int, int]], head: Cell) -> ra
 
 
 def _domain_lines(conjecture: str, domain: dict[str, tuple[int, int]]):
-    """Every (head, xs) line of domain in scan order, empty ones included."""
-    heads = product(*(range(domain[name][0], domain[name][1] + 1) for name in _NAMES[conjecture][:-1]))
-    return ((head, _line(conjecture, domain, head)) for head in heads)
+    """Every (head, xs) line of domain in scan order, empty ones included, but for c from row m = n's lo + 1 on."""
+    heads = [range(domain[name][0], domain[name][1] + 1) for name in _NAMES[conjecture][:-1]]
+    if conjecture == "divisibility-c":
+        heads[0] = range(max(domain["m"][0], domain["n"][0] + 1), domain["m"][1] + 1)
+    return ((head, _line(conjecture, domain, head)) for head in product(*heads))
 
 
 def _leg(conjecture: str, domain: dict[str, tuple[int, int]], start: int, stop: int | None):

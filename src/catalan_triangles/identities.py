@@ -43,27 +43,21 @@ from .triangles import _KINDS, _a_ext, _b_ext, _c_ext, _row_slice, catalan, gen_
 Assignment = Mapping[str, int]
 
 
-def _table(entry, kind, r, start=0, stop=None, width=None) -> list[int]:
-    """[entry(r, j) for j in start..stop-1]; with stop None, to the row's last column, or [] past width columns.
+def _table(entry, kind, r, width) -> list[int]:
+    """[entry(r, j) for j in 0..the row's last column], or [] when that is more than width columns.
 
     The columns inside the row come from one checked kernel run, of
     triangles._row_slice for a triangle kind and of exact.binomials for
-    Pascal's triangle (kind None); the others are 0, as entry gives them.
-    A row entry refuses raises entry's own DomainError.
+    Pascal's triangle (kind None); those before the kind's first column are
+    0, as entry gives them.  A row entry refuses raises entry's own DomainError.
     """
     first, _, extra = (0, None, 0) if kind is None else _KINDS[kind]
     if r < (0 if kind is None else 1):
-        entry(r, start)  # raises
+        entry(r, 0)  # raises
     end = r + extra + 1
-    if stop is None:
-        if width is not None and end - start > width:
-            return []
-        stop = end
-    lo, hi = max(start, first), min(stop, end)
-    if lo >= hi:
-        return [0] * (stop - start)
-    run = binomials(r, lo, 0, 1, hi - lo) if kind is None else _row_slice(kind, r, lo, hi)
-    return [0] * (lo - start) + run + [0] * (stop - hi)
+    if end > width:
+        return []
+    return [0] * first + (binomials(r, 0, 0, 1, end) if kind is None else _row_slice(kind, r, first, end))
 
 
 # The row tables compiled statements read (statements.TABLES), looked up here at call time as the entries are.

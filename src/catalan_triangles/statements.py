@@ -26,16 +26,15 @@ before the power is taken.  The generated code looks up _c_ext, binomial,
 harmonic and the other functions in the namespace it is given, at call
 time.
 
-A call c(r,e), b(r,e), a(r,e) or binomial(r,e) reads a row table, not the
-entry function, where its row r stays fixed: in a line function, when r
-reads only the parameters before the line variable, a table of the whole
-row built once per line; else in the term of a plain sum whose variable r
-does not read, a table built for that evaluation of the sum, of the
-columns from the first read to the last when the column is the variable
-plus or minus terms free of it, and of the whole row otherwise.  A row
-with more than twice the columns the line has cells, or the sum has terms
-left, gets no whole-row table: each read is then a call.  Every other
-call, a running-sum term in a side included, stays a call.  A table is
+A call c(r,e), b(r,e), a(r,e) or binomial(r,e) reads a table of the whole
+row r, not the entry function, where its row stays fixed: in a line
+function, when r reads only the parameters before the line variable, a
+table built once per line; else in the term of a plain sum whose variable
+r does not read, a table built for that evaluation of the sum.  Every read
+of one row of one function in that scope shares its table.  A row with
+more than twice the columns the line has cells, or the sum has terms left,
+gets an empty table: each read is then a call.  Every other call, a
+running-sum term in a side included, stays a call.  A table is
 built at its first read, where the call would have run first, by the
 builder TABLES names, from one checked kernel run; a read outside it
 gives 0 through an index guard.
@@ -116,17 +115,6 @@ def _free(node: ast.AST) -> frozenset[str]:
     return frozenset().union(*map(_free, ast.iter_child_nodes(node)))
 
 
-def _shifted(node: ast.AST, v: str) -> bool:
-    """node is v plus or minus terms free of v, so it climbs by one with v."""
-    if isinstance(node, ast.Name):
-        return node.id == v
-    if isinstance(node, ast.BinOp) and isinstance(node.op, (ast.Add, ast.Sub)):
-        if v not in _free(node.right):
-            return _shifted(node.left, v)
-        return isinstance(node.op, ast.Add) and v not in _free(node.left) and _shifted(node.right, v)
-    return False
-
-
 def _mul(x: str, y: str) -> str:
     return y if x == "1" else x if y == "1" else "(%s*%s)" % (x, y)
 
@@ -151,7 +139,7 @@ class _Scope:
         self.var, self.hi = var, hi  # the variable and upper bound of the plain sum whose term this is
         self.lines: list[str] = []  # statements that run before the returned expression
         self.init: list[str] = []  # statements a line function runs once per line
-        self.tables: dict[tuple, str] = {}  # that sum's row tables, emptied before its loop
+        self.tables: dict[tuple, str] = {}  # that sum's row tables by (name, row), emptied before its loop
         self.built: set[str] = set()  # the tables its lines have built by now
 
 
@@ -251,32 +239,23 @@ class _Compiler:
         what = "an argument of %s" % name
         free = _free(row)
         if self.line_tables is not None and free <= set(self.parameters[:-1]):
-            tables, whole = self.line_tables, True
+            tables, width = self.line_tables, "2 * len(_xs)"
         elif scope.var is not None and scope.var not in free:
-            tables, whole = scope.tables, not _shifted(column, scope.var)
+            tables, width = scope.tables, "2 * (%s - %s + 1)" % (scope.hi, scope.var)
         else:
             return "%s(%s, %s)" % (FUNCTIONS[name][0], self.integer(row, scope, what), self.integer(column, scope, what))
         r = self.integer(row, scope, what)
         if re.search(r"\w\(", r):  # a call in the row: evaluated at each read, as the call's argument is
             r = self.local(r, scope)
         e = self.local(self.integer(column, scope, what), scope)
-        key = (name, r) if whole else (name, r, e)
-        if key not in tables:
-            tables[key] = self.fresh("t")
-        t = tables[key]
-        if whole:  # the whole row, unless it has more than twice the columns the line has cells or the sum terms
-            width = "2 * len(_xs)" if tables is self.line_tables else "2 * (%s - %s + 1)" % (scope.hi, scope.var)
-            build = ["%s = %s(%s, width=%s)" % (t, TABLES[name], r, width)]
-            miss = "0 if %sn else %s(%s, %s)" % (t, FUNCTIONS[name][0], r, e)  # an empty table: a call per read
-        else:  # columns e..e + hi - v, with the first read's e
-            stop = "%s + %s - %s + 1" % (e, scope.hi, scope.var)
-            build = ["%ss = %s" % (t, e), "%s = %s(%s, %s, %s)" % (t, TABLES[name], r, e, stop)]
-            miss = "0"
+        if (name, r) not in tables:
+            tables[name, r] = self.fresh("t")
+        t = tables[name, r]
         if t not in scope.built:  # the scope's lines run in order, so one build test per table suffices
             scope.built.add(t)
-            scope.lines.append("if %s is None:\n%s" % (t, _indent(build + ["%sn = len(%s)" % (t, t)])))
-        i = e if whole else self.local("(%s - %ss)" % (e, t), scope)
-        return "(%s[%s] if 0 <= %s < %sn else %s)" % (t, i, i, t, miss)  # a negative index would wrap
+            scope.lines.append("if %s is None:\n    %s = %s(%s, %s)\n    %sn = len(%s)" % (t, t, TABLES[name], r, width, t, t))
+        # a negative index would wrap; an empty table, a row wider than its width allows, is a call per read
+        return "(%s[%s] if 0 <= %s < %sn else (0 if %sn else %s(%s, %s)))" % (t, e, e, t, t, FUNCTIONS[name][0], r, e)
 
     def loop(self, v: str, inner: _Scope, q: _Q, bound: str) -> tuple[str, str, str, str, _Q]:
         """(k, num, den, code, sum): code adds term q for v = k..bound to num/den, set by the caller.

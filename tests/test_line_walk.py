@@ -297,6 +297,27 @@ def test_every_leg_of_a_scan_is_the_flat_lists_slice(domain_draw, rng, second):
             )
 
 
+def test_a_c_scan_walks_no_row_before_its_first_cell():
+    # rows m = 2..299990 hold no cell with n >= 299990: the emptiness check, a 1-cell leg and a resume skip them
+    domain = {"m": (2, 300000), "n": (299990, 299999)}
+    claim = lambda cell: DivisibilityClaim(2, 2, ())
+    scan = lambda **options: scan_divisibility("c", 7, n_range=domain["n"], m_range=domain["m"], claim_fn=claim, **options)
+    first, second = (299991,), (299992,)  # rows of one and two cells
+    with mock.patch.object(conjectures, "_line", wraps=conjectures._line) as line:
+        assert conjectures._leg("divisibility-c", domain, 0, 1) == ([(first, range(299990, 299991))], (*second, 299990))
+        assert line.call_count == 2
+        line.reset_mock()
+        state = scan(max_cells=1)
+        assert (state.domain, state.frontier, state.processed) == (domain, (*second, 299990), 1)
+        assert line.call_count == 3  # the emptiness check's first line, then the leg's two
+        line.reset_mock()
+        assert conjectures._resume_index("divisibility-c", domain, state) == 1
+        assert line.call_count == 3  # the frontier's line, then the lines up to it
+        line.reset_mock()
+        assert scan(checkpoint=state).processed == 10 * 11 // 2
+        assert line.call_count == 1 + 3 + 10  # the emptiness check, the resume, every row of the leg
+
+
 def test_a_leg_costs_what_it_scans():
     # the first 1,000 cells of m = 2..3000 end at m = 46; the domain's cell list alone held 4.5M tuples
     conjectures._compiled("divisibility-c")

@@ -154,11 +154,13 @@ def test_perturbed_term_fails_every_cell_at_or_beyond_it():
     # a wrong term at k = 4 must stay in every later partial of a sweep,
     # not just the cell that added it, cell by cell and along a line (which reads row m from a table)
     ident = get_identity("thm-linear-sum")
+    built_rows = []
 
-    def table(m, start=0, stop=None, width=None):
+    def table(m, width):
         # out to column 4 at least, so that rows 2 and 3 read the wrong term there too, as _c_ext gives it
-        stop = max(m + 1 if stop is None else stop, 5)
-        return [x + (k == 4) for k, x in enumerate(identities._c_table(m, start, stop), start)]
+        row = identities._c_table(m, width)
+        built_rows.append(m)
+        return [x + (k == 4) for k, x in enumerate(row + [0] * (5 - len(row)))]
 
     namespace = dict(vars(identities), _c_ext=lambda m, k: identities._c_ext(m, k) + (k == 4), _c_table=table)
     built = compile_identity(("m", "n"), namespace, ident.statement)
@@ -170,6 +172,8 @@ def test_perturbed_term_fails_every_cell_at_or_beyond_it():
         failed = {tuple(value for _, value in mismatch.assignment) for mismatch in report.mismatches}
         assert failed == {(m, n) for m in range(2, 13) for n in range(4, 13)}
         assert all(mismatch.lhs - mismatch.rhs == 1 for mismatch in report.mismatches)
+    # the line read row m from the planted table once per line, so no line fell back to its cells
+    assert built_rows == list(range(2, 13))
 
 
 def test_partials_are_bounded_and_dropped_when_the_sweep_returns():

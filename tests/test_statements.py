@@ -129,13 +129,13 @@ PATHS = [
         [("m", 1), ("n", 1)],
     ),
     # along n: c row m is a line table read from column -2 and -3 on and past m; b row n and Pascal row n are
-    # each sum's tables, from column -2 to n+1, and whole for the columns 2k-3
+    # the sum's tables, read from column -2 and -3 on and past n
     ("path-table-ends", "sum(c(m,k-2), k=0..n) + c(m,n-3) == sum(b(n,k-2) * binomial(n,2k-3), k=0..n+3)", [("m", 1), ("n", 1)]),
     # rows n and n+m move with the line variable n, so each is a table of its sum's evaluation
     ("path-table-moving", "sum(a(n,k)^2 * binomial(n+m,k+1), k=0..m) == sum(b(n+1,k) * c(n,k), k=1..m)", [("m", 1), ("n", 1)]),
     # true; one table of row m per line, read by two running sums and outside any sum
     ("path-table-fixed", "sum(c(m,k)^2, k=0..n) - c(m,n)^2 == sum(c(m,k)^2, k=0..n-1)", [("m", 1), ("n", 1)]),
-    # rows m, n and 2m, each read at two column offsets in one plain sum (the eq-convolution shape)
+    # rows m, n and 2m, each read at two column offsets from one table in one plain sum (the eq-convolution shape)
     (
         "path-table-offsets",
         "sum(c(m,k)*c(m,k+n) + b(n,k)*b(n,n+k-1), k=0..n) == sum(binomial(2m,k) * binomial(2m,k+m), k=0..m)",
@@ -407,16 +407,13 @@ def test_a_table_is_its_entry_function_over_its_columns(builder):
     table, (entry, first, extra) = getattr(identities, builder), ENTRIES[builder]
     for row in range(first, first + 9):
         whole = [entry(row, j) for j in range(row + extra + 1)]
-        assert table(row) == whole
-        assert table(row, width=len(whole)) == whole and table(row, width=len(whole) - 1) == []  # wider: no table
-        for start in range(-3, row + 4):
-            for stop in range(start + 1, row + 6):
-                assert table(row, start, stop) == [entry(row, j) for j in range(start, stop)], (row, start, stop)
+        assert table(row, len(whole)) == whole and table(row, 2 * len(whole)) == whole
+        assert table(row, len(whole) - 1) == []  # wider than its width: no table
     for row in (first - 1, first - 2):  # a refused row raises the entry function's own DomainError
         with pytest.raises(DomainError) as refused:
             entry(row, 0)
         with pytest.raises(DomainError, match="^%s$" % re.escape(str(refused.value))):
-            table(row, 0, 3)
+            table(row, 3)
 
 
 def test_a_fixed_row_reads_a_table_and_every_other_call_stays_a_call(monkeypatch):
@@ -440,6 +437,18 @@ def test_a_fixed_row_reads_a_table_and_every_other_call_stays_a_call(monkeypatch
     assert called(vandermonde.lhs, n=4) == {"_binomial_table": 1}
     # binomial(m,n) is a line table, and binomial(j-1,n-1) reads the summation variable j: a call per term
     assert called(decomp.line, 5, [1, 2, 3, 4, 5]) == {"_binomial_table": 1, "binomial": 5 + 4 + 3 + 2 + 1}
+
+
+def test_no_registered_line_function_falls_back_to_cells():
+    # a builder's signature mistake or a broken table would raise inside a line, where _lines reruns its cells
+    for ident in list_identities():
+        with keep_partials():
+            for head, xs in identities._domain_lines(ident, identities.effective_domain(ident), False):
+                assert len(ident.line(*head, xs)) == len(xs), (ident.id, head)
+    row = conjectures._compiled("divisibility-c").line
+    with keep_partials():
+        for m in range(2, 61):
+            assert len(row(m, 7, range(1, m))) == m - 1, m
 
 
 def test_a_row_wider_than_twice_its_line_is_read_a_call_per_term(monkeypatch):
@@ -468,7 +477,7 @@ def test_an_integrity_error_in_a_line_function_is_raised_not_retried_cell_by_cel
     # any other exception still sends the line through its cells, which pass
     assert verify_identity(with_line(ident, lambda *args: 1 / 0), cap=6).passed
 
-    def failed(m, start=0, stop=None, width=None):
+    def failed(m, width):
         raise IntegrityError("c_row(%d): a kernel check failed" % m)
 
     # a table builder whose check fails, compiled into the line function: no call in the sides reaches it
@@ -487,7 +496,7 @@ def test_an_integrity_error_in_a_line_function_is_raised_not_retried_cell_by_cel
 )
 def test_a_table_one_column_short_fails_the_sweep(monkeypatch, builder, identity):
     real = getattr(identities, builder)
-    monkeypatch.setattr(identities, builder, lambda row, start=0, stop=None, width=None: real(row, start, stop, width)[:-1])
+    monkeypatch.setattr(identities, builder, lambda row, width: real(row, width)[:-1])
     outcome = _outcome(identity, cap=8)
     # the line flags cells whose sides agree, or the sides read the short table too and disagree
     assert outcome[0] is IntegrityError if isinstance(outcome, tuple) else not outcome.passed
