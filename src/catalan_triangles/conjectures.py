@@ -6,16 +6,16 @@ a(n, k) = c(2n+1, n+1-k), the b and a claims are the c claim at
 (m, n) = (2n, n-1) and (2n+1, n).  Conjecture two is an exact closed form
 for sum(b(n,k)^2 * b(m,k), k=1..min(n,m)).
 
-The c claim and conjecture two are statement texts in the grammar of
-statements.py, compiled on first use through identities._compiled as the
-registered identities are; the b and a claims sum powers of a row built by
-the row kernel, and take the c claim's divisor binomial(m-1, n).  Scans
-check cells through identities._lines, the sweep's engine, and the c scan
-runs on its statement's line function along each row m.  A scan makes its
-lines straight from the domain (a row m with n below m for c, a row n for
-the mixed claim, one line for b and a): a leg starts at its frontier's line
-and cuts only its first and last line, so it costs what it scans, never
-the domain's cell list.
+Each claim is a statement text in the grammar of statements.py, compiled
+on first use through identities._compiled as the registered identities
+are: the c claim and its b and a forms, with p as their first parameter,
+and conjecture two split at min(n, m) into two texts.  Scans check cells
+through identities._lines, the sweep's engine, on the statements' line
+functions, along lines made straight from the domain: a row m with n
+below m for c, one line of n for b and a, and a row n for the mixed
+claim, whose m<n text runs below m = n and whose n<=m text from there on.
+A leg starts at its frontier's line and cuts only its first and last
+line, so it costs what it scans, never the domain's cell list.
 
 Scans are evidence, not proof: a clean state means "no counterexample in the
 scanned domain", nothing more.  Every cell is checked in exact arithmetic;
@@ -29,17 +29,18 @@ import os
 import sys
 import tempfile
 import time
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 from itertools import product
 from operator import attrgetter, ne
 from typing import Callable, NamedTuple
 
 from . import identities
 from .errors import CheckpointError, DomainError, EmptyDomainError, UsageError
-from .exact import _int, binomial
+from .exact import _int
 from .identities import IdentityDescriptor, Parameter, _range
-from .triangles import a_row, b_row
 
 CHECKPOINT_VERSION = 2
 
@@ -101,7 +102,7 @@ _NAMES = {"divisibility-c": ("m", "n"), "divisibility-b": ("n",), "divisibility-
 
 # The checkpoint schema, in document order after "version".
 _CHECKPOINT_FIELDS = {
-    "conjecture": _Field(lambda v: v in _NAMES, "one of %s" % ", ".join(_NAMES)),
+    "conjecture": _Field(lambda v: isinstance(v, str) and v in _NAMES, "one of %s" % ", ".join(_NAMES)),
     "p": _Field(lambda v: v is None or _int(v), "an integer or null"),
     "domain": _Field(
         lambda v: v is None or isinstance(v, dict) and all(
@@ -133,8 +134,11 @@ def _statement(id: str, statement: str, parameters: str, constraint: str | None 
     _STATEMENTS[id] = IdentityDescriptor(id, statement, parameters, constraint=constraint)
 
 
-# n last, so that its line is a row m with n rising and the running sum runs on locals
-_statement("divisibility-c", "sum(c(m,k)^p, k=0..n) == binomial(m-1,n)", "mpn")
+# p first, so that one wrapper gives each its exponent; n last, so that the c line is a row m with n
+# rising and the running sum runs on locals.  The b and a texts are the c claim at (2n, n-1) and (2n+1, n).
+_statement("divisibility-c", "sum(c(m,k)^p, k=0..n) == binomial(m-1,n)", "pmn")
+_statement("divisibility-b", "sum(b(n,k)^p, k=1..n) == binomial(2n-1,n-1)", "pn")
+_statement("divisibility-a", "sum(a(n,k)^p, k=1..n+1) == binomial(2n,n)", "pn")
 
 # conjecture two, split at min(n, m), the upper bound of its sums
 _statement(
@@ -161,10 +165,12 @@ def _compiled(id: str) -> IdentityDescriptor:
 def divisibility_claim(variant: str, p: int, cell: Cell) -> DivisibilityClaim:
     """Dividend and claimed divisor at one cell of the chosen variant, for an int p >= 0.
 
-    For c they are the two sides of the text sum(c(m,k)^p, k=0..n) ==
-    binomial(m-1,n), whose == only separates them.  Its dividend is a
-    running sum, so a scan in cell order adds one term per cell.  The b and
-    a claims at n are the c claim at (2n, n-1) and (2n+1, n).
+    They are the two sides of the variant's statement text, whose == only
+    separates them: sum(c(m,k)^p, k=0..n) == binomial(m-1,n) for c,
+    sum(b(n,k)^p, k=1..n) == binomial(2n-1,n-1) for b and
+    sum(a(n,k)^p, k=1..n+1) == binomial(2n,n) for a.  The c dividend is a
+    running sum, so a scan in cell order adds one term per cell.  A row
+    below 1 raises the DomainError of the entry or binomial it reaches.
     """
     if not _int(p) or p < 0:
         raise DomainError("divisibility_claim: p must be an integer >= 0, got %r" % (p,))
@@ -173,16 +179,8 @@ def divisibility_claim(variant: str, p: int, cell: Cell) -> DivisibilityClaim:
     names = _NAMES["divisibility-" + variant]
     if not isinstance(cell, (tuple, list)) or len(cell) != len(names) or not all(map(_int, cell)):
         raise DomainError("divisibility_claim: a %s cell is (%s), got %r" % (variant, ", ".join(names), cell))
-    if variant == "c":
-        m, n = cell
-        if m < 1:
-            raise DomainError("divisibility_claim: m must be >= 1, got %d" % m)
-        claim = _compiled("divisibility-c")
-        return DivisibilityClaim(claim.lhs(m, p, n), claim.rhs(m, p, n), (("m", m), ("n", n)))
-    (n,) = cell
-    # b_row(n) is row 2n of c at columns n-1..0, and a_row(n) row 2n+1 at columns n..0
-    m, top, row = (2 * n, n - 1, b_row(n)) if variant == "b" else (2 * n + 1, n, a_row(n))
-    return DivisibilityClaim(sum(x ** p for x in row), binomial(m - 1, top), (("n", n),))
+    claim, args = _compiled("divisibility-" + variant), (p, *cell)
+    return DivisibilityClaim(claim.lhs(*args), claim.rhs(*args), tuple(zip(names, cell)))
 
 
 def check_mixed_cube(n: int, m: int) -> tuple[Fraction, Fraction, bool]:
@@ -200,21 +198,27 @@ def _check(conjecture: str, p: int | None, claim_fn: Callable[[Cell], Divisibili
     """(names, at, fails, line, record): how identities._lines checks the cells of conjecture.
 
     at(cell) gives the two sides (a claim's dividend and divisor), and line
-    is the c claim's line function along a row m unless claim_fn replaces
-    divisibility_claim.  record(cell, lhs, rhs) is a failed cell's record,
-    or None where the divisor is zero; reverify demands it again.
+    is the conjecture's statement line function unless claim_fn replaces
+    divisibility_claim.  The mixed claim's line runs a row n on the m<n
+    statement below m = n and on the n<=m one from there, as
+    check_mixed_cube picks them per cell.  record(cell, lhs, rhs) is a
+    failed cell's record, or None where the divisor is zero; reverify
+    demands it again.
     """
     names = _NAMES[conjecture]
     if conjecture == "mixed-cube":
+        below, above = _compiled("mixed-cube m<n").line, _compiled("mixed-cube n<=m").line
+
+        def line(n, ms):
+            split = bisect_left(ms, n)
+            return below(n, ms[:split]) + above(n, ms[split:])
+
         record = lambda cell, lhs, rhs: identities.Mismatch(tuple(zip(names, cell)), lhs, rhs).to_dict()
-        return names, lambda cell: check_mixed_cube(*cell)[:2], ne, None, record
+        return names, lambda cell: check_mixed_cube(*cell)[:2], ne, line, record
     variant = conjecture.removeprefix("divisibility-")
     build = claim_fn or (lambda cell: divisibility_claim(variant, p, cell))
     sides = attrgetter("dividend", "divisor")
-    line = None
-    if variant == "c" and claim_fn is None:
-        row = _compiled(conjecture).line
-        line = lambda m, ns: row(m, p, ns)
+    line = None if claim_fn else partial(_compiled(conjecture).line, p)
 
     def record(cell, dividend, divisor):
         if divisor == 0:
@@ -410,13 +414,25 @@ def reverify(state: ScanState, claim_fn: Callable[[Cell], DivisibilityClaim] | N
     Only a cell the scan processed is recomputed: a record at any other
     cell, or any record of a state without a domain, makes it False at
     once, since a forged cell may be outside every check's domain or
-    arbitrarily costly.
+    arbitrarily costly.  A nonzero count of zero-divisor cells is counted
+    again over the processed cells, and a different count raises
+    CheckpointError: no statement has a zero divisor on a domain the scans
+    accept, so only a claim_fn scan's checkpoint, or a forged one, pays for
+    that.
     """
     if state.conjecture not in _NAMES:
         raise UsageError("cannot reverify unknown conjecture %r" % state.conjecture)
     if state.conjecture != "mixed-cube" and state.counterexamples and not (_int(state.p) and state.p >= 1):
         return False  # no claim has this exponent
     names, at, fails, _, record = _check(state.conjecture, state.p, claim_fn)
+    if state.skipped_zero_divisor:
+        zeros = 0  # as for records, a state without a domain vouches for no cell
+        if state.domain is not None and state.domain.keys() == set(names):  # its processed cells, scanned again
+            rescan = _run_scan(state.conjecture, state.p, state.domain, None, state.processed, claim_fn)
+            zeros = rescan.skipped_zero_divisor
+        if zeros != state.skipped_zero_divisor:
+            raise CheckpointError("checkpoint counts %d zero-divisor cells, but its %d processed cells hold %d"
+                                  % (state.skipped_zero_divisor, state.processed, zeros))
     lines = []  # a line per record: no line function runs, so grouping them would save nothing
     for counterexample in state.counterexamples:
         assignment = counterexample.get("assignment")

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from catalan_triangles import cli, exact, identities, triangles
+from catalan_triangles import cli, conjectures, exact, identities, triangles
 from catalan_triangles.conjectures import load_checkpoint, scan_divisibility
 from catalan_triangles.identities import IdentityDescriptor, Parameter
 
@@ -516,6 +516,79 @@ def test_scan_checkpoint_with_impossible_counts_or_time_exits_2(tmp_path, field,
         assert "integrity error" in result.stderr
         assert "Traceback" not in result.stderr
         assert path.read_bytes() == saved
+
+
+def _resume_edited(tmp_path, capsys, scan, edit):
+    """(exit code, stdout, stderr) of a scan resumed from its own --limit 7 checkpoint after edit(doc); a run
+    that exits 2 must leave the file's bytes as they were."""
+    path = tmp_path / "scan.json"
+    path.unlink(missing_ok=True)
+    argv = ["scan", *scan, "--checkpoint", str(path), "--no-timing"]
+    assert cli.main([*argv, "--limit", "7"]) == 0
+    doc = json.loads(path.read_text())
+    edit(doc)
+    path.write_text(json.dumps(doc))
+    saved = path.read_bytes()
+    capsys.readouterr()
+    code = cli.main(argv)
+    out, err = capsys.readouterr()
+    if code == 2:
+        assert out == "" and path.read_bytes() == saved
+    return code, out, err
+
+
+@pytest.mark.parametrize("value", [[], ["divisibility-c"], {}, {"a": 1}], ids=json.dumps)
+def test_scan_checkpoint_whose_conjecture_is_a_list_or_an_object_exits_2(tmp_path, capsys, value):
+    # a list or an object cannot be hashed, so the field test once raised TypeError: exit 3
+    code, _, err = _resume_edited(tmp_path, capsys, ["c-powers", "--p", "3", "--m", "2..12"],
+                                  lambda doc: doc.update(conjecture=value))
+    assert code == 2
+    assert "field 'conjecture' must be one of divisibility-c" in err
+
+
+def test_scan_checkpoint_with_a_forged_zero_divisor_count_exits_2(tmp_path, capsys):
+    # no cell of the c claim has a zero divisor, so the count is recounted and refused, not printed
+    code, _, err = _resume_edited(tmp_path, capsys, ["c-powers", "--p", "3", "--m", "2..12"],
+                                  lambda doc: doc.update(skipped_zero_divisor=3))
+    assert code == 2
+    assert err.startswith("integrity error: checkpoint counts 3 zero-divisor cells, but its 7 processed cells hold 0")
+
+
+# real mid-scan checkpoints, each edited in one field, or given a planted record
+_SWAPPED_SCANS = [["c-powers", "--p", "3", "--m", "2..12"], ["b-cubes", "--p", "3", "--n", "1..20"],
+                  ["mixed", "--n", "1..6", "--m", "1..6"]]
+_SWAPS = [None, True, 0, 1, -1, 10**30, 1.5, "x", [], [1], {}, {"a": 1}]
+_DROPPED = object()
+_PLANTED = [
+    {}, {"assignment": None}, {"assignment": {}}, {"assignment": [1, 1]}, {"assignment": {"n": 1}},
+    {"assignment": {"m": 3, "n": 1}}, {"assignment": {"m": 2, "n": 1}, "lhs": "1", "rhs": "2"},
+    {"assignment": {"m": 3, "n": 1}, "dividend": "2", "divisor": "2", "remainder": "0"},
+    {"assignment": {"n": 2}, "dividend": "1", "divisor": "2", "remainder": "1"},
+    {"assignment": {"n": 10**30, "m": 1}, "lhs": "1", "rhs": "2"}, {"assignment": {"n": True, "m": 1}},
+    {"assignment": {"n": "1", "m": "1"}}, {"assignment": {"n": 1.5, "m": 1}, "lhs": "1", "rhs": "2"},
+]
+
+
+def test_no_edit_of_a_checkpoint_field_exits_1_or_3(tmp_path, capsys):
+    # every field of a real mid-scan checkpoint swapped for each value of _SWAPS or dropped, and a planted
+    # record: the resumed scan either refuses the file (exit 2, nothing printed, the file as it was) or ends
+    # with the document of the uninterrupted scan, less elapsed_ms
+    codes = []
+    for scan in _SWAPPED_SCANS:
+        assert cli.main(["scan", *scan, "--format", "json", "--no-timing"]) == 0
+        whole = json.loads(capsys.readouterr().out)
+        fields = ["version", *conjectures._CHECKPOINT_FIELDS]
+        edits = [(name, value) for name in fields for value in _SWAPS + [_DROPPED]]
+        edits += [("counterexamples", [record]) for record in _PLANTED]
+        for name, value in edits:
+            edit = (lambda doc: doc.pop(name)) if value is _DROPPED else (lambda doc: doc.update({name: value}))
+            code, _, err = _resume_edited(tmp_path, capsys, [*scan, "--format", "json"], edit)
+            assert code in (0, 2), (scan, name, value, err)
+            if code == 0:
+                saved = json.loads((tmp_path / "scan.json").read_text())
+                assert saved.pop("elapsed_ms") >= 0 and saved == whole, (scan, name, value)
+            codes.append(code)
+    assert codes.count(0) > 0 and codes.count(2) > 0
 
 
 def test_scan_resumes_from_an_indented_checkpoint(tmp_path, capsys):

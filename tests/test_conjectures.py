@@ -6,6 +6,7 @@ import json
 import math
 import os
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from conftest import with_line
@@ -216,6 +217,24 @@ def test_zero_divisors_are_counted_not_scanned_past():
     assert not state.counterexamples
 
 
+def test_a_zero_divisor_count_is_recounted_on_load_against_its_claim(tmp_path):
+    # only a claim_fn gives a zero divisor, so reverify counts them again over the processed cells
+    def degenerate(cell):
+        claim = divisibility_claim("b", 1, cell)
+        return DivisibilityClaim(claim.dividend, claim.divisor if cell[0] % 3 == 0 else 0, claim.parameters)
+
+    whole = scan_divisibility("b", 1, n_range=(1, 12), claim_fn=degenerate)
+    assert whole.skipped_zero_divisor == 8
+    path = tmp_path / "scan.json"
+    save_checkpoint(scan_divisibility("b", 1, n_range=(1, 12), max_cells=7, claim_fn=degenerate), path)
+    partial = load_checkpoint(path)
+    assert partial.skipped_zero_divisor == 5  # n = 1, 2, 4, 5, 7
+    assert reverify(partial, claim_fn=degenerate)
+    with pytest.raises(CheckpointError, match="counts 5 zero-divisor cells, but its 7 processed cells hold 0"):
+        reverify(partial)
+    assert scan_divisibility("b", 1, n_range=(1, 12), checkpoint=partial, claim_fn=degenerate) == whole
+
+
 def test_check_mixed_cube_spot_values():
     lhs, rhs, equal = check_mixed_cube(2, 1)
     assert (lhs, rhs, equal) == (4, 4, True)
@@ -413,24 +432,50 @@ def _c_claim(p):
     return lambda cell: divisibility_claim("c", p, cell)
 
 
-@settings(max_examples=60, deadline=None)
+def _scan_on_cells(kind, p, n_range, m_range, **options):
+    """The scan cell by cell: through claim_fn for c, b and a, and for mixed, which takes no claim_fn, with
+    conjectures._check giving no line function, so that identities._lines runs every cell through check_mixed_cube."""
+    if kind != "mixed":
+        claim_fn = lambda cell: divisibility_claim(kind, p, cell)
+        return scan_divisibility(kind, p, n_range, m_range, claim_fn=claim_fn, **options)
+    check = conjectures._check
+
+    def no_line(*args):
+        names, at, fails, _, record = check(*args)
+        return names, at, fails, None, record
+
+    with mock.patch.object(conjectures, "_check", no_line):
+        return scan_mixed(n_range, m_range, **options)
+
+
+@settings(max_examples=120, deadline=None)
 @given(
+    st.sampled_from(["c", "b", "a", "mixed"]),
     st.sampled_from([1, 3, 5, 7]),
     st.integers(2, 30),
     st.integers(0, 15),
     st.one_of(st.none(), st.tuples(st.integers(1, 25), st.integers(0, 15))),
     st.lists(st.integers(0, 60), max_size=4),
 )
-def test_the_c_scan_on_its_line_function_equals_the_scan_cell_by_cell(p, m_lo, m_span, n_box, cuts):
-    # random boxes, legs cut anywhere (mostly mid-row), each resumed from the last leg's frontier
-    m_range, n_range = (m_lo, m_lo + m_span), None
-    if n_box is not None:
-        n_lo = min(n_box[0], m_range[1] - 1)  # so that (m_hi, n_lo) is a cell
-        n_range = (n_lo, n_lo + n_box[1])
+@example("mixed", 1, 2, 12, (1, 15), [7, 59])  # frontiers (1, 8) and (5, 3): on both sides of the split m = n
+def test_every_scan_on_its_line_function_equals_the_scan_cell_by_cell(kind, p, lo, span, n_box, cuts):
+    # random boxes, legs cut anywhere (mostly mid-row), each resumed from the last leg's frontier; for c the
+    # box's first range is m's, for b and a the only one is n's, and for mixed it is n's and n_box is m's
+    if kind == "c":
+        m_range, n_range = (lo, lo + span), None
+        if n_box is not None:
+            n_lo = min(n_box[0], m_range[1] - 1)  # so that (m_hi, n_lo) is a cell
+            n_range = (n_lo, n_lo + n_box[1])
+    else:
+        n_range = (lo - 1, lo - 1 + span)
+        m_range = None if kind != "mixed" else (1, lo + span) if n_box is None else (n_box[0], n_box[0] + n_box[1])
     on_line = on_cells = None
     for cut in cuts + [None]:
-        on_line = scan_divisibility("c", p, n_range, m_range, checkpoint=on_line, max_cells=cut)
-        on_cells = scan_divisibility("c", p, n_range, m_range, checkpoint=on_cells, max_cells=cut, claim_fn=_c_claim(p))
+        if kind == "mixed":
+            on_line = scan_mixed(n_range, m_range, checkpoint=on_line, max_cells=cut)
+        else:
+            on_line = scan_divisibility(kind, p, n_range, m_range, checkpoint=on_line, max_cells=cut)
+        on_cells = _scan_on_cells(kind, p, n_range, m_range, checkpoint=on_cells, max_cells=cut)
         assert on_line == on_cells
     assert on_line.frontier is None and not on_line.counterexamples
 
@@ -460,7 +505,7 @@ def test_the_c_line_function_finds_the_failures_of_even_exponents(p):
 
 def test_a_c_line_function_that_fails_where_the_claim_holds_is_an_integrity_error(monkeypatch, capsys):
     # 2 never divides 1, at every cell of every row
-    wrong = with_line(conjectures._compiled("divisibility-c"), lambda m, p, ns: [(1, 2)] * len(ns))
+    wrong = with_line(conjectures._compiled("divisibility-c"), lambda p, m, ns: [(1, 2)] * len(ns))
     monkeypatch.setitem(conjectures._STATEMENTS, "divisibility-c", wrong)
     with pytest.raises(IntegrityError, match="divisibility-c: line function and sides disagree at"):
         scan_divisibility("c", 3, m_range=(2, 6))
@@ -643,13 +688,11 @@ def test_reverify_rejects_records_under_an_exponent_no_scan_uses(p):
 
 
 def test_reverify_rejects_an_edited_mixed_cube_record(monkeypatch):
-    true_check = conjectures.check_mixed_cube
-
-    def falsified(n, m):
-        lhs, rhs, _ = true_check(n, m)
-        return lhs, rhs + 1, False
-
-    monkeypatch.setattr(conjectures, "check_mixed_cube", falsified)
+    # both texts falsified, rhs + 1, so that the scan's line function and reverify's cells see the same claim
+    for text in ("mixed-cube n<=m", "mixed-cube m<n"):
+        base = conjectures._STATEMENTS[text]
+        falsified = dataclasses.replace(base, statement=base.statement + " + 1", lhs=None, rhs=None)
+        monkeypatch.setitem(conjectures._STATEMENTS, text, falsified)
     state = scan_mixed((1, 3), (1, 3))
     assert len(state.counterexamples) == 9
     assert reverify(state)

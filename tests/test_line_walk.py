@@ -11,6 +11,7 @@ lexicographic order."""
 import contextlib
 import io
 import json
+import math
 import random
 import tracemalloc
 from dataclasses import replace
@@ -262,14 +263,23 @@ def test_every_leg_of_a_scan_is_the_flat_lists_slice(domain_draw, rng, second):
     def claim(cell):
         return DivisibilityClaim(2 * sum(cell) + (cell in bad), 0 if cell in zero else 2, ())
 
-    def mixed(n, m):
-        lhs, rhs = Fraction(n * m, 3), Fraction(n * m, 3) + ((n, m) in bad)
-        return lhs, rhs, lhs == rhs
+    # mixed takes no claim_fn, and its scan runs on its texts' line function: a text gets n*m/3 on the left and
+    # n*m/3 + binomial(x, y - s) on the right, so a cell is bad where s <= y <= x + s
+    above, below = rng.randint(-2, 6), rng.randint(-2, 6)
+    fakes = {
+        text: replace(conjectures._STATEMENTS[text], statement="n*m/3 == n*m/3 + binomial(%s)" % args,
+                      lhs=None, rhs=None)
+        for text, args in (("mixed-cube n<=m", "n, m - %d" % above), ("mixed-cube m<n", "m, n - %d" % below))
+    }
+
+    def sides(n, m):
+        x, y, s = (n, m, above) if n <= m else (m, n, below)
+        return Fraction(n * m, 3), Fraction(n * m, 3) + (math.comb(x, y - s) if 0 <= y - s <= x else 0)
 
     def outcome(cell):
         assignment = dict(zip(names, cell))
         if kind == "mixed":
-            lhs, rhs, _ = mixed(*cell)
+            lhs, rhs = sides(*cell)
             return {"assignment": assignment, "lhs": str(lhs), "rhs": str(rhs)} if lhs != rhs else None
         if cell in zero:
             return "zero"
@@ -277,7 +287,7 @@ def test_every_leg_of_a_scan_is_the_flat_lists_slice(domain_draw, rng, second):
             if cell in bad else None
 
     options = {} if kind == "mixed" else {"claim_fn": claim}
-    with mock.patch.object(conjectures, "check_mixed_cube", mixed):
+    with mock.patch.dict(conjectures._STATEMENTS, fakes):
         whole = _scan(kind, bounds, **options)
         assert whole.to_dict(include_timing=False) == _flat_document(kind, domain, cells, len(cells), outcome)
         assert reverify(whole, **options)
@@ -289,12 +299,12 @@ def test_every_leg_of_a_scan_is_the_flat_lists_slice(domain_draw, rng, second):
             assert state.to_dict(include_timing=False) == _flat_document(kind, domain, cells, stop, outcome)
             assert reverify(state, **options)
             assert _scan(kind, bounds, checkpoint=state, **options) == whole
-    if kind == "c":  # the claim itself, on its line function: no findings, the same frontiers
-        for cut in range(len(cells) + 1):
-            state = _scan(kind, bounds, max_cells=cut)
-            assert (state.frontier, state.processed, state.counterexamples) == (
-                cells[cut] if cut < len(cells) else None, cut, []
-            )
+    # each claim itself, on its line function: no findings, the same frontiers
+    for cut in range(len(cells) + 1):
+        state = _scan(kind, bounds, max_cells=cut)
+        assert (state.frontier, state.processed, state.counterexamples) == (
+            cells[cut] if cut < len(cells) else None, cut, []
+        )
 
 
 def test_a_c_scan_walks_no_row_before_its_first_cell():

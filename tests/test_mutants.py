@@ -9,8 +9,8 @@ raise UsageError.  The number of mutants the sweep kills is pinned: a drop
 means a cap too small or an engine that stopped seeing a mismatch.
 
 Conjecture one's relation (a zero divisor or a non-zero remainder) gets the
-same oracle: each mutant of the c claim's text is scanned with that
-relation on the claim's line function and cell by cell."""
+same oracle: each mutant of the c, b and a claims' texts is scanned with
+that relation on the claim's line function and cell by cell."""
 
 import ast
 import copy
@@ -26,14 +26,20 @@ from catalan_triangles.identities import list_identities, verify_identity
 
 CAP = 6
 STATEMENTS = {ident.id: ident for ident in list_identities()} | conjectures._STATEMENTS
-# the c lines the claim's mutants are scanned on, the exponents, and the (mutant, p) runs that report a
-# finding: the four runs that report none put the lower bound at -1, whose extra term c(m,-1) is 0
-C_LINES = [line for line in conjectures._domain_lines("divisibility-c", {"m": (2, 9), "n": (1, 8)}) if line[1]]
-C_EXPONENTS, C_FINDINGS = (3, 5), 14
+# the lines each claim's mutants are scanned on, the exponents, and per claim its mutants and the (mutant, p)
+# runs that report a finding.  Those that report none move a sum bound onto a term that is 0 (c(m,-1), b(n,0),
+# b(n,n+1), a(n,0), a(n,n+2)), turn the divisor into the equal binomial(2n-1,n), or into binomial(n,n) or
+# binomial(n-1,n-1), which is 1
+CLAIM_LINES = {
+    "c": [line for line in conjectures._domain_lines("divisibility-c", {"m": (2, 9), "n": (1, 8)}) if line[1]],
+    "b": [((), range(1, 9))],
+    "a": [((), range(1, 9))],
+}
+CLAIM_EXPONENTS, CLAIM_FINDINGS = (3, 5), {"c": (9, 14), "b": (14, 18), "a": (11, 12)}
 # mutants, those the compiler refuses, and those whose sweep at CAP inside the domain does not pass (a
 # mismatch, or 67 that raise DomainError or ZeroDivisionError); the 39 registered statements give 766
 # mutants and 672 kills
-MUTANTS, REFUSED, KILLED = 852, 0, 748
+MUTANTS, REFUSED, KILLED = 877, 0, 773
 
 _OPERATORS = {ast.Add: "+", ast.Sub: "-", ast.Mult: "*", ast.Div: "/", ast.Pow: "^"}
 
@@ -113,7 +119,7 @@ def _sweeps(identity: str) -> list[tuple]:
 
 
 def test_the_statements_print_back_into_the_grammar():
-    assert len(STATEMENTS) == 39 + 3
+    assert len(STATEMENTS) == 39 + 5
     for ident in STATEMENTS.values():
         tree = statements._parse(ident.statement)
         assert ast.dump(statements._parse(_text(tree))) == ast.dump(tree), ident.id
@@ -132,30 +138,32 @@ def test_the_mutants_killed_at_cap_6_are_pinned():
     assert (len(sweeps), len(refused), len(killed)) == (MUTANTS, REFUSED, KILLED)
 
 
-def _scan(p: int, on_cells: bool):
-    """(cells checked, records of the failed cells) of a c scan of C_LINES at p, or the type of what it raised.
+def _scan(variant: str, p: int, on_cells: bool):
+    """(cells checked, records of the failed cells) of a scan of the claim's lines at p, or the type of what it raised.
 
     Both paths use conjectures._check's relation and records; on_cells replaces the line function by
     divisibility_claim at each cell."""
-    claim_fn = (lambda cell: divisibility_claim("c", p, cell)) if on_cells else None
-    names, at, fails, line, record = conjectures._check("divisibility-c", p, claim_fn)
+    claim_fn = (lambda cell: divisibility_claim(variant, p, cell)) if on_cells else None
+    conjecture = "divisibility-" + variant
+    names, at, fails, line, record = conjectures._check(conjecture, p, claim_fn)
     assert (line is None) == on_cells
     try:
-        failed, checked = identities._lines("divisibility-c", C_LINES, names, at, fails, line)
+        failed, checked = identities._lines(conjecture, CLAIM_LINES[variant], names, at, fails, line)
         return checked, [record(*failure) for failure in failed]
     except Exception as exc:
         return type(exc)
 
 
-def test_every_mutant_of_the_c_claim_reports_the_same_on_its_line_and_on_the_cells(monkeypatch):
-    base = conjectures._STATEMENTS["divisibility-c"]
+@pytest.mark.parametrize("variant", sorted(CLAIM_LINES))
+def test_every_mutant_of_a_divisibility_claim_reports_the_same_on_its_line_and_on_the_cells(monkeypatch, variant):
+    base = conjectures._STATEMENTS["divisibility-" + variant]
     texts = _mutants(base.statement)
     findings = 0
     for text in texts:
         mutant = replace(base, statement=text, lhs=None, rhs=None)
-        monkeypatch.setitem(conjectures._STATEMENTS, "divisibility-c", mutant)
-        for p in C_EXPONENTS:
-            line, cells = _scan(p, on_cells=False), _scan(p, on_cells=True)
+        monkeypatch.setitem(conjectures._STATEMENTS, "divisibility-" + variant, mutant)
+        for p in CLAIM_EXPONENTS:
+            line, cells = _scan(variant, p, on_cells=False), _scan(variant, p, on_cells=True)
             assert line == cells, (text, p)
             findings += isinstance(line, type) or bool(line[1])
-    assert (len(texts), findings) == (9, C_FINDINGS)
+    assert (len(texts), findings) == CLAIM_FINDINGS[variant]

@@ -194,7 +194,7 @@ def test_only_thm_square_decomp_i_keeps_a_line_partial_in_the_store():
     # its running sum's term and lower bound read the line variable n; every other line sum keeps its partial on
     # locals, which against the store is about 6% of the sweep and 16% of the c scan
     lines = {ident.id: ident.line for ident in list_identities()}
-    lines["divisibility-c"] = conjectures._compiled("divisibility-c").line
+    lines.update((text, conjectures._compiled(text).line) for text in list(conjectures._STATEMENTS))
     assert {name for name, line in lines.items() if "_partials" in line.__code__.co_freevars} == {"thm-square-decomp-i"}
 
 
@@ -445,10 +445,14 @@ def test_no_registered_line_function_falls_back_to_cells():
         with keep_partials():
             for head, xs in identities._domain_lines(ident, identities.effective_domain(ident), False):
                 assert len(ident.line(*head, xs)) == len(xs), (ident.id, head)
-    row = conjectures._compiled("divisibility-c").line
-    with keep_partials():
-        for m in range(2, 61):
-            assert len(row(m, 7, range(1, m))) == m - 1, m
+    # and every scan's line, the mixed claim's two segments included
+    domains = {"divisibility-c": {"m": (2, 60), "n": (1, 59)}, "divisibility-b": {"n": (1, 60)},
+               "divisibility-a": {"n": (1, 60)}, "mixed-cube": {"n": (1, 30), "m": (1, 30)}}
+    for conjecture, domain in domains.items():
+        line = conjectures._check(conjecture, 7)[3]
+        with keep_partials():
+            for head, xs in conjectures._domain_lines(conjecture, domain):
+                assert len(line(*head, xs)) == len(xs), (conjecture, head)
 
 
 def test_a_row_wider_than_twice_its_line_is_read_a_call_per_term(monkeypatch):
@@ -716,10 +720,9 @@ def test_import_compiles_nothing_and_a_lookup_compiles_only_its_identity():
     ],
     ids=" ".join,
 )
-def test_only_the_c_and_mixed_scans_load_the_compiler(argv):
-    # the b and a scans, seq and value never load the compiler: the b and a claims run on the row kernel,
-    # while the c claim and conjecture two are compiled from their texts
-    loaded = argv[:2] in (["scan", "c-powers"], ["scan", "mixed"])
+def test_only_the_scans_load_the_compiler(argv):
+    # seq and value never load the compiler, while every scan's claims are compiled from their texts
+    loaded = argv[0] == "scan"
     code = "\n".join([
         "import contextlib, io, sys",
         "from catalan_triangles import cli",
