@@ -15,6 +15,7 @@ import json
 import os
 import sys
 from decimal import Decimal
+from functools import partial
 
 from . import conjectures, identities, triangles
 from .errors import CheckpointError, DomainError, UsageError
@@ -141,29 +142,23 @@ def _cmd_scan(args) -> int:
             raise UsageError("checkpoint directory %s does not exist" % directory)
         if os.path.exists(args.checkpoint):
             checkpoint = conjectures.load_checkpoint(args.checkpoint)
-            # the file comes from outside: its counterexamples must come out of the cell check again
-            if not conjectures.reverify(checkpoint):
-                raise CheckpointError("checkpoint %s holds counterexamples that do not re-check" % args.checkpoint)
 
     if args.variant == "mixed":
         if args.p is not None:
             raise UsageError("the mixed scan takes no exponent; drop --p")
-        state = conjectures.scan_mixed(
-            args.n, args.m, checkpoint=checkpoint, jobs=args.jobs, max_cells=args.limit
-        )
+        scan = partial(conjectures.scan_mixed, args.n, args.m)
     else:
-        variant = _SCAN_ALIASES.get(args.variant, args.variant)
         if args.p is None:
             raise UsageError("scan %s needs an odd exponent --p" % args.variant)
-        state = conjectures.scan_divisibility(
-            variant,
-            args.p,
-            n_range=args.n,
-            m_range=args.m,
-            checkpoint=checkpoint,
-            jobs=args.jobs,
-            max_cells=args.limit,
-        )
+        scan = partial(conjectures.scan_divisibility, _SCAN_ALIASES.get(args.variant, args.variant), args.p,
+                       n_range=args.n, m_range=args.m)
+    if checkpoint is not None:
+        # a leg of no cells checks the request and the counts first, so that a forged zero-divisor count buys no
+        # rescan; then, as the file comes from outside, its counterexamples must come out of the cell check again
+        scan(checkpoint=checkpoint, max_cells=0)
+        if not conjectures.reverify(checkpoint):
+            raise CheckpointError("checkpoint %s holds counterexamples that do not re-check" % args.checkpoint)
+    state = scan(checkpoint=checkpoint, jobs=args.jobs, max_cells=args.limit)
 
     if args.checkpoint:
         conjectures.save_checkpoint(state, args.checkpoint)
@@ -223,19 +218,12 @@ def _cmd_seq(args) -> int:
 # --- parser -----------------------------------------------------------------
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="catalan-triangles",
-        description="Exact Catalan-triangle values, identity sweeps, and conjecture scans.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    value = sub.add_parser("value", help="print one exact value")
+def _value_arguments(value: argparse.ArgumentParser) -> None:
     value.add_argument("name", choices=sorted(_VALUE_FUNCTIONS))
     value.add_argument("indices", nargs="+", type=int)
-    value.set_defaults(handler=_cmd_value)
 
-    verify = sub.add_parser("verify", help="sweep an identity (or all) over parameter ranges")
+
+def _verify_arguments(verify: argparse.ArgumentParser) -> None:
     verify.add_argument("identity", help="registered identity id, or 'all'")
     for flag in ("m", "n", "k", "i"):
         verify.add_argument("--%s" % flag, type=_span, default=None, metavar="A..B",
@@ -251,9 +239,9 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="explore cells outside the identity's stated domain")
     verify.add_argument("--no-timing", action="store_true",
                         help="omit elapsed-time fields for diffable output")
-    verify.set_defaults(handler=_cmd_verify)
 
-    scan = sub.add_parser("scan", help="search a conjecture domain for counterexamples")
+
+def _scan_arguments(scan: argparse.ArgumentParser) -> None:
     scan.add_argument("variant", choices=sorted({*_SCAN_ALIASES, *_SCAN_ALIASES.values(), "mixed"}))
     scan.add_argument("--p", type=int, default=None, help="odd exponent for divisibility scans")
     scan.add_argument("--n", type=_span, default=None, metavar="A..B")
@@ -266,16 +254,44 @@ def _build_parser() -> argparse.ArgumentParser:
                       help="accepted for compatibility; has no effect")
     scan.add_argument("--format", choices=("plain", "json"), default="plain")
     scan.add_argument("--no-timing", action="store_true")
-    scan.set_defaults(handler=_cmd_scan)
 
-    seq = sub.add_parser("seq", help="print a slice of a sequence or triangle row")
+
+def _seq_arguments(seq: argparse.ArgumentParser) -> None:
     seq.add_argument("name", help=_SEQ_USAGE)
     seq.add_argument("start", type=int)
     seq.add_argument("count", type=int)
     seq.add_argument("--format", choices=("plain", "csv", "json", "oeis-bfile", "plain-table"),
                      default="plain")
-    seq.set_defaults(handler=_cmd_seq)
 
+
+# Each command: its name, its help line, what adds its arguments, and its handler, in the order --help lists them.
+_COMMANDS = (
+    ("value", "print one exact value", _value_arguments, _cmd_value),
+    ("verify", "sweep an identity (or all) over parameter ranges", _verify_arguments, _cmd_verify),
+    ("scan", "search a conjecture domain for counterexamples", _scan_arguments, _cmd_scan),
+    ("seq", "print a slice of a sequence or triangle row", _seq_arguments, _cmd_seq),
+)
+# the command choices as the whole parser's usage line prints them
+_COMMAND_METAVAR = "{%s}" % ",".join(name for name, *_ in _COMMANDS)
+
+
+def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The CLI's parser, with only the subparser of command if that names one, and with every one if not.
+
+    A process runs one command, so it builds one subparser.  The usage line
+    still lists every command; the errors that would name the subparsers
+    action (an unknown command, none at all) come only from the whole parser.
+    """
+    parser = argparse.ArgumentParser(
+        prog="catalan-triangles",
+        description="Exact Catalan-triangle values, identity sweeps, and conjecture scans.",
+    )
+    commands = [entry for entry in _COMMANDS if entry[0] == command]
+    sub = parser.add_subparsers(dest="command", required=True, metavar=_COMMAND_METAVAR if commands else None)
+    for name, summary, add_arguments, handler in commands or _COMMANDS:
+        subparser = sub.add_parser(name, help=summary)
+        add_arguments(subparser)
+        subparser.set_defaults(handler=handler)
     return parser
 
 
@@ -286,7 +302,8 @@ def main(argv=None) -> int:
     if limit is not None:
         sys.set_int_max_str_digits(0)
     try:
-        args = _build_parser().parse_args(argv)
+        argv = sys.argv[1:] if argv is None else argv
+        args = _build_parser(argv[0] if argv else None).parse_args(argv)
         code = args.handler(args)
         sys.stdout.flush()  # here, so that a closed pipe raises inside the try
         return code

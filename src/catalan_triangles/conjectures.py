@@ -414,11 +414,14 @@ def reverify(state: ScanState, claim_fn: Callable[[Cell], DivisibilityClaim] | N
     Only a cell the scan processed is recomputed: a record at any other
     cell, or any record of a state without a domain, makes it False at
     once, since a forged cell may be outside every check's domain or
-    arbitrarily costly.  A nonzero count of zero-divisor cells is counted
-    again over the processed cells, and a different count raises
-    CheckpointError: no statement has a zero divisor on a domain the scans
-    accept, so only a claim_fn scan's checkpoint, or a forged one, pays for
-    that.
+    arbitrarily costly.  The cells must rise strictly in scan order, as a
+    scan records them, since a repeated or moved record re-checks as well as
+    the original and a resumed scan would keep it.  A nonzero count of
+    zero-divisor cells is counted again over the processed cells, and a
+    different count raises CheckpointError: no statement has a zero divisor
+    on a domain the scans accept, so only a claim_fn scan's checkpoint, or a
+    forged one, pays for that.  reverify compares nothing with a request, so
+    a caller resuming a scan from a loaded state checks the request first.
     """
     if state.conjecture not in _NAMES:
         raise UsageError("cannot reverify unknown conjecture %r" % state.conjecture)
@@ -433,16 +436,18 @@ def reverify(state: ScanState, claim_fn: Callable[[Cell], DivisibilityClaim] | N
         if zeros != state.skipped_zero_divisor:
             raise CheckpointError("checkpoint counts %d zero-divisor cells, but its %d processed cells hold %d"
                                   % (state.skipped_zero_divisor, state.processed, zeros))
-    lines = []  # a line per record: no line function runs, so grouping them would save nothing
+    cells = []
     for counterexample in state.counterexamples:
         assignment = counterexample.get("assignment")
         if not isinstance(assignment, dict) or assignment.keys() != set(names):
             return False
         cell = tuple(assignment[name] for name in names)
-        if not all(map(_int, cell)) or not _processed(state, names, cell):
+        if not all(map(_int, cell)) or not _processed(state, names, cell) or cells and cell <= cells[-1]:
             return False
-        lines.append((cell[:-1], cell[-1:]))
-    # no line function: every recorded cell should fail again, and each failing cell runs through at anyway
+        cells.append(cell)
+    # a line per record, and no line function: every recorded cell should fail again, and each failing cell
+    # runs through at anyway, so grouping them would save nothing
+    lines = [(cell[:-1], cell[-1:]) for cell in cells]
     failed, _ = identities._lines(state.conjecture, lines, names, at, fails)
     return [record(*failure) for failure in failed] == state.counterexamples
 

@@ -1,7 +1,10 @@
 """CLI behavior end to end: exact output bytes, exit-code discipline,
 format stability, and checkpointed scans."""
 
+import argparse
 import contextlib
+import dataclasses
+import functools
 import hashlib
 import io
 import json
@@ -9,13 +12,17 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
+from unittest import mock
 
 import pytest
-from hypothesis import example, given, settings
+from conftest import with_line
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from catalan_triangles import cli, conjectures, exact, identities, triangles
 from catalan_triangles.conjectures import load_checkpoint, scan_divisibility
+from catalan_triangles.exact import _int
 from catalan_triangles.identities import IdentityDescriptor, Parameter
 
 
@@ -554,6 +561,54 @@ def test_scan_checkpoint_with_a_forged_zero_divisor_count_exits_2(tmp_path, caps
     assert err.startswith("integrity error: checkpoint counts 3 zero-divisor cells, but its 7 processed cells hold 0")
 
 
+@pytest.mark.parametrize(
+    "m, message",
+    [(400, "checkpoint scanned the domain {'m': (2, 400), 'n': (1, 399)}, not {'m': (2, 12), 'n': (1, 11)}"),
+     (12, "checkpoint counts 1 zero-divisor cells, but its 66 processed cells hold 0")],
+    ids=["other-domain", "same-domain"],
+)
+def test_a_forged_zero_divisor_count_buys_no_rescan_before_the_request_is_checked(tmp_path, monkeypatch, capsys,
+                                                                                  m, message):
+    # a spent scan of m = 2..400 claiming one zero-divisor cell would be recounted over its 79,800 cells; the
+    # request's domain is compared first, so no line of the claim runs (the control recounts the 66 it asked for)
+    rows = []
+    compiled = conjectures._compiled("divisibility-c")
+    counted = lambda p, m, ns: rows.append(m) or compiled.line(p, m, ns)
+    monkeypatch.setitem(conjectures._STATEMENTS, "divisibility-c", with_line(compiled, counted))
+    path = tmp_path / "scan.json"
+    path.write_text(json.dumps({
+        "version": 2, "conjecture": "divisibility-c", "p": 7, "domain": {"m": [2, m], "n": [1, m - 1]},
+        "frontier": None, "processed": m * (m - 1) // 2, "counterexamples": [], "skipped_zero_divisor": 1,
+    }))
+    saved = path.read_bytes()
+    assert cli.main(["scan", "c-powers", "--p", "7", "--m", "2..12", "--checkpoint", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", "integrity error: %s\n" % message)
+    assert path.read_bytes() == saved
+    assert rows == ([] if m == 400 else list(range(2, 13)))
+
+
+def test_a_checkpoint_with_a_repeated_record_exits_2(tmp_path, monkeypatch, capsys):
+    # the b claim with its dividend one too large, as a statement, so that the CLI's scan records
+    # counterexamples; the 7 of a leg of 8 cells, the first of them appended again, once re-checked and resumed
+    base = conjectures._STATEMENTS["divisibility-b"]
+    falsified = dataclasses.replace(base, statement=base.statement.replace(" ==", " + 1 =="), lhs=None, rhs=None)
+    monkeypatch.setitem(conjectures._STATEMENTS, "divisibility-b", falsified)
+    path = tmp_path / "scan.json"
+    scan = ["scan", "b-cubes", "--p", "3", "--n", "1..12", "--checkpoint", str(path), "--no-timing"]
+    assert cli.main([*scan, "--limit", "8"]) == 1
+    doc = json.loads(path.read_text())
+    assert len(doc["counterexamples"]) == 7
+    doc["counterexamples"].append(doc["counterexamples"][0])
+    path.write_text(json.dumps(doc))
+    saved = path.read_bytes()
+    capsys.readouterr()
+    assert cli.main(scan) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "do not re-check" in err
+    assert path.read_bytes() == saved
+
+
 # real mid-scan checkpoints, each edited in one field, or given a planted record
 _SWAPPED_SCANS = [["c-powers", "--p", "3", "--m", "2..12"], ["b-cubes", "--p", "3", "--n", "1..20"],
                   ["mixed", "--n", "1..6", "--m", "1..6"]]
@@ -589,6 +644,145 @@ def test_no_edit_of_a_checkpoint_field_exits_1_or_3(tmp_path, capsys):
                 assert saved.pop("elapsed_ms") >= 0 and saved == whole, (scan, name, value)
             codes.append(code)
     assert codes.count(0) > 0 and codes.count(2) > 0
+
+
+# The checkpoint fuzzer: a real first leg's document of a scan below, of its claim as stated or falsified
+# (each statement's right side one too large, so that the legs record counterexamples), edited in at most one
+# field and in up to two records.  Two edits are left out, since a document edited so vouches for cells it
+# never checked, which a resumed scan could tell only by scanning every processed cell again: the frontier and
+# the count moved together, which one field edit cannot do, and a record dropped, which no record edit does
+# and a field edit that does ([] for the records, say) is assumed away.
+_FUZZED_SCANS = {
+    "c-powers": (["c-powers", "--p", "3", "--m", "2..12"], ["divisibility-c"]),
+    "b-cubes": (["b-cubes", "--p", "3", "--n", "1..20"], ["divisibility-b"]),
+    "mixed": (["mixed", "--n", "1..6", "--m", "1..6"], ["mixed-cube n<=m", "mixed-cube m<n"]),
+}
+
+
+@functools.cache
+def _falsified(scan):
+    """scan's statements with their right side one too large, compiled once."""
+    return {
+        text: identities._compiled(dataclasses.replace(
+            conjectures._STATEMENTS[text], statement=conjectures._STATEMENTS[text].statement + " + 1",
+            lhs=None, rhs=None,
+        ))
+        for text in _FUZZED_SCANS[scan][1]
+    }
+
+
+def _claims(scan, falsified):
+    return mock.patch.dict(conjectures._STATEMENTS, _falsified(scan) if falsified else {})
+
+
+def _cli(argv):
+    """(exit code, stdout, stderr) of cli.main(argv), with argparse's exit as ("SystemExit", its code)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = ("SystemExit", exc.code)
+    return code, out.getvalue(), err.getvalue()
+
+
+@functools.cache
+def _fuzz_base(scan, falsified, limit):
+    """(the document of scan's first leg of limit cells, the uninterrupted scan's exit code and stdout)."""
+    argv = _FUZZED_SCANS[scan][0]
+    with _claims(scan, falsified), tempfile.TemporaryDirectory() as directory:
+        path = os.path.join(directory, "leg.json")
+        assert _cli(["scan", *argv, "--checkpoint", path, "--limit", str(limit)])[0] in (0, 1)
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+        code, whole, _ = _cli(["scan", *argv, "--format", "json", "--no-timing"])
+    return text, code, whole
+
+
+_JSON = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(), st.sampled_from([10**30, -10**30, 2**63, -(2**63)]),
+              st.floats(), st.text(max_size=4), st.sampled_from(_SWAPS)),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=6,
+)
+_FIELDS = ["version", *conjectures._CHECKPOINT_FIELDS]
+_INDEX = st.integers(-3, 40)
+_SIDE = st.one_of(st.integers(-9, 9).map(str), st.integers().map(str), _JSON)
+_FIELD_EDITS = st.one_of(
+    st.none(),
+    st.tuples(st.just("set"), st.sampled_from(_FIELDS) | st.text(max_size=4), _JSON),
+    st.tuples(st.just("nudge"), st.sampled_from(_FIELDS), st.integers(-3, 3) | st.sampled_from([10**30, -10**30])),
+    st.tuples(st.just("drop"), st.sampled_from(_FIELDS)),
+)
+_RECORD_EDITS = st.one_of(
+    st.tuples(st.just("plant"), _INDEX, st.sampled_from(_PLANTED) | st.fixed_dictionaries(
+        {"assignment": st.dictionaries(st.sampled_from("mn"), _INDEX | _JSON, max_size=2)},
+        optional={name: _SIDE for name in ("dividend", "divisor", "remainder", "lhs", "rhs")})),
+    st.tuples(st.just("repeat"), _INDEX, _INDEX),
+    st.tuples(st.just("move"), _INDEX, _INDEX),
+)
+
+
+def _edited(doc, field_edit, record_edits):
+    """doc with one field set, nudged (an integer, or a list's last one) or dropped, and records planted,
+    repeated or moved; record indices wrap around the list."""
+    if field_edit is not None:
+        kind, name, *value = field_edit
+        if kind == "drop":
+            doc.pop(name, None)
+        elif kind == "set":
+            doc[name] = value[0]
+        elif isinstance(doc.get(name), list) and doc[name] and _int(doc[name][-1]):  # nudge the frontier's last
+            doc[name][-1] += value[0]
+        elif _int(doc.get(name)) or type(doc.get(name)) is float:
+            doc[name] += value[0]
+    records = doc.get("counterexamples")
+    for kind, source, target in record_edits:
+        if not isinstance(records, list):
+            break
+        if kind == "plant":
+            records.insert(source, target)
+        elif records:
+            record = records[source % len(records)] if kind == "repeat" else records.pop(source % len(records))
+            records.insert(target % (len(records) + 1), record)
+    return doc
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    scan=st.sampled_from(sorted(_FUZZED_SCANS)),
+    falsified=st.booleans(),
+    limit=st.sampled_from([3, 7, 20]),
+    field_edit=_FIELD_EDITS,
+    record_edits=st.lists(_RECORD_EDITS, max_size=2),
+)
+@example(scan="c-powers", falsified=True, limit=20, field_edit=None, record_edits=[("repeat", 0, 40)])
+@example(scan="mixed", falsified=True, limit=7, field_edit=None, record_edits=[("move", 0, 1)])
+@example(scan="b-cubes", falsified=False, limit=7, field_edit=("set", "elapsed_ms", float("nan")), record_edits=[])
+def test_no_checkpoint_document_fools_a_resumed_scan(scan, falsified, limit, field_edit, record_edits):
+    # the resumed scan either refuses the document (exit 2, nothing printed, the file's bytes as they were) or
+    # exits as the uninterrupted scan does and ends with its document, less elapsed_ms; never exit 3
+    text, whole_code, whole = _fuzz_base(scan, falsified, limit)
+    argv = ["scan", *_FUZZED_SCANS[scan][0], "--format", "json", "--no-timing"]
+    doc = _edited(json.loads(text), field_edit, record_edits)
+    # records that are all the leg's own but miss one of them: a record dropped, see above
+    records, kept = json.loads(text)["counterexamples"], doc.get("counterexamples")
+    assume(not (isinstance(kept, list) and all(r in records for r in kept) and any(r not in kept for r in records)))
+    with _claims(scan, falsified), tempfile.TemporaryDirectory() as directory:
+        path = os.path.join(directory, "scan.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(json.dumps(doc))
+        with open(path, "rb") as fh:
+            saved = fh.read()
+        code, out, err = _cli([*argv, "--checkpoint", path])
+        assert code in (whole_code, 2), err
+        with open(path, "rb") as fh:
+            final = fh.read()
+    if code == 2:
+        assert out == "" and final == saved
+    else:
+        resumed = json.loads(final)
+        assert resumed.pop("elapsed_ms") >= 0 and resumed == json.loads(whole) and out == whole
 
 
 def test_scan_resumes_from_an_indented_checkpoint(tmp_path, capsys):
@@ -883,3 +1077,53 @@ def test_identical_invocations_are_bit_identical():
     first = run_cli("seq", "a", "0", "8", "--format", "oeis-bfile")
     second = run_cli("seq", "a", "0", "8", "--format", "oeis-bfile")
     assert first.stdout == second.stdout
+
+
+# argv that reach every path of the parser: help, usage errors of each kind, and valid runs of each command
+_PARSER_ARGV = [
+    [], ["-h"], ["--help"], ["--bogus"], ["--bogus", "verify"], ["--", "verify"], ["verfy", "x"], ["ver", "x"],
+    ["verify"], ["value"], ["scan"], ["seq"], ["verify", "--help"], ["value", "-h"], ["scan", "-h"], ["seq", "--help"],
+    ["verify", "-h", "extra"], ["verify", "x", "--bogus"], ["scan", "--bogus"], ["value", "--version"],
+    ["verify", "rec-A", "--m", "x..y"], ["verify", "rec-A", "--max", "x"], ["value", "nope", "1"],
+    ["value", "c", "x"], ["value", "c", "3"], ["scan", "nope", "--p", "3"], ["scan", "c-powers", "--p", "x"],
+    ["seq", "c-row:5", "0"], ["seq", "c-row:5", "0", "6", "7"], ["seq", "c-row:5", "0", "6", "--format", "bad"],
+    ["value", "c", "6", "2"], ["verify", "rec-A", "--max", "8", "--no-timing"],
+    ["verify", "eq-vandermonde", "--n", "0..9", "--format", "json", "--no-timing"],
+    ["scan", "c-powers", "--p", "3", "--m", "2..6", "--no-timing"],
+    ["scan", "mixed", "--n", "1..3", "--m", "1..3", "--format", "json", "--no-timing"],
+    ["seq", "c-row:5", "0", "6"], ["seq", "catalan", "0", "5", "--format", "oeis-bfile"],
+]
+
+
+@pytest.mark.parametrize("argv", _PARSER_ARGV, ids=" ".join)
+def test_the_one_command_parser_acts_as_the_whole_parser(monkeypatch, argv):
+    # within this Python, since the help text argparse writes differs from one Python version to the next
+    shipped = _cli(argv)
+    whole = cli._build_parser
+    monkeypatch.setattr(cli, "_build_parser", lambda command=None: whole())
+    assert _cli(argv) == shipped
+
+
+@pytest.mark.parametrize(
+    "argv, error",
+    [([], "the following arguments are required: command\n"), (["verfy", "x"], "argument command: invalid choice: ")],
+)
+def test_the_whole_parser_calls_the_command_argument_command(argv, error):
+    # the metavar that lists every command on the one-command parser's usage line would rename it here
+    code, out, err = _cli(argv)
+    assert code == ("SystemExit", 2) and out == "" and error in err
+
+
+@pytest.mark.parametrize("argv", _PARSER_ARGV, ids=" ".join)
+def test_an_argv_naming_a_command_builds_only_its_subparser(monkeypatch, argv):
+    built = []
+    add_parser = argparse._SubParsersAction.add_parser
+
+    def counted(self, name, **kwargs):
+        built.append(name)
+        return add_parser(self, name, **kwargs)
+
+    monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counted)
+    _cli(argv)
+    named = argv[0] if argv and argv[0] in ("value", "verify", "scan", "seq") else None
+    assert built == ([named] if named else ["value", "verify", "scan", "seq"])

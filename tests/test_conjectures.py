@@ -679,6 +679,27 @@ def test_reverify_rejects_an_edited_record(edit):
     assert reverify(_edited(_falsified_b_scan(), edit), claim_fn=_off_by_one) is False
 
 
+def _one_more(cell):
+    claim = divisibility_claim("b", 3, cell)
+    return dataclasses.replace(claim, dividend=claim.dividend + 1)
+
+
+@pytest.mark.parametrize(
+    "records",
+    [lambda records: records + records[:1], lambda records: records[:3] + records[2:],
+     lambda records: records[1:2] + records[:1] + records[2:]],
+    ids=["first-appended", "third-repeated", "first-two-swapped"],
+)
+def test_reverify_rejects_records_repeated_or_out_of_scan_order(records):
+    # each record alone re-checks, so only their order can tell: a repeated one was once kept by the resumed
+    # scan, which then ended with 12 records where the uninterrupted scan has 11
+    state = scan_divisibility("b", 3, n_range=(1, 12), max_cells=8, claim_fn=_one_more)
+    assert len(state.counterexamples) == 7 and reverify(state, claim_fn=_one_more)
+    assert len(scan_divisibility("b", 3, n_range=(1, 12), claim_fn=_one_more).counterexamples) == 11
+    forged = dataclasses.replace(state, counterexamples=records(state.counterexamples))
+    assert reverify(forged, claim_fn=_one_more) is False
+
+
 @pytest.mark.parametrize("p", [None, 0, -1])
 def test_reverify_rejects_records_under_an_exponent_no_scan_uses(p):
     # a loaded checkpoint may say p is null; no cell check runs at it (c(4,2)^-1 would divide by zero)
