@@ -6,14 +6,15 @@ a(n, k) = c(2n+1, n+1-k), the b and a claims are the c claim at
 (m, n) = (2n, n-1) and (2n+1, n).  Conjecture two is an exact closed form
 for sum(b(n,k)^2 * b(m,k), k=1..min(n,m)).
 
-Each claim is a statement text in the grammar of statements.py, compiled
-on first use through identities._compiled as the registered identities
-are: the c claim and its b and a forms, with p as their first parameter,
-and conjecture two split at min(n, m) into two texts.  Scans check cells
-through identities._lines, the sweep's engine, on the statements' line
-functions, along lines made straight from the domain: a row m with n
-below m for c, one line of n for b and a, and a row n for the mixed
-claim, whose m<n text runs below m = n and whose n<=m text from there on.
+Each claim is a statement text in the grammar of statements.py, declared
+by identities._ident and compiled on its first identities._lookup as the
+registered identities are: the c claim and its b and a forms, with p as
+their first parameter, and conjecture two split at min(n, m) into two
+texts.  Scans check cells through identities._lines, the sweep's engine,
+on the statements' line functions, along lines made straight from the
+domain: a row m with n below m for c, one line of n for b and a, and a
+row n for the mixed claim, whose m<n text runs below m = n and whose
+n<=m text from there on.
 A leg starts at its frontier's line and cuts only its first and last
 line, so it costs what it scans, never the domain's cell list.
 
@@ -40,7 +41,7 @@ from typing import Callable, NamedTuple
 from . import identities
 from .errors import CheckpointError, DomainError, EmptyDomainError, UsageError
 from .exact import _int
-from .identities import IdentityDescriptor, Parameter, _range
+from .identities import IdentityDescriptor, _range
 
 CHECKPOINT_VERSION = 2
 
@@ -125,41 +126,35 @@ _CHECKPOINT_FIELDS = {
 }
 
 
-# The scans' statements, unregistered: _compiled compiles each on its first use.
+# The scans' statements, a registry of their own; _compiled(id) is identities._lookup in it.
 _STATEMENTS: dict[str, IdentityDescriptor] = {}
-
-
-def _statement(id: str, statement: str, parameters: str, constraint: str | None = None) -> None:
-    parameters = tuple(Parameter(name, 1) for name in parameters)
-    _STATEMENTS[id] = IdentityDescriptor(id, statement, parameters, constraint=constraint)
-
+_compiled = partial(identities._lookup, registry=_STATEMENTS)
 
 # p first, so that one wrapper gives each its exponent; n last, so that the c line is a row m with n
 # rising and the running sum runs on locals.  The b and a texts are the c claim at (2n, n-1) and (2n+1, n).
-_statement("divisibility-c", "sum(c(m,k)^p, k=0..n) == binomial(m-1,n)", "pmn")
-_statement("divisibility-b", "sum(b(n,k)^p, k=1..n) == binomial(2n-1,n-1)", "pn")
-_statement("divisibility-a", "sum(a(n,k)^p, k=1..n+1) == binomial(2n,n)", "pn")
+identities._ident("divisibility-c", "sum(c(m,k)^p, k=0..n) == binomial(m-1,n)", [("p", 1), ("m", 1), ("n", 1)],
+                  registry=_STATEMENTS)
+identities._ident("divisibility-b", "sum(b(n,k)^p, k=1..n) == binomial(2n-1,n-1)", [("p", 1), ("n", 1)],
+                  registry=_STATEMENTS)
+identities._ident("divisibility-a", "sum(a(n,k)^p, k=1..n+1) == binomial(2n,n)", [("p", 1), ("n", 1)],
+                  registry=_STATEMENTS)
 
 # conjecture two, split at min(n, m), the upper bound of its sums
-_statement(
+identities._ident(
     "mixed-cube n<=m",
     "sum(b(n,k)^2 * b(m,k), k=1..n) == binomial(2n,n)^2 * binomial(2m,m) / 2 * (1 - (n+2m) * sum(binomial(m+j,m) * binomial(n+j,n-1), j=0..n-1) / (n * binomial(n+m,n) * binomial(2n,n)))",
-    "nm",
+    [("n", 1), ("m", 1)],
     "n <= m",
+    registry=_STATEMENTS,
 )
 
-_statement(
+identities._ident(
     "mixed-cube m<n",
     "sum(b(n,k)^2 * b(m,k), k=1..m) == binomial(2n,n)^2 * binomial(2m,m) / 2 * (1 - (n+2m) * sum(binomial(n+j,n) * binomial(n+j,n-1), j=0..m-1) / (m * binomial(n+m,n) * binomial(n+m,n)))",
-    "nm",
+    [("n", 1), ("m", 1)],
     "m < n",
+    registry=_STATEMENTS,
 )
-
-
-def _compiled(id: str) -> IdentityDescriptor:
-    """The statement of that id, compiled on its first use as the registry compiles an identity."""
-    ident = _STATEMENTS[id] = identities._compiled(_STATEMENTS[id])
-    return ident
 
 
 def divisibility_claim(variant: str, p: int, cell: Cell) -> DivisibilityClaim:
@@ -179,7 +174,7 @@ def divisibility_claim(variant: str, p: int, cell: Cell) -> DivisibilityClaim:
     names = _NAMES["divisibility-" + variant]
     if not isinstance(cell, (tuple, list)) or len(cell) != len(names) or not all(map(_int, cell)):
         raise DomainError("divisibility_claim: a %s cell is (%s), got %r" % (variant, ", ".join(names), cell))
-    claim, args = _compiled("divisibility-" + variant), (p, *cell)
+    claim, args = identities._lookup("divisibility-" + variant, _STATEMENTS), (p, *cell)
     return DivisibilityClaim(claim.lhs(*args), claim.rhs(*args), tuple(zip(names, cell)))
 
 
@@ -189,7 +184,7 @@ def check_mixed_cube(n: int, m: int) -> tuple[Fraction, Fraction, bool]:
     The sides are those of conjecture two's statement for n <= m or for
     m < n; n or m below 1 raises DomainError.
     """
-    ident = _compiled("mixed-cube n<=m" if n <= m else "mixed-cube m<n")
+    ident = identities._lookup("mixed-cube n<=m" if n <= m else "mixed-cube m<n", _STATEMENTS)
     lhs, rhs = identities.evaluate_sides(ident, {"n": n, "m": m})
     return lhs, rhs, lhs == rhs
 
@@ -207,7 +202,7 @@ def _check(conjecture: str, p: int | None, claim_fn: Callable[[Cell], Divisibili
     """
     names = _NAMES[conjecture]
     if conjecture == "mixed-cube":
-        below, above = _compiled("mixed-cube m<n").line, _compiled("mixed-cube n<=m").line
+        below, above = (identities._lookup(text, _STATEMENTS).line for text in ("mixed-cube m<n", "mixed-cube n<=m"))
 
         def line(n, ms):
             split = bisect_left(ms, n)
@@ -218,7 +213,7 @@ def _check(conjecture: str, p: int | None, claim_fn: Callable[[Cell], Divisibili
     variant = conjecture.removeprefix("divisibility-")
     build = claim_fn or (lambda cell: divisibility_claim(variant, p, cell))
     sides = attrgetter("dividend", "divisor")
-    line = None if claim_fn else partial(_compiled(conjecture).line, p)
+    line = None if claim_fn else partial(identities._lookup(conjecture, _STATEMENTS).line, p)
 
     def record(cell, dividend, divisor):
         if divisor == 0:

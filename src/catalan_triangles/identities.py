@@ -173,7 +173,7 @@ def _compiled(ident: IdentityDescriptor) -> IdentityDescriptor:
     text = ident.constraint if isinstance(ident.constraint, str) else None
     if not sides and text is None:
         return ident
-    from . import statements  # loaded by the first compile, so scans and sequences never load it
+    from . import statements  # loaded by the first compile, so seq and value never load it
 
     try:
         built = statements.compile_identity(
@@ -189,10 +189,10 @@ def _compiled(ident: IdentityDescriptor) -> IdentityDescriptor:
     return compiled
 
 
-def _store(descriptor: IdentityDescriptor) -> IdentityDescriptor:
-    if descriptor.id in _REGISTRY:
+def _store(descriptor: IdentityDescriptor, registry: dict = _REGISTRY) -> IdentityDescriptor:
+    if descriptor.id in registry:
         raise UsageError("identity id %r already registered" % descriptor.id)
-    _REGISTRY[descriptor.id] = descriptor
+    registry[descriptor.id] = descriptor
     return descriptor
 
 
@@ -201,10 +201,10 @@ def register(descriptor: IdentityDescriptor) -> IdentityDescriptor:
     return _store(_compiled(descriptor))
 
 
-def _lookup(identity_id: str) -> IdentityDescriptor:
-    if not isinstance(identity_id, str) or identity_id not in _REGISTRY:
-        raise UnknownIdentityError(identity_id, _REGISTRY)
-    _REGISTRY[identity_id] = ident = _compiled(_REGISTRY[identity_id])
+def _lookup(identity_id: str, registry: dict = _REGISTRY) -> IdentityDescriptor:
+    if not isinstance(identity_id, str) or identity_id not in registry:
+        raise UnknownIdentityError(identity_id, registry)
+    registry[identity_id] = ident = _compiled(registry[identity_id])
     return ident
 
 
@@ -216,17 +216,10 @@ def get_identity(identity_id: str) -> IdentityDescriptor:
     return _lookup(identity_id)
 
 
-def _ident(id, statement, parameters, constraint=None, cap=100):
-    """Register a built-in identity; it is compiled on its first lookup, not at import."""
-    _store(
-        IdentityDescriptor(
-            id=id,
-            statement=statement,
-            parameters=tuple(Parameter(name, minimum) for name, minimum in parameters),
-            constraint=constraint,
-            default_cap=cap,
-        )
-    )
+def _ident(id, statement, parameters, constraint=None, cap=100, registry=_REGISTRY):
+    """Declare a built-in statement in registry; it is compiled on its first lookup, not at import."""
+    parameters = tuple(Parameter(name, minimum) for name, minimum in parameters)
+    _store(IdentityDescriptor(id, statement, parameters, constraint=constraint, default_cap=cap), registry)
 
 
 # --- recurrences -----------------------------------------------------------
@@ -480,21 +473,23 @@ def _lines(name, lines, names, at, fails, line=None, fail_fast=False) -> tuple[l
     the cells whose pair fails run at: sides that pass there, or a pair
     count other than the cell count, raise IntegrityError.  Without line,
     or if its call raises anything but IntegrityError, the line runs cell
-    by cell; a failed check inside the line (a table's kernel run, say) is
-    raised as it is.  fail_fast stops at the first failure.
+    by cell, so that the sides raise their own error; if none of them
+    raises, the line function's error is raised as an IntegrityError.  A
+    failed check inside the line (a table's kernel run, say) is raised as
+    it is.  fail_fast stops at the first failure.
     """
     failed = []
     checked = 0
     with keep_partials():
         for head, xs in lines:
-            positions, flagged = range(len(xs)), False
+            positions, flagged, error = range(len(xs)), False, None
             if line is not None:
                 try:
                     flags = list(starmap(fails, line(*head, xs)))
                 except IntegrityError:  # a failed check, which the cells need not repeat
                     raise
-                except Exception:  # then every cell runs through at, which raises where it does
-                    pass
+                except Exception as exc:  # then every cell runs through at, which raises where it does
+                    error = exc
                 else:  # compress would stop at the shorter of flags and cells
                     if len(flags) != len(xs):
                         raise IntegrityError("%s: line function gave %d pairs for %d cells" % (name, len(flags), len(xs)))
@@ -508,6 +503,9 @@ def _lines(name, lines, names, at, fails, line=None, fail_fast=False) -> tuple[l
                         return failed, checked + i + 1
                 elif flagged:
                     raise IntegrityError("%s: line function and sides disagree at %r" % (name, dict(zip(names, cell))))
+            if error is not None:
+                raise IntegrityError("%s: line function raised %r on the line at %r, where no cell's sides do"
+                                     % (name, error, dict(zip(names, head))))
             checked += len(xs)
     return failed, checked
 

@@ -5,7 +5,8 @@ each of its integer literals (+1 and -1), each binary + or - (swapped) and
 each sum bound (+1 and -1), and printed back into the grammar.  A sweep of
 each mutant at cap 6 must report the same on the line path as on the cell
 path, inside the domain and outside it; a mutant the compiler refuses must
-raise UsageError.  The number of mutants the sweep kills is pinned: a drop
+raise UsageError.  The mutants the sweep does not kill are pinned by text,
+each with the reason it leaves its identity true: one that starts to survive
 means a cap too small or an engine that stopped seeing a mismatch.
 
 Conjecture one's relation (a zero divisor or a non-zero remainder) gets the
@@ -36,10 +37,65 @@ CLAIM_LINES = {
     "a": [((), range(1, 9))],
 }
 CLAIM_EXPONENTS, CLAIM_FINDINGS = (3, 5), {"c": (9, 14), "b": (14, 18), "a": (11, 12)}
-# mutants, those the compiler refuses, and those whose sweep at CAP inside the domain does not pass (a
-# mismatch, or 67 that raise DomainError or ZeroDivisionError); the 39 registered statements give 766
-# mutants and 672 kills
-MUTANTS, REFUSED, KILLED = 877, 0, 773
+# mutants, and those the compiler refuses; the 39 registered statements give 766 mutants
+MUTANTS, REFUSED = 877, 0
+# The mutants whose sweep at CAP inside the domain passes, by reason: (statement id, a text of the statement as
+# _text prints it, then the texts that replace it in each mutant).  Every other mutant is killed: a mismatch, or
+# 67 that raise DomainError or ZeroDivisionError.
+SURVIVORS = {
+    # a sum bound moved so that it adds or drops only triangle entries outside their row, which are 0: c(m,-1),
+    # c(n,n+1), b(n,-1), b(n,0), b(n,n+1), a(n,0) and a(n,n+2)
+    "a bound moved onto a c, b or a entry outside its row": [
+        ("cor-alt-A", "k=1..(n + 1)", "k=(1 - 1)..(n + 1)", "k=1..((n + 1) + 1)", "k=0..(n + 1)", "k=1..(n + 2)"),
+        ("cor-alt-B", "k=1..n", "k=(1 - 1)..n", "k=1..(n + 1)", "k=0..n"),
+        ("cor-alt-cube-A", "k=1..(n + 1)", "k=(1 - 1)..(n + 1)", "k=1..((n + 1) + 1)", "k=0..(n + 1)", "k=1..(n + 2)"),
+        ("cor-cube-A", "k=1..(n + 1)", "k=(1 - 1)..(n + 1)", "k=1..((n + 1) + 1)", "k=0..(n + 1)", "k=1..(n + 2)"),
+        ("cor-cube-B", "k=0..n", "k=(0 + 1)..n", "k=(0 - 1)..n", "k=0..(n + 1)", "k=1..n", "k=(-1)..n"),
+        ("cor-harmonic-A", "k=1..n", "k=(1 - 1)..n", "k=0..n"),
+        ("cor-harmonic-B", "k=0..(n - 1)",
+         "k=(0 + 1)..(n - 1)", "k=(0 - 1)..(n - 1)", "k=1..(n - 1)", "k=(-1)..(n - 1)"),
+        ("cor-harmonic-C", "k=1..n", "k=1..(n + 1)"),
+        ("cor-square-i", "k=0..n", "k=(0 - 1)..n", "k=0..(n + 1)", "k=(-1)..n"),
+        ("cor-square-ii", "k=1..n", "k=(1 - 1)..n", "k=1..(n + 1)", "k=0..n"),
+        ("cor-square-iii", "k=1..(n + 1)", "k=(1 - 1)..(n + 1)", "k=1..((n + 1) + 1)", "k=0..(n + 1)", "k=1..(n + 2)"),
+        ("cor-square-iv", "k=1..n", "k=(1 - 1)..n", "k=1..(n + 1)", "k=0..n"),
+        ("eq-convolution", "k=1..i", "k=(1 - 1)..i", "k=1..(i + 1)", "k=0..i"),
+        ("eq-linear-A", "k=1..(n + 1)", "k=(1 - 1)..(n + 1)", "k=1..((n + 1) + 1)", "k=0..(n + 1)", "k=1..(n + 2)"),
+        ("eq-linear-B", "k=1..n", "k=(1 - 1)..n", "k=1..(n + 1)", "k=0..n"),
+        ("eq-square-A", "k=1..(n + 1)", "k=(1 - 1)..(n + 1)", "k=1..((n + 1) + 1)", "k=0..(n + 1)", "k=1..(n + 2)"),
+        ("eq-square-B", "k=1..n", "k=(1 - 1)..n", "k=1..(n + 1)", "k=0..n"),
+        ("mixed-cube m<n", "k=1..m", "k=(1 - 1)..m", "k=1..(m + 1)", "k=0..m"),
+        ("mixed-cube n<=m", "k=1..n", "k=(1 - 1)..n", "k=1..(n + 1)", "k=0..n"),
+        ("rem-a-cube-factored", "k=1..(n + 1)",
+         "k=(1 - 1)..(n + 1)", "k=1..((n + 1) + 1)", "k=0..(n + 1)", "k=1..(n + 2)"),
+        ("rem-b-cube-factored", "k=1..n", "k=(1 - 1)..n", "k=1..(n + 1)", "k=0..n"),
+        ("thm-b-cube", "^ 3), k=1..n", "^ 3), k=(1 - 1)..n", "^ 3), k=1..(n + 1)", "^ 3), k=0..n"),
+        ("thm-cube-sum", "k=0..n", "k=(0 - 1)..n", "k=(-1)..n"),
+        ("thm-linear-sum", "k=0..n", "k=(0 - 1)..n", "k=(-1)..n"),
+        ("thm-square-sum", "k=0..n", "k=(0 - 1)..n", "k=(-1)..n"),
+    ],
+    # binomial(r,-1), binomial(r,r+1) and on, and binomial(j,n) for 0 <= j < n
+    "a bound moved onto a binomial outside its row": [
+        ("cor-cube-A", "j=n..((2 * n) - 1)", "j=(n - 1)..((2 * n) - 1)"),
+        ("cor-cube-B", "j=n..((2 * n) - 1)", "j=(n - 1)..((2 * n) - 1)"),
+        ("eq-alt-square", "k=0..(2 * n)", "k=0..((2 * n) + 1)", "k=0..(3 * n)"),
+        ("eq-amm", "k=0..n", "k=(0 - 1)..n", "k=(-1)..n"),
+        ("eq-amm", "j=0..(m - 1)", "j=(0 + 1)..(m - 1)", "j=1..(m - 1)"),
+        ("eq-dixon", "k=0..(2 * n)", "k=0..((2 * n) + 1)", "k=0..(3 * n)"),
+        ("eq-vandermonde", "k=0..n", "k=(0 - 1)..n", "k=0..(n + 1)", "k=(-1)..n"),
+        ("mixed-cube m<n", "j=0..(m - 1)", "j=(0 - 1)..(m - 1)", "j=(-1)..(m - 1)"),
+        ("mixed-cube n<=m", "j=0..(n - 1)", "j=(0 - 1)..(n - 1)", "j=(-1)..(n - 1)"),
+        ("rem-ps13", "k=1..n", "k=1..(n + 1)"),
+        ("thm-cube-sum", "j=0..(m - 1)", "j=(0 + 1)..(m - 1)", "j=1..(m - 1)"),
+        ("thm-square-sum", "k=0..(n - 1)", "k=(0 - 1)..(n - 1)", "k=(-1)..(n - 1)"),
+    ],
+    "a lower bound moved onto k = 0 in a sum whose term has the factor k": [
+        ("thm-b-cube", "^ 2)), k=1..n", "^ 2)), k=(1 - 1)..n", "^ 2)), k=0..n"),
+    ],
+    "(-0)^k, which is 0 at every k >= 1, in a sum whose right side is 0": [
+        ("cor-alt-A", "((-1) ^ k)", "((-0) ^ k)"),
+    ],
+}
 
 _OPERATORS = {ast.Add: "+", ast.Sub: "-", ast.Mult: "*", ast.Div: "/", ast.Pow: "^"}
 
@@ -132,10 +188,19 @@ def test_every_mutant_reports_the_same_on_the_line_and_on_the_cells(identity):
 
 
 def test_the_mutants_killed_at_cap_6_are_pinned():
-    sweeps = [sweep for identity in sorted(STATEMENTS) for sweep in _sweeps(identity)]
-    refused = [text for text, line, *_ in sweeps if line is UsageError]
-    killed = [text for text, line, *_ in sweeps if line is not UsageError and not getattr(line, "passed", False)]
-    assert (len(sweeps), len(refused), len(killed)) == (MUTANTS, REFUSED, KILLED)
+    sweeps = [(identity, sweep) for identity in sorted(STATEMENTS) for sweep in _sweeps(identity)]
+    refused = [text for _, (text, line, *_) in sweeps if line is UsageError]
+    assert (len(sweeps), len(refused)) == (MUTANTS, REFUSED)
+    pinned = []
+    for edits in SURVIVORS.values():
+        for identity, old, *news in edits:
+            printed = _text(statements._parse(STATEMENTS[identity].statement))
+            assert printed.count(old) == 1, (identity, old)
+            pinned += [(identity, printed.replace(old, new)) for new in news]
+    survivors = {(identity, text) for identity, (text, line, *_) in sweeps if getattr(line, "passed", False)}
+    assert len(set(pinned)) == len(pinned) == 104
+    assert not survivors - set(pinned), "mutants that now survive: %s" % sorted(survivors - set(pinned))
+    assert not set(pinned) - survivors, "pinned mutants that are now killed: %s" % sorted(set(pinned) - survivors)
 
 
 def _scan(variant: str, p: int, on_cells: bool):

@@ -16,7 +16,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from catalan_triangles import cli, conjectures, exact, identities, statements
-from catalan_triangles.errors import DomainError, IntegrityError, UsageError
+from catalan_triangles.errors import DomainError, EmptyDomainError, IntegrityError, UsageError
 from catalan_triangles.exact import harmonic, keep_partials
 from catalan_triangles.identities import (
     IdentityDescriptor,
@@ -233,9 +233,10 @@ def test_the_line_path_reports_what_the_scalar_path_reports(identity, data):
     assert _outcome(ident, **options) == _outcome(_scalar(ident), **options)
 
 
-def _descriptor_of(statement, names):
+def _descriptor_of(statement, names, constraint=None):
     return identities._compiled(IdentityDescriptor(
-        id="test-line", statement=statement, parameters=tuple(Parameter(name, 1) for name in names)
+        id="test-line", statement=statement, parameters=tuple(Parameter(name, 1) for name in names),
+        constraint=constraint,
     ))
 
 
@@ -478,8 +479,10 @@ def test_an_integrity_error_in_a_line_function_is_raised_not_retried_cell_by_cel
 
     with pytest.raises(IntegrityError, match="planted"):
         verify_identity(with_line(ident, planted), cap=6)
-    # any other exception still sends the line through its cells, which pass
-    assert verify_identity(with_line(ident, lambda *args: 1 / 0), cap=6).passed
+    # any other exception sends the line through its cells, and where none of them raises, it is raised as a
+    # line function that disagrees with the sides
+    with pytest.raises(IntegrityError, match=r"thm-linear-sum: line function raised ZeroDivisionError.* at \{'m': 2\}"):
+        verify_identity(with_line(ident, lambda *args: 1 / 0), cap=6)
 
     def failed(m, width):
         raise IntegrityError("c_row(%d): a kernel check failed" % m)
@@ -492,6 +495,26 @@ def test_an_integrity_error_in_a_line_function_is_raised_not_retried_cell_by_cel
     monkeypatch.setattr(identities, "_c_table", failed)
     assert cli.main(["verify", "thm-linear-sum", "--max", "6", "--no-timing"]) == 3
     assert "kernel check failed" in capsys.readouterr().err
+
+
+def test_a_line_function_that_raises_where_no_cell_does_is_an_integrity_error(monkeypatch, capsys):
+    ident = get_identity("thm-linear-sum")
+    broken = with_line(ident, lambda *args: [][0])
+    # with sides changed so that every cell fails, each line's cells run and fail, and then the line's error
+    # is raised, unless fail_fast stops at the first failed cell first
+    false = with_line(ident, broken.line, rhs=lambda m, n: ident.rhs(m=m, n=n) + 1)
+    with pytest.raises(IntegrityError, match="line function raised IndexError"):
+        verify_identity(false, cap=6)
+    report = verify_identity(false, cap=6, fail_fast=True)
+    assert (report.cells, report.mismatches) == (1, verify_identity(replace(false), cap=6, fail_fast=True).mismatches)
+    # a line that raises where its sides raise too reports the sides' own error, as the cell path does
+    below, box = ORACLE["path-table-below"], {"m": (1, 1), "n": (3, 3)}
+    outcome = _outcome(with_line(below, lambda *args: 1 / 0), ranges=box)
+    assert outcome[0] is DomainError and outcome == _outcome(_scalar(below), ranges=box)
+    # and through the CLI, exit 3
+    monkeypatch.setitem(identities._REGISTRY, "thm-linear-sum", broken)
+    assert cli.main(["verify", "thm-linear-sum", "--max", "6", "--no-timing"]) == 3
+    assert "line function raised IndexError" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -580,6 +603,38 @@ def test_random_statements_agree_with_naive_on_every_path(lhs_tree, rhs_tree):
     for fail_fast in (False, True):
         options = {"ranges": {"m": (1, 6), "n": (1, 6)}, "fail_fast": fail_fast}
         assert _outcome(ident, **options) == _outcome(_scalar(ident), **options), statement
+
+
+# a chain of one or two comparisons between integer expressions in m and n, from the same leaves
+_COMPARISONS = st.lists(st.tuples(st.sampled_from(("<", "<=", ">", ">=")), _INTEGERS), min_size=1, max_size=2)
+_CHAINS = st.tuples(_INTEGERS, _COMPARISONS)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_TREES, _TREES, _CHAINS)
+def test_random_constraints_admit_what_a_naive_reading_admits_on_every_path(lhs_tree, rhs_tree, chain):
+    statement = "%s == %s" % (_render(lhs_tree), _render(rhs_tree))
+    first, comparisons = chain
+    constraint = _render(first) + "".join(" %s %s" % (op, _render(x)) for op, x in comparisons)
+    try:
+        ident = _descriptor_of(statement, ("m", "n"), constraint)
+    except UsageError:
+        return  # a refused statement raises UsageError and nothing else
+    box = {"m": (1, 6), "n": (1, 6)}
+    admitted = [(m, n) for m in range(1, 7) for n in range(1, 7)
+                if eval(_python(constraint), {**NAIVE, "m": Fraction(m), "n": Fraction(n)})]
+    # the line filter and the per-cell test each admit exactly those cells
+    assert [(*head, x) for head, xs in identities._domain_lines(ident, box, False) for x in xs] == admitted, constraint
+    assert [(m, n) for m in range(1, 7) for n in range(1, 7) if ident.admits({"m": m, "n": n})] == admitted
+    for outside in (False, True):
+        for fail_fast in (False, True):
+            options = {"ranges": box, "allow_outside_domain": outside, "fail_fast": fail_fast}
+            outcome = _outcome(ident, **options)
+            assert outcome == _outcome(_scalar(ident), **options), (statement, constraint, options)
+            if not (outside or admitted):
+                assert outcome[0] is EmptyDomainError, (statement, constraint)
+            elif not (isinstance(outcome, tuple) or fail_fast):
+                assert outcome.cells == (36 if outside else len(admitted)), (statement, constraint)
 
 
 # --- the grammar ---------------------------------------------------------------
