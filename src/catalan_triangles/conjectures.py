@@ -15,8 +15,9 @@ on the statements' line functions, along lines made straight from the
 domain: a row m with n below m for c, one line of n for b and a, and a
 row n for the mixed claim, whose m<n text runs below m = n and whose
 n<=m text from there on.
-A leg starts at its frontier's line and cuts only its first and last
-line, so it costs what it scans, never the domain's cell list.
+A checkpoint's frontier is the cell at index processed of the scan order,
+null only when processed is the domain's cell count.  A leg starts there
+and cuts only its first and last line, so it costs what it scans.
 
 Scans are evidence, not proof: a clean state means "no counterexample in the
 scanned domain", nothing more.  Every cell is checked in exact arithmetic;
@@ -126,9 +127,8 @@ _CHECKPOINT_FIELDS = {
 }
 
 
-# The scans' statements, a registry of their own; _compiled(id) is identities._lookup in it.
+# The scans' statements, a registry of their own, compiled by identities._lookup(id, _STATEMENTS).
 _STATEMENTS: dict[str, IdentityDescriptor] = {}
-_compiled = partial(identities._lookup, registry=_STATEMENTS)
 
 # p first, so that one wrapper gives each its exponent; n last, so that the c line is a row m with n
 # rising and the running sum runs on locals.  The b and a texts are the c claim at (2n, n-1) and (2n+1, n).
@@ -267,7 +267,8 @@ def _domain_lines(conjecture: str, domain: dict[str, tuple[int, int]]):
 
 def _leg(conjecture: str, domain: dict[str, tuple[int, int]], start: int, stop: int | None):
     """(lines, frontier): the non-empty lines of domain's cells start..stop-1 (to its last if stop is None), and its
-    cell at stop (None if none).  It walks no line past the one that holds stop."""
+    cell at stop (None if none), walking no line past the one that holds stop.  A checkpoint's frontier is the
+    cell at index processed, null only when processed is the domain's cell count."""
     lines, offset = [], 0
     for head, xs in _domain_lines(conjecture, domain):
         part = xs[max(start - offset, 0):None if stop is None else stop - offset]
@@ -291,43 +292,19 @@ def _processed(state: ScanState, names: tuple[str, ...], cell: Cell) -> bool:
     return on_line and (state.frontier is None or cell < state.frontier)
 
 
-def _resume_index(conjecture: str, domain: dict[str, tuple[int, int]], state: ScanState | None) -> int:
-    """The count of domain's cells before the checkpoint's frontier (all of them if it is None), by line lengths.
-
-    The checkpoint's counts must agree with it.
-    """
-    if state is None:
-        return 0
-    frontier = state.frontier
-    if frontier is None:
-        index = sum(len(xs) for _, xs in _domain_lines(conjecture, domain))
-    else:
-        line = _line(conjecture, domain, frontier[:-1])
-        if not frontier or frontier[-1] not in line:
-            raise CheckpointError("checkpoint frontier %r does not belong to the scan domain" % (frontier,))
-        index = line.index(frontier[-1])
-        for head, xs in _domain_lines(conjecture, domain):  # the lines before the frontier's, which is among them
-            if head == frontier[:-1]:
-                break
-            index += len(xs)
-    # every scan starts at the first cell of the domain, so the frontier fixes the count
-    if state.processed != index:
-        raise CheckpointError(
-            "checkpoint counts %d cells processed, but %d cells of the domain precede its frontier %r"
-            % (state.processed, index, state.frontier)
-        )
-    if state.skipped_zero_divisor + len(state.counterexamples) > state.processed:
-        raise CheckpointError(
-            "checkpoint counts %d zero-divisor cells and %d counterexamples in %d processed cells"
-            % (state.skipped_zero_divisor, len(state.counterexamples), state.processed)
-        )
-    return index
-
-
 def _run_scan(conjecture, p, domain, checkpoint, max_cells, claim_fn=None) -> ScanState:
     if max_cells is not None and not (_int(max_cells) and max_cells >= 0):
         raise UsageError("the cell limit must be >= 0 (an int, not a bool), got %r" % (max_cells,))
-    if not any(xs for _, xs in _domain_lines(conjecture, domain)):
+    previous = checkpoint or ScanState(conjecture, p, frontier=None)
+    names, at, fails, line, record = _check(conjecture, p, claim_fn)
+    start = previous.processed
+    started = time.perf_counter()  # the leg's walk is timed, as a sweep's is
+    lines, frontier = _leg(conjecture, domain, start, None if max_cells is None else start + max_cells)
+    first = (*lines[0][0], lines[0][1][0]) if lines else frontier  # the cell at index start, None past the last
+    cells = None  # the domain's cell count, summed only where no cell is at start or a checkpoint's frontier is null
+    if first is None or checkpoint is not None and checkpoint.frontier is None:
+        cells = sum(len(xs) for _, xs in _domain_lines(conjecture, domain))
+    if cells == 0:
         raise EmptyDomainError("%s: no cells in %s" % (conjecture, {name: list(span) for name, span in domain.items()}))
     if checkpoint is not None:
         if checkpoint.conjecture != conjecture or checkpoint.p != p:
@@ -337,16 +314,24 @@ def _run_scan(conjecture, p, domain, checkpoint, max_cells, claim_fn=None) -> Sc
             )
         if checkpoint.domain != domain:
             raise CheckpointError("checkpoint scanned the domain %r, not %r" % (checkpoint.domain, domain))
-    start_index = _resume_index(conjecture, domain, checkpoint)
-    names, at, fails, line, record = _check(conjecture, p, claim_fn)
-    started = time.perf_counter()
-    lines, frontier = _leg(conjecture, domain, start_index, None if max_cells is None else start_index + max_cells)
+        # every scan starts at the domain's first cell, so its frontier is the cell at the index it counts
+        saved = checkpoint.frontier
+        if saved is None and start != cells:
+            raise CheckpointError("checkpoint counts %d cells processed, but %d cells of the domain precede its "
+                                  "frontier None" % (start, cells))
+        if first != saved:
+            if not saved or saved[-1] not in _line(conjecture, domain, saved[:-1]):
+                raise CheckpointError("checkpoint frontier %r does not belong to the scan domain" % (saved,))
+            raise CheckpointError("checkpoint counts %d cells processed, but the domain's cell at that index is %r, "
+                                  "not its frontier %r" % (start, first, saved))
+        if checkpoint.skipped_zero_divisor + len(checkpoint.counterexamples) > start:
+            raise CheckpointError("checkpoint counts %d zero-divisor cells and %d counterexamples in %d processed cells"
+                                  % (checkpoint.skipped_zero_divisor, len(checkpoint.counterexamples), start))
     failed, checked = identities._lines(conjecture, lines, names, at, fails, line)
     records = [record(*failure) for failure in failed]
     found = [entry for entry in records if entry is not None]
     elapsed_ms = (time.perf_counter() - started) * 1000.0
 
-    previous = checkpoint or ScanState(conjecture, p, frontier=None)
     return ScanState(
         conjecture=conjecture,
         p=p,

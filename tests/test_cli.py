@@ -572,7 +572,7 @@ def test_a_forged_zero_divisor_count_buys_no_rescan_before_the_request_is_checke
     # a spent scan of m = 2..400 claiming one zero-divisor cell would be recounted over its 79,800 cells; the
     # request's domain is compared first, so no line of the claim runs (the control recounts the 66 it asked for)
     rows = []
-    compiled = conjectures._compiled("divisibility-c")
+    compiled = identities._lookup("divisibility-c", conjectures._STATEMENTS)
     counted = lambda p, m, ns: rows.append(m) or compiled.line(p, m, ns)
     monkeypatch.setitem(conjectures._STATEMENTS, "divisibility-c", with_line(compiled, counted))
     path = tmp_path / "scan.json"
@@ -607,6 +607,46 @@ def test_a_checkpoint_with_a_repeated_record_exits_2(tmp_path, monkeypatch, caps
     out, err = capsys.readouterr()
     assert out == "" and "do not re-check" in err
     assert path.read_bytes() == saved
+
+
+# mid-scan c, b and mixed scans: the cells at indices 6, 7 and 8 of the scan order, and the domain's cell count
+_MID_SCANS = [(["c-powers", "--p", "3", "--m", "2..12"], [(5, 1), (5, 2), (5, 3)], 66),
+              (["b-cubes", "--p", "3", "--n", "1..20"], [(7,), (8,), (9,)], 20),
+              (["mixed", "--n", "1..4", "--m", "1..4"], [(2, 3), (2, 4), (3, 1)], 16)]
+
+
+@pytest.mark.parametrize("scan, cells, total", _MID_SCANS, ids=["c", "b", "mixed"])
+@pytest.mark.parametrize("processed, frontier", [(6, 1), (8, 1), (7, 0), (7, 2), (7, None)],
+                         ids=["processed-1", "processed+1", "frontier-back", "frontier-on", "null-frontier"])
+def test_a_checkpoint_whose_frontier_is_not_the_cell_at_its_count_exits_2(tmp_path, capsys, scan, cells, total,
+                                                                          processed, frontier):
+    # the checkpoint of 7 cells names cell 7 as its frontier; a count or a frontier one cell off either way, or a
+    # null frontier before the domain's last cell, is refused before any cell is scanned
+    def edit(doc):
+        assert (doc["processed"], doc["frontier"]) == (7, list(cells[1]))
+        doc.update(processed=processed, frontier=None if frontier is None else list(cells[frontier]))
+
+    code, out, err = _resume_edited(tmp_path, capsys, scan, edit)
+    if frontier is None:
+        message = "checkpoint counts 7 cells processed, but %d cells of the domain precede its frontier None" % total
+    else:
+        message = ("checkpoint counts %d cells processed, but the domain's cell at that index is %r, not its frontier "
+                   "%r" % (processed, cells[processed - 6], cells[frontier]))
+    assert (code, out, err) == (2, "", "integrity error: %s\n" % message)
+
+
+@pytest.mark.parametrize("scan", [scan for scan, _, _ in _MID_SCANS], ids=" ".join)
+def test_a_spent_checkpoint_resumes_to_its_own_document(tmp_path, capsys, scan):
+    path = tmp_path / "scan.json"
+    argv = ["scan", *scan, "--checkpoint", str(path), "--format", "json", "--no-timing"]
+    assert cli.main(argv) == 0
+    spent = capsys.readouterr().out
+    assert json.loads(spent)["frontier"] is None
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out == spent
+    doc = json.loads(path.read_text())
+    del doc["elapsed_ms"]
+    assert doc == json.loads(spent)
 
 
 # real mid-scan checkpoints, each edited in one field, or given a planted record
@@ -1065,12 +1105,13 @@ def test_a_reader_that_closes_the_pipe_early_gets_exit_141_and_no_traceback():
     assert stderr == b""
 
 
-def test_jobs_env_var_default():
-    env = dict(os.environ, CATALAN_TRIANGLES_JOBS="4")
-    result = run_cli("verify", "eq-vandermonde", "--n", "0..30", "--format", "json",
-                     "--no-timing", env=env)
-    assert result.returncode == 0
-    assert json.loads(result.stdout)["cells"] == 31
+def test_verify_json_is_the_same_with_or_without_a_jobs_env_var():
+    # no environment variable is read, CATALAN_TRIANGLES_JOBS included: --jobs has no default to take from it
+    argv = [sys.executable, "-m", "catalan_triangles", "verify", "eq-vandermonde", "--n", "0..30", "--format", "json",
+            "--no-timing"]
+    out = lambda env: subprocess.run(argv, capture_output=True, env=env, check=True).stdout  # bytes, as printed
+    unset = out({name: value for name, value in os.environ.items() if name != "CATALAN_TRIANGLES_JOBS"})
+    assert out(dict(os.environ, CATALAN_TRIANGLES_JOBS="4")) == unset and json.loads(unset)["cells"] == 31
 
 
 def test_identical_invocations_are_bit_identical():

@@ -505,7 +505,8 @@ def test_the_c_line_function_finds_the_failures_of_even_exponents(p):
 
 def test_a_c_line_function_that_fails_where_the_claim_holds_is_an_integrity_error(monkeypatch, capsys):
     # 2 never divides 1, at every cell of every row
-    wrong = with_line(conjectures._compiled("divisibility-c"), lambda p, m, ns: [(1, 2)] * len(ns))
+    compiled = identities._lookup("divisibility-c", conjectures._STATEMENTS)
+    wrong = with_line(compiled, lambda p, m, ns: [(1, 2)] * len(ns))
     monkeypatch.setitem(conjectures._STATEMENTS, "divisibility-c", wrong)
     with pytest.raises(IntegrityError, match="divisibility-c: line function and sides disagree at"):
         scan_divisibility("c", 3, m_range=(2, 6))

@@ -308,7 +308,7 @@ def test_every_leg_of_a_scan_is_the_flat_lists_slice(domain_draw, rng, second):
 
 
 def test_a_c_scan_walks_no_row_before_its_first_cell():
-    # rows m = 2..299990 hold no cell with n >= 299990: the emptiness check, a 1-cell leg and a resume skip them
+    # rows m = 2..299990 hold no cell with n >= 299990: a 1-cell leg, the cell at its count and its resume skip them
     domain = {"m": (2, 300000), "n": (299990, 299999)}
     claim = lambda cell: DivisibilityClaim(2, 2, ())
     scan = lambda **options: scan_divisibility("c", 7, n_range=domain["n"], m_range=domain["m"], claim_fn=claim, **options)
@@ -319,18 +319,35 @@ def test_a_c_scan_walks_no_row_before_its_first_cell():
         line.reset_mock()
         state = scan(max_cells=1)
         assert (state.domain, state.frontier, state.processed) == (domain, (*second, 299990), 1)
-        assert line.call_count == 3  # the emptiness check's first line, then the leg's two
+        assert line.call_count == 2  # the leg's two rows, whose first cell shows the domain is not empty
         line.reset_mock()
-        assert conjectures._resume_index("divisibility-c", domain, state) == 1
-        assert line.call_count == 3  # the frontier's line, then the lines up to it
+        assert conjectures._leg("divisibility-c", domain, 1, 1) == ([], state.frontier)  # the cell at its count
+        assert line.call_count == 2
         line.reset_mock()
         assert scan(checkpoint=state).processed == 10 * 11 // 2
-        assert line.call_count == 1 + 3 + 10  # the emptiness check, the resume, every row of the leg
+        assert line.call_count == 10  # every row of the leg, the first holding the checkpoint's frontier
+
+
+@pytest.mark.parametrize("kind, bounds", [("c", {"m": (2, 40)}), ("b", {"n": (1, 60)}),
+                                          ("mixed", {"n": (1, 9), "m": (1, 9)})])
+def test_each_leg_walks_its_domain_once(kind, bounds):
+    # a leg's cells and the cell at its checkpoint's count come from one walk; a spent checkpoint, whose null
+    # frontier stands for the domain's cell count, walks it once more to sum it
+    with mock.patch.object(conjectures, "_domain_lines", wraps=conjectures._domain_lines) as walks:
+        state = _scan(kind, bounds, max_cells=25)
+        assert (state.processed, walks.call_count) == (25, 1)  # a fresh leg
+        for legs in (2, 3):
+            state = _scan(kind, bounds, checkpoint=state, max_cells=None if legs == 3 else 25)
+            assert walks.call_count == legs  # a resumed leg, cut at its limit or run to the end
+        assert state.frontier is None and state == _scan(kind, bounds)
+        walks.reset_mock()
+        assert _scan(kind, bounds, checkpoint=state) == state
+        assert walks.call_count == 2  # the spent checkpoint's empty leg, then its total
 
 
 def test_a_leg_costs_what_it_scans():
     # the first 1,000 cells of m = 2..3000 end at m = 46; the domain's cell list alone held 4.5M tuples
-    conjectures._compiled("divisibility-c")
+    identities._lookup("divisibility-c", conjectures._STATEMENTS)
     tracemalloc.start()
     try:
         state = scan_divisibility("c", 7, m_range=(2, 3000), max_cells=1000)

@@ -194,7 +194,8 @@ def test_only_thm_square_decomp_i_keeps_a_line_partial_in_the_store():
     # its running sum's term and lower bound read the line variable n; every other line sum keeps its partial on
     # locals, which against the store is about 6% of the sweep and 16% of the c scan
     lines = {ident.id: ident.line for ident in list_identities()}
-    lines.update((text, conjectures._compiled(text).line) for text in list(conjectures._STATEMENTS))
+    scans = conjectures._STATEMENTS
+    lines.update((text, identities._lookup(text, scans).line) for text in list(scans))
     assert {name for name, line in lines.items() if "_partials" in line.__code__.co_freevars} == {"thm-square-decomp-i"}
 
 
@@ -323,8 +324,8 @@ def test_a_replaced_descriptor_runs_cell_by_cell_and_reports_what_the_compiled_o
     [
         ("1/(n-5) == 1/(n-5)", ("n",)),  # a side's denominator
         ("m/(n-5) + 1 == 1 + m/(n-5)", ("m", "n")),  # the denominator of a sum of quotients
-        ("sum(1/(k-5), k=1..n) == sum(1/(k-5), k=1..n)", ("m", "n")),  # a term in a line accumulator
-        ("sum(m/(k-5), k=1..n) == sum(m/(k-5), k=1..n)", ("n", "m")),  # a term of a RunningSum across lines
+        ("sum(1/(k-5), k=1..n) == sum(1/(k-5), k=1..n)", ("m", "n")),  # a running sum on the line function's locals
+        ("sum(m/(k-5), k=1..n) == sum(m/(k-5), k=1..n)", ("n", "m")),  # a running sum in the store, keyed by m
     ],
 )
 def test_a_zero_denominator_mid_line_raises_as_the_scalar_path_does(statement, names):
