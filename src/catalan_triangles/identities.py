@@ -46,10 +46,11 @@ Assignment = Mapping[str, int]
 def _table(entry, kind, r, width) -> list[int]:
     """[entry(r, j) for j in 0..the row's last column], or [] when that is more than width columns.
 
-    The columns inside the row come from one checked kernel run, of
-    triangles._row_slice for a triangle kind and of exact.binomials for
-    Pascal's triangle (kind None); those before the kind's first column are
-    0, as entry gives them.  A row entry refuses raises entry's own DomainError.
+    The columns inside the row come from triangles._row_slice for a
+    triangle kind, and for Pascal's triangle (kind None) from one checked
+    run of exact.binomials to the middle, mirrored past it; those before
+    the kind's first column are 0, as entry gives them.  A row entry
+    refuses raises entry's own DomainError.
     """
     first, _, extra = (0, None, 0) if kind is None else _KINDS[kind]
     if r < (0 if kind is None else 1):
@@ -57,7 +58,10 @@ def _table(entry, kind, r, width) -> list[int]:
     end = r + extra + 1
     if end > width:
         return []
-    return [0] * first + (binomials(r, 0, 0, 1, end) if kind is None else _row_slice(kind, r, first, end))
+    if kind is not None:
+        return [0] * first + _row_slice(kind, r, first, end)
+    half = binomials(r, 0, 0, 1, r // 2 + 1)  # binomial(r, j) = binomial(r, r - j)
+    return half + half[:(r + 1) // 2][::-1]
 
 
 # The row tables compiled statements read (statements.TABLES), looked up here at call time as the entries are.

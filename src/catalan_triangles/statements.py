@@ -22,9 +22,12 @@ the bound adds one term per cell.  The partial lives in exact.partials(),
 under an object() of the sum's own and the key's values.  H(x) is the
 pair of harmonic(x) everywhere, inside a sum or not.  An exponent that is
 not an integer literal raises DomainError when it evaluates below 0,
-before the power is taken.  The generated code looks up _c_ext, binomial,
-harmonic and the other functions in the namespace it is given, at call
-time.
+before the power is taken.  (-1)^e is then a select on e's parity, and a
+literal exponent 2 or 3 a product of the base, bound where ** would
+evaluate it ((_d := x)*_d), for a numerator and a denominator alike; any
+other power is taken with **.  The generated code looks up _c_ext,
+binomial, harmonic and the other functions in the namespace it is given,
+at call time.
 
 A call c(r,e), b(r,e), a(r,e) or binomial(r,e) reads a table of the whole
 row r, not the entry function, where its row stays fixed: in a line
@@ -36,8 +39,9 @@ more than twice the columns the line has cells, or the sum has terms left,
 gets an empty table: each read is then a call.  Every other call, a
 running-sum term in a side included, stays a call.  A table is
 built at its first read, where the call would have run first, by the
-builder TABLES names, from one checked kernel run; a read outside it
-gives 0 through an index guard.
+builder TABLES names, from checked kernel runs to the row's middle
+(triangles._row_slice, or exact.binomials for Pascal's rows), with the
+columns past it mirrored; a read outside it gives 0 through an index guard.
 
 A statement also compiles into a line function over its last parameter x:
 line(<the other parameters>, xs) runs both sides for every x in xs
@@ -209,7 +213,9 @@ class _Compiler:
                 e = self.local(e, scope)
                 error = "exponent %s is %%d, below 0" % ast.unparse(node.right)
                 scope.lines.append("if %s < 0:\n    raise DomainError(%r %% %s)" % (e, error, e))
-            return _Q("(%s**%s)" % (a.num, e), "1" if a.den == "1" else "(%s**%s)" % (a.den, e))
+            if a == _Q("(-1)"):  # the sign of an alternating sum, by the exponent's parity
+                return _Q("(-1 if %s & 1 else 1)" % e)
+            return _Q(self.power(a.num, e), "1" if a.den == "1" else self.power(a.den, e))
         b = self.expr(node.right, scope)
         if isinstance(node.op, ast.Mult):
             return _Q(_mul(a.num, b.num), _mul(a.den, b.den))
@@ -222,6 +228,13 @@ class _Compiler:
         a_den, b_den = self.local(a.den, scope), self.local(b.den, scope)
         num = "(%s %s %s)" % (_mul(a.num, b_den), sign, _mul(b.num, a_den))
         return _Q(num, _mul(a_den, b_den))
+
+    def power(self, x: str, e: str) -> str:
+        """Code for x**e: a literal square or cube is a product of x, bound where it is evaluated, as ** would be."""
+        if e not in ("2", "3"):
+            return "(%s**%s)" % (x, e)
+        d = x if re.fullmatch(r"\w+", x) else self.fresh("d")
+        return "(%s)" % "*".join([d if d == x else "(%s := %s)" % (d, x)] + [d] * (int(e) - 1))
 
     def harmonic(self, arg: ast.AST, scope: _Scope) -> _Q:
         x = self.integer(arg, scope, "the argument of H")

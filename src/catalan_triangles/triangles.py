@@ -153,31 +153,44 @@ _KINDS = {
 def _row_slice(kind: str, index: int, start: int, stop: int, number=int) -> list:
     """Columns start..stop-1 of one triangle row, each c(m, j) = (m - 2j) * binomial(m, j) / m by one exact divmod.
 
-    One run of binomials walks up row m of c, or down row 2n (b) or 2n+1 (a) from j = n - start or n+1 - start.
-    The entries are of type number, as binomials gives them.
+    One run of binomials walks down row 2n (b) or 2n+1 (a) from j = n - start or n+1 - start, all at or
+    below the row's middle.  A c row computes only the columns j <= m/2 that the slice reads, directly
+    or through c(m, k) = -c(m, m - k): one run up row m over them, and a second, separately anchored
+    run that checks each against binomial(m, j) - 2 * binomial(m-1, j-1) in the same loop.  The
+    columns past the middle are the negated mirrors of those.  The entries are of type number, as
+    binomials gives them.
     """
     _, name, extra = _KINDS[kind]
     if index < 1:
         raise DomainError("%s: %s must be >= 1, got %d" % (kind, name, index))
     if stop - 1 > index + extra:
         raise DomainError("generate: slice %d..%d leaves row %d of %s" % (start, stop - 1, index, kind))
-    m, j, step = (index, start, 1) if kind == "c_row" else (2 * index + extra, index + extra - start, -1)
-    run = binomials(m, j, 0, step, stop - start, number)
     values = []
-    for x in run:
+    if kind != "c_row":
+        m, j = 2 * index + extra, index + extra - start
+        for x in binomials(m, j, 0, -1, stop - start, number):
+            value, remainder = divmod((m - 2 * j) * x, m)
+            if remainder:
+                raise IntegrityError("%s(%d): c(%d, %d) is not an integer" % (kind, index, m, j))
+            values.append(value)
+            j -= 1
+        return values
+    m = index
+    # min(k, m - k) rises to the middle and falls past it: over the slice it is least at an end, and
+    # greatest at the column nearest the middle
+    near = min(max(start, m // 2), stop - 1)
+    lo, hi = min(start, m + 1 - stop), min(near, m - near)
+    lead = max(lo, 1)  # binomial(m-1, -1) = 0
+    shifted = [0] * (lead - lo) + binomials(m - 1, lead - 1, 0, 1, hi + 1 - lead, number)
+    for j, x, y in zip(range(lo, hi + 1), binomials(m, lo, 0, 1, hi + 1 - lo, number), shifted):
         value, remainder = divmod((m - 2 * j) * x, m)
         if remainder:
             raise IntegrityError("%s(%d): c(%d, %d) is not an integer" % (kind, index, m, j))
+        if value != x - y - y:  # in Decimal, 2 * y would convert the 2 at every j
+            raise IntegrityError("c_row(%d) at k=%d: closed form and Pascal-difference form disagree" % (m, j))
         values.append(value)
-        j += step
-    if kind == "c_row":
-        # checked against binomial(m, k) - 2 * binomial(m-1, k-1), whose run has its own anchor
-        lead = max(start, 1)  # binomial(m-1, -1) = 0
-        shifted = [0] * (lead - start) + binomials(m - 1, lead - 1, 0, 1, stop - lead, number)
-        for k, value, x, y in zip(range(start, stop), values, run, shifted):
-            if value != x - y - y:  # in Decimal, 2 * y would convert the 2 at every k
-                raise IntegrityError("c_row(%d) at k=%d: closed form and Pascal-difference form disagree" % (m, k))
-    return values
+    middle = min(max(start, m // 2 + 1), stop)  # the slice's first column past the middle, or stop
+    return values[start - lo:middle - lo] + [-values[m - k - lo] for k in range(middle, stop)]
 
 
 def c_row(m: int) -> tuple[int, ...]:

@@ -858,16 +858,18 @@ def test_scan_checkpoint_in_a_missing_directory_exits_2_before_scanning(tmp_path
 
 
 def test_failed_exactness_check_exits_3_not_2(monkeypatch, capsys):
-    # an exact step that leaves a remainder is a bug, not a bad request
+    # an exact step that leaves a remainder is a bug, not a bad request; the columns past the middle are
+    # mirrored, so the row's run ends at its middle column, whose end check sees a wrong anchor or a wrong comb()
     real = exact.comb
-    monkeypatch.setattr(exact, "comb", lambda u, v: real(u, v) + ((u, v) == (40, 0)))
-    assert cli.main(["seq", "c-row:40", "0", "41"]) == 3
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert (
-        "internal error: IntegrityError: binomials: run ending at binomial(40, 40) disagrees with comb()"
-        in captured.err
-    )
+    for corrupted in ((40, 0), (40, 20)):
+        monkeypatch.setattr(exact, "comb", lambda u, v: real(u, v) + ((u, v) == corrupted))
+        assert cli.main(["seq", "c-row:40", "0", "41"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert (
+            "internal error: IntegrityError: binomials: run ending at binomial(40, 20) disagrees with comb()"
+            in captured.err
+        )
 
 
 def test_seq_oeis_bfile_bytes():

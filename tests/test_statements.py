@@ -2,6 +2,7 @@
 its statement, every line function against the sides it was compiled
 with, the grammar's refusals, and compiling on first lookup only."""
 
+import ast
 import re
 import subprocess
 import sys
@@ -12,7 +13,7 @@ from math import comb
 
 import pytest
 from conftest import with_line
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from catalan_triangles import cli, conjectures, exact, identities, statements
@@ -45,6 +46,13 @@ def _integers(f):
     return lambda *xs: f(*map(_int, xs))
 
 
+def _pow(x, e):
+    """x ** e, refusing e < 0 as the library does (a Fraction would take the power)."""
+    if e < 0:
+        raise DomainError("exponent %s is below 0" % e)
+    return x ** e
+
+
 def _rows(first, f):
     """f over integer arguments, refusing a row below first with DomainError as the library does."""
 
@@ -68,16 +76,28 @@ NAIVE = {
     "seq_b": _integers(lambda n: sum(Fraction(k, n) * _binomial(2 * n - k - 1, n - 1) ** 2 for k in range(n + 1))),
     "H": _integers(harmonic),
     "_sum": lambda term, lo, hi: sum((term(Fraction(k)) for k in range(_int(lo), _int(hi) + 1)), Fraction(0)),
+    "_pow": _pow,
 }
 
 
+class _Powers(ast.NodeTransformer):
+    """x ** e -> _pow(x, e)."""
+
+    def visit_BinOp(self, node):
+        self.generic_visit(node)
+        if isinstance(node.op, ast.Pow):
+            return ast.Call(ast.Name("_pow", ast.Load()), [node.left, node.right], [])
+        return node
+
+
 def _python(side: str) -> str:
-    """side as a Python expression over Fractions: 2n -> F(2)*n, sum(E, v=lo..hi) -> _sum(lambda v: E, lo, hi)."""
+    """side as a Python expression over Fractions: 2n -> F(2)*n, sum(E, v=lo..hi) -> _sum(lambda v: E, lo, hi),
+    x^e -> _pow(x, e)."""
     text = re.sub(r"\b(\d+)\b", r"F(\1)", re.sub(r"\b(\d+)(?=[A-Za-z(])", r"\1*", side.replace("^", "**")))
     while True:
         starts = [match.end() for match in re.finditer(r"(?<!\w)sum\(", text)]
         if not starts:
-            return text
+            return ast.unparse(_Powers().visit(ast.parse(text, mode="eval")))
         start = end = starts[-1]  # the last sum holds no other
         depth = 1
         while depth:
@@ -363,6 +383,17 @@ def test_a_negative_exponent_or_a_row_below_the_first_raises_domain_error(statem
         evaluate_sides(ident, cell)
 
 
+def test_a_literal_square_in_a_chain_is_evaluated_only_where_the_chain_reaches_it():
+    # c(0, 0) raises; the chain stops at n < 1 before it, squared or not, and the filter keeps its comparisons inline
+    for constraint in ("n < 1 < c(n-1,0)", "n < 1 < c(n-1,0)^2", "n < 1 < c(n-1,0)^3"):
+        ident = _descriptor_of("n == n", ("n",), constraint)
+        assert ident.admit(list(range(1, 6))) == [] and not ident.admits({"n": 1})
+        admit = statements.compile_identity(("n",), vars(identities), None, constraint)["admit"]
+        assert "constraint" not in admit.__code__.co_freevars
+        with pytest.raises(EmptyDomainError):
+            verify_identity(ident, cap=5)
+
+
 def test_an_alternating_sum_still_verifies():
     ident = _descriptor_of("sum((-1)^k * binomial(n,k), k=0..n) == 0^n + sum((-1)^(n-k) * 0, k=0..n)", ("n",))
     assert verify_identity(ident, cap=30).passed
@@ -531,12 +562,13 @@ def test_a_table_one_column_short_fails_the_sweep(monkeypatch, builder, identity
 
 
 # --- random statements from the grammar ----------------------------------------
-# Trees over literals 0..3, + - * /, powers 0..3, c b a binomial on row name+1
-# or name+2, H(name+1) and sums whose bounds are 0, 1, a name or a name + 1
-# (or m - n above).  A leaf or a row names an index into the names in scope,
-# so every tree renders to a statement; a denominator is B^2 + 1, never 0.
-# Every name is at least 0, so every row is 1 or more, where naive and the
-# library agree.
+# Trees over literals 0..3, + - * /, powers 0..3, signs (-1)^E of an integer
+# expression E, c b a binomial on row name+1 or name+2, H(name+1) and sums
+# whose bounds are 0, 1, a name or a name + 1 (or m - n above).  A leaf or a
+# row names an index into the names in scope, so every tree renders to a
+# statement; a denominator is B^2 + 1, never 0.  Every name is at least 0, so
+# every row is 1 or more, where naive and the library agree.  E may fall below
+# 0, where the library and naive each raise DomainError.
 
 _LEAVES = st.one_of(st.tuples(st.just("literal"), st.integers(0, 3)), st.tuples(st.just("name"), st.integers(0, 7)))
 _INTEGERS = st.recursive(_LEAVES, lambda children: st.tuples(st.sampled_from("+-*"), children, children), max_leaves=3)
@@ -546,6 +578,7 @@ def _extend(children):
     return st.one_of(
         st.tuples(st.sampled_from("+-*/"), children, children),
         st.tuples(st.just("^"), children, st.integers(0, 3)),
+        st.tuples(st.just("sign"), _INTEGERS),  # (-1)^E, which compiles to a select on E's parity
         # the column the innermost name (the summation variable inside a sum) plus or minus an integer
         # expression, an integer expression minus it, any integer expression, or any, which is refused
         # unless it is an integer
@@ -566,6 +599,8 @@ def _render(tree, names=("m", "n")):
         return name if kind == "name" else "H(%s+1)" % name
     if kind == "^":
         return "(%s)^%d" % (_render(args[0], names), args[1])
+    if kind == "sign":
+        return "(-1)^(%s)" % _render(args[0], names)
     if kind == "/":
         return "(%s)/((%s)^2 + 1)" % (_render(args[0], names), _render(args[1], names))
     if kind in "+-*":
@@ -582,8 +617,15 @@ def _render(tree, names=("m", "n")):
 _TREES = st.recursive(_LEAVES, _extend, max_leaves=6)
 
 
+# (-1)^(m - n) falls below 0 where n > m, and (-1)^(v - n) in a sum over v = 0..m too
+_BELOW_ZERO = ("sign", ("-", ("name", 0), ("name", 1)))
+_SUMMED_BELOW_ZERO = ("sum", ("*", ("sign", ("-", ("name", 2), ("name", 1))), ("name", 2)), 0, 2, 0)
+
+
 @settings(max_examples=300, deadline=None)
 @given(_TREES, _TREES)
+@example(_BELOW_ZERO, ("literal", 1)).via("a sign whose exponent falls below 0 at some cells")
+@example(("*", _SUMMED_BELOW_ZERO, ("literal", 2)), ("sign", ("+", ("name", 0), ("literal", 3))))
 def test_random_statements_agree_with_naive_on_every_path(lhs_tree, rhs_tree):
     statement = "%s == %s" % (_render(lhs_tree), _render(rhs_tree))
     try:
@@ -593,17 +635,25 @@ def test_random_statements_agree_with_naive_on_every_path(lhs_tree, rhs_tree):
     lhs_text, rhs_text = statement.split(" == ")
     cells = [{"m": m, "n": n} for m in range(1, 7) for n in range(1, 7)]
     with keep_partials():
-        sides = [(ident.lhs(**cell), ident.rhs(**cell)) for cell in cells]
+        sides = [(_value(lambda: ident.lhs(**cell)), _value(lambda: ident.rhs(**cell))) for cell in cells]
     for cell, (lhs, rhs) in zip(cells, sides):
-        assert (lhs, rhs) == (naive(lhs_text, cell), naive(rhs_text, cell)), (statement, cell)
+        expected = (_value(lambda: naive(lhs_text, cell)), _value(lambda: naive(rhs_text, cell)))
+        assert (lhs, rhs) == expected, (statement, cell)
     for m in range(1, 7):  # each pair is the sides cross-multiplied by one common denominator
+        if any(DomainError in pair for pair in sides[6 * m - 6:6 * m]):  # only an exponent below 0 raises here
+            with pytest.raises(DomainError, match="below 0"):
+                ident.line(m, list(range(1, 7)))
+            continue
         pairs = ident.line(m, list(range(1, 7)))
         assert len(pairs) == 6
         for (p, q), (lhs, rhs) in zip(pairs, sides[6 * m - 6:6 * m]):
             assert p * rhs == q * lhs and (p == q) == (lhs == rhs), (statement, m)
     for fail_fast in (False, True):
         options = {"ranges": {"m": (1, 6), "n": (1, 6)}, "fail_fast": fail_fast}
-        assert _outcome(ident, **options) == _outcome(_scalar(ident), **options), statement
+        outcome = _outcome(ident, **options)
+        assert outcome == _outcome(_scalar(ident), **options), statement
+        if not fail_fast and any(DomainError in pair for pair in sides):
+            assert outcome[0] is DomainError and "below 0" in outcome[1], (statement, outcome)
 
 
 # a chain of one or two comparisons between integer expressions in m and n, from the same leaves

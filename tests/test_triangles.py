@@ -2,14 +2,15 @@
 oracles, and the cross-triangle bridge relations."""
 
 import math
-from decimal import Decimal
+import random
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from catalan_triangles import exact, triangles
+from catalan_triangles import exact, identities, triangles
 from catalan_triangles.errors import DomainError, IntegrityError, UsageError
 from catalan_triangles.triangles import (
     SequenceSpec,
@@ -253,9 +254,43 @@ def test_integrality_witness():
 
 
 def test_row_antisymmetry():
+    # on the per-entry path: c_row builds its columns past the middle by this same symmetry
     for m in range(1, 201):
-        row = c_row(m)
-        assert all(row[k] == -row[m - k] for k in range(m + 1))
+        assert all(c_number(m, k) == -c_number(m, m - k) for k in range(m + 1))
+
+
+def closed_c(m, k):
+    """c(m, k) = (m - 2k) * binomial(m, k) / m from math.comb, sharing no code with the row kernel."""
+    quotient, remainder = divmod((m - 2 * k) * math.comb(m, k), m)
+    assert remainder == 0
+    return quotient
+
+
+def test_row_slices_and_tables_match_math_comb_below_across_and_above_the_middle():
+    # each c row computes only the columns at or below m/2 and mirrors the rest; odd and even rows put the
+    # middle on one column or between two, and every slice here draws its ends on a given side of it
+    rng = random.Random(1)
+    for m in range(1, 201):
+        half = m // 2
+        below = rng.randint(0, half)
+        above = rng.randint(half + 1, m)
+        slices = [
+            (0, m + 1),
+            (below, rng.randint(below + 1, half + 1)),
+            (rng.randint(0, half), rng.randint(half + 2, m + 1)),
+            (above, rng.randint(above + 1, m + 1)),
+        ]
+        for start, stop in slices:
+            expected = [closed_c(m, k) for k in range(start, stop)]
+            assert triangles._row_slice("c_row", m, start, stop) == expected, (m, start, stop)
+            with localcontext(exact.EXACT_DECIMAL):
+                printed = triangles._row_slice("c_row", m, start, stop, Decimal)
+            assert all(type(x) is Decimal for x in printed)
+            assert [str(x) for x in printed] == [str(x) for x in expected], (m, start, stop)
+    for r in range(201):
+        assert identities._binomial_table(r, r + 1) == [math.comb(r, j) for j in range(r + 1)], r
+        if r:
+            assert identities._c_table(r, r + 1) == [closed_c(r, j) for j in range(r + 1)], r
 
 
 def paper_b(n, k):
