@@ -3,8 +3,11 @@
 Arbitrary precision comes from Python's native int and fractions.Fraction
 (always in lowest terms, positive denominator), so every operation here is
 exact by construction; there is deliberately no floating-point fast path.
-Integer runs can also be taken in decimal.Decimal under EXACT_DECIMAL,
-whose str() is linear where CPython's int to str is quadratic.
+Two checked run kernels walk a line of values one exact ratio at a time:
+binomials along any line of Pascal's triangle, and c_run along a row of the
+signed triangle c(m, k) = (m - 2k) * binomial(m, k) / m.  Their runs can
+also be taken in decimal.Decimal under EXACT_DECIMAL, whose str() is linear
+where CPython's int to str is quadratic.
 """
 
 from __future__ import annotations
@@ -15,6 +18,7 @@ from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, DivisionByZero, Inexa
 from fractions import Fraction
 from itertools import repeat
 from math import comb, prod
+from operator import mul
 from typing import Iterator
 
 from .errors import DomainError, IntegrityError
@@ -85,17 +89,66 @@ def binomials(u: int, v: int, du: int, dv: int, count: int, number=int) -> list:
             grows += [range(base + o, base + o + steps * d, d) for o in range(1, d + 1)]
         elif d:
             shrinks += [range(base + o, base + o + steps * d, d) for o in range(d + 1, 1)]
-    value = number(comb(u, v))
+    values = _walk(number(comb(u, v)), _per_step(up, steps), _per_step(down, steps))
+    if len(values) < count:
+        raise IntegrityError("binomials: step %d of the run from binomial(%d, %d) is not exact" % (len(values), u, v))
+    if steps and values[-1] != comb(end_u, end_v):
+        raise IntegrityError("binomials: run ending at binomial(%d, %d) disagrees with comb()" % (end_u, end_v))
+    return values
+
+
+def c_run(m: int, j: int, dj: int, count: int, number=int) -> list:
+    """[c(m, j + i*dj) for i = 0..count-1], c(m, k) = (m - 2k) * binomial(m, k) / m, one exact step per entry.
+
+    c is hypergeometric in k: c(m, k+1) / c(m, k) = (m-k)(m-2k-2) / ((k+1)(m-2k)).  The closed form,
+    from comb() and one divmod whose remainder must be zero, anchors the run; each next value is the
+    last one times the ratio (or its reciprocal, down the row, dj = -1), taken with one divmod whose
+    remainder must be zero; and the last column whose closed form is nonzero is checked against it,
+    so a wrong step raises IntegrityError.  The run stays on row m >= 1, inside 0 <= k <= m, and on
+    an even row it may reach c(m, m/2) = 0 only at its last point, since no ratio leads on from a
+    zero.  The values are of type number, as in binomials.
+    """
+    if count < 0:
+        raise DomainError("c_run: count must be >= 0, got %d" % count)
+    if count == 0:
+        return []
+    if dj not in (1, -1):
+        raise DomainError("c_run: dj must be 1 or -1, got %r" % (dj,))
+    end = j + (count - 1) * dj
+    if not (m >= 1 and 0 <= j <= m and 0 <= end <= m):
+        raise DomainError("c_run: run from c(%d, %d) to c(%d, %d) leaves 0 <= k <= m, m >= 1" % (m, j, m, end))
+    if not m % 2 and m // 2 in range(j, end, dj):
+        raise DomainError("c_run: run from c(%d, %d) steps on from c(%d, %d) = 0" % (m, j, m, m // 2))
+    value, remainder = divmod((m - 2 * j) * comb(m, j), m)
+    if remainder:
+        raise IntegrityError("c_run: anchor c(%d, %d) is not an integer" % (m, j))
+    # binomial(m, k) steps by (m-k)/(k+1) up the row and by k/(m-k+1) down it; m - 2k by its new over its old value
+    a, b = (m - j, m - end) if dj > 0 else (j, end)
+    values = _walk(
+        number(value),
+        map(mul, range(a, b, -1), range(m - 2 * (j + dj), m - 2 * (end + dj), -2 * dj)),
+        map(mul, range(m + 1 - a, m + 1 - b), range(m - 2 * j, m - 2 * end, -2 * dj)),
+    )
+    if len(values) < count:
+        raise IntegrityError("c_run: step %d of the run from c(%d, %d) is not exact" % (len(values), m, j))
+    last = count - 1 - (2 * end == m)  # a run onto c(m, m/2) = 0 is checked one column before it
+    k = j + last * dj
+    if last > 0 and values[last] * m != (m - 2 * k) * comb(m, k):
+        raise IntegrityError("c_run: run from c(%d, %d) disagrees with the closed form at c(%d, %d)" % (m, j, m, k))
+    return values
+
+
+def _walk(value, numerators, denominators) -> list:
+    """[value, ...], each next value the last times a step's numerator over its denominator.
+
+    The list stops short at the first step whose division leaves a remainder; its caller raises.
+    """
     values = [value]
-    for num, den in zip(_per_step(up, steps), _per_step(down, steps)):
+    for num, den in zip(numerators, denominators):
         value, remainder = divmod(value * num, den)
         if remainder:
-            raise IntegrityError(
-                "binomials: step %d of the run from binomial(%d, %d) is not exact" % (len(values), u, v)
-            )
+            break
         values.append(value)
-    if steps and value != comb(end_u, end_v):
-        raise IntegrityError("binomials: run ending at binomial(%d, %d) disagrees with comb()" % (end_u, end_v))
     return values
 
 

@@ -11,9 +11,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
+from operator import sub
 
 from .errors import DomainError, IntegrityError, UsageError
-from .exact import EXACT_DECIMAL, _int, binomial, binomials, exact_div
+from .exact import EXACT_DECIMAL, _int, binomial, binomials, c_run, exact_div
 
 
 def _c_ext(m: int, k: int) -> int:
@@ -151,44 +152,34 @@ _KINDS = {
 
 
 def _row_slice(kind: str, index: int, start: int, stop: int, number=int) -> list:
-    """Columns start..stop-1 of one triangle row, each c(m, j) = (m - 2j) * binomial(m, j) / m by one exact divmod.
+    """Columns start..stop-1 of one triangle row, as one checked run of exact.c_run.
 
-    One run of binomials walks down row 2n (b) or 2n+1 (a) from j = n - start or n+1 - start, all at or
-    below the row's middle.  A c row computes only the columns j <= m/2 that the slice reads, directly
-    or through c(m, k) = -c(m, m - k): one run up row m over them, and a second, separately anchored
-    run that checks each against binomial(m, j) - 2 * binomial(m-1, j-1) in the same loop.  The
-    columns past the middle are the negated mirrors of those.  The entries are of type number, as
-    binomials gives them.
+    A b or a slice is the run down row 2n or 2n+1 from j = n - start or n+1 - start, all below the
+    row's middle.  A c row computes only the columns j <= m/2 that the slice reads, directly or
+    through c(m, k) = -c(m, m - k): one run up row m over them, each compared with the Pascal
+    difference binomial(m-1, j) - binomial(m-1, j-1) from a separately anchored run of
+    exact.binomials along row m - 1.  The columns past the middle are the negated mirrors of those.
+    The entries are of type number, as the runs give them.
     """
     _, name, extra = _KINDS[kind]
     if index < 1:
         raise DomainError("%s: %s must be >= 1, got %d" % (kind, name, index))
     if stop - 1 > index + extra:
         raise DomainError("generate: slice %d..%d leaves row %d of %s" % (start, stop - 1, index, kind))
-    values = []
     if kind != "c_row":
-        m, j = 2 * index + extra, index + extra - start
-        for x in binomials(m, j, 0, -1, stop - start, number):
-            value, remainder = divmod((m - 2 * j) * x, m)
-            if remainder:
-                raise IntegrityError("%s(%d): c(%d, %d) is not an integer" % (kind, index, m, j))
-            values.append(value)
-            j -= 1
-        return values
+        return c_run(2 * index + extra, index + extra - start, -1, stop - start, number)
     m = index
     # min(k, m - k) rises to the middle and falls past it: over the slice it is least at an end, and
     # greatest at the column nearest the middle
     near = min(max(start, m // 2), stop - 1)
     lo, hi = min(start, m + 1 - stop), min(near, m - near)
-    lead = max(lo, 1)  # binomial(m-1, -1) = 0
-    shifted = [0] * (lead - lo) + binomials(m - 1, lead - 1, 0, 1, hi + 1 - lead, number)
-    for j, x, y in zip(range(lo, hi + 1), binomials(m, lo, 0, 1, hi + 1 - lo, number), shifted):
-        value, remainder = divmod((m - 2 * j) * x, m)
-        if remainder:
-            raise IntegrityError("%s(%d): c(%d, %d) is not an integer" % (kind, index, m, j))
-        if value != x - y - y:  # in Decimal, 2 * y would convert the 2 at every j
-            raise IntegrityError("c_row(%d) at k=%d: closed form and Pascal-difference form disagree" % (m, j))
-        values.append(value)
+    values = c_run(m, lo, 1, hi + 1 - lo, number)
+    lead = max(lo - 1, 0)  # pascal holds columns lo-1..hi of row m - 1, with binomial(m-1, -1) = 0
+    pascal = [0] * (lead + 1 - lo) + binomials(m - 1, lead, 0, 1, hi + 1 - lead, number)
+    differences = list(map(sub, pascal[1:], pascal))
+    if values != differences:
+        j = lo + next(i for i, (x, y) in enumerate(zip(values, differences)) if x != y)
+        raise IntegrityError("c_row(%d) at k=%d: closed form and Pascal-difference form disagree" % (m, j))
     middle = min(max(start, m // 2 + 1), stop)  # the slice's first column past the middle, or stop
     return values[start - lo:middle - lo] + [-values[m - k - lo] for k in range(middle, stop)]
 
@@ -225,14 +216,16 @@ class SequenceSpec:
 def generate(spec: SequenceSpec, number=int) -> list:
     """Evaluate the slice described by spec; invalid specs raise DomainError.
 
-    Catalan, generalized Catalan and row slices are one run of exact.binomials
-    each.  A seq_a or seq_b slice takes its first two terms from the direct
-    sums and every later term from the sequence's order-2 P-recurrence, one
-    exact division per term, and checks its last term against a fresh direct
-    sum; a remainder or a disagreement raises IntegrityError.
+    Catalan and generalized Catalan slices are one run of exact.binomials
+    each, and a row slice is one run of exact.c_run, which a c row checks
+    against one run of exact.binomials (see _row_slice).  A seq_a or seq_b
+    slice takes its first two terms from the direct sums and every later term
+    from the sequence's order-2 P-recurrence, one exact division per term,
+    and checks its last term against a fresh direct sum; a remainder or a
+    disagreement raises IntegrityError.
 
-    The terms are ints.  With number=decimal.Decimal, the binomial runs and
-    every step on them are taken in Decimal under exact.EXACT_DECIMAL, with
+    The terms are ints.  With number=decimal.Decimal, the runs and every
+    step on them are taken in Decimal under exact.EXACT_DECIMAL, with
     the same checks, so a step that would round raises its decimal signal;
     seq_a and seq_b terms stay ints.
     """

@@ -4,6 +4,7 @@ steps and a drifted check run must raise, never print a value."""
 
 import math
 import re
+from decimal import Decimal, localcontext
 from functools import cache
 
 import pytest
@@ -13,7 +14,7 @@ from hypothesis import strategies as st
 from catalan_triangles import cli, exact, triangles
 from catalan_triangles.conjectures import divisibility_claim
 from catalan_triangles.errors import DomainError, IntegrityError
-from catalan_triangles.exact import binomials
+from catalan_triangles.exact import binomials, c_run
 from catalan_triangles.triangles import (
     SequenceSpec,
     _a_ext,
@@ -21,6 +22,7 @@ from catalan_triangles.triangles import (
     a_number,
     b_number,
     c_number,
+    c_row,
     catalan,
     gen_catalan,
     generate,
@@ -81,6 +83,126 @@ def test_binomials_check_their_last_value(monkeypatch):
     monkeypatch.setattr(exact, "comb", doubled_anchor)
     with pytest.raises(IntegrityError):
         binomials(40, 3, 0, 1, 20)
+
+
+def closed_c(m, k):
+    """c(m, k) = (m - 2k) * binomial(m, k) / m from math.comb, sharing no code with the kernel."""
+    quotient, remainder = divmod((m - 2 * k) * math.comb(m, k), m)
+    assert remainder == 0
+    return quotient
+
+
+@st.composite
+def c_runs(draw):
+    """(m, j, dj, count) on row m inside 0 <= k <= m; a run that would step on from an even row's middle ends there."""
+    m = draw(st.integers(1, 160))
+    j = draw(st.integers(0, m))
+    dj = draw(st.sampled_from([1, -1]))
+    count = draw(st.integers(1, m - j + 1 if dj > 0 else j + 1))
+    if not m % 2 and m // 2 in range(j, j + (count - 1) * dj, dj):
+        count = abs(m // 2 - j) + 1
+    return m, j, dj, count
+
+
+@given(c_runs())
+@example((7, 3, 1, 1)).via("a single entry")
+@example((10, 5, -1, 1)).via("an even row's middle alone")
+@example((10, 0, 1, 6)).via("up onto an even row's middle")
+@example((10, 10, -1, 6)).via("down onto an even row's middle")
+@example((11, 0, 1, 12)).via("across an odd row's middle, the whole row")
+@example((11, 11, -1, 12)).via("down the whole odd row")
+def test_c_run_matches_the_closed_form_from_math_comb(run):
+    m, j, dj, count = run
+    expected = [closed_c(m, j + i * dj) for i in range(count)]
+    assert c_run(m, j, dj, count) == expected
+    with localcontext(exact.EXACT_DECIMAL):
+        printed = c_run(m, j, dj, count, Decimal)
+    assert all(type(x) is Decimal for x in printed)
+    assert [str(x) for x in printed] == [str(x) for x in expected]
+
+
+@pytest.mark.parametrize(
+    "run",
+    [
+        (10, 5, 1, 2), (10, 5, -1, 2), (10, 3, 1, 4),  # a step on from c(10, 5) = 0
+        (12, 0, 2, 3), (12, 3, 0, 2),  # a step other than 1 and -1
+        (0, 0, 1, 1), (5, 6, -1, 1), (5, 4, 1, 3), (5, 1, -1, 3),  # row 0, or off the row
+    ],
+)
+def test_c_run_rejects_a_step_on_from_a_zero_a_step_of_other_than_one_or_leaving_the_row(run):
+    with pytest.raises(DomainError):
+        c_run(*run)
+
+
+def test_c_run_empty_run():
+    assert c_run(4, 9, 1, 0) == []
+    with pytest.raises(DomainError):
+        c_run(4, 2, 1, -1)
+
+
+def comb_at(cell, wrong):
+    """math.comb, except that at cell it gives wrong(math.comb(*cell))."""
+    return lambda u, v: wrong(math.comb(u, v)) if (u, v) == cell else math.comb(u, v)
+
+
+# each check of the row kernels, made to fire by one injected fault
+@pytest.mark.parametrize(
+    "cell, wrong, run, message",
+    [
+        # (10 - 2*3) * (120 + 1) is not a multiple of 10
+        ((10, 3), lambda x: x + 1, lambda: c_run(10, 3, 1, 3), r"c_run: anchor c\(10, 3\) is not an integer"),
+        # an anchor off by (10 - 2*2) * 10 / 10 = 6 is an integer, 33 for 27, but 33 * 8 * 4 / (3 * 6) is not
+        ((10, 2), lambda x: x + 10, lambda: c_run(10, 2, 1, 3), r"c_run: step 1 of the run from c\(10, 2\) is not exact"),
+        # a doubled anchor keeps every step exact; only the end check sees it
+        (
+            (10, 1), lambda x: 2 * x, lambda: c_run(10, 1, 1, 3),
+            r"c_run: run from c\(10, 1\) disagrees with the closed form at c\(10, 3\)",
+        ),
+        # a run onto c(10, 5) = 0 is checked at c(10, 4)
+        (
+            (10, 0), lambda x: 2 * x, lambda: c_run(10, 0, 1, 6),
+            r"c_run: run from c\(10, 0\) disagrees with the closed form at c\(10, 4\)",
+        ),
+        (
+            (10, 2), lambda x: x + 1, lambda: binomials(10, 2, 0, 1, 3),
+            r"binomials: step 1 of the run from binomial\(10, 2\) is not exact",
+        ),
+    ],
+    ids=["c_run anchor", "c_run step", "c_run end", "c_run end before an even middle", "binomials step"],
+)
+def test_each_kernel_check_fires_under_one_wrong_comb(cell, wrong, run, message, monkeypatch):
+    monkeypatch.setattr(exact, "comb", comb_at(cell, wrong))
+    with pytest.raises(IntegrityError, match=message):
+        run()
+
+
+@pytest.mark.parametrize("run, call, column", [((10, 0, 1, 5), 5, 4), ((21, 20, -1, 8), 8, 13)])
+def test_c_run_end_check_fires_on_a_wrong_last_step(run, call, column, monkeypatch):
+    # divmod call `call` is the run's last step (the first is its anchor): one too large, with no remainder
+    wrong_divmod, _ = wrong_divmod_at(call)
+    monkeypatch.setattr(exact, "divmod", wrong_divmod, raising=False)
+    with pytest.raises(IntegrityError, match=r"disagrees with the closed form at c\(%d, %d\)" % (run[0], column)):
+        c_run(*run)
+
+
+def test_c_row_pascal_check_fires_on_one_wrong_entry_of_its_run(monkeypatch):
+    # the run of row 9 gives binomial(9, 2) + 1, so the Pascal differences at k = 2 and 3 are off
+    def one_wrong(u, v, du, dv, count, number=int):
+        values = binomials(u, v, du, dv, count, number)
+        if u == 9:
+            values[2] += 1
+        return values
+
+    monkeypatch.setattr(triangles, "binomials", one_wrong)
+    with pytest.raises(IntegrityError, match=r"c_row\(10\) at k=2: closed form and Pascal-difference form disagree"):
+        c_row(10)
+
+
+def test_c_ext_closed_form_remainder_fires(monkeypatch):
+    # (10 - 2*3) * (120 + 1) is not a multiple of 10
+    monkeypatch.setattr(triangles, "binomial", lambda u, v: math.comb(u, v) + 1)
+    with pytest.raises(IntegrityError, match=r"c\(10, 3\): closed form is not an integer"):
+        triangles._c_ext(10, 3)
 
 
 ENTRY = {"c_row": c_number, "b_row": b_number, "a_row": a_number}
@@ -210,8 +332,9 @@ def wrong_divmod_at(call):
 
 @pytest.mark.parametrize("argv", FAULT_SPECS, ids=lambda argv: " ".join(argv))
 def test_wrong_step_raises_instead_of_printing(argv, monkeypatch, capsys):
-    # the first ratio step of the first run comes out one too large, with no remainder to give it away:
-    # every spec starts with a run of two or more entries, before any exact_div in the module
+    # the first divmod of the first run comes out one too large, with no remainder to give it away: a row
+    # run's closed-form anchor, or a binomial run's first step; every spec starts with a run of two or more
+    # entries, before any exact_div in the module
     wrong_divmod, calls = wrong_divmod_at(1)
     monkeypatch.setattr(exact, "divmod", wrong_divmod, raising=False)
     assert cli.main(["seq", *argv]) == cli.EXIT_INTERNAL  # a failed exactness check is a bug, not a bad request
@@ -234,23 +357,36 @@ def test_wrong_recurrence_step_raises_instead_of_printing(argv, step, monkeypatc
     assert len(calls) >= step
 
 
-def doubled_for_row(u, v, du, dv, count, number=int):
-    """binomials, except that the run on row 30 is doubled: wrong, but it passes its own anchor and end checks."""
-    values = binomials(u, v, du, dv, count, number)
-    return [2 * x for x in values] if u == 30 else values
+def doubled_on_row(kernel, row):
+    """kernel, except that its run on row `row` comes out doubled: wrong, yet each entry one exact ratio from the last."""
+
+    def doubled(m, *args):
+        values = kernel(m, *args)
+        return [2 * x for x in values] if m == row else values
+
+    return doubled
 
 
 def test_c_row_check_run_catches_a_consistently_wrong_closed_form_run(monkeypatch):
-    # only the separately anchored run catches a self-consistent wrong run
-    monkeypatch.setattr(triangles, "binomials", doubled_for_row)
-    with pytest.raises(IntegrityError):
+    # only the separately anchored Pascal run catches a self-consistent wrong c run
+    monkeypatch.setattr(triangles, "c_run", doubled_on_row(exact.c_run, 30))
+    with pytest.raises(IntegrityError, match=r"c_row\(30\) at k=0: closed form and Pascal-difference form disagree"):
         generate(SequenceSpec("c_row", 0, 31, param=30))
 
 
 def test_c_row_check_run_catches_a_consistently_wrong_closed_form_run_in_decimal(monkeypatch, capsys):
     # the same wrong run on the CLI's Decimal path
-    monkeypatch.setattr(triangles, "binomials", doubled_for_row)
+    monkeypatch.setattr(triangles, "c_run", doubled_on_row(exact.c_run, 30))
     assert cli.main(["seq", "c-row:30", "0", "31"]) == cli.EXIT_INTERNAL
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "internal error: IntegrityError: c_row(30) at k=1: closed form and Pascal-difference form disagree" in captured.err
+    assert "internal error: IntegrityError: c_row(30) at k=0: closed form and Pascal-difference form disagree" in captured.err
+
+
+@pytest.mark.parametrize("number", [int, Decimal])
+def test_c_row_closed_form_run_catches_a_consistently_wrong_pascal_run(number, monkeypatch):
+    # the mirror case: a self-consistent wrong run of row m - 1 disagrees with a right c run
+    monkeypatch.setattr(triangles, "binomials", doubled_on_row(exact.binomials, 29))
+    with localcontext(exact.EXACT_DECIMAL):
+        with pytest.raises(IntegrityError, match=r"c_row\(30\) at k=0: closed form and Pascal-difference form disagree"):
+            generate(SequenceSpec("c_row", 0, 31, param=30), number)
