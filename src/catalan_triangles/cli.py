@@ -3,9 +3,10 @@
 Exit codes are never conflated: 0 means every check passed, 1 means a
 mathematical mismatch or counterexample was found, 2 means the request
 itself was bad (a bad checkpoint included), 3 means an internal error,
-such as a failed exactness check, and 141 (128 + SIGPIPE) means the
-reader closed stdout before the output ended.  All output is deterministic;
-timing fields can be dropped with --no-timing so that runs diff cleanly.
+such as a failed exactness check, 130 (128 + SIGINT) means the run was
+interrupted, and 141 (128 + SIGPIPE) means the reader closed stdout before
+the output ended.  All output is deterministic; timing fields can be
+dropped with --no-timing so that runs diff cleanly.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ EXIT_OK = 0
 EXIT_FINDING = 1
 EXIT_USAGE = 2
 EXIT_INTERNAL = 3
+EXIT_INTERRUPTED = 130  # 128 + SIGINT, as a shell reports a command stopped by Ctrl-C
 EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, as a shell reports a writer killed by a closed pipe
 
 
@@ -311,6 +313,9 @@ def main(argv=None) -> int:
         # the reader has gone (`| head`); the rest of the output goes to devnull, so the flush at exit cannot raise
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_BROKEN_PIPE
+    except KeyboardInterrupt:  # a checkpoint keeps what was last saved, since a save replaces it whole or not at all
+        print("interrupted", file=sys.stderr)
+        return EXIT_INTERRUPTED
     except (UsageError, DomainError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_USAGE
@@ -329,4 +334,10 @@ def main(argv=None) -> int:
 
 
 def entrypoint() -> None:
-    sys.exit(main())
+    code = main()
+    if code == EXIT_INTERRUPTED:  # end by SIGINT, as an uncaught interrupt would, so that a calling shell loop stops too
+        import signal  # only on this path, to keep start-up lean
+
+        signal.signal(signal.SIGINT, signal.SIG_DFL)
+        os.kill(os.getpid(), signal.SIGINT)
+    sys.exit(code)

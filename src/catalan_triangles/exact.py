@@ -179,9 +179,10 @@ def harmonic(n: int) -> Fraction:
 _scope = threading.local()
 
 
-def partials() -> dict | None:
-    """The store that compiled running sums keep their partials in, or None outside keep_partials()."""
-    return getattr(_scope, "partials", None)
+def partials() -> dict:
+    """The store that compiled running sums keep their partials in; outside keep_partials(), a fresh one nothing keeps."""
+    store = getattr(_scope, "partials", None)
+    return {} if store is None else store
 
 
 @contextmanager
@@ -191,7 +192,7 @@ def keep_partials() -> Iterator[None]:
     On exit every partial is dropped, so nothing outlives the sweep or scan
     that filled it.  Blocks nest; each thread has its own partials.
     """
-    if partials() is not None:
+    if getattr(_scope, "partials", None) is not None:
         yield
         return
     _scope.partials = {}

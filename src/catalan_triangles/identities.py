@@ -34,27 +34,26 @@ from typing import Callable
 
 from .errors import DomainError, EmptyDomainError, IntegrityError, UnknownIdentityError, UsageError
 # binomial, harmonic and the triangle functions are what compiled sides call
-# (statements.FUNCTIONS), next to the row-table builders below
-# (statements.TABLES); the sides look them up in this module at call time,
-# so rebinding one here reaches every side.
+# (statements.FUNCTIONS), and line functions call them and the row-table
+# builders below (statements.TABLES); both look them up in this module at
+# call time, so rebinding one here reaches every compiled statement.
 from .exact import _int, binomial, binomials, harmonic, keep_partials
 from .triangles import _KINDS, _a_ext, _b_ext, _c_ext, _row_slice, catalan, gen_catalan, seq_a, seq_b
 
 Assignment = Mapping[str, int]
 
 
-def _table(entry, kind, r, width) -> list[int]:
-    """[entry(r, j) for j in 0..the row's last column], or [] when that is more than width columns.
+def _table(kind, r, width) -> list[int]:
+    """Row r of kind (None: Pascal's triangle) over columns 0..its last, or [] when that is more than width columns.
 
     The columns inside the row come from triangles._row_slice for a
-    triangle kind, and for Pascal's triangle (kind None) from one checked
-    run of exact.binomials to the middle, mirrored past it; those before
-    the kind's first column are 0, as entry gives them.  A row entry
-    refuses raises entry's own DomainError.
+    triangle kind, and for Pascal's triangle from one checked run of
+    exact.binomials to the middle, mirrored past it; those before the
+    kind's first column are 0.  Only line functions read tables: a row the
+    kernels refuse raises their DomainError there, and _lines reruns the
+    line's cells, whose sides call the entry function and raise its own.
     """
     first, _, extra = (0, None, 0) if kind is None else _KINDS[kind]
-    if r < (0 if kind is None else 1):
-        entry(r, 0)  # raises
     end = r + extra + 1
     if end > width:
         return []
@@ -64,11 +63,11 @@ def _table(entry, kind, r, width) -> list[int]:
     return half + half[:(r + 1) // 2][::-1]
 
 
-# The row tables compiled statements read (statements.TABLES), looked up here at call time as the entries are.
-_c_table = partial(_table, _c_ext, "c_row")
-_b_table = partial(_table, _b_ext, "b_row")
-_a_table = partial(_table, _a_ext, "a_row")
-_binomial_table = partial(_table, binomial, None)
+# The row tables line functions read (statements.TABLES), looked up here at call time as the entries are.
+_c_table = partial(_table, "c_row")
+_b_table = partial(_table, "b_row")
+_a_table = partial(_table, "a_row")
+_binomial_table = partial(_table, None)
 
 
 def _range(name: str, span, minimum: int) -> tuple[int, int]:

@@ -19,8 +19,9 @@ denominator) for the values of its key, the names its term and lower
 bound read: it resumes the partial when the next k is at most the bound
 + 1, and otherwise restarts from the lower bound, so a sweep that raises
 the bound adds one term per cell.  The partial lives in exact.partials(),
-under an object() of the sum's own and the key's values.  H(x) is the
-pair of harmonic(x) everywhere, inside a sum or not.  An exponent that is
+under an object() of the sum's own and the key's values (outside
+exact.keep_partials(), a fresh store).  H(x) is the pair of harmonic(x)
+everywhere, inside a sum or not.  An exponent that is
 not an integer literal raises DomainError when it evaluates below 0,
 before the power is taken.  (-1)^e is then a select on e's parity, and a
 literal exponent 2 or 3 a product of the base, bound where ** would
@@ -29,15 +30,16 @@ other power is taken with **.  The generated code looks up _c_ext,
 binomial, harmonic and the other functions in the namespace it is given,
 at call time.
 
-A call c(r,e), b(r,e), a(r,e) or binomial(r,e) reads a table of the whole
-row r, not the entry function, where its row stays fixed: in a line
-function, when r reads only the parameters before the line variable, a
+In a line function, a call c(r,e), b(r,e), a(r,e) or binomial(r,e)
+reads a table of the whole row r, not the entry function, where its row
+stays fixed: when r reads only the parameters before the line variable, a
 table built once per line; else in the term of a plain sum whose variable
 r does not read, a table built for that evaluation of the sum.  Every read
 of one row of one function in that scope shares its table.  A row with
 more than twice the columns the line has cells, or the sum has terms left,
-gets an empty table: each read is then a call.  Every other call, a
-running-sum term in a side included, stays a call.  A table is
+gets an empty table: each read is then a call.  Every other call stays a
+call, and a side reads every entry by its call: the sides re-check the
+cells a line flags, so they share no code with the tables.  A table is
 built at its first read, where the call would have run first, by the
 builder TABLES names, from checked kernel runs to the row's middle
 (triangles._row_slice, or exact.binomials for Pascal's rows), with the
@@ -243,7 +245,7 @@ class _Compiler:
         return _Q(p, q)
 
     def entry(self, name: str, row: ast.AST, column: ast.AST, scope: _Scope) -> str:
-        """Code for name(row, column): an entry of a row table where the row stays fixed, else a call.
+        """Code for name(row, column): in a line function an entry of a row table where the row stays fixed, else a call.
 
         A line table lives on the line function's locals, a sum's table on
         that sum's (emptied before its loop); either is built at its first
@@ -253,7 +255,7 @@ class _Compiler:
         free = _free(row)
         if self.line_tables is not None and free <= set(self.parameters[:-1]):
             tables, width = self.line_tables, "2 * len(_xs)"
-        elif scope.var is not None and scope.var not in free:
+        elif self.line_tables is not None and scope.var is not None and scope.var not in free:
             tables, width = scope.tables, "2 * (%s - %s + 1)" % (scope.hi, scope.var)
         else:
             return "%s(%s, %s)" % (FUNCTIONS[name][0], self.integer(row, scope, what), self.integer(column, scope, what))
@@ -326,10 +328,9 @@ class _Compiler:
         key = "(%s)" % ", ".join((key,) + fixed) if fixed else key
         scope.lines += [
             "_store = _partials()",
-            "%s, %s, %s = (None, 0, 1) if _store is None else _store.get(%s, (None, 0, 1))" % (k, num, den, key),
+            "%s, %s, %s = _store.get(%s, (None, 0, 1))" % (k, num, den, key),
             *resume,
-            "if _store is not None:",
-            "    _store[%s] = %s, %s, %s" % (key, k, num, den),
+            "_store[%s] = %s, %s, %s" % (key, k, num, den),
         ]
         return total
 

@@ -49,16 +49,12 @@ def catalan(n: int) -> int:
 
 
 def c_number(m: int, k: int) -> int:
-    """Entry (m, k) of the signed unified triangle, rows m >= 1, 0 <= k <= m."""
+    """Entry (m, k) of the signed unified triangle, rows m >= 1, 0 <= k <= m: the checked one-column row slice at k."""
     if m < 1:
         raise DomainError("c_number: m must be >= 1, got %d" % m)
     if k < 0 or k > m:
         raise DomainError("c_number: k must satisfy 0 <= k <= m, got k=%d, m=%d" % (k, m))
-    value = _c_ext(m, k)
-    # double-entry bookkeeping: closed form vs Pascal-difference form
-    if value != binomial(m, k) - 2 * binomial(m - 1, k - 1):
-        raise IntegrityError("c_number(%d, %d): closed form and Pascal-difference form disagree" % (m, k))
-    return value
+    return _row_slice("c_row", m, k, k + 1)[0]
 
 
 def b_number(n: int, k: int) -> int:

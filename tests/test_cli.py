@@ -1097,6 +1097,33 @@ def test_unexpected_exception_exits_3(monkeypatch, capsys):
     assert "internal error: RuntimeError: injected fault" in captured.err
 
 
+def test_an_interrupted_scan_exits_130_with_one_line_and_keeps_its_checkpoint(tmp_path, monkeypatch, capsys):
+    checkpoint = tmp_path / "c.json"
+    argv = ["scan", "c-powers", "--p", "7", "--m", "2..40", "--checkpoint", str(checkpoint), "--limit", "100"]
+    assert cli.main(argv) == cli.EXIT_OK
+    saved = checkpoint.read_bytes()
+    capsys.readouterr()
+
+    def interrupted(*args, **kwargs):
+        raise KeyboardInterrupt  # as a SIGINT raises it mid-scan
+
+    monkeypatch.setattr(conjectures, "_run_scan", interrupted)
+    assert cli.main(argv) == cli.EXIT_INTERRUPTED == 130
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1 and "Traceback" not in captured.err
+    assert checkpoint.read_bytes() == saved
+
+
+def test_an_interrupted_process_ends_by_sigint_so_that_a_shell_loop_around_it_stops():
+    # a shell runs on after a child that exits 130, but stops its loop after one that SIGINT ended
+    interrupted = ("from catalan_triangles import cli, conjectures\n"
+                   "def interrupted(*args, **kwargs):\n    raise KeyboardInterrupt\n"
+                   "conjectures._run_scan = interrupted\ncli.entrypoint()")
+    run = subprocess.run([sys.executable, "-c", interrupted, "scan", "b-cubes", "--p", "3", "--n", "1..9"],
+                         capture_output=True, text=True, timeout=60)
+    assert (run.returncode, run.stdout, run.stderr) == (-2, "", "interrupted\n")
+
+
 def test_a_reader_that_closes_the_pipe_early_gets_exit_141_and_no_traceback():
     # 2.7 MB of output, far more than a pipe buffers, so the writer is still printing when the reader goes
     argv = [sys.executable, "-m", "catalan_triangles", "seq", "c-row:3000", "0", "3001", "--format", "plain-table"]

@@ -166,12 +166,15 @@ def test_generate_computes_only_the_requested_entries(monkeypatch):
 
 
 def test_c_number_forms_that_disagree_raise_integrity_error(monkeypatch):
-    # the check compares c(6, 2) with binomial(6,2) - 2*binomial(5,1)
-    def wrong_binomial(u, v):
-        return math.comb(u, v) + ((u, v) == (5, 1))
+    # the check compares c(6, 2) with binomial(5,2) - binomial(5,1), from a run along row 5 whose second entry is off
+    def one_wrong(u, v, du, dv, count, number=int):
+        values = exact.binomials(u, v, du, dv, count, number)
+        if (u, v) == (5, 1):
+            values[1] += 1
+        return values
 
-    monkeypatch.setattr(triangles, "binomial", wrong_binomial)
-    with pytest.raises(IntegrityError):
+    monkeypatch.setattr(triangles, "binomials", one_wrong)
+    with pytest.raises(IntegrityError, match=r"c_row\(6\) at k=2: closed form and Pascal-difference form disagree"):
         c_number(6, 2)
 
 
