@@ -4,10 +4,11 @@ Arbitrary precision comes from Python's native int and fractions.Fraction
 (always in lowest terms, positive denominator), so every operation here is
 exact by construction; there is deliberately no floating-point fast path.
 Two checked run kernels walk a line of values one exact ratio at a time:
-binomials along any line of Pascal's triangle, and c_run along a row of the
-signed triangle c(m, k) = (m - 2k) * binomial(m, k) / m.  Their runs can
-also be taken in decimal.Decimal under EXACT_DECIMAL, whose str() is linear
-where CPython's int to str is quadratic.
+binomials along any line of Pascal's triangle, and c_run up the lower half
+0 <= k < m/2 of a row of the signed triangle c(m, k) = (m - 2k) *
+binomial(m, k) / m.  Their runs can also be taken in decimal.Decimal under
+EXACT_DECIMAL, whose str() is linear where CPython's int to str is
+quadratic.
 """
 
 from __future__ import annotations
@@ -97,44 +98,36 @@ def binomials(u: int, v: int, du: int, dv: int, count: int, number=int) -> list:
     return values
 
 
-def c_run(m: int, j: int, dj: int, count: int, number=int) -> list:
-    """[c(m, j + i*dj) for i = 0..count-1], c(m, k) = (m - 2k) * binomial(m, k) / m, one exact step per entry.
+def c_run(m: int, j: int, count: int, number=int) -> list:
+    """[c(m, j + i) for i = 0..count-1], c(m, k) = (m - 2k) * binomial(m, k) / m, one exact step per entry.
 
     c is hypergeometric in k: c(m, k+1) / c(m, k) = (m-k)(m-2k-2) / ((k+1)(m-2k)).  The closed form,
     from comb() and one divmod whose remainder must be zero, anchors the run; each next value is the
-    last one times the ratio (or its reciprocal, down the row, dj = -1), taken with one divmod whose
-    remainder must be zero; and the last column whose closed form is nonzero is checked against it,
-    so a wrong step raises IntegrityError.  The run stays on row m >= 1, inside 0 <= k <= m, and on
-    an even row it may reach c(m, m/2) = 0 only at its last point, since no ratio leads on from a
-    zero.  The values are of type number, as in binomials.
+    last one times the ratio, taken with one divmod whose remainder must be zero; and the last value is
+    checked against the closed form, so a wrong step raises IntegrityError.  The run stays in the
+    lower half 0 <= k < m/2 of row m, where no factor of the ratio is zero.  The values are of type
+    number, as in binomials.
     """
     if count < 0:
         raise DomainError("c_run: count must be >= 0, got %d" % count)
     if count == 0:
         return []
-    if dj not in (1, -1):
-        raise DomainError("c_run: dj must be 1 or -1, got %r" % (dj,))
-    end = j + (count - 1) * dj
-    if not (m >= 1 and 0 <= j <= m and 0 <= end <= m):
-        raise DomainError("c_run: run from c(%d, %d) to c(%d, %d) leaves 0 <= k <= m, m >= 1" % (m, j, m, end))
-    if not m % 2 and m // 2 in range(j, end, dj):
-        raise DomainError("c_run: run from c(%d, %d) steps on from c(%d, %d) = 0" % (m, j, m, m // 2))
+    end = j + count - 1
+    if not (0 <= j and 2 * end < m):
+        raise DomainError("c_run: run from c(%d, %d) to c(%d, %d) leaves 0 <= k < m/2" % (m, j, m, end))
     value, remainder = divmod((m - 2 * j) * comb(m, j), m)
     if remainder:
         raise IntegrityError("c_run: anchor c(%d, %d) is not an integer" % (m, j))
-    # binomial(m, k) steps by (m-k)/(k+1) up the row and by k/(m-k+1) down it; m - 2k by its new over its old value
-    a, b = (m - j, m - end) if dj > 0 else (j, end)
+    # binomial(m, k) steps by (m-k)/(k+1); m - 2k by (m-2k-2)/(m-2k)
     values = _walk(
         number(value),
-        map(mul, range(a, b, -1), range(m - 2 * (j + dj), m - 2 * (end + dj), -2 * dj)),
-        map(mul, range(m + 1 - a, m + 1 - b), range(m - 2 * j, m - 2 * end, -2 * dj)),
+        map(mul, range(m - j, m - end, -1), range(m - 2 * j - 2, m - 2 * end - 2, -2)),
+        map(mul, range(j + 1, end + 1), range(m - 2 * j, m - 2 * end, -2)),
     )
     if len(values) < count:
         raise IntegrityError("c_run: step %d of the run from c(%d, %d) is not exact" % (len(values), m, j))
-    last = count - 1 - (2 * end == m)  # a run onto c(m, m/2) = 0 is checked one column before it
-    k = j + last * dj
-    if last > 0 and values[last] * m != (m - 2 * k) * comb(m, k):
-        raise IntegrityError("c_run: run from c(%d, %d) disagrees with the closed form at c(%d, %d)" % (m, j, m, k))
+    if count > 1 and values[-1] * m != (m - 2 * end) * comb(m, end):
+        raise IntegrityError("c_run: run from c(%d, %d) disagrees with the closed form at c(%d, %d)" % (m, j, m, end))
     return values
 
 

@@ -148,14 +148,14 @@ _KINDS = {
 
 
 def _row_slice(kind: str, index: int, start: int, stop: int, number=int) -> list:
-    """Columns start..stop-1 of one triangle row, as one checked run of exact.c_run.
+    """Columns start..stop-1 of one triangle row, from one checked run of exact.c_run up a row's lower half.
 
-    A b or a slice is the run down row 2n or 2n+1 from j = n - start or n+1 - start, all below the
-    row's middle.  A c row computes only the columns j <= m/2 that the slice reads, directly or
-    through c(m, k) = -c(m, m - k): one run up row m over them, each compared with the Pascal
-    difference binomial(m-1, j) - binomial(m-1, j-1) from a separately anchored run of
-    exact.binomials along row m - 1.  The columns past the middle are the negated mirrors of those.
-    The entries are of type number, as the runs give them.
+    b(n, k) = c(2n, n-k) and a(n, k) = c(2n+1, n+1-k) lie in the lower half of their c row, so a b or a
+    slice is the run up row 2n or 2n+1 over its columns, reversed.  A c row computes only the columns
+    j <= m/2 the slice reads, directly or through c(m, k) = -c(m, m - k): one run up row m below the
+    middle, and an even row's middle c(m, m/2) = 0, each compared with the Pascal difference
+    binomial(m-1, j) - binomial(m-1, j-1) from a separately anchored run of exact.binomials along row
+    m - 1.  The columns past the middle are their negated mirrors.  The entries are of type number.
     """
     _, name, extra = _KINDS[kind]
     if index < 1:
@@ -163,21 +163,23 @@ def _row_slice(kind: str, index: int, start: int, stop: int, number=int) -> list
     if stop - 1 > index + extra:
         raise DomainError("generate: slice %d..%d leaves row %d of %s" % (start, stop - 1, index, kind))
     if kind != "c_row":
-        return c_run(2 * index + extra, index + extra - start, -1, stop - start, number)
+        return c_run(2 * index + extra, index + extra + 1 - stop, stop - start, number)[::-1]
     m = index
     # min(k, m - k) rises to the middle and falls past it: over the slice it is least at an end, and
     # greatest at the column nearest the middle
     near = min(max(start, m // 2), stop - 1)
     lo, hi = min(start, m + 1 - stop), min(near, m - near)
-    values = c_run(m, lo, 1, hi + 1 - lo, number)
+    zero = 2 * hi == m  # the slice reads an even row's middle, c(m, m/2) = 0, where a run cannot go
+    values = c_run(m, lo, hi + 1 - lo - zero, number) + [number(0)] * zero
     lead = max(lo - 1, 0)  # pascal holds columns lo-1..hi of row m - 1, with binomial(m-1, -1) = 0
     pascal = [0] * (lead + 1 - lo) + binomials(m - 1, lead, 0, 1, hi + 1 - lead, number)
     differences = list(map(sub, pascal[1:], pascal))
     if values != differences:
         j = lo + next(i for i, (x, y) in enumerate(zip(values, differences)) if x != y)
         raise IntegrityError("c_row(%d) at k=%d: closed form and Pascal-difference form disagree" % (m, j))
-    middle = min(max(start, m // 2 + 1), stop)  # the slice's first column past the middle, or stop
-    return values[start - lo:middle - lo] + [-values[m - k - lo] for k in range(middle, stop)]
+    # the slice's first column past the middle, or stop; values stops before it
+    middle = min(max(start, m // 2 + 1), stop)
+    return values[start - lo:] + [-values[m - k - lo] for k in range(middle, stop)]
 
 
 def c_row(m: int) -> tuple[int, ...]:
@@ -213,12 +215,12 @@ def generate(spec: SequenceSpec, number=int) -> list:
     """Evaluate the slice described by spec; invalid specs raise DomainError.
 
     Catalan and generalized Catalan slices are one run of exact.binomials
-    each, and a row slice is one run of exact.c_run, which a c row checks
-    against one run of exact.binomials (see _row_slice).  A seq_a or seq_b
-    slice takes its first two terms from the direct sums and every later term
-    from the sequence's order-2 P-recurrence, one exact division per term,
-    and checks its last term against a fresh direct sum; a remainder or a
-    disagreement raises IntegrityError.
+    each, and a row slice is one run of exact.c_run up a c row's lower half,
+    which a c row checks against one run of exact.binomials (_row_slice).
+    A seq_a or seq_b slice takes its first two terms from the direct sums
+    and every later term from the sequence's order-2 P-recurrence, one exact
+    division per term, and checks its last term against a fresh direct sum;
+    a remainder or a disagreement raises IntegrityError.
 
     The terms are ints.  With number=decimal.Decimal, the runs and every
     step on them are taken in Decimal under exact.EXACT_DECIMAL, with

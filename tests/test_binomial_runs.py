@@ -94,29 +94,25 @@ def closed_c(m, k):
 
 @st.composite
 def c_runs(draw):
-    """(m, j, dj, count) on row m inside 0 <= k <= m; a run that would step on from an even row's middle ends there."""
+    """(m, j, count) on the lower half 0 <= k < m/2 of row m."""
     m = draw(st.integers(1, 160))
-    j = draw(st.integers(0, m))
-    dj = draw(st.sampled_from([1, -1]))
-    count = draw(st.integers(1, m - j + 1 if dj > 0 else j + 1))
-    if not m % 2 and m // 2 in range(j, j + (count - 1) * dj, dj):
-        count = abs(m // 2 - j) + 1
-    return m, j, dj, count
+    j = draw(st.integers(0, (m - 1) // 2))
+    count = draw(st.integers(1, (m - 1) // 2 - j + 1))
+    return m, j, count
 
 
 @given(c_runs())
-@example((7, 3, 1, 1)).via("a single entry")
-@example((10, 5, -1, 1)).via("an even row's middle alone")
-@example((10, 0, 1, 6)).via("up onto an even row's middle")
-@example((10, 10, -1, 6)).via("down onto an even row's middle")
-@example((11, 0, 1, 12)).via("across an odd row's middle, the whole row")
-@example((11, 11, -1, 12)).via("down the whole odd row")
+@example((7, 3, 1)).via("a single entry")
+@example((1, 0, 1)).via("row 1, whose lower half is c(1, 0)")
+@example((10, 4, 1)).via("the last column below an even row's middle alone")
+@example((10, 0, 5)).via("up to the last column below an even row's middle")
+@example((11, 0, 6)).via("an odd row's whole lower half")
 def test_c_run_matches_the_closed_form_from_math_comb(run):
-    m, j, dj, count = run
-    expected = [closed_c(m, j + i * dj) for i in range(count)]
-    assert c_run(m, j, dj, count) == expected
+    m, j, count = run
+    expected = [closed_c(m, j + i) for i in range(count)]
+    assert c_run(m, j, count) == expected
     with localcontext(exact.EXACT_DECIMAL):
-        printed = c_run(m, j, dj, count, Decimal)
+        printed = c_run(m, j, count, Decimal)
     assert all(type(x) is Decimal for x in printed)
     assert [str(x) for x in printed] == [str(x) for x in expected]
 
@@ -124,20 +120,21 @@ def test_c_run_matches_the_closed_form_from_math_comb(run):
 @pytest.mark.parametrize(
     "run",
     [
-        (10, 5, 1, 2), (10, 5, -1, 2), (10, 3, 1, 4),  # a step on from c(10, 5) = 0
-        (12, 0, 2, 3), (12, 3, 0, 2),  # a step other than 1 and -1
-        (0, 0, 1, 1), (5, 6, -1, 1), (5, 4, 1, 3), (5, 1, -1, 3),  # row 0, or off the row
+        (10, 5, 1), (10, 3, 3), (10, 0, 6),  # onto an even row's middle c(10, 5) = 0
+        (11, 4, 3), (11, 0, 7), (11, 6, 1), (1, 1, 1),  # across or above an odd row's middle
+        (10, -1, 2), (0, 0, 1),  # a negative start, or row 0
+        (4, 2, -1),  # count < 0
     ],
 )
-def test_c_run_rejects_a_step_on_from_a_zero_a_step_of_other_than_one_or_leaving_the_row(run):
+def test_c_run_rejects_a_run_that_leaves_the_lower_half(run):
     with pytest.raises(DomainError):
         c_run(*run)
 
 
 def test_c_run_empty_run():
-    assert c_run(4, 9, 1, 0) == []
+    assert c_run(4, 9, 0) == []
     with pytest.raises(DomainError):
-        c_run(4, 2, 1, -1)
+        c_run(4, 2, -1)
 
 
 def comb_at(cell, wrong):
@@ -150,17 +147,17 @@ def comb_at(cell, wrong):
     "cell, wrong, run, message",
     [
         # (10 - 2*3) * (120 + 1) is not a multiple of 10
-        ((10, 3), lambda x: x + 1, lambda: c_run(10, 3, 1, 3), r"c_run: anchor c\(10, 3\) is not an integer"),
+        ((10, 3), lambda x: x + 1, lambda: c_run(10, 3, 2), r"c_run: anchor c\(10, 3\) is not an integer"),
         # an anchor off by (10 - 2*2) * 10 / 10 = 6 is an integer, 33 for 27, but 33 * 8 * 4 / (3 * 6) is not
-        ((10, 2), lambda x: x + 10, lambda: c_run(10, 2, 1, 3), r"c_run: step 1 of the run from c\(10, 2\) is not exact"),
+        ((10, 2), lambda x: x + 10, lambda: c_run(10, 2, 3), r"c_run: step 1 of the run from c\(10, 2\) is not exact"),
         # a doubled anchor keeps every step exact; only the end check sees it
         (
-            (10, 1), lambda x: 2 * x, lambda: c_run(10, 1, 1, 3),
+            (10, 1), lambda x: 2 * x, lambda: c_run(10, 1, 3),
             r"c_run: run from c\(10, 1\) disagrees with the closed form at c\(10, 3\)",
         ),
-        # a run onto c(10, 5) = 0 is checked at c(10, 4)
+        # a run up to the last column below c(10, 5) = 0 is checked there, at its own last column
         (
-            (10, 0), lambda x: 2 * x, lambda: c_run(10, 0, 1, 6),
+            (10, 0), lambda x: 2 * x, lambda: c_run(10, 0, 5),
             r"c_run: run from c\(10, 0\) disagrees with the closed form at c\(10, 4\)",
         ),
         (
@@ -168,7 +165,7 @@ def comb_at(cell, wrong):
             r"binomials: step 1 of the run from binomial\(10, 2\) is not exact",
         ),
     ],
-    ids=["c_run anchor", "c_run step", "c_run end", "c_run end before an even middle", "binomials step"],
+    ids=["c_run anchor", "c_run step", "c_run end", "c_run end below an even middle", "binomials step"],
 )
 def test_each_kernel_check_fires_under_one_wrong_comb(cell, wrong, run, message, monkeypatch):
     monkeypatch.setattr(exact, "comb", comb_at(cell, wrong))
@@ -176,7 +173,7 @@ def test_each_kernel_check_fires_under_one_wrong_comb(cell, wrong, run, message,
         run()
 
 
-@pytest.mark.parametrize("run, call, column", [((10, 0, 1, 5), 5, 4), ((21, 20, -1, 8), 8, 13)])
+@pytest.mark.parametrize("run, call, column", [((10, 0, 5), 5, 4), ((21, 3, 8), 8, 10)])
 def test_c_run_end_check_fires_on_a_wrong_last_step(run, call, column, monkeypatch):
     # divmod call `call` is the run's last step (the first is its anchor): one too large, with no remainder
     wrong_divmod, _ = wrong_divmod_at(call)
@@ -186,16 +183,19 @@ def test_c_run_end_check_fires_on_a_wrong_last_step(run, call, column, monkeypat
 
 
 def test_c_row_pascal_check_fires_on_one_wrong_entry_of_its_run(monkeypatch):
-    # the run of row 9 gives binomial(9, 2) + 1, so the Pascal differences at k = 2 and 3 are off
-    def one_wrong(u, v, du, dv, count, number=int):
-        values = binomials(u, v, du, dv, count, number)
-        if u == 9:
-            values[2] += 1
-        return values
+    # the run of row 9 gives binomial(9, j) + 1, so the Pascal difference at k = j is off; at j = 5 that is the
+    # even row's middle, c(10, 5) = 0, which no c run computes
+    for j in (2, 5):
+        def one_wrong(u, v, du, dv, count, number=int):
+            values = binomials(u, v, du, dv, count, number)
+            if u == 9:
+                values[j] += 1
+            return values
 
-    monkeypatch.setattr(triangles, "binomials", one_wrong)
-    with pytest.raises(IntegrityError, match=r"c_row\(10\) at k=2: closed form and Pascal-difference form disagree"):
-        c_row(10)
+        monkeypatch.setattr(triangles, "binomials", one_wrong)
+        message = r"c_row\(10\) at k=%d: closed form and Pascal-difference form disagree" % j
+        with pytest.raises(IntegrityError, match=message):
+            c_row(10)
 
 
 def test_c_ext_closed_form_remainder_fires(monkeypatch):

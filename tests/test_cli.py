@@ -226,6 +226,33 @@ def test_verify_all_applies_each_range_flag_only_where_it_fits():
     assert by_id["cor-alt-B"]["domain"] == {"n": [1, 4]}
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "thm-linear-sum", "--m", "5", "--max", "8"],
+        ["verify", "all", "--n", "3", "--max", "5"],
+        ["scan", "b-cubes", "--p", "3", "--n", "5"],
+        ["scan", "c-powers", "--p", "3", "--m", "5", "--n", "2"],
+        ["scan", "mixed", "--n", "4", "--m", "6"],
+    ],
+    ids=" ".join,
+)
+def test_a_bare_integer_range_is_that_integer_to_itself(argv, capsys):
+    # README: --n 5 means 5..5
+    spans = [a + ".." + a if flag in ("--m", "--n") else a for flag, a in zip([None] + argv, argv)]
+    outcomes = []
+    for request in (argv, spans):
+        code = cli.main(request + ["--format", "json", "--no-timing"])
+        outcomes.append((code, *capsys.readouterr()))
+    assert outcomes[0] == outcomes[1]
+    assert outcomes[0][0] == 0
+    bare = {flag[2:]: int(a) for flag, a in zip(argv, argv[1:]) if flag in ("--m", "--n")}
+    document = json.loads(outcomes[0][1])
+    domains = [report["domain"] for report in (document if isinstance(document, list) else [document])]
+    assert all(domain[name] == [v, v] for domain in domains for name, v in bare.items() if name in domain)
+    assert all(any(name in domain for domain in domains) for name in bare)
+
+
 def test_scan_missing_range_exits_2():
     assert run_cli("scan", "b-cubes", "--p", "3").returncode == 2
 

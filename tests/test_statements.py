@@ -161,6 +161,9 @@ PATHS = [
         "sum(c(m,k)*c(m,k+n) + b(n,k)*b(n,n+k-1), k=0..n) == sum(binomial(2m,k) * binomial(2m,k+m), k=0..m)",
         [("m", 1), ("n", 1)],
     ),
+    # true; rows catalan(m) and catalan(m)-1 hold a call, so each is bound to a local at each read, as the
+    # call's argument is, and is one line table: built for m <= 4, and read a call per term past that
+    ("path-table-call", "sum(c(catalan(m),k), k=0..n) == binomial(catalan(m)-1,n)", [("m", 1), ("n", 1)]),
     # at n = 1 or m = 1 each sum is empty over row 0, which no table may build
     ("path-table-empty", "sum(c(n-1,k), k=1..n-1) + sum(a(m-1,k), k=1..(m-1)*n) == sum(b(m-1,k), k=m..m-1)", [("m", 1), ("n", 1)]),
     # rows n-2, m-2 and m-1 fall below the first at n <= 2 or m <= 2: DomainError on every path there
@@ -504,6 +507,22 @@ def test_a_row_wider_than_twice_its_line_is_read_a_call_per_term(monkeypatch):
         assert runs == []
         assert len(ident.line(300, list(range(1, 300)))) == 299
         assert [args[0] for args in runs] == ["c_row", 299]  # _row_slice("c_row", 300, ...), binomials(299, ...)
+
+
+def test_a_fixed_row_that_holds_a_call_is_a_line_table_read_as_the_naive_reading_reads_it(monkeypatch):
+    ident = ORACLE["path-table-call"]
+    lhs_text, rhs_text = ident.statement.split(" == ")
+    built = []
+    for name in ("_c_table", "_binomial_table"):
+        real = getattr(identities, name)
+        monkeypatch.setattr(identities, name, lambda r, width, real=real: built.append(r) or real(r, width))
+    with keep_partials():
+        for (m,), xs in identities._domain_lines(ident, identities.effective_domain(ident), False):
+            expected = [(naive(lhs_text, {"m": m, "n": n}), naive(rhs_text, {"m": m, "n": n})) for n in xs]
+            assert [(ident.lhs(m=m, n=n), ident.rhs(m=m, n=n)) for n in xs] == expected, m
+            assert ident.line(m, xs) == expected, m
+    rows = [comb(2 * m, m) // (m + 1) for m in range(1, 13)]  # catalan(m)
+    assert built == [r for row in rows for r in (row, row - 1)]
 
 
 def test_an_integrity_error_in_a_line_function_is_raised_not_retried_cell_by_cell(monkeypatch, capsys):

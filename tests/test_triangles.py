@@ -179,6 +179,25 @@ def test_c_number_forms_that_disagree_raise_integrity_error(monkeypatch):
 
 
 @pytest.mark.parametrize(
+    "refused, message",
+    [
+        (lambda: c_row(0), r"^c_row: m must be >= 1, got 0$"),
+        (lambda: b_row(0), r"^b_row: n must be >= 1, got 0$"),
+        (lambda: a_row(0), r"^a_row: n must be >= 1, got 0$"),
+        (lambda: generate(SequenceSpec("a_row", 1, 1, param=-1)), r"^a_row: n must be >= 1, got -1$"),
+        (lambda: generate(SequenceSpec("c_row", 5, 3, param=6)), r"^generate: slice 5\.\.7 leaves row 6 of c_row$"),
+        (lambda: generate(SequenceSpec("b_row", 2, 4, param=4)), r"^generate: slice 2\.\.5 leaves row 4 of b_row$"),
+        (lambda: generate(SequenceSpec("a_row", 4, 4, param=5)), r"^generate: slice 4\.\.7 leaves row 5 of a_row$"),
+    ],
+    ids=["c row 0", "b row 0", "a row 0", "a row -1", "c row 6 to column 7", "b row 4 to column 5", "a row 5 to column 7"],
+)
+def test_a_row_below_the_first_or_a_slice_past_its_last_column_is_refused_by_name(refused, message):
+    # the CLI prints these messages; the runs would refuse most of these requests too, with their own
+    with pytest.raises(DomainError, match=message):
+        refused()
+
+
+@pytest.mark.parametrize(
     "spec",
     [
         SequenceSpec("c_row", 0, 8, param=6),  # slice leaves the row
