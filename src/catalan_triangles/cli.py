@@ -7,6 +7,12 @@ such as a failed exactness check, 130 (128 + SIGINT) means the run was
 interrupted, and 141 (128 + SIGPIPE) means the reader closed stdout before
 the output ended.  All output is deterministic; timing fields can be
 dropped with --no-timing so that runs diff cleanly.
+
+Each command's arguments are described once, in its argument table.  A
+plain argv (a command, its one-token positionals, then exact option
+strings with their values) is read from the table by _fast_args, without
+building a parser.  argparse parses every other argv, so every help text,
+usage line and error message, and their exit code, are argparse's.
 """
 
 from __future__ import annotations
@@ -138,7 +144,9 @@ def _print_plain_state(state, show_timing: bool) -> None:
 
 def _cmd_scan(args) -> int:
     checkpoint = None
-    if args.checkpoint:
+    if args.checkpoint == "":  # an unset shell variable, say: scanning without a checkpoint would never advance a run
+        raise UsageError("--checkpoint needs a path, got an empty one")
+    if args.checkpoint is not None:
         directory = os.path.dirname(os.path.abspath(args.checkpoint))
         if not os.path.isdir(directory):
             raise UsageError("checkpoint directory %s does not exist" % directory)
@@ -162,7 +170,7 @@ def _cmd_scan(args) -> int:
             raise CheckpointError("checkpoint %s holds counterexamples that do not re-check" % args.checkpoint)
     state = scan(checkpoint=checkpoint, jobs=args.jobs, max_cells=args.limit)
 
-    if args.checkpoint:
+    if args.checkpoint is not None:
         conjectures.save_checkpoint(state, args.checkpoint)
     if args.format == "json":
         print(json.dumps(state.to_dict(include_timing=not args.no_timing), indent=2))
@@ -219,59 +227,47 @@ def _cmd_seq(args) -> int:
 
 # --- parser -----------------------------------------------------------------
 
+# Each command's arguments, once: (name or option string, add_argument's keywords), positionals first.
+# _build_parser hands them to argparse, and _fast_args reads the same table.
+_VALUE_ARGUMENTS = (
+    ("name", dict(choices=sorted(_VALUE_FUNCTIONS))),
+    ("indices", dict(nargs="+", type=int)),
+)
+_VERIFY_ARGUMENTS = (
+    ("identity", dict(help="registered identity id, or 'all'")),
+    *(("--%s" % flag, dict(type=_span, default=None, metavar="A..B", help="range for parameter %s" % flag))
+      for flag in ("m", "n", "k", "i")),
+    ("--max", dict(type=int, default=None, help="upper bound for parameters without an explicit range")),
+    ("--jobs", dict(type=int, default=1, help="accepted for compatibility; has no effect")),
+    ("--format", dict(choices=("plain", "json"), default="plain")),
+    ("--fail-fast", dict(action="store_true", help="stop a sweep at its first mismatch")),
+    ("--allow-outside-domain", dict(action="store_true", help="explore cells outside the identity's stated domain")),
+    ("--no-timing", dict(action="store_true", help="omit elapsed-time fields for diffable output")),
+)
+_SCAN_ARGUMENTS = (
+    ("variant", dict(choices=sorted({*_SCAN_ALIASES, *_SCAN_ALIASES.values(), "mixed"}))),
+    ("--p", dict(type=int, default=None, help="odd exponent for divisibility scans")),
+    ("--n", dict(type=_span, default=None, metavar="A..B")),
+    ("--m", dict(type=_span, default=None, metavar="A..B")),
+    ("--checkpoint", dict(default=None, metavar="PATH", help="resume from PATH if present; save final state there")),
+    ("--limit", dict(type=int, default=None, metavar="CELLS", help="process at most CELLS cells this run")),
+    ("--jobs", dict(type=int, default=1, help="accepted for compatibility; has no effect")),
+    ("--format", dict(choices=("plain", "json"), default="plain")),
+    ("--no-timing", dict(action="store_true")),
+)
+_SEQ_ARGUMENTS = (
+    ("name", dict(help=_SEQ_USAGE)),
+    ("start", dict(type=int)),
+    ("count", dict(type=int)),
+    ("--format", dict(choices=("plain", "csv", "json", "oeis-bfile", "plain-table"), default="plain")),
+)
 
-def _value_arguments(value: argparse.ArgumentParser) -> None:
-    value.add_argument("name", choices=sorted(_VALUE_FUNCTIONS))
-    value.add_argument("indices", nargs="+", type=int)
-
-
-def _verify_arguments(verify: argparse.ArgumentParser) -> None:
-    verify.add_argument("identity", help="registered identity id, or 'all'")
-    for flag in ("m", "n", "k", "i"):
-        verify.add_argument("--%s" % flag, type=_span, default=None, metavar="A..B",
-                            help="range for parameter %s" % flag)
-    verify.add_argument("--max", type=int, default=None,
-                        help="upper bound for parameters without an explicit range")
-    verify.add_argument("--jobs", type=int, default=1,
-                        help="accepted for compatibility; has no effect")
-    verify.add_argument("--format", choices=("plain", "json"), default="plain")
-    verify.add_argument("--fail-fast", action="store_true",
-                        help="stop a sweep at its first mismatch")
-    verify.add_argument("--allow-outside-domain", action="store_true",
-                        help="explore cells outside the identity's stated domain")
-    verify.add_argument("--no-timing", action="store_true",
-                        help="omit elapsed-time fields for diffable output")
-
-
-def _scan_arguments(scan: argparse.ArgumentParser) -> None:
-    scan.add_argument("variant", choices=sorted({*_SCAN_ALIASES, *_SCAN_ALIASES.values(), "mixed"}))
-    scan.add_argument("--p", type=int, default=None, help="odd exponent for divisibility scans")
-    scan.add_argument("--n", type=_span, default=None, metavar="A..B")
-    scan.add_argument("--m", type=_span, default=None, metavar="A..B")
-    scan.add_argument("--checkpoint", default=None, metavar="PATH",
-                      help="resume from PATH if present; save final state there")
-    scan.add_argument("--limit", type=int, default=None, metavar="CELLS",
-                      help="process at most CELLS cells this run")
-    scan.add_argument("--jobs", type=int, default=1,
-                      help="accepted for compatibility; has no effect")
-    scan.add_argument("--format", choices=("plain", "json"), default="plain")
-    scan.add_argument("--no-timing", action="store_true")
-
-
-def _seq_arguments(seq: argparse.ArgumentParser) -> None:
-    seq.add_argument("name", help=_SEQ_USAGE)
-    seq.add_argument("start", type=int)
-    seq.add_argument("count", type=int)
-    seq.add_argument("--format", choices=("plain", "csv", "json", "oeis-bfile", "plain-table"),
-                     default="plain")
-
-
-# Each command: its name, its help line, what adds its arguments, and its handler, in the order --help lists them.
+# Each command: its name, its help line, its arguments, and its handler, in the order --help lists them.
 _COMMANDS = (
-    ("value", "print one exact value", _value_arguments, _cmd_value),
-    ("verify", "sweep an identity (or all) over parameter ranges", _verify_arguments, _cmd_verify),
-    ("scan", "search a conjecture domain for counterexamples", _scan_arguments, _cmd_scan),
-    ("seq", "print a slice of a sequence or triangle row", _seq_arguments, _cmd_seq),
+    ("value", "print one exact value", _VALUE_ARGUMENTS, _cmd_value),
+    ("verify", "sweep an identity (or all) over parameter ranges", _VERIFY_ARGUMENTS, _cmd_verify),
+    ("scan", "search a conjecture domain for counterexamples", _SCAN_ARGUMENTS, _cmd_scan),
+    ("seq", "print a slice of a sequence or triangle row", _SEQ_ARGUMENTS, _cmd_seq),
 )
 # the command choices as the whole parser's usage line prints them
 _COMMAND_METAVAR = "{%s}" % ",".join(name for name, *_ in _COMMANDS)
@@ -290,11 +286,59 @@ def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
     )
     commands = [entry for entry in _COMMANDS if entry[0] == command]
     sub = parser.add_subparsers(dest="command", required=True, metavar=_COMMAND_METAVAR if commands else None)
-    for name, summary, add_arguments, handler in commands or _COMMANDS:
+    for name, summary, arguments, handler in commands or _COMMANDS:
         subparser = sub.add_parser(name, help=summary)
-        add_arguments(subparser)
+        for argument, keywords in arguments:
+            subparser.add_argument(argument, **keywords)
         subparser.set_defaults(handler=handler)
     return parser
+
+
+def _fast_value(keywords: dict, token: str):
+    """token through its argument's type and choices, as argparse reads it; raises where argparse would exit."""
+    if token.startswith("-"):  # an option string, a negative number or '--' to argparse: its own reading decides
+        raise ValueError(token)
+    value = keywords.get("type", str)(token)
+    if "choices" in keywords and value not in keywords["choices"]:
+        raise ValueError(token)
+    return value
+
+
+def _fast_args(argv) -> argparse.Namespace | None:
+    """The namespace _build_parser().parse_args(argv) returns, read from the argument table; None if argv is not plain.
+
+    A plain argv is a command, then that command's one-token positionals,
+    then only exact option strings of that command, each with its value; no
+    value starts with '-', every type call succeeds and every value is in
+    its choices.  Any other argv (help, --opt=value, an abbreviation, '--',
+    a negative number, value's indices, a bad value) gets None, so argparse
+    parses it and writes every help text, usage line and error.
+    """
+    entry = next((entry for entry in _COMMANDS if argv and entry[0] == argv[0]), None)
+    if entry is None or any("nargs" in keywords for _, keywords in entry[2]):
+        return None
+    command, _, arguments, handler = entry
+    positionals = [(name, keywords) for name, keywords in arguments if not name.startswith("-")]
+    if len(argv) <= len(positionals):
+        return None
+    values = {"command": command, "handler": handler}
+    options = {}  # option string: (dest, keywords)
+    for name, keywords in arguments:
+        if name.startswith("-"):
+            dest = name.lstrip("-").replace("-", "_")
+            options[name] = dest, keywords
+            values[dest] = keywords.get("default", False if keywords.get("action") == "store_true" else None)
+    tokens = iter(argv[1:])
+    try:
+        for (name, keywords), token in zip(positionals, tokens):
+            values[name] = _fast_value(keywords, token)
+        for token in tokens:
+            dest, keywords = options[token]
+            values[dest] = True if keywords.get("action") == "store_true" else _fast_value(keywords, next(tokens))
+    # an unknown token, a missing value, or a value argparse rejects: argparse says which
+    except (KeyError, StopIteration, ValueError, TypeError, argparse.ArgumentTypeError):
+        return None
+    return argparse.Namespace(**values)
 
 
 def main(argv=None) -> int:
@@ -305,7 +349,9 @@ def main(argv=None) -> int:
         sys.set_int_max_str_digits(0)
     try:
         argv = sys.argv[1:] if argv is None else argv
-        args = _build_parser(argv[0] if argv else None).parse_args(argv)
+        args = _fast_args(argv)
+        if args is None:
+            args = _build_parser(argv[0] if argv else None).parse_args(argv)
         code = args.handler(args)
         sys.stdout.flush()  # here, so that a closed pipe raises inside the try
         return code

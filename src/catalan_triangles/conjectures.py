@@ -460,7 +460,7 @@ def load_checkpoint(source: str | os.PathLike) -> ScanState:
     try:
         with open(source, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:  # not UTF-8, or nested too deep
         raise CheckpointError("unreadable checkpoint %s: %s" % (source, exc)) from exc
     if not isinstance(doc, dict) or doc.get("version") != CHECKPOINT_VERSION:
         raise CheckpointError(

@@ -7,6 +7,7 @@ import dataclasses
 import functools
 import hashlib
 import io
+import itertools
 import json
 import math
 import os
@@ -312,6 +313,30 @@ def test_scan_corrupt_checkpoint_exits_2(tmp_path):
         assert "integrity" in result.stderr
         assert "Traceback" not in result.stderr
         assert path.read_text() == garbage
+
+
+@pytest.mark.parametrize(
+    "garbage", [b"\xff\xfe", b"[" * 100_000 + b"]" * 100_000], ids=["not UTF-8", "JSON nested 100000 deep"]
+)
+def test_an_unreadable_checkpoint_exits_2_and_stays_as_it_was(tmp_path, garbage):
+    path = tmp_path / "scan.json"
+    path.write_bytes(garbage)
+    code, out, err = _cli(["scan", "c", "--p", "3", "--m", "2..5", "--checkpoint", str(path)])
+    assert (code, out) == (2, "")
+    assert err.startswith("integrity error: unreadable checkpoint ") and "Traceback" not in err
+    assert path.read_bytes() == garbage
+
+
+def test_an_empty_checkpoint_path_exits_2_before_any_cell(tmp_path, monkeypatch):
+    # an unset shell variable, say; a scan without its checkpoint would report the same next cell on every leg
+    def scanned(*args, **kwargs):
+        raise AssertionError("scanned with an empty checkpoint path")
+
+    monkeypatch.setattr(cli.conjectures, "scan_divisibility", scanned)
+    monkeypatch.chdir(tmp_path)
+    code, out, err = _cli(["scan", "c", "--p", "3", "--m", "2..40", "--checkpoint", "", "--limit", "500"])
+    assert (code, out, err) == (2, "", "error: --checkpoint needs a path, got an empty one\n")
+    assert os.listdir(tmp_path) == []
 
 
 @pytest.mark.parametrize(
@@ -1224,4 +1249,92 @@ def test_an_argv_naming_a_command_builds_only_its_subparser(monkeypatch, argv):
     monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counted)
     _cli(argv)
     named = argv[0] if argv and argv[0] in ("value", "verify", "scan", "seq") else None
-    assert built == ([named] if named else ["value", "verify", "scan", "seq"])
+    if cli._fast_args(argv) is not None:  # read from the argument table: no parser at all
+        assert built == []
+    else:
+        assert built == ([named] if named else ["value", "verify", "scan", "seq"])
+
+
+def _parsed(argv):
+    """vars() of the namespace the parser main would build returns for argv, or None where argparse exits."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return vars(cli._build_parser(argv[0] if argv else None).parse_args(argv))
+        except SystemExit:
+            return None
+
+
+@pytest.mark.parametrize("argv", _PARSER_ARGV, ids=" ".join)
+def test_the_fast_path_gives_argparses_namespace_or_leaves_argv_to_argparse(argv):
+    fast = cli._fast_args(argv)
+    assert fast is None or vars(fast) == _parsed(argv)
+
+
+_COMMAND_NAMES = [name for name, *_ in cli._COMMANDS]
+_OPTION_STRINGS = sorted({name for _, _, arguments, _ in cli._COMMANDS for name, _ in arguments if name[0] == "-"})
+_ARGV_VALUES = [
+    "x..y", "", "2..5", "5..2", "4", "2..", "..5", "1..2..3", "0", "8", "007", " 4", "1_0", "x", "1.5", "json", "plain",
+    "csv", "oeis-bfile", "plain-table", "bad", "c-powers", "b-cubes", "mixed", "c", "b", "nope", "rec-A", "all",
+    "c-row:5", "catalan", "binomial", "F", "a b",
+]
+_ARGV_TOKENS = st.one_of(
+    st.sampled_from([*_COMMAND_NAMES, *_OPTION_STRINGS, "-h", "--help", "--", "-1", "-2..3", "--bogus", "-x", "-"]),
+    st.sampled_from(_ARGV_VALUES),
+    st.builds(lambda option, cut: option[:cut], st.sampled_from(_OPTION_STRINGS), st.integers(2, 6)),
+    st.builds("{}={}".format, st.sampled_from(_OPTION_STRINGS), st.sampled_from(_ARGV_VALUES)),
+)
+
+# values that each argument type takes, for arguments without choices
+_TYPED_VALUES = {int: ["0", "3", "8"], cli._span: ["2..5", "4"], None: ["F"]}
+
+
+@st.composite
+def _near_plain_argv(draw):
+    """A command, a value for each positional, then options with values, repeats allowed.
+
+    On half the draws every value is one its argument takes.  On the other
+    half any token may stand for one of the values, the argv may be cut
+    short, and tokens are spliced in anywhere.
+    """
+    command, _, arguments, _ = draw(st.sampled_from(cli._COMMANDS))
+    rough = draw(st.booleans())
+    values = itertools.count()
+    spoiled = draw(st.integers(0, 8)) if rough else None  # the value, counted from 0, that any token may stand for
+
+    def value(keywords):
+        good = keywords.get("choices") or _TYPED_VALUES[keywords.get("type")]
+        return draw(_ARGV_TOKENS if next(values) == spoiled else st.sampled_from(list(good)))
+
+    argv = [command, *(value(keywords) for name, keywords in arguments if name[0] != "-")]
+    options = [(name, keywords) for name, keywords in arguments if name[0] == "-"]
+    for name, keywords in draw(st.lists(st.sampled_from(options), max_size=6)) if options else ():
+        argv += [name] if keywords.get("action") == "store_true" else [name, value(keywords)]
+    if rough:
+        argv = argv[:draw(st.integers(1, len(argv)))] if draw(st.booleans()) else argv
+        for token, at in draw(st.lists(st.tuples(_ARGV_TOKENS, st.integers(0, 20)), max_size=2)):
+            argv.insert(at % (len(argv) + 1), token)
+    return argv
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(_near_plain_argv(), st.lists(_ARGV_TOKENS, max_size=8)))
+def test_fuzzed_argv_gets_argparses_namespace_or_goes_to_argparse(argv):
+    # within this Python, since argparse's reading of some argv differs from one Python version to the next
+    fast = cli._fast_args(argv)
+    assert fast is None or vars(fast) == _parsed(argv)
+
+
+@pytest.mark.parametrize("workload", ["sweep", "scan", "seq"])
+def test_every_argv_the_benchmark_runs_takes_the_fast_path(monkeypatch, tmp_path, workload):
+    monkeypatch.syspath_prepend(os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench"))
+    import workloads
+
+    argvs = [op.args[1:] for size in ("full", "tiny") for seed in (1, 2)
+             for op in workloads.make_plan(workload, seed, size).ops(str(tmp_path))]
+    if workload != "seq":  # the --jobs 1 and 2 diagnostics of the traced run, a verify all and a scan
+        argvs += [args[1:] + ["--jobs", jobs] for size in ("full", "tiny") for _, args in workloads.diagnostics(size)
+                  for jobs in ("1", "2")]
+    assert len(argvs) == {"sweep": 4 * 39 + 8, "scan": 4 * 3 * 4 + 8, "seq": 4 * 8}[workload]
+    for argv in argvs:
+        fast = cli._fast_args(argv)
+        assert fast is not None and vars(fast) == _parsed(argv), argv
