@@ -5,7 +5,11 @@ grammar: integer literals, the parameters, + - * / and ^ (or **), `2n`
 for 2*n, the functions c b a binomial catalan gen_catalan seq_a seq_b H,
 and sum(term, v=lo..hi) over an integer range.  A constraint is a chain of
 comparisons (< <= > >=) of integer expressions in the same grammar.
-Anything else raises UsageError.
+Anything else raises UsageError.  A text is read by a scan of its
+characters into Python source, which ast parses: ^ becomes **, a number
+that starts a word is multiplied by the name or ( after it, and each
+sum's ", v=lo.." becomes ", v, lo, ", so the sums in the text must be
+as many as the ranges rewritten.
 
 Each side becomes generated Python code that keeps every value as an
 integer pair (numerator, denominator) and builds at most one Fraction, in
@@ -63,10 +67,9 @@ from __future__ import annotations
 
 import ast
 import keyword
-import re
 from fractions import Fraction
 from math import lcm
-from typing import Callable, NamedTuple
+from typing import Callable
 
 from .errors import DomainError, UsageError
 from .exact import partials
@@ -92,33 +95,60 @@ _RESERVED = {
 }
 _COMPARISONS = {ast.Lt: "<", ast.LtE: "<=", ast.Gt: ">", ast.GtE: ">="}
 _CHARACTERS = frozenset("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_ \t\n+-*/^().,=<>")
-_PRODUCT = re.compile(r"\b(\d+)(?=[A-Za-z_(])")  # 2n -> 2*n, 3(n+1) -> 3*(n+1)
-_RANGE = re.compile(r",\s*([A-Za-z_]\w*)\s*=(?!=)(.*?)\.\.")  # , v=lo.. -> , v, lo,
+
+
+def _rewrite(text: str) -> tuple[str, int]:
+    """(source, ranges): text, of _CHARACTERS only, as Python, and the number of sum ranges it rewrote.
+
+    ^ becomes **; a number that starts a word is multiplied by the letter,
+    _ or ( after it (2n -> 2*n, 3(n+1) -> 3*(n+1)); then, from the left,
+    each ", v=lo.." with v a name, = not followed by =, and lo the text up
+    to the first .. and holding no newline, becomes ", v, lo, ".
+    """
+    text, pieces, in_name = text.replace("^", "**"), [], False
+    for char, after in zip(text, text[1:] + " "):
+        pieces.append(char)
+        in_name = char.isalpha() or char == "_" or in_name and char.isdigit()  # in a word that starts as a name
+        if char.isdigit() and not in_name and (after.isalpha() or after in "_("):
+            pieces.append("*")
+    text, pieces, ranges = "".join(pieces), [], 0
+    while True:
+        before, comma, text = text.partition(",")
+        pieces.append(before + comma)
+        if not comma:
+            return "".join(pieces), ranges
+        var, _, rest = text.partition("=")
+        lo, dots, after = rest.partition("..")
+        if var.strip(" \t\n").isidentifier() and dots and not rest.startswith("=") and "\n" not in lo:
+            pieces.append(" %s, %s, " % (var.strip(" \t\n"), lo))
+            text, ranges = after, ranges + 1
 
 
 def _parse(text: str) -> ast.expr:
     if not _CHARACTERS.issuperset(text):
         raise UsageError("unexpected character in %r" % text)
-    source, ranges = _RANGE.subn(r", \1, \2, ", _PRODUCT.sub(r"\1*", text.replace("^", "**")))
+    source, ranges = _rewrite(text)
     try:
         tree = ast.parse(source, mode="eval").body
     except SyntaxError:
         raise UsageError("cannot parse %r" % text) from None
-    if len(re.findall(r"\bsum\b", text)) != ranges:
+    if _sums(text) != ranges:
         raise UsageError("write every sum as sum(term, v=lo..hi) in %r" % text)
     return tree
 
 
-def _free(node: ast.AST) -> frozenset[str]:
-    """The parameter and variable names node reads, without those its sums bind."""
-    if isinstance(node, ast.Name):
-        return frozenset((node.id,))
-    if isinstance(node, ast.Call):
-        if getattr(node.func, "id", None) == "sum" and len(node.args) == 4 and isinstance(node.args[1], ast.Name):
-            term, var, lo, hi = node.args
-            return (_free(term) - {var.id}) | _free(lo) | _free(hi)
-        return frozenset().union(*map(_free, node.args))
-    return frozenset().union(*map(_free, ast.iter_child_nodes(node)))
+def _sums(text: str) -> int:
+    """How many times the word sum stands in text, with no letter, digit or _ next to it."""
+    count, i = 0, text.find("sum")
+    while i >= 0:
+        count += not any(char.isalnum() or char == "_" for char in text[i - 1:i] + text[i + 3:i + 4])
+        i = text.find("sum", i + 3)
+    return count
+
+
+def _simple(code: str) -> bool:
+    """Whether code is a name or an integer literal: read twice, it is evaluated once."""
+    return code.isidentifier() or code.isdecimal()
 
 
 def _mul(x: str, y: str) -> str:
@@ -127,13 +157,6 @@ def _mul(x: str, y: str) -> str:
 
 def _indent(lines: list[str]) -> str:
     return "\n".join("    " + line for block in lines for line in block.split("\n"))
-
-
-class _Q(NamedTuple):
-    """A compiled node: integer expressions num and den ("1" for an integer)."""
-
-    num: str
-    den: str = "1"
 
 
 class _Scope:
@@ -160,35 +183,54 @@ class _Compiler:
         self.defs: list[str] = []  # factory-level code: the running sums' keys
         self.count = 0
         self.line_tables: dict[tuple, str] | None = None  # while a line function compiles, its row tables
+        self.reads: dict[ast.AST, frozenset[str]] = {}  # free's results, by node
 
     def fresh(self, stem: str) -> str:
         self.count += 1
         return "_%s%d" % (stem, self.count)
 
+    def free(self, node: ast.AST) -> frozenset[str]:
+        """The parameter and variable names node reads, without those its sums bind; found once per node."""
+        if node in self.reads:
+            return self.reads[node]
+        if isinstance(node, ast.Name):
+            names = frozenset((node.id,))
+        elif isinstance(node, ast.Call):
+            if getattr(node.func, "id", None) == "sum" and len(node.args) == 4 and isinstance(node.args[1], ast.Name):
+                term, var, lo, hi = node.args
+                names = (self.free(term) - {var.id}) | self.free(lo) | self.free(hi)
+            else:
+                names = frozenset().union(*map(self.free, node.args))
+        else:
+            names = frozenset().union(*map(self.free, ast.iter_child_nodes(node)))
+        self.reads[node] = names
+        return names
+
     def local(self, code: str, scope: _Scope) -> str:
         """code, bound to a fresh local first unless it is a name or a literal."""
-        if re.fullmatch(r"\w+", code):
+        if _simple(code):
             return code
         d = self.fresh("d")
         scope.lines.append("%s = %s" % (d, code))
         return d
 
     def integer(self, node: ast.AST, scope: _Scope, what: str) -> str:
-        q = self.expr(node, scope)
-        if q.den != "1":
+        num, den = self.expr(node, scope)
+        if den != "1":
             raise UsageError("%s must be an integer expression, got %r" % (what, ast.unparse(node)))
-        return q.num
+        return num
 
-    def expr(self, node: ast.AST, scope: _Scope) -> _Q:
+    def expr(self, node: ast.AST, scope: _Scope) -> tuple[str, str]:
+        """(num, den): integer expressions whose quotient is node's value, den "1" for an integer."""
         if isinstance(node, ast.Constant) and type(node.value) is int:
-            return _Q(str(node.value))
+            return str(node.value), "1"
         if isinstance(node, ast.Name):
             if node.id not in scope.names:
                 raise UsageError("unknown name %r" % node.id)
-            return _Q(node.id)
+            return node.id, "1"
         if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.UAdd, ast.USub)):
-            q = self.expr(node.operand, scope)
-            return q if isinstance(node.op, ast.UAdd) else _Q("(-%s)" % q.num, q.den)
+            num, den = self.expr(node.operand, scope)
+            return (num, den) if isinstance(node.op, ast.UAdd) else ("(-%s)" % num, den)
         if isinstance(node, ast.BinOp) and isinstance(node.op, (ast.Add, ast.Sub, ast.Mult, ast.Div, ast.Pow)):
             return self.binop(node, scope)
         if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and not node.keywords:
@@ -199,50 +241,49 @@ class _Compiler:
                 if name == "H":
                     return self.harmonic(node.args[0], scope)
                 if name in TABLES:
-                    return _Q(self.entry(name, *node.args, scope))
+                    return self.entry(name, *node.args, scope), "1"
                 args = [self.integer(arg, scope, "an argument of %s" % name) for arg in node.args]
-                return _Q("%s(%s)" % (FUNCTIONS[name][0], ", ".join(args)))
+                return "%s(%s)" % (FUNCTIONS[name][0], ", ".join(args)), "1"
             raise UsageError("unknown function or wrong arity in %r" % ast.unparse(node))
         if isinstance(node, ast.Constant):
             raise UsageError("only integer literals are allowed, got %r" % (node.value,))
         raise UsageError("unsupported expression %r" % ast.unparse(node))
 
-    def binop(self, node: ast.BinOp, scope: _Scope) -> _Q:
-        a = self.expr(node.left, scope)
+    def binop(self, node: ast.BinOp, scope: _Scope) -> tuple[str, str]:
+        a, a_den = self.expr(node.left, scope)
         if isinstance(node.op, ast.Pow):
             e = self.integer(node.right, scope, "an exponent")
             if not isinstance(node.right, ast.Constant):  # a literal is never negative: -1 is a UnaryOp
                 e = self.local(e, scope)
                 error = "exponent %s is %%d, below 0" % ast.unparse(node.right)
                 scope.lines.append("if %s < 0:\n    raise DomainError(%r %% %s)" % (e, error, e))
-            if a == _Q("(-1)"):  # the sign of an alternating sum, by the exponent's parity
-                return _Q("(-1 if %s & 1 else 1)" % e)
-            return _Q(self.power(a.num, e), "1" if a.den == "1" else self.power(a.den, e))
-        b = self.expr(node.right, scope)
+            if (a, a_den) == ("(-1)", "1"):  # the sign of an alternating sum, by the exponent's parity
+                return "(-1 if %s & 1 else 1)" % e, "1"
+            return self.power(a, e), "1" if a_den == "1" else self.power(a_den, e)
+        b, b_den = self.expr(node.right, scope)
         if isinstance(node.op, ast.Mult):
-            return _Q(_mul(a.num, b.num), _mul(a.den, b.den))
+            return _mul(a, b), _mul(a_den, b_den)
         if isinstance(node.op, ast.Div):
-            return _Q(_mul(a.num, b.den), _mul(a.den, b.num))
+            return _mul(a, b_den), _mul(a_den, b)
         sign = "+" if isinstance(node.op, ast.Add) else "-"
-        if a.den == b.den:
-            return _Q("(%s %s %s)" % (a.num, sign, b.num), a.den)
+        if a_den == b_den:
+            return "(%s %s %s)" % (a, sign, b), a_den
         # each denominator is read twice, so a compound one is computed once
-        a_den, b_den = self.local(a.den, scope), self.local(b.den, scope)
-        num = "(%s %s %s)" % (_mul(a.num, b_den), sign, _mul(b.num, a_den))
-        return _Q(num, _mul(a_den, b_den))
+        a_den, b_den = self.local(a_den, scope), self.local(b_den, scope)
+        return "(%s %s %s)" % (_mul(a, b_den), sign, _mul(b, a_den)), _mul(a_den, b_den)
 
     def power(self, x: str, e: str) -> str:
         """Code for x**e: a literal square or cube is a product of x, bound where it is evaluated, as ** would be."""
         if e not in ("2", "3"):
             return "(%s**%s)" % (x, e)
-        d = x if re.fullmatch(r"\w+", x) else self.fresh("d")
+        d = x if _simple(x) else self.fresh("d")
         return "(%s)" % "*".join([d if d == x else "(%s := %s)" % (d, x)] + [d] * (int(e) - 1))
 
-    def harmonic(self, arg: ast.AST, scope: _Scope) -> _Q:
+    def harmonic(self, arg: ast.AST, scope: _Scope) -> tuple[str, str]:
         x = self.integer(arg, scope, "the argument of H")
         p, q = self.fresh("p"), self.fresh("q")
         scope.lines.append("%s, %s = harmonic(%s).as_integer_ratio()" % (p, q, x))
-        return _Q(p, q)
+        return p, q
 
     def entry(self, name: str, row: ast.AST, column: ast.AST, scope: _Scope) -> str:
         """Code for name(row, column): in a line function an entry of a row table where the row stays fixed, else a call.
@@ -252,7 +293,7 @@ class _Compiler:
         read, after the row and column are evaluated, as the call would run.
         """
         what = "an argument of %s" % name
-        free = _free(row)
+        free = self.free(row)
         if self.line_tables is not None and free <= set(self.parameters[:-1]):
             tables, width = self.line_tables, "2 * len(_xs)"
         elif self.line_tables is not None and scope.var is not None and scope.var not in free:
@@ -260,7 +301,8 @@ class _Compiler:
         else:
             return "%s(%s, %s)" % (FUNCTIONS[name][0], self.integer(row, scope, what), self.integer(column, scope, what))
         r = self.integer(row, scope, what)
-        if re.search(r"\w\(", r):  # a call in the row: evaluated at each read, as the call's argument is
+        # a call in the row, which the code writes as name(...): evaluated at each read, as the call's argument is
+        if any(call + "(" in r for call, _ in FUNCTIONS.values()):
             r = self.local(r, scope)
         e = self.local(self.integer(column, scope, what), scope)
         if (name, r) not in tables:
@@ -272,8 +314,8 @@ class _Compiler:
         # a negative index would wrap; an empty table, a row wider than its width allows, is a call per read
         return "(%s[%s] if 0 <= %s < %sn else (0 if %sn else %s(%s, %s)))" % (t, e, e, t, t, FUNCTIONS[name][0], r, e)
 
-    def loop(self, v: str, inner: _Scope, q: _Q, bound: str) -> tuple[str, str, str, str, _Q]:
-        """(k, num, den, code, sum): code adds term q for v = k..bound to num/den, set by the caller.
+    def loop(self, v: str, inner: _Scope, term: tuple[str, str], bound: str) -> tuple[str, str, str, str, tuple[str, str]]:
+        """(k, num, den, code, sum): code adds term for v = k..bound to num/den, set by the caller.
 
         num is an integer sum when the term's denominator is the literal 1;
         otherwise it is kept over den, the lcm of the term denominators seen
@@ -281,12 +323,13 @@ class _Compiler:
         """
         k, num, den = self.fresh("k"), self.fresh("num"), self.fresh("den")
         step = ["%s = %s" % (v, k)] + inner.lines
-        if q.den == "1":
-            step.append("%s += %s" % (num, q.num))
-            total = _Q(num)
+        term_num, term_den = term
+        if term_den == "1":
+            step.append("%s += %s" % (num, term_num))
+            total = num, "1"
         else:
             step += [
-                "_top, _bottom = %s, %s" % (q.num, q.den),
+                "_top, _bottom = %s, %s" % (term_num, term_den),
                 "if _bottom != %s:" % den,
                 "    if %s %% _bottom:" % den,
                 "        _grown = _lcm(%s, _bottom)" % den,
@@ -295,19 +338,19 @@ class _Compiler:
                 "    _top *= %s // _bottom" % den,
                 "%s += _top" % num,
             ]
-            total = _Q(num, den)
+            total = num, den
         return k, num, den, "while %s <= %s:\n%s" % (k, bound, _indent(step + ["%s += 1" % k])), total
 
-    def sum(self, node: ast.Call, scope: _Scope) -> _Q:
+    def sum(self, node: ast.Call, scope: _Scope) -> tuple[str, str]:
         term, var, lo, hi = node.args
         v = var.id
         if v in scope.names or v in _RESERVED or v.startswith("_"):
             raise UsageError("summation variable %r shadows a parameter, a variable or a function" % v)
-        unknown = _free(node) - scope.names
+        unknown = self.free(node) - scope.names
         if unknown:
             raise UsageError("unknown name %r" % min(unknown))
-        fixed = tuple(sorted((_free(term) - {v}) | _free(lo)))
-        running = not _free(hi) <= set(fixed)
+        fixed = tuple(sorted((self.free(term) - {v}) | self.free(lo)))
+        running = not self.free(hi) <= set(fixed)
         start = _Scope(scope.names) if running else scope
         lo_code = self.integer(lo, start, "a lower bound")
         hi_code = self.local(self.integer(hi, scope, "an upper bound"), scope)
@@ -348,13 +391,13 @@ class _Compiler:
         self.line_tables = {}
         for side in (node.left, node.comparators[0]):
             scope = _Scope(self.parameters, x=x)
-            q = self.expr(side, scope)
-            den = self.local(q.den, scope)
+            num, den = self.expr(side, scope)
+            den = self.local(den, scope)
             if den != "1":
                 scope.lines.append("if not %s:\n    raise ZeroDivisionError('zero denominator')" % den)
             init += scope.init
             body += scope.lines
-            sides.append((q.num, den))
+            sides.append((num, den))
         init += ["%s = None" % t for t in self.line_tables.values()]
         self.line_tables = None
         (lhs, lhs_den), (rhs, rhs_den) = sides

@@ -1,4 +1,5 @@
-"""Mutation analysis of the row kernels (DeMillo, Lipton & Sayward, 1978; Voas & McGraw, 1998).
+"""Mutation analysis of the row kernels and the row tables' index guard (DeMillo, Lipton & Sayward, 1978; Voas &
+McGraw, 1998).
 
 exact.c_run, exact.binomials and triangles._row_slice are mutated with ast,
 one edit per mutant: a raise deleted, a comparison negated, or a bound of a
@@ -6,7 +7,13 @@ range() or a slice moved by one.  Each mutant is written into a copy of the
 package, and test_binomial_runs.py and test_triangles.py run against it in a
 subprocess; a failing run kills it.  The mutants they do not kill are pinned
 by text, each with the reason it changes no value the kernels give or the
-checks they make.  The tests here run a seeded draw of the mutants;
+checks they make.
+
+The guard 0 <= column < len(table) that statements._Compiler.entry writes
+around each table read is mutated by text, since it is a string the compiler
+formats: each bound moved by one, the upper comparison loosened to <=, and
+each comparison dropped.  test_statements.py's fast table test must kill
+every one.  The tests here run a seeded draw of the mutants;
 
     PYTHONPATH=src python tests/test_kernel_mutants.py
 
@@ -32,7 +39,17 @@ PACKAGE = Path(catalan_triangles.__file__).parent
 TESTS = Path(__file__).parent
 KERNELS = {"exact.py": ("binomials", "c_run"), "triangles.py": ("_row_slice",)}
 KERNEL_TESTS = ["test_binomial_runs.py", "test_triangles.py"]
+GUARD_TESTS = ["test_statements.py::test_a_line_reads_each_table_entry_the_sides_read_by_call"]
 MUTANTS, DRAWN, SEED = 74, 3, 1
+# the line of statements._Compiler.entry that writes a table read with its index guard, and the guard's mutants
+_GUARD = 'return "(%s[%s] if 0 <= %s < %sn else (0 if %sn else %s(%s, %s)))" % (t, e, e, t, t, FUNCTIONS[name][0], r, e)'
+GUARDS = [
+    *(_GUARD.replace("0 <= %s < %sn", guard) for guard in (
+        "-1 <= %s < %sn", "1 <= %s < %sn", "0 <= %s < %sn + 1", "0 <= %s < %sn - 1", "0 <= %s <= %sn", "%s < %sn"
+    )),
+    # without its upper comparison the guard formats one t fewer
+    'return "(%s[%s] if 0 <= %s else (0 if %sn else %s(%s, %s)))" % (t, e, e, t, FUNCTIONS[name][0], r, e)',
+]
 _NUMERATORS = "map(mul, range(m - j, m - end, -1), range(m - 2 * j - 2, m - 2 * end - 2, -2)),"
 _DENOMINATORS = "map(mul, range(j + 1, end + 1), range(m - 2 * j, m - 2 * end, -2)),"
 # The mutants the kernel tests do not kill, by reason: (function, a line as the source has it, then the lines that
@@ -104,14 +121,23 @@ def mutants() -> list[tuple[str, str, str, str, str]]:
     return found
 
 
+def guard_mutants() -> list[tuple[str, str, str, str, str]]:
+    """The index guard's mutants, as mutants() gives them."""
+    source = (PACKAGE / "statements.py").read_text()
+    assert source.count(_GUARD) == 1, "statements._Compiler.entry no longer writes the guard %r" % _GUARD
+    return [("statements.py", "entry", _GUARD, guard, source.replace(_GUARD, guard)) for guard in GUARDS]
+
+
 def killed(name: str, mutated: str) -> bool:
-    """Whether the kernel tests fail against a copy of the package with file name holding mutated."""
+    """Whether the kernel tests, or for statements.py the guard's tests, fail against a copy of the package with
+    file name holding mutated."""
     with tempfile.TemporaryDirectory() as tmp:
         copy = shutil.copytree(PACKAGE, Path(tmp) / "catalan_triangles", ignore=shutil.ignore_patterns("__pycache__"))
         (copy / name).write_text(mutated)
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [tmp, os.environ.get("PYTHONPATH")])))
         argv = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", "--hypothesis-seed=0"]
-        run = subprocess.run(argv + [str(TESTS / test) for test in KERNEL_TESTS], capture_output=True, text=True,
+        tests = GUARD_TESTS if name == "statements.py" else KERNEL_TESTS
+        run = subprocess.run(argv + [str(TESTS / test) for test in tests], capture_output=True, text=True,
                              cwd=tmp, env=env, timeout=600)
     assert run.returncode in (0, 1, 2), run.stdout + run.stderr  # passed, failed, or broken at collection
     return run.returncode != 0
@@ -125,11 +151,15 @@ def test_the_kernel_mutants_are_counted_and_every_pin_names_one():
     keys = [(function, old, new) for _, function, old, new, _ in mutants()]
     assert len(keys) == len(set(keys)) == MUTANTS
     assert not _pinned() - set(keys), "pinned mutants that no longer exist: %s" % sorted(_pinned() - set(keys))
+    assert len(set(guard_mutants())) == len(GUARDS) == 7
 
 
 @pytest.mark.parametrize(
     "name, function, old, new, mutated",
-    [pytest.param(*mutant, id="%s: %s" % mutant[1::2]) for mutant in random.Random(SEED).sample(mutants(), DRAWN)],
+    [
+        pytest.param(*mutant, id="%s: %s" % mutant[1::2])
+        for mutant in random.Random(SEED).sample(mutants(), DRAWN) + random.Random(SEED).sample(guard_mutants(), 1)
+    ],
 )
 def test_a_drawn_kernel_mutant_is_killed_unless_pinned(name, function, old, new, mutated):
     assert killed(name, mutated) == ((function, old, new) not in _pinned()), (function, old, new)
@@ -137,12 +167,12 @@ def test_a_drawn_kernel_mutant_is_killed_unless_pinned(name, function, old, new,
 
 if __name__ == "__main__":
     wrong = []
-    for name, function, old, new, mutated in mutants():
+    for name, function, old, new, mutated in mutants() + guard_mutants():
         outcome = killed(name, mutated)
         print("%-8s %s: %s -> %s" % ("killed" if outcome else "survived", function, old, new), flush=True)
         if outcome == ((function, old, new) in _pinned()):
             wrong.append((function, old, new))
-    print("%d mutants, %d unpinned survivors or killed pins" % (MUTANTS, len(wrong)))
+    print("%d mutants, %d unpinned survivors or killed pins" % (MUTANTS + len(GUARDS), len(wrong)))
     for mutant in wrong:
         print("wrong:", mutant)
     sys.exit(1 if wrong else 0)

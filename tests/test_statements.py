@@ -1,8 +1,13 @@
 """The statement compiler: every compiled side against a naive reading of
 its statement, every line function against the sides it was compiled
-with, the grammar's refusals, and compiling on first lookup only."""
+with, the grammar's refusals, the reader against the regular expressions
+it replaced, the digest of the source generated for the built-in
+statements, and compiling on first lookup only, the one import a timed
+command makes."""
 
 import ast
+import hashlib
+import json
 import re
 import subprocess
 import sys
@@ -10,6 +15,7 @@ from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 from math import comb
+from pathlib import Path
 
 import pytest
 from conftest import with_line
@@ -455,6 +461,24 @@ def test_a_table_is_its_entry_function_over_its_columns(builder):
                 table(row, 3)
 
 
+@pytest.mark.parametrize("identity", [identity for identity in sorted(ORACLE) if identity.startswith("path-table")])
+def test_a_line_reads_each_table_entry_the_sides_read_by_call(identity):
+    # every pair a line gives is its cell's sides cross-multiplied, at table reads before column 0, at column 0, at
+    # a row's last column and past it, which the index guard 0 <= column < len(table) sends to 0 or to the table;
+    # tests/test_kernel_mutants.py moves each bound of that guard and checks that this test fails
+    ident = ORACLE[identity]
+    with keep_partials():
+        for head, xs in identities._domain_lines(ident, identities.effective_domain(ident), False):
+            cells = [dict(zip(ident.parameter_names(), (*head, x))) for x in xs]
+            sides = [(_value(lambda: ident.lhs(**cell)), _value(lambda: ident.rhs(**cell))) for cell in cells]
+            if any(DomainError in pair for pair in sides):  # a row below the first, which the line raises for too
+                continue
+            pairs = ident.line(*head, xs)
+            assert len(pairs) == len(xs)
+            for (p, q), (lhs, rhs), cell in zip(pairs, sides, cells):
+                assert p * rhs == q * lhs and (p == q) == (lhs == rhs), (identity, cell)
+
+
 def test_a_fixed_row_reads_a_table_and_every_other_call_stays_a_call(monkeypatch):
     calls = []
     for name in ("_c_ext", "binomial", "_c_table", "_binomial_table"):
@@ -800,43 +824,43 @@ def _descriptor(statement, constraint=None, names=("n",)):
     )
 
 
-@pytest.mark.parametrize(
-    "statement",
-    [
-        "x == n",  # unknown name
-        "sum(c(n,k), j=0..n) == 0",  # k is not bound
-        "catalan == n",  # a function as a value
-        "n(2) == n",  # a parameter as a function
-        "binomial(n) == 1",  # wrong arity
-        "n == 1.5 * n",  # float literal
-        "n == 2.",
-        "n == 1e3",
-        "n + 1",  # no ==
-        "n = n",
-        "n < n + 1",
-        "n == n == n",  # doubled ==
-        "n == (n == n)",
-        "sum(k, n=1..3) == 6",  # the variable shadows the parameter
-        "sum(sum(k, k=1..j), j=1..n) == sum(sum(k, k=1..n), k=1..n)",  # shadows an outer variable
-        "sum(k, H=1..n) == 0",  # shadows a function
-        "sum(k, range=1..n) == 0",  # shadows what the generated code calls
-        "sum(z, k=0..n) == 0",  # an unknown name in a running sum
-        "sum(sum(w, k=0..n), w=0..2) + sum(w, k=0..n) == 0",  # a running sum used again where w is unknown
-        "n == n extra",  # trailing text
-        "n == n)",
-        "n == n # + 1",
-        "n == n; n",
-        "n == n\n+ 1",
-        "sum(k, k, 1, n) == 0",  # a sum not written with v=lo..hi
-        "sum(k, k=1..n, j=1..n) == 0",
-        "n == 'n'",
-        "n == n[0]",
-        "n == n // 2",
-        "n == c(n/2, 1)",  # a rational argument
-        "sum(k, k=1/2..n) == 0",
-        "n == 2^(1/2)",
-    ],
-)
+BAD_STATEMENTS = [
+    "x == n",  # unknown name
+    "sum(c(n,k), j=0..n) == 0",  # k is not bound
+    "catalan == n",  # a function as a value
+    "n(2) == n",  # a parameter as a function
+    "binomial(n) == 1",  # wrong arity
+    "n == 1.5 * n",  # float literal
+    "n == 2.",
+    "n == 1e3",
+    "n + 1",  # no ==
+    "n = n",
+    "n < n + 1",
+    "n == n == n",  # doubled ==
+    "n == (n == n)",
+    "sum(k, n=1..3) == 6",  # the variable shadows the parameter
+    "sum(sum(k, k=1..j), j=1..n) == sum(sum(k, k=1..n), k=1..n)",  # shadows an outer variable
+    "sum(k, H=1..n) == 0",  # shadows a function
+    "sum(k, range=1..n) == 0",  # shadows what the generated code calls
+    "sum(z, k=0..n) == 0",  # an unknown name in a running sum
+    "sum(sum(w, k=0..n), w=0..2) + sum(w, k=0..n) == 0",  # a running sum used again where w is unknown
+    "n == n extra",  # trailing text
+    "n == n)",
+    "n == n # + 1",
+    "n == n; n",
+    "n == n\n+ 1",
+    "sum(k, k, 1, n) == 0",  # a sum not written with v=lo..hi
+    "sum(k, k=1..n, j=1..n) == 0",
+    "n == 'n'",
+    "n == n[0]",
+    "n == n // 2",
+    "n == c(n/2, 1)",  # a rational argument
+    "sum(k, k=1/2..n) == 0",
+    "n == 2^(1/2)",
+]
+
+
+@pytest.mark.parametrize("statement", BAD_STATEMENTS)
 def test_a_bad_statement_is_a_usage_error(statement):
     with pytest.raises(UsageError, match="test-grammar"):
         register(_descriptor(statement))
@@ -899,6 +923,78 @@ def test_h_below_one_raises_as_harmonic_does():
     assert evaluate_sides(_descriptor("sum(H(k-5), k=1..n-1) == 0"), {"n": 1}) == (0, 0)
 
 
+# --- the reader against the regular expressions it replaced ---------------------
+
+_PRODUCT = re.compile(r"\b(\d+)(?=[A-Za-z_(])")  # 2n -> 2*n, 3(n+1) -> 3*(n+1)
+_RANGE = re.compile(r",\s*([A-Za-z_]\w*)\s*=(?!=)(.*?)\.\.")  # , v=lo.. -> , v, lo,
+
+
+def _regex_rewrite(text):
+    return _RANGE.subn(r", \1, \2, ", _PRODUCT.sub(r"\1*", text.replace("^", "**")))
+
+
+def _regex_parse(text):
+    """statements._parse as it was written with _PRODUCT, _RANGE and re.findall, the reference for the character scans."""
+    if not statements._CHARACTERS.issuperset(text):
+        raise UsageError("unexpected character in %r" % text)
+    source, ranges = _regex_rewrite(text)
+    try:
+        tree = ast.parse(source, mode="eval").body
+    except SyntaxError:
+        raise UsageError("cannot parse %r" % text) from None
+    if len(re.findall(r"\bsum\b", text)) != ranges:
+        raise UsageError("write every sum as sum(term, v=lo..hi) in %r" % text)
+    return tree
+
+
+def _read(parse, text):
+    """The tree parse reads from text, dumped, or the type and message of what it raised."""
+    try:
+        return ast.dump(parse(text))
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def _reads_as_the_regular_expressions_read(text):
+    if statements._CHARACTERS.issuperset(text):
+        assert statements._rewrite(text) == _regex_rewrite(text)
+        assert statements._sums(text) == len(re.findall(r"\bsum\b", text))
+    assert _read(statements._parse, text) == _read(_regex_parse, text)
+
+
+# texts near the shapes the reader rewrites: a number before sum, sum as a keyword and an attribute, == after a
+# range's variable, a newline before its .., whitespace around its variable, a variable that starts with a digit,
+# two .. and a comma inside a lower bound
+_NEAR_MISSES = [
+    "2sum(k, k=1..n) == n", "n == c(n, sum=1)", "n.sum == 0", "sum(k, k==1..n) == 0", "sum(k, k=1\n..n) == 0",
+    "sum(k,\tk\t=1..n) == 0", "sum(k,\n k =\n1..n) == 0", "sum(k, 2k=1..n) == 0", "sum(k, k=1..2..n) == 0",
+    "sum(k, k=c(1,j=2..3)..n) == 0", "2_n + 3(n) + 4n2 + n5(1) == 0",
+]
+
+
+def test_every_built_in_text_reads_as_the_regular_expressions_read_it():
+    # the 39 identities, the 5 claims and the oracle's statements
+    texts = [ident.statement for ident in [*ORACLE.values(), *conjectures._STATEMENTS.values()]]
+    assert len(texts) == 39 + 5 + len(PATHS)
+    for text in texts + BAD_STATEMENTS + _NEAR_MISSES:
+        _reads_as_the_regular_expressions_read(text)
+
+
+# pieces of statements, near misses of the rewritten shapes among them
+_PIECES = ["sum", "sum(", "(", ")", ",", ", ", " ", "\t", "\n", "k", "n", "v2", "_x", "=", "==", "..", ".", "0", "2", "12",
+           "^", "*", "+", "-", "/", "<=", "c(", "H(", "k=1..n", ", k=", "=\n", "x2", "2n", "3(", "2_", "sum2", "_sum", "é"]
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.one_of(
+    st.text(sorted(statements._CHARACTERS)),
+    st.lists(st.sampled_from(_PIECES)).map("".join),
+    st.builds(lambda lhs, rhs: "%s == %s" % (_render(lhs), _render(rhs)), _TREES, _TREES),
+))
+def test_any_text_reads_as_the_regular_expressions_read_it(text):
+    _reads_as_the_regular_expressions_read(text)
+
+
 def test_import_compiles_nothing_and_a_lookup_compiles_only_its_identity():
     code = "\n".join([
         "from catalan_triangles import identities, statements",
@@ -941,3 +1037,46 @@ def test_only_the_scans_load_the_compiler(argv):
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
     assert result.stdout == "%s\n" % loaded
+
+
+_LEG = ["scan", "c-powers", "--p", "7", "--m", "2..30", "--checkpoint", "{}", "--limit", "100", "--no-timing"]
+
+
+@pytest.mark.parametrize(
+    "argv, legs, imported",
+    [
+        (["verify", "thm-harmonic", "--no-timing"], 0, ["catalan_triangles.statements"]),
+        (_LEG, 0, ["catalan_triangles.statements"]),
+        (_LEG, 1, ["catalan_triangles.statements"]),
+        (["seq", "c-row:300", "0", "301"], 0, []),
+    ],
+    ids=["verify", "scan first leg", "scan resumed leg", "seq"],
+)
+def test_a_timed_command_first_imports_only_the_compiler(tmp_path, argv, legs, imported):
+    # a benchmark op times cli.main after `import catalan_triangles.cli`, which loads no compiler: a module a command
+    # imports first is timed in each process it runs in, and the compiler, loaded by the first compile, is the one
+    argv = [arg.format(tmp_path / "checkpoint.json") for arg in argv]
+    code = "\n".join([
+        "import contextlib, io, sys",
+        "from catalan_triangles import cli",
+        "assert 'catalan_triangles.statements' not in sys.modules",
+        "before = set(sys.modules)",
+        "with contextlib.redirect_stdout(io.StringIO()):",
+        "    assert cli.main(%r) == 0" % (argv,),
+        "print(sorted(set(sys.modules) - before))",
+    ])
+    for _ in range(legs):  # the legs before, each in a process of its own
+        assert subprocess.run([sys.executable, "-m", "catalan_triangles", *argv], capture_output=True).returncode == 0
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "%s\n" % imported
+
+
+def test_the_source_generated_for_the_built_in_statements_is_pinned():
+    # tests/generated_sources.py prints each built-in statement's generated source; a change that means to keep
+    # the generated code (a faster compiler, say) keeps this digest, and one that means to change it gives the
+    # new digest here with what changed and why
+    run = subprocess.run([sys.executable, str(Path(__file__).parent / "generated_sources.py")], capture_output=True)
+    assert run.returncode == 0, run.stderr
+    assert len(json.loads(run.stdout)) == 39 + 5
+    assert hashlib.sha256(run.stdout).hexdigest() == "cafd74353c2255bc1463ef0c1867edbe46b3074b28b7a4cb725ff608c5d8bcca"
