@@ -9,22 +9,26 @@ the output ended.  All output is deterministic; timing fields can be
 dropped with --no-timing so that runs diff cleanly.
 
 Each command's arguments are described once, in its argument table.  A
-plain argv (a command, its one-token positionals, then exact option
-strings with their values) is read from the table by _fast_args, without
-building a parser.  argparse parses every other argv, so every help text,
+plain argv (a command, its positionals, then exact option strings with
+their values) is read from the table by _fast_args, without building a
+parser.  argparse parses every other argv, so every help text,
 usage line and error message, and their exit code, are argparse's.
+
+Start-up is most of a CLI run, so a command imports only what it runs:
+identities in verify, conjectures in scan, json where it prints JSON, and
+argparse only for an argv that is not plain.  A plain seq or value argv
+loads none of them but the json of seq --format json.
 """
 
 from __future__ import annotations
 
-import argparse
-import json
 import os
 import sys
 from decimal import Decimal
 from functools import partial
+from types import SimpleNamespace
 
-from . import conjectures, identities, triangles
+from . import triangles
 from .errors import CheckpointError, DomainError, UsageError
 from .exact import binomial, harmonic
 
@@ -44,7 +48,9 @@ def _span(text: str) -> tuple[int, int]:
             return int(lo), int(hi)
         return int(text), int(text)
     except ValueError:
-        raise argparse.ArgumentTypeError("expected INT or INT..INT, got %r" % text) from None
+        from argparse import ArgumentTypeError  # only on this path, to keep start-up lean
+
+        raise ArgumentTypeError("expected INT or INT..INT, got %r" % text) from None
 
 
 # --- value ------------------------------------------------------------------
@@ -89,6 +95,8 @@ def _print_plain_report(report, show_timing: bool) -> None:
 
 
 def _cmd_verify(args) -> int:
+    from . import identities
+
     if args.identity == "all":
         idents = identities.list_identities()
     else:
@@ -107,6 +115,8 @@ def _cmd_verify(args) -> int:
             )
         )
     if args.format == "json":
+        import json
+
         docs = [report.to_dict(include_timing=show_timing) for report in reports]
         print(json.dumps(docs[0] if args.identity != "all" else docs, indent=2))
     else:
@@ -126,6 +136,8 @@ _SCAN_ALIASES = {
 
 
 def _print_plain_state(state, show_timing: bool) -> None:
+    import json  # loaded by conjectures already, as every scan is
+
     label = state.conjecture if state.p is None else "%s p=%d" % (state.conjecture, state.p)
     timing = ", %.1f ms" % state.elapsed_ms if show_timing else ""
     print(
@@ -143,6 +155,8 @@ def _print_plain_state(state, show_timing: bool) -> None:
 
 
 def _cmd_scan(args) -> int:
+    from . import conjectures
+
     checkpoint = None
     if args.checkpoint == "":  # an unset shell variable, say: scanning without a checkpoint would never advance a run
         raise UsageError("--checkpoint needs a path, got an empty one")
@@ -173,6 +187,8 @@ def _cmd_scan(args) -> int:
     if args.checkpoint is not None:
         conjectures.save_checkpoint(state, args.checkpoint)
     if args.format == "json":
+        import json
+
         print(json.dumps(state.to_dict(include_timing=not args.no_timing), indent=2))
     else:
         _print_plain_state(state, show_timing=not args.no_timing)
@@ -204,7 +220,7 @@ def _parse_seq_name(name: str) -> tuple[str, int | None]:
 def _cmd_seq(args) -> int:
     kind, param = _parse_seq_name(args.name)
     # computed in Decimal, whose str() is linear where int's is quadratic; seq_a and seq_b terms stay ints
-    values = triangles.generate(triangles.SequenceSpec(kind, args.start, args.count, param), Decimal)
+    values = triangles._generate(kind, args.start, args.count, param, Decimal)
     indices = range(args.start, args.start + args.count)
     if args.format == "plain":
         print(" ".join(str(v) for v in values))
@@ -213,6 +229,8 @@ def _cmd_seq(args) -> int:
     elif args.format == "oeis-bfile":
         sys.stdout.write("".join("%d %s\n" % (i, v) for i, v in zip(indices, values)))
     elif args.format == "json":
+        import json
+
         print(json.dumps(
             {"name": args.name, "start": args.start, "count": args.count,
              "terms": [str(v) for v in values]},
@@ -280,6 +298,8 @@ def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
     still lists every command; the errors that would name the subparsers
     action (an unknown command, none at all) come only from the whole parser.
     """
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="catalan-triangles",
         description="Exact Catalan-triangle values, identity sweeps, and conjecture scans.",
@@ -304,18 +324,19 @@ def _fast_value(keywords: dict, token: str):
     return value
 
 
-def _fast_args(argv) -> argparse.Namespace | None:
-    """The namespace _build_parser().parse_args(argv) returns, read from the argument table; None if argv is not plain.
+def _fast_args(argv) -> SimpleNamespace | None:
+    """A namespace with the vars() of _build_parser().parse_args(argv), read from the argument table; None if not plain.
 
     A plain argv is a command, then that command's one-token positionals,
-    then only exact option strings of that command, each with its value; no
-    value starts with '-', every type call succeeds and every value is in
-    its choices.  Any other argv (help, --opt=value, an abbreviation, '--',
-    a negative number, value's indices, a bad value) gets None, so argparse
-    parses it and writes every help text, usage line and error.
+    then only exact option strings of that command, each with its value; a
+    last positional of nargs '+' takes every token left.  No value starts
+    with '-', every type call succeeds and every value is in its choices.
+    Any other argv (help, --opt=value, an abbreviation, '--', a negative
+    number, a bad value) gets None, so argparse parses it and writes every
+    help text, usage line and error.
     """
     entry = next((entry for entry in _COMMANDS if argv and entry[0] == argv[0]), None)
-    if entry is None or any("nargs" in keywords for _, keywords in entry[2]):
+    if entry is None:
         return None
     command, _, arguments, handler = entry
     positionals = [(name, keywords) for name, keywords in arguments if not name.startswith("-")]
@@ -331,14 +352,24 @@ def _fast_args(argv) -> argparse.Namespace | None:
     tokens = iter(argv[1:])
     try:
         for (name, keywords), token in zip(positionals, tokens):
-            values[name] = _fast_value(keywords, token)
+            if keywords.get("nargs") == "+":  # the last positional (value's indices): every token left
+                values[name] = [_fast_value(keywords, each) for each in (token, *tokens)]
+            else:
+                values[name] = _fast_value(keywords, token)
         for token in tokens:
             dest, keywords = options[token]
             values[dest] = True if keywords.get("action") == "store_true" else _fast_value(keywords, next(tokens))
-    # an unknown token, a missing value, or a value argparse rejects: argparse says which
-    except (KeyError, StopIteration, ValueError, TypeError, argparse.ArgumentTypeError):
+    # an unknown token, a missing value, or a value argparse rejects: argparse says which.  The except clause is
+    # evaluated only once the reading fails, and argparse then parses the argv, so naming its error here costs nothing
+    except (KeyError, StopIteration, ValueError, TypeError, _argparse().ArgumentTypeError):
         return None
-    return argparse.Namespace(**values)
+    return SimpleNamespace(**values)
+
+
+def _argparse():
+    import argparse
+
+    return argparse
 
 
 def main(argv=None) -> int:

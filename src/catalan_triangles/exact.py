@@ -14,13 +14,13 @@ quadratic.
 from __future__ import annotations
 
 import threading
+from collections.abc import Iterator  # not typing's, which seq and value would then import
 from contextlib import contextmanager
 from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, DivisionByZero, Inexact, InvalidOperation, Overflow, Rounded
 from fractions import Fraction
 from itertools import repeat
 from math import comb, prod
 from operator import mul
-from typing import Iterator
 
 from .errors import DomainError, IntegrityError
 

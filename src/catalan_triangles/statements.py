@@ -8,8 +8,8 @@ comparisons (< <= > >=) of integer expressions in the same grammar.
 Anything else raises UsageError.  A text is read by a scan of its
 characters into Python source, which ast parses: ^ becomes **, a number
 that starts a word is multiplied by the name or ( after it, and each
-sum's ", v=lo.." becomes ", v, lo, ", so the sums in the text must be
-as many as the ranges rewritten.
+sum's ", v=lo.." becomes ", v, lo, ", so the calls of sum must be as
+many as the ranges rewritten.
 
 Each side becomes generated Python code that keeps every value as an
 integer pair (numerator, denominator) and builds at most one Fraction, in
@@ -132,17 +132,23 @@ def _parse(text: str) -> ast.expr:
         tree = ast.parse(source, mode="eval").body
     except SyntaxError:
         raise UsageError("cannot parse %r" % text) from None
-    if _sums(text) != ranges:
+    if _sums(source) != ranges:
         raise UsageError("write every sum as sum(term, v=lo..hi) in %r" % text)
     return tree
 
 
-def _sums(text: str) -> int:
-    """How many times the word sum stands in text, with no letter, digit or _ next to it."""
-    count, i = 0, text.find("sum")
+def _sums(source: str) -> int:
+    """How many times source, as _rewrite writes it, calls sum: the word sum (no letter, digit or _ before it), then (.
+
+    Whitespace may stand before the (.  Read from _rewrite's output, 2sum( is
+    the call 2*sum(; sum as a keyword, an attribute or a bare name is no
+    call, and the compiler refuses it with its own message.
+    """
+    count, i = 0, source.find("sum")
     while i >= 0:
-        count += not any(char.isalnum() or char == "_" for char in text[i - 1:i] + text[i + 3:i + 4])
-        i = text.find("sum", i + 3)
+        before = source[i - 1:i]
+        count += not (before.isalnum() or before == "_") and source[i + 3:].lstrip(" \t\n")[:1] == "("
+        i = source.find("sum", i + 3)
     return count
 
 

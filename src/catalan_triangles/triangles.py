@@ -9,7 +9,6 @@ integers; a division that leaves a remainder raises IntegrityError.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from operator import sub
 
@@ -197,18 +196,14 @@ def a_row(n: int) -> tuple[int, ...]:
     return tuple(_row_slice("a_row", n, 1, n + 2))
 
 
-@dataclass(frozen=True)
-class SequenceSpec:
-    """A contiguous slice request against one named sequence or triangle row.
+def __getattr__(name: str):
+    """SequenceSpec, imported at its first access: a frozen dataclass, kept apart so that seq loads no dataclasses."""
+    if name != "SequenceSpec":
+        raise AttributeError("module %r has no attribute %r" % (__name__, name))
+    from ._spec import SequenceSpec
 
-    kind is a key of _KINDS, which gives its first index and whether it
-    takes a param: the order k of gen_catalan, or the row of a triangle.
-    """
-
-    kind: str
-    start: int
-    count: int
-    param: int | None = None
+    globals()[name] = SequenceSpec
+    return SequenceSpec
 
 
 def generate(spec: SequenceSpec, number=int) -> list:
@@ -227,36 +222,40 @@ def generate(spec: SequenceSpec, number=int) -> list:
     the same checks, so a step that would round raises its decimal signal;
     seq_a and seq_b terms stay ints.
     """
-    if not (isinstance(spec.kind, str) and spec.kind in _KINDS):
-        raise DomainError("generate: unknown kind %r" % (spec.kind,))
+    return _generate(spec.kind, spec.start, spec.count, spec.param, number)
+
+
+def _generate(kind, start, count, param, number) -> list:
+    """generate(SequenceSpec(kind, start, count, param), number), without building the spec."""
+    if not (isinstance(kind, str) and kind in _KINDS):
+        raise DomainError("generate: unknown kind %r" % (kind,))
     if number is not int and number is not Decimal:
         raise UsageError("generate: number must be int or decimal.Decimal, got %r" % (number,))
-    first, param, _ = _KINDS[spec.kind]
-    if (spec.param is None) == (param is not None):
-        raise DomainError("generate: kind %r and param %r do not agree" % (spec.kind, spec.param))
-    for name in ("start", "count", "param") if param else ("start", "count"):
-        if not _int(getattr(spec, name)):
-            raise DomainError("generate: %s must be an integer, got %r" % (name, getattr(spec, name)))
-    if spec.count < 1:
-        raise DomainError("generate: count must be >= 1, got %d" % spec.count)
-    if spec.start < first:
-        raise DomainError("generate: start %d below first index of %s" % (spec.start, spec.kind))
-    indices = range(spec.start, spec.start + spec.count)
+    first, takes_param, _ = _KINDS[kind]
+    if (param is None) == (takes_param is not None):
+        raise DomainError("generate: kind %r and param %r do not agree" % (kind, param))
+    for name, value in (("start", start), ("count", count), ("param", param))[:3 if takes_param else 2]:
+        if not _int(value):
+            raise DomainError("generate: %s must be an integer, got %r" % (name, value))
+    if count < 1:
+        raise DomainError("generate: count must be >= 1, got %d" % count)
+    if start < first:
+        raise DomainError("generate: start %d below first index of %s" % (start, kind))
+    indices = range(start, start + count)
 
     with localcontext(EXACT_DECIMAL):
-        if spec.kind == "catalan":  # binomial(2i, i) / (i + 1)
-            run = binomials(2 * spec.start, spec.start, 2, 1, spec.count, number)
+        if kind == "catalan":  # binomial(2i, i) / (i + 1)
+            run = binomials(2 * start, start, 2, 1, count, number)
             return [exact_div(x, i + 1) for i, x in zip(indices, run)]
-        if spec.kind == "gen_catalan":  # binomial(i*K, i-1) / i
-            order = spec.param
-            if order < 1:
-                raise DomainError("gen_catalan: k must be >= 1, got %d" % order)
-            run = binomials(order * spec.start, spec.start - 1, order, 1, spec.count, number)
+        if kind == "gen_catalan":  # binomial(i*K, i-1) / i
+            if param < 1:
+                raise DomainError("gen_catalan: k must be >= 1, got %d" % param)
+            run = binomials(param * start, start - 1, param, 1, count, number)
             return [exact_div(x, i) for i, x in zip(indices, run)]
-        if spec.kind == "seq_a":  # seq_a and seq_b are looked up here, so a rebinding reaches them
+        if kind == "seq_a":  # seq_a and seq_b are looked up here, so a rebinding reaches them
             return _recurrent_slice("seq_a", seq_a, indices)
-        if spec.kind == "seq_b":
+        if kind == "seq_b":
             return _recurrent_slice("seq_b", seq_b, indices)
 
         # triangle rows: the slice must stay inside the row
-        return _row_slice(spec.kind, spec.param, spec.start, indices.stop, number)
+        return _row_slice(kind, param, start, indices.stop, number)

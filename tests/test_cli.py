@@ -332,7 +332,7 @@ def test_an_empty_checkpoint_path_exits_2_before_any_cell(tmp_path, monkeypatch)
     def scanned(*args, **kwargs):
         raise AssertionError("scanned with an empty checkpoint path")
 
-    monkeypatch.setattr(cli.conjectures, "scan_divisibility", scanned)
+    monkeypatch.setattr(conjectures, "scan_divisibility", scanned)
     monkeypatch.chdir(tmp_path)
     code, out, err = _cli(["scan", "c", "--p", "3", "--m", "2..40", "--checkpoint", "", "--limit", "500"])
     assert (code, out, err) == (2, "", "error: --checkpoint needs a path, got an empty one\n")
@@ -898,7 +898,7 @@ def test_scan_checkpoint_in_a_missing_directory_exits_2_before_scanning(tmp_path
     def scanned(*args, **kwargs):
         raise AssertionError("scanned before the checkpoint directory was checked")
 
-    monkeypatch.setattr(cli.conjectures, "scan_divisibility", scanned)
+    monkeypatch.setattr(conjectures, "scan_divisibility", scanned)
     path = tmp_path / "missing" / "x.json"
     assert cli.main(["scan", "b-cubes", "--p", "3", "--n", "1..5", "--checkpoint", str(path)]) == 2
     assert os.listdir(tmp_path) == []
@@ -1122,10 +1122,10 @@ def test_decimal_seq_output_equals_the_int_rendering_in_every_format(spec):
     ],
 )
 def test_main_puts_back_the_callers_int_str_digit_limit(monkeypatch, capsys, argv, code):
-    def broken(spec, number=int):
+    def broken(kind, start, count, param, number=int):
         raise RuntimeError("injected fault")
 
-    monkeypatch.setattr(cli.triangles, "generate", broken)
+    monkeypatch.setattr(cli.triangles, "_generate", broken)
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(5000)
     try:
@@ -1139,10 +1139,10 @@ def test_main_puts_back_the_callers_int_str_digit_limit(monkeypatch, capsys, arg
 
 
 def test_unexpected_exception_exits_3(monkeypatch, capsys):
-    def broken(spec, number=int):
+    def broken(kind, start, count, param, number=int):
         raise RuntimeError("injected fault")
 
-    monkeypatch.setattr(cli.triangles, "generate", broken)
+    monkeypatch.setattr(cli.triangles, "_generate", broken)
     assert cli.main(["seq", "catalan", "0", "3"]) == cli.EXIT_INTERNAL == 3
     captured = capsys.readouterr()
     assert captured.out == ""

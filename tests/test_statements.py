@@ -927,6 +927,7 @@ def test_h_below_one_raises_as_harmonic_does():
 
 _PRODUCT = re.compile(r"\b(\d+)(?=[A-Za-z_(])")  # 2n -> 2*n, 3(n+1) -> 3*(n+1)
 _RANGE = re.compile(r",\s*([A-Za-z_]\w*)\s*=(?!=)(.*?)\.\.")  # , v=lo.. -> , v, lo,
+_SUM_CALL = re.compile(r"\bsum\s*\(")
 
 
 def _regex_rewrite(text):
@@ -934,7 +935,12 @@ def _regex_rewrite(text):
 
 
 def _regex_parse(text):
-    """statements._parse as it was written with _PRODUCT, _RANGE and re.findall, the reference for the character scans."""
+    """statements._parse with _PRODUCT, _RANGE and re.findall in place of its character scans: their reference.
+
+    A sum is counted where the rewritten source calls the word sum, so that
+    2sum( counts as the 2*sum( it reads as, and a keyword or attribute sum
+    does not.
+    """
     if not statements._CHARACTERS.issuperset(text):
         raise UsageError("unexpected character in %r" % text)
     source, ranges = _regex_rewrite(text)
@@ -942,7 +948,7 @@ def _regex_parse(text):
         tree = ast.parse(source, mode="eval").body
     except SyntaxError:
         raise UsageError("cannot parse %r" % text) from None
-    if len(re.findall(r"\bsum\b", text)) != ranges:
+    if len(_SUM_CALL.findall(source)) != ranges:
         raise UsageError("write every sum as sum(term, v=lo..hi) in %r" % text)
     return tree
 
@@ -958,7 +964,8 @@ def _read(parse, text):
 def _reads_as_the_regular_expressions_read(text):
     if statements._CHARACTERS.issuperset(text):
         assert statements._rewrite(text) == _regex_rewrite(text)
-        assert statements._sums(text) == len(re.findall(r"\bsum\b", text))
+        source = statements._rewrite(text)[0]
+        assert statements._sums(source) == len(_SUM_CALL.findall(source))
     assert _read(statements._parse, text) == _read(_regex_parse, text)
 
 
@@ -970,6 +977,27 @@ _NEAR_MISSES = [
     "sum(k,\tk\t=1..n) == 0", "sum(k,\n k =\n1..n) == 0", "sum(k, 2k=1..n) == 0", "sum(k, k=1..2..n) == 0",
     "sum(k, k=c(1,j=2..3)..n) == 0", "2_n + 3(n) + 4n2 + n5(1) == 0",
 ]
+
+
+@pytest.mark.parametrize(
+    "text, refusal",
+    [
+        ("2sum(k, k=1..n) == n*(n+1)", None),
+        ("n == c(n, sum=1)", "unsupported expression 'c(n, sum=1)'"),
+        ("n.sum == 0", "unsupported expression 'n.sum'"),
+    ],
+)
+def test_the_reader_counts_the_sums_the_grammar_reads(text, refusal):
+    # 2sum is 2*sum, as 2n is 2*n; a sum that is no call is refused by the compiler with its own message, not
+    # with the one for a sum without its range
+    if refusal is None:
+        sides = statements.compile_identity(("n",), {}, text)
+        assert [(sides["lhs"](n=n), sides["rhs"](n=n)) for n in range(5)] == [(n * (n + 1),) * 2 for n in range(5)]
+    else:
+        with pytest.raises(UsageError) as raised:
+            statements.compile_identity(("n",), {}, text)
+        assert str(raised.value) == refusal
+    _reads_as_the_regular_expressions_read(text)
 
 
 def test_every_built_in_text_reads_as_the_regular_expressions_read_it():
@@ -1053,12 +1081,13 @@ _LEG = ["scan", "c-powers", "--p", "7", "--m", "2..30", "--checkpoint", "{}", "-
     ids=["verify", "scan first leg", "scan resumed leg", "seq"],
 )
 def test_a_timed_command_first_imports_only_the_compiler(tmp_path, argv, legs, imported):
-    # a benchmark op times cli.main after `import catalan_triangles.cli`, which loads no compiler: a module a command
-    # imports first is timed in each process it runs in, and the compiler, loaded by the first compile, is the one
+    # a benchmark op times cli.main after its child's own imports (perfbench/ops.py: cli, conjectures and identities),
+    # which load no compiler: a module a command imports first is timed in each process it runs in, and the
+    # compiler, loaded by the first compile, is the one
     argv = [arg.format(tmp_path / "checkpoint.json") for arg in argv]
     code = "\n".join([
         "import contextlib, io, sys",
-        "from catalan_triangles import cli",
+        "from catalan_triangles import cli, conjectures, identities",
         "assert 'catalan_triangles.statements' not in sys.modules",
         "before = set(sys.modules)",
         "with contextlib.redirect_stdout(io.StringIO()):",
