@@ -17,14 +17,11 @@ import threading
 from collections.abc import Iterator  # not typing's, which seq and value would then import
 from contextlib import contextmanager
 from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, DivisionByZero, Inexact, InvalidOperation, Overflow, Rounded
-from fractions import Fraction
 from itertools import repeat
 from math import comb, prod
 from operator import mul
 
 from .errors import DomainError, IntegrityError
-
-Rational = Fraction
 
 # Decimal integers that stay exact: any step that would round or cannot be
 # represented raises its signal instead.  Use it only through localcontext,
@@ -152,8 +149,18 @@ def _per_step(factors: list[range], steps: int):
     return map(prod, zip(*factors, repeat(1, steps)))
 
 
+def __getattr__(name: str):
+    """Rational, fractions.Fraction, imported at its first access: seq and value never load fractions."""
+    if name != "Rational":
+        raise AttributeError("module %r has no attribute %r" % (__name__, name))
+    from fractions import Fraction
+
+    globals()[name] = Fraction
+    return Fraction
+
+
 _harmonic_lock = threading.Lock()
-_harmonic_cache: list[Fraction] = [Fraction(0)]  # index 0 is a sentinel, never returned
+_harmonic_cache: list[Fraction] = []  # from the first call on, index 0 is a sentinel, never returned
 
 
 def harmonic(n: int) -> Fraction:
@@ -161,7 +168,11 @@ def harmonic(n: int) -> Fraction:
     if n < 1:
         raise DomainError("harmonic: n must be >= 1, got %d" % n)
     if n >= len(_harmonic_cache):
+        from fractions import Fraction
+
         with _harmonic_lock:
+            if not _harmonic_cache:
+                _harmonic_cache.append(Fraction(0))
             while len(_harmonic_cache) <= n:
                 k = len(_harmonic_cache)
                 _harmonic_cache.append(_harmonic_cache[-1] + Fraction(1, k))

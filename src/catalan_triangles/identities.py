@@ -10,6 +10,17 @@ vanish through the binomial zero convention, never through special cases
 in the sums.  A descriptor may also carry hand-written sides, any
 (**params) -> int | Fraction callables, which are used as given.
 
+The built-in texts (the identities here and the claims in conjectures)
+are compiled ahead of time: _prebuilt.py holds the factory the compiler
+generates for each, and _compiled runs its code with this module's
+globals in place of the compiler, so a lookup loads the code from
+CPython's .pyc and imports no statements.  Any other text is compiled at
+run time.  After an edit of statements.py that changes the generated
+code, `PYTHONPATH=src python tests/generated_sources.py --module >
+src/catalan_triangles/_prebuilt.py` regenerates the table.  Without .pyc
+files (PYTHONDONTWRITEBYTECODE and no compileall) the module compiles
+from source in about 20 ms, once per process.
+
 The engine, _lines, checks a line of cells at a time: the cells that
 share all parameters but the last.  A sweep builds its lines straight from
 the box, one per value of those parameters, and applies the constraint
@@ -29,7 +40,9 @@ from dataclasses import dataclass, field, replace
 from functools import partial
 from fractions import Fraction
 from itertools import compress, product, starmap
+from math import lcm
 from operator import ne
+from types import FunctionType
 from typing import Callable
 
 from .errors import DomainError, EmptyDomainError, IntegrityError, UnknownIdentityError, UsageError
@@ -37,7 +50,7 @@ from .errors import DomainError, EmptyDomainError, IntegrityError, UnknownIdenti
 # (statements.FUNCTIONS), and line functions call them and the row-table
 # builders below (statements.TABLES); both look them up in this module at
 # call time, so rebinding one here reaches every compiled statement.
-from .exact import _int, binomial, binomials, harmonic, keep_partials
+from .exact import _int, binomial, binomials, harmonic, keep_partials, partials
 from .triangles import _KINDS, _a_ext, _b_ext, _c_ext, _row_slice, catalan, gen_catalan, seq_a, seq_b
 
 Assignment = Mapping[str, int]
@@ -176,14 +189,19 @@ def _compiled(ident: IdentityDescriptor) -> IdentityDescriptor:
     text = ident.constraint if isinstance(ident.constraint, str) else None
     if not sides and text is None:
         return ident
-    from . import statements  # loaded by the first compile, so seq and value never load it
+    statement = ident.statement if sides else None
+    key = (ident.parameter_names(), statement, text)
+    from ._prebuilt import BUILT  # the compiler's output for the built-in texts, loaded from its .pyc
 
-    try:
-        built = statements.compile_identity(
-            ident.parameter_names(), globals(), ident.statement if sides else None, text
-        )
-    except UsageError as exc:
-        raise UsageError("%s: %s" % (ident.id, exc)) from None
+    if key in BUILT:
+        built = FunctionType(BUILT[key].__code__, globals())(Fraction, lcm, partials, DomainError)
+    else:
+        from . import statements  # loaded by the first text not in BUILT, so no built-in's lookup loads it
+
+        try:
+            built = statements.compile_identity(key[0], globals(), statement, text)
+        except UsageError as exc:
+            raise UsageError("%s: %s" % (ident.id, exc)) from None
     line, admit = built.pop("line", None), built.pop("admit", None)
     compiled = replace(ident, **{name: fn for name, fn in built.items() if not callable(getattr(ident, name))})
     if ident.lhs is ident.rhs is None:  # the line runs the compiled sides, so only they get it

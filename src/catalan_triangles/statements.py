@@ -32,7 +32,10 @@ literal exponent 2 or 3 a product of the base, bound where ** would
 evaluate it ((_d := x)*_d), for a numerator and a denominator alike; any
 other power is taken with **.  The generated code looks up _c_ext,
 binomial, harmonic and the other functions in the namespace it is given,
-at call time.
+at call time.  Its output for the built-in texts is kept in _prebuilt.py,
+which identities runs in place of this module: after an edit that changes
+the generated code, regenerate that file with
+`PYTHONPATH=src python tests/generated_sources.py --module > src/catalan_triangles/_prebuilt.py`.
 
 In a line function, a call c(r,e), b(r,e), a(r,e) or binomial(r,e)
 reads a table of the whole row r, not the entry function, where its row

@@ -102,15 +102,15 @@ def _loaded(*args):
 def test_importing_the_cli_loads_no_engine_and_none_of_argparse_dataclasses_json_or_typing():
     loaded = _loaded("-c", "import catalan_triangles.cli")
     assert {name for name in loaded if name.startswith("catalan_triangles")} == _TRIANGLES
-    assert sorted(loaded & {"argparse", "dataclasses", "json", "typing"}) == []
+    assert sorted(loaded & {"argparse", "dataclasses", "fractions", "json", "typing"}) == []
 
 
 # each command, and the modules its whole process must not load
 _UNUSED = [
-    (["seq", "c-row:30", "0", "31"], _ENGINES | {"argparse", "dataclasses", "json", "typing"}),
+    (["seq", "c-row:30", "0", "31"], _ENGINES | {"argparse", "dataclasses", "fractions", "json", "typing"}),
     (["seq", "c-row:30", "0", "31", "--format", "json"], _ENGINES | {"argparse", "dataclasses", "typing"}),
-    (["value", "c", "6", "2"], _ENGINES | {"argparse", "dataclasses", "json", "typing"}),
-    (["verify", "eq-vandermonde", "--no-timing"], {"catalan_triangles.conjectures"}),
+    (["value", "c", "6", "2"], _ENGINES | {"argparse", "dataclasses", "fractions", "json", "typing"}),
+    (["verify", "eq-vandermonde", "--no-timing"], {"catalan_triangles.conjectures", "catalan_triangles.statements"}),
 ]
 
 

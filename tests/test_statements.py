@@ -2,8 +2,8 @@
 its statement, every line function against the sides it was compiled
 with, the grammar's refusals, the reader against the regular expressions
 it replaced, the digest of the source generated for the built-in
-statements, and compiling on first lookup only, the one import a timed
-command makes."""
+statements, and building on first lookup only, from the table of prebuilt
+code that is the one import a timed command makes."""
 
 import ast
 import hashlib
@@ -1024,15 +1024,16 @@ def test_any_text_reads_as_the_regular_expressions_read_it(text):
 
 
 def test_import_compiles_nothing_and_a_lookup_compiles_only_its_identity():
+    # a built-in's sides come from the table of prebuilt code, so the compiler itself runs for none of them
     code = "\n".join([
         "from catalan_triangles import identities, statements",
         "compiled = []",
         "real = statements.compile_identity",
         "statements.compile_identity = lambda *args: compiled.append(args) or real(*args)",
         "assert all(i.lhs is None and i.rhs is None for i in identities._REGISTRY.values())",
-        "identities.get_identity('thm-harmonic')",
-        "identities.get_identity('thm-harmonic')",
-        "assert len(compiled) == 1, compiled",
+        "first = identities.get_identity('thm-harmonic')",
+        "assert identities.get_identity('thm-harmonic') is first",
+        "assert compiled == [], compiled",
         "print(' '.join(i.id for i in identities._REGISTRY.values() if i.lhs is not None))",
     ])
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
@@ -1053,8 +1054,7 @@ def test_import_compiles_nothing_and_a_lookup_compiles_only_its_identity():
     ids=" ".join,
 )
 def test_only_the_scans_load_the_compiler(argv):
-    # seq and value never load the compiler, while every scan's claims are compiled from their texts
-    loaded = argv[0] == "scan"
+    # seq and value never load the compiler, and every scan's claims come from the table of prebuilt code
     code = "\n".join([
         "import contextlib, io, sys",
         "from catalan_triangles import cli",
@@ -1064,7 +1064,7 @@ def test_only_the_scans_load_the_compiler(argv):
     ])
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
-    assert result.stdout == "%s\n" % loaded
+    assert result.stdout == "False\n"
 
 
 _LEG = ["scan", "c-powers", "--p", "7", "--m", "2..30", "--checkpoint", "{}", "--limit", "100", "--no-timing"]
@@ -1073,17 +1073,17 @@ _LEG = ["scan", "c-powers", "--p", "7", "--m", "2..30", "--checkpoint", "{}", "-
 @pytest.mark.parametrize(
     "argv, legs, imported",
     [
-        (["verify", "thm-harmonic", "--no-timing"], 0, ["catalan_triangles.statements"]),
-        (_LEG, 0, ["catalan_triangles.statements"]),
-        (_LEG, 1, ["catalan_triangles.statements"]),
+        (["verify", "thm-harmonic", "--no-timing"], 0, ["catalan_triangles._prebuilt"]),
+        (_LEG, 0, ["catalan_triangles._prebuilt"]),
+        (_LEG, 1, ["catalan_triangles._prebuilt"]),
         (["seq", "c-row:300", "0", "301"], 0, []),
     ],
     ids=["verify", "scan first leg", "scan resumed leg", "seq"],
 )
 def test_a_timed_command_first_imports_only_the_compiler(tmp_path, argv, legs, imported):
     # a benchmark op times cli.main after its child's own imports (perfbench/ops.py: cli, conjectures and identities),
-    # which load no compiler: a module a command imports first is timed in each process it runs in, and the
-    # compiler, loaded by the first compile, is the one
+    # which load no compiler: a module a command imports first is timed in each process it runs in, and the one is
+    # the table of the built-in statements' prebuilt code, loaded by the first lookup; the compiler is never loaded
     argv = [arg.format(tmp_path / "checkpoint.json") for arg in argv]
     code = "\n".join([
         "import contextlib, io, sys",
