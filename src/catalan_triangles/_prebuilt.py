@@ -679,21 +679,29 @@ def _build_17(Fraction, _lcm, _partials, DomainError):
     def line(_xs):
         _pairs = []
         for n in _xs:
-            _k8, _num9, _den10 = 0, 0, 1
-            while _k8 <= n:
-                k = _k8
-                _top, _bottom = (((3*n) - (2*k))*((_d7 := binomial((((2*n) - 1) - k), (n - 1)))*_d7)), n
-                if _bottom != _den10:
-                    if _den10 % _bottom:
-                        _grown = _lcm(_den10, _bottom)
-                        _num9 *= _grown // _den10
-                        _den10 = _grown
-                    _top *= _den10 // _bottom
-                _num9 += _top
-                _k8 += 1
-            if not _den10:
+            _d8 = ((2*n) - 1)
+            _d9 = (n - 1)
+            _k13, _num14, _den15 = 0, 0, 1
+            _h11 = n
+            _l7 = _k13
+            _r10 = ()
+            if _h11 - _k13 >= 31:
+                if 0 <= _d9 <= (_d8 - _h11):
+                    _r10 = binomials((_d8 - _k13), _d9, -1, 0, _h11 - _k13 + 1)
+            while _k13 <= _h11:
+                k = _k13
+                _top, _bottom = (((3*n) - (2*k))*((_d12 := (_r10[k - _l7] if _r10 else binomial((_d8 - k), _d9)))*_d12)), n
+                if _bottom != _den15:
+                    if _den15 % _bottom:
+                        _grown = _lcm(_den15, _bottom)
+                        _num14 *= _grown // _den15
+                        _den15 = _grown
+                    _top *= _den15 // _bottom
+                _num14 += _top
+                _k13 += 1
+            if not _den15:
                 raise ZeroDivisionError('zero denominator')
-            _pairs.append(((((_d6 := binomial((2*n), n))*_d6)*_den10), _num9))
+            _pairs.append(((((_d6 := binomial((2*n), n))*_d6)*_den15), _num14))
         return _pairs
     return {'lhs': lhs, 'rhs': rhs, 'line': line}
 
@@ -719,21 +727,28 @@ def _build_18(Fraction, _lcm, _partials, DomainError):
     def line(_xs):
         _pairs = []
         for n in _xs:
-            _k8, _num9, _den10 = 0, 0, 1
-            while _k8 <= n:
-                j = _k8
-                _top, _bottom = ((n + (2*j))*((_d7 := binomial(((n - 1) + j), (n - 1)))*_d7)), n
-                if _bottom != _den10:
-                    if _den10 % _bottom:
-                        _grown = _lcm(_den10, _bottom)
-                        _num9 *= _grown // _den10
-                        _den10 = _grown
-                    _top *= _den10 // _bottom
-                _num9 += _top
-                _k8 += 1
-            if not _den10:
+            _d8 = (n - 1)
+            _d9 = (n - 1)
+            _k12, _num13, _den14 = 0, 0, 1
+            _l7 = _k12
+            _r10 = ()
+            if n - _k12 >= 31:
+                if 0 <= _d9 <= (_k12 + _d8):
+                    _r10 = binomials((_k12 + _d8), _d9, 1, 0, n - _k12 + 1)
+            while _k12 <= n:
+                j = _k12
+                _top, _bottom = ((n + (2*j))*((_d11 := (_r10[j - _l7] if _r10 else binomial((j + _d8), _d9)))*_d11)), n
+                if _bottom != _den14:
+                    if _den14 % _bottom:
+                        _grown = _lcm(_den14, _bottom)
+                        _num13 *= _grown // _den14
+                        _den14 = _grown
+                    _top *= _den14 // _bottom
+                _num13 += _top
+                _k12 += 1
+            if not _den14:
                 raise ZeroDivisionError('zero denominator')
-            _pairs.append(((((_d6 := binomial((2*n), n))*_d6)*_den10), _num9))
+            _pairs.append(((((_d6 := binomial((2*n), n))*_d6)*_den14), _num13))
         return _pairs
     return {'lhs': lhs, 'rhs': rhs, 'line': line}
 
@@ -844,12 +859,27 @@ def _build_21(Fraction, _lcm, _partials, DomainError):
                 _t10 = _binomial_table(m, 2 * len(_xs))
                 _t10n = len(_t10)
             _d15 = (m - 1)
-            _k16, _num17, _den18 = 0, 0, 1
-            while _k16 <= _d15:
-                j = _k16
-                _num17 += (binomial(j, n)*binomial(j, ((m - n) - 1)))
-                _k16 += 1
-            _pairs.append((_num13, (((m - n)*(_t10[n] if 0 <= n < _t10n else (0 if _t10n else binomial(m, n))))*_num17)))
+            _d18 = ((m - n) - 1)
+            _k20, _num21, _den22 = 0, 0, 1
+            if _k20 >= 0:
+                if _k20 < n:
+                    _k20 = n
+                if _k20 < _d18:
+                    _k20 = _d18
+                if n < 0 or _d18 < 0:
+                    _k20 = _d15 + 1
+            _l16 = _k20
+            _r17 = _r19 = ()
+            if _d15 - _k20 >= 31:
+                if 0 <= n <= _k20:
+                    _r17 = binomials(_k20, n, 1, 0, _d15 - _k20 + 1)
+                if 0 <= _d18 <= _k20:
+                    _r19 = binomials(_k20, _d18, 1, 0, _d15 - _k20 + 1)
+            while _k20 <= _d15:
+                j = _k20
+                _num21 += ((_r17[j - _l16] if _r17 else binomial(j, n))*(_r19[j - _l16] if _r19 else binomial(j, _d18)))
+                _k20 += 1
+            _pairs.append((_num13, (((m - n)*(_t10[n] if 0 <= n < _t10n else (0 if _t10n else binomial(m, n))))*_num21)))
         return _pairs
     return {'lhs': lhs, 'rhs': rhs, 'line': line}
 
@@ -895,12 +925,27 @@ def _build_22(Fraction, _lcm, _partials, DomainError):
                 _t16 = _binomial_table((m - 1), 2 * len(_xs))
                 _t16n = len(_t16)
             _d18 = (m - 1)
-            _k19, _num20, _den21 = 0, 0, 1
-            while _k19 <= _d18:
-                j = _k19
-                _num20 += (binomial(j, n)*binomial(j, ((m - n) - 1)))
-                _k19 += 1
-            _pairs.append((_num14, ((4*((_d17 := (_t16[n] if 0 <= n < _t16n else (0 if _t16n else binomial((m - 1), n))))*_d17*_d17)) - ((3*(_t16[n] if 0 <= n < _t16n else (0 if _t16n else binomial((m - 1), n))))*_num20))))
+            _d21 = ((m - n) - 1)
+            _k23, _num24, _den25 = 0, 0, 1
+            if _k23 >= 0:
+                if _k23 < n:
+                    _k23 = n
+                if _k23 < _d21:
+                    _k23 = _d21
+                if n < 0 or _d21 < 0:
+                    _k23 = _d18 + 1
+            _l19 = _k23
+            _r20 = _r22 = ()
+            if _d18 - _k23 >= 31:
+                if 0 <= n <= _k23:
+                    _r20 = binomials(_k23, n, 1, 0, _d18 - _k23 + 1)
+                if 0 <= _d21 <= _k23:
+                    _r22 = binomials(_k23, _d21, 1, 0, _d18 - _k23 + 1)
+            while _k23 <= _d18:
+                j = _k23
+                _num24 += ((_r20[j - _l19] if _r20 else binomial(j, n))*(_r22[j - _l19] if _r22 else binomial(j, _d21)))
+                _k23 += 1
+            _pairs.append((_num14, ((4*((_d17 := (_t16[n] if 0 <= n < _t16n else (0 if _t16n else binomial((m - 1), n))))*_d17*_d17)) - ((3*(_t16[n] if 0 <= n < _t16n else (0 if _t16n else binomial((m - 1), n))))*_num24))))
         return _pairs
     return {'lhs': lhs, 'rhs': rhs, 'line': line}
 
@@ -1010,14 +1055,29 @@ def _build_24(Fraction, _lcm, _partials, DomainError):
                 _num13 += ((_d11 := (_t10[k] if 0 <= k < _t10n else (0 if _t10n else _b_ext(n, k))))*_d11*_d11)
                 _k12 += 1
             _d16 = ((2*n) - 1)
-            _k17, _num18, _den19 = n, 0, 1
-            while _k17 <= _d16:
-                j = _k17
-                _num18 += (binomial(j, n)*binomial(j, (n - 1)))
-                _k17 += 1
+            _d19 = (n - 1)
+            _k21, _num22, _den23 = n, 0, 1
+            if _k21 >= 0:
+                if _k21 < n:
+                    _k21 = n
+                if _k21 < _d19:
+                    _k21 = _d19
+                if n < 0 or _d19 < 0:
+                    _k21 = _d16 + 1
+            _l17 = _k21
+            _r18 = _r20 = ()
+            if _d16 - _k21 >= 31:
+                if 0 <= n <= _k21:
+                    _r18 = binomials(_k21, n, 1, 0, _d16 - _k21 + 1)
+                if 0 <= _d19 <= _k21:
+                    _r20 = binomials(_k21, _d19, 1, 0, _d16 - _k21 + 1)
+            while _k21 <= _d16:
+                j = _k21
+                _num22 += ((_r18[j - _l17] if _r18 else binomial(j, n))*(_r20[j - _l17] if _r20 else binomial(j, _d19)))
+                _k21 += 1
             if not 2:
                 raise ZeroDivisionError('zero denominator')
-            _pairs.append(((_num13*2), (((_d15 := binomial((2*n), n))*_d15*_d15) - ((3*binomial((2*n), n))*_num18))))
+            _pairs.append(((_num13*2), (((_d15 := binomial((2*n), n))*_d15*_d15) - ((3*binomial((2*n), n))*_num22))))
         return _pairs
     return {'lhs': lhs, 'rhs': rhs, 'line': line}
 
@@ -1054,12 +1114,22 @@ def _build_25(Fraction, _lcm, _partials, DomainError):
                 _num16 += ((_d14 := (_t13[k] if 0 <= k < _t13n else (0 if _t13n else _a_ext(n, k))))*_d14*_d14)
                 _k15 += 1
             _d19 = ((2*n) - 1)
-            _k21, _num22, _den23 = n, 0, 1
-            while _k21 <= _d19:
-                j = _k21
-                _num22 += ((_d20 := binomial(j, n))*_d20)
-                _k21 += 1
-            _pairs.append((_num16, (((_d18 := binomial((2*n), n))*_d18*_d18) - ((3*binomial((2*n), n))*_num22))))
+            _k23, _num24, _den25 = n, 0, 1
+            if _k23 >= 0:
+                if _k23 < n:
+                    _k23 = n
+                if n < 0:
+                    _k23 = _d19 + 1
+            _l20 = _k23
+            _r21 = ()
+            if _d19 - _k23 >= 31:
+                if 0 <= n <= _k23:
+                    _r21 = binomials(_k23, n, 1, 0, _d19 - _k23 + 1)
+            while _k23 <= _d19:
+                j = _k23
+                _num24 += ((_d22 := (_r21[j - _l20] if _r21 else binomial(j, n)))*_d22)
+                _k23 += 1
+            _pairs.append((_num16, (((_d18 := binomial((2*n), n))*_d18*_d18) - ((3*binomial((2*n), n))*_num24))))
         return _pairs
     return {'lhs': lhs, 'rhs': rhs, 'line': line}
 
@@ -1167,15 +1237,28 @@ def _build_28(Fraction, _lcm, _partials, DomainError):
                     _t9n = len(_t9)
                 _num12 += ((_d10 := (_t9[k] if 0 <= k < _t9n else (0 if _t9n else _b_ext(n, k))))*_d10*_d10)
                 _k11 += 1
-            _k15, _num16, _den17 = 1, 0, 1
-            while _k15 <= n:
-                k = _k15
-                _num16 += (k*((_d14 := binomial((((2*n) - k) - 1), (n - 1)))*_d14))
-                _k15 += 1
-            _d18 = (2*n)
-            if not _d18:
+            _d15 = ((2*n) - 1)
+            _d16 = (n - 1)
+            _k20, _num21, _den22 = 1, 0, 1
+            _h18 = n
+            if (_d15 - _h18) >= 0:
+                if _h18 > (_d15 - _d16):
+                    _h18 = (_d15 - _d16)
+                if _d16 < 0:
+                    _k20 = _h18 + 1
+            _l14 = _k20
+            _r17 = ()
+            if _h18 - _k20 >= 31:
+                if 0 <= _d16 <= (_d15 - _h18):
+                    _r17 = binomials((_d15 - _k20), _d16, -1, 0, _h18 - _k20 + 1)
+            while _k20 <= _h18:
+                k = _k20
+                _num21 += (k*((_d19 := (_r17[k - _l14] if _r17 else binomial((_d15 - k), _d16)))*_d19))
+                _k20 += 1
+            _d23 = (2*n)
+            if not _d23:
                 raise ZeroDivisionError('zero denominator')
-            _pairs.append(((_num12*_d18), (binomial((2*n), n)*_num16)))
+            _pairs.append(((_num12*_d23), (binomial((2*n), n)*_num21)))
         return _pairs
     return {'lhs': lhs, 'rhs': rhs, 'line': line}
 
@@ -1709,16 +1792,31 @@ def _build_40(Fraction, _lcm, _partials, DomainError):
                 _t17 = _binomial_table((2*n), 2 * len(_xs))
                 _t17n = len(_t17)
             _d19 = (n - 1)
-            _k20, _num21, _den22 = 0, 0, 1
-            while _k20 <= _d19:
-                j = _k20
-                _num21 += (binomial((m + j), m)*binomial((n + j), (n - 1)))
-                _k20 += 1
-            _d23 = ((n*binomial((n + m), n))*(_t17[n] if 0 <= n < _t17n else (0 if _t17n else binomial((2*n), n))))
-            _d24 = (2*_d23)
-            if not _d24:
+            _d22 = (n - 1)
+            _k24, _num25, _den26 = 0, 0, 1
+            if (_k24 + m) >= 0 and (_k24 + n) >= 0:
+                if _k24 < (m - m):
+                    _k24 = (m - m)
+                if _k24 < (_d22 - n):
+                    _k24 = (_d22 - n)
+                if m < 0 or _d22 < 0:
+                    _k24 = _d19 + 1
+            _l20 = _k24
+            _r21 = _r23 = ()
+            if _d19 - _k24 >= 31:
+                if 0 <= m <= (_k24 + m):
+                    _r21 = binomials((_k24 + m), m, 1, 0, _d19 - _k24 + 1)
+                if 0 <= _d22 <= (_k24 + n):
+                    _r23 = binomials((_k24 + n), _d22, 1, 0, _d19 - _k24 + 1)
+            while _k24 <= _d19:
+                j = _k24
+                _num25 += ((_r21[j - _l20] if _r21 else binomial((j + m), m))*(_r23[j - _l20] if _r23 else binomial((j + n), _d22)))
+                _k24 += 1
+            _d27 = ((n*binomial((n + m), n))*(_t17[n] if 0 <= n < _t17n else (0 if _t17n else binomial((2*n), n))))
+            _d28 = (2*_d27)
+            if not _d28:
                 raise ZeroDivisionError('zero denominator')
-            _pairs.append(((_num15*_d24), ((((_d18 := (_t17[n] if 0 <= n < _t17n else (0 if _t17n else binomial((2*n), n))))*_d18)*binomial((2*m), m))*(_d23 - ((n + (2*m))*_num21)))))
+            _pairs.append(((_num15*_d28), ((((_d18 := (_t17[n] if 0 <= n < _t17n else (0 if _t17n else binomial((2*n), n))))*_d18)*binomial((2*m), m))*(_d27 - ((n + (2*m))*_num25)))))
         return _pairs
     def constraint(n, m):
         return n <= m

@@ -47,9 +47,10 @@ from typing import Callable
 
 from .errors import DomainError, EmptyDomainError, IntegrityError, UnknownIdentityError, UsageError
 # binomial, harmonic and the triangle functions are what compiled sides call
-# (statements.FUNCTIONS), and line functions call them and the row-table
-# builders below (statements.TABLES); both look them up in this module at
-# call time, so rebinding one here reaches every compiled statement.
+# (statements.FUNCTIONS), and line functions call them, the row-table
+# builders below (statements.TABLES) and binomials for column runs; both look
+# them up in this module at call time, so rebinding one here reaches every
+# compiled statement.
 from .exact import _int, binomial, binomials, harmonic, keep_partials, partials
 from .triangles import _KINDS, _a_ext, _b_ext, _c_ext, _row_slice, catalan, gen_catalan, seq_a, seq_b
 

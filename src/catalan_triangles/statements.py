@@ -52,6 +52,19 @@ builder TABLES names, from checked kernel runs to the row's middle
 (triangles._row_slice, or exact.binomials for Pascal's rows), with the
 columns past it mirrored; a read outside it gives 0 through an index guard.
 
+Also in a line function only, a plain sum whose term has factors (through *,
+signs, a dividend and literal powers) binomial(v + a, e) or binomial(a - v,
+e), with a and e pure (names, integer literals, + - * and literal powers)
+and free of the variable v, first narrows its range at run time to where
+every such factor can be nonzero: to v >= e - a for a rising row, to v <= a
+- e for a falling one, and to nothing for a column below 0.  It narrows
+only when no such row falls below 0 in the range and every other part of
+the term is pure, with the literal 1 as its denominator, so every term it
+skips is 0 and raises nothing.  Then it reads each such factor from one
+checked column run of exact.binomials over the range left, where that has
+RUN terms or more and 0 <= e <= row holds at both ends; elsewhere each term
+calls binomial.  The sides keep the whole range and the calls.
+
 A statement also compiles into a line function over its last parameter x:
 line(<the other parameters>, xs) runs both sides for every x in xs
 (increasing) in one loop and returns the cross-multiplied pair (lhs
@@ -91,10 +104,14 @@ FUNCTIONS = {
 }
 # statement name -> name of the builder the generated code calls for a row table
 TABLES = {"c": "_c_table", "b": "_b_table", "a": "_a_table", "binomial": "_binomial_table"}
+# A column factor's terms are read from one checked run of exact.binomials when its sum has at least this many
+# terms left after narrowing (README rule 5); in a shorter sum each is a call, which math.comb answers faster.
+RUN = 32
 # Names a parameter or a summation variable may not take: they would shadow
 # what the generated code calls.
 _RESERVED = {
-    *FUNCTIONS, *(target for target, _ in FUNCTIONS.values()), *TABLES.values(), "sum", "range", "Fraction", "DomainError"
+    *FUNCTIONS, *(target for target, _ in FUNCTIONS.values()), *TABLES.values(), "binomials", "sum", "range",
+    "Fraction", "DomainError",
 }
 _COMPARISONS = {ast.Lt: "<", ast.LtE: "<=", ast.Gt: ">", ast.GtE: ">="}
 _CHARACTERS = frozenset("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_ \t\n+-*/^().,=<>")
@@ -164,6 +181,40 @@ def _mul(x: str, y: str) -> str:
     return y if x == "1" else x if y == "1" else "(%s*%s)" % (x, y)
 
 
+def _plus(x: str, a: str) -> str:
+    return x if a == "0" else "(%s + %s)" % (x, a)
+
+
+def _minus(x: str, a: str) -> str:
+    return x if a == "0" else "(%s - %s)" % (x, a)
+
+
+def _pure(node: ast.AST) -> bool:
+    """Whether node holds only names, integer literals, + - * and literal powers, so that evaluating it raises nothing."""
+    return all(
+        type(n.value) is int if isinstance(n, ast.Constant)
+        else isinstance(n.right, ast.Constant) if isinstance(n, ast.BinOp) and isinstance(n.op, ast.Pow)
+        else isinstance(n, (ast.Name, ast.Load, ast.BinOp, ast.UnaryOp, ast.Add, ast.Sub, ast.Mult, ast.Pow, ast.UAdd,
+                            ast.USub))
+        for n in ast.walk(node)
+    )
+
+
+def _factors(node: ast.AST) -> list[ast.AST]:
+    """The factors of node through *, the dividend of /, signs and powers with a literal exponent of 1 or more: where
+    one is 0, node is 0 unless a divisor is 0 there."""
+    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult):
+        return _factors(node.left) + _factors(node.right)
+    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Div):
+        return _factors(node.left)
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.UAdd, ast.USub)):
+        return _factors(node.operand)
+    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow) and isinstance(node.right, ast.Constant) \
+            and type(node.right.value) is int and node.right.value >= 1:
+        return _factors(node.left)
+    return [node]
+
+
 def _indent(lines: list[str]) -> str:
     return "\n".join("    " + line for block in lines for line in block.split("\n"))
 
@@ -178,6 +229,7 @@ class _Scope:
         self.lines: list[str] = []  # statements that run before the returned expression
         self.init: list[str] = []  # statements a line function runs once per line
         self.tables: dict[tuple, str] = {}  # that sum's row tables by (name, row), emptied before its loop
+        self.runs: dict[ast.AST, str] = {}  # that sum's column factors, by call node: the code that reads each
         self.built: set[str] = set()  # the tables its lines have built by now
 
 
@@ -246,6 +298,8 @@ class _Compiler:
             name = node.func.id
             if name == "sum" and len(node.args) == 4 and isinstance(node.args[1], ast.Name):
                 return self.sum(node, scope)
+            if node in scope.runs:
+                return scope.runs[node], "1"
             if name in FUNCTIONS and len(node.args) == FUNCTIONS[name][1]:
                 if name == "H":
                     return self.harmonic(node.args[0], scope)
@@ -350,6 +404,81 @@ class _Compiler:
             total = num, den
         return k, num, den, "while %s <= %s:\n%s" % (k, bound, _indent(step + ["%s += 1" % k])), total
 
+    def linear(self, node: ast.AST, v: str) -> tuple[int, ast.AST | None] | None:
+        """(s, a) with node = s*v + a, a a tree that does not read v (None for 0), if node is a sum of such terms."""
+        if v not in self.free(node):
+            return 0, node
+        if isinstance(node, ast.Name):
+            return 1, None
+        if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.UAdd, ast.USub)):
+            split = self.linear(node.operand, v)
+            if split is None or isinstance(node.op, ast.UAdd):
+                return split
+            return -split[0], split[1] and ast.UnaryOp(ast.USub(), split[1])
+        if not (isinstance(node, ast.BinOp) and isinstance(node.op, (ast.Add, ast.Sub))):
+            return None
+        left, right = self.linear(node.left, v), self.linear(node.right, v)
+        if left is None or right is None:
+            return None
+        (s, a), (t, b) = left, right
+        if isinstance(node.op, ast.Sub):
+            return s - t, a if b is None else ast.UnaryOp(ast.USub(), b) if a is None else ast.BinOp(a, ast.Sub(), b)
+        return s + t, a if b is None else b if a is None else ast.BinOp(a, ast.Add(), b)
+
+    def columns(self, term: ast.AST, v: str, scope: _Scope, inner: _Scope) -> tuple[list[tuple[int, str, str, str]], str]:
+        """([(s, a, e, run) for each distinct column factor of term], base): the factors binomial(v + a, e) (s = 1)
+        and binomial(a - v, e) (s = -1) with a and e pure and not reading v, bound in scope.  inner.runs gets each
+        factor's read: entry v - base of its run when there is one, else the call."""
+        found, base = {}, None
+        for factor in _factors(term):
+            if not (isinstance(factor, ast.Call) and getattr(factor.func, "id", None) == "binomial"
+                    and len(factor.args) == 2 and not factor.keywords):
+                continue
+            row, column = factor.args
+            split = self.linear(row, v)
+            if split is None or split[0] not in (1, -1) or v in self.free(column) or not _pure(row) or not _pure(column):
+                continue
+            s, a = split
+            key = (s, "0" if a is None else self.integer(a, scope, "a row"), self.integer(column, scope, "a column"))
+            if key not in found:
+                base = base or self.fresh("l")
+                found[key] = (s, self.local(key[1], scope), self.local(key[2], scope), self.fresh("r"))
+            _, a, e, r = found[key]
+            inner.runs[factor] = "(%s[%s - %s] if %s else binomial(%s, %s))" % (
+                r, v, base, r, _plus(v, a) if s > 0 else _minus(a, v), e)
+        return list(found.values()), base
+
+    def support(self, k: str, h: str, base: str, columns: list[tuple[int, str, str, str]], narrow: bool) -> list[str]:
+        """Lines that, when narrow, move k and h, the bounds of a plain sum, onto the range where every column factor
+        can be nonzero, if no factor's row falls below 0 from k to h; then bind base to k and build each factor's run
+        over k..h where that has RUN terms or more, inside 0 <= e <= row at both ends."""
+        lines = []
+        if narrow:
+            guards, steps = [], []
+            for s, a, e, _ in columns:
+                if s > 0:  # rows from k + a up: binomial(v + a, e) is 0 below v = e - a
+                    low = _minus(e, a)
+                    guards.append("%s >= 0" % _plus(k, a))
+                    steps.append("if %s < %s:\n    %s = %s" % (k, low, k, low))
+                else:  # rows from a - h up: binomial(a - v, e) is 0 above v = a - e
+                    high = _minus(a, e)
+                    guards.append("%s >= 0" % _minus(a, h))
+                    steps.append("if %s > %s:\n    %s = %s" % (h, high, h, high))
+            negative = [e for e in dict.fromkeys(e for _, _, e, _ in columns) if not e.isdecimal()]
+            if negative:  # a column below 0 is 0 at every term
+                steps.append("if %s:\n    %s = %s + 1" % (" or ".join("%s < 0" % e for e in negative), k, h))
+            lines.append("if %s:\n%s" % (" and ".join(dict.fromkeys(guards)), _indent(steps)))
+        builds = [
+            "if 0 <= %s <= %s:\n    %s = binomials(%s, %s, %d, 0, %s - %s + 1)"
+            % (e, _plus(k, a) if s > 0 else _minus(a, h), r, _plus(k, a) if s > 0 else _minus(a, k), e, s, h, k)
+            for s, a, e, r in columns
+        ]
+        return lines + [
+            "%s = %s" % (base, k),
+            "%s = ()" % " = ".join(r for *_, r in columns),
+            "if %s - %s >= %d:\n%s" % (h, k, RUN - 1, _indent(builds)),
+        ]
+
     def sum(self, node: ast.Call, scope: _Scope) -> tuple[str, str]:
         term, var, lo, hi = node.args
         v = var.id
@@ -364,10 +493,24 @@ class _Compiler:
         lo_code = self.integer(lo, start, "a lower bound")
         hi_code = self.local(self.integer(hi, scope, "an upper bound"), scope)
         inner = _Scope(scope.names | {v}, var=None if running else v, hi=hi_code)
-        k, num, den, code, total = self.loop(v, inner, self.expr(term, inner), hi_code)
+        columns, base = [], None
+        if not running and self.line_tables is not None:
+            columns, base = self.columns(term, v, scope, inner)
+        bound = self.fresh("h") if any(s < 0 for s, *_ in columns) else hi_code
+        value = self.expr(term, inner)
+        k, num, den, code, total = self.loop(v, inner, value, bound)
         first = "%s, %s, %s = %s, 0, 1" % (k, num, den, lo_code)
         if not running:
-            scope.lines += ["%s = None" % t for t in inner.tables.values()] + [first, code]
+            scope.lines += ["%s = None" % t for t in inner.tables.values()] + [first]
+            if columns:
+                # narrowed only where every other part of the term is pure, so that a skipped term raises nothing
+                narrow = value[1] == "1" and all(
+                    n in inner.runs if isinstance(n, ast.Call)
+                    else not isinstance(n, ast.BinOp) or not isinstance(n.op, ast.Pow) or isinstance(n.right, ast.Constant)
+                    for n in ast.walk(term)
+                )
+                scope.lines += ["%s = %s" % (bound, hi_code)] * (bound != hi_code) + self.support(k, bound, base, columns, narrow)
+            scope.lines.append(code)
             return total
         # a running sum resumes its partial unless that is empty or passed the bound
         resume = ["if %s is None or %s > %s + 1:\n%s" % (k, k, hi_code, _indent(start.lines + [first])), code]

@@ -12,6 +12,7 @@ import re
 import subprocess
 import sys
 from collections import Counter
+from contextlib import contextmanager
 from dataclasses import replace
 from fractions import Fraction
 from math import comb
@@ -119,11 +120,22 @@ def naive(side: str, cell: dict) -> Fraction:
 
 
 def _value(evaluate):
-    """evaluate(), or DomainError where it raises that: a row below the first is refused on both readings."""
+    """evaluate(), or DomainError or ZeroDivisionError where it raises that: a row below the first is refused on both
+    readings, and so is a zero denominator."""
     try:
         return evaluate()
     except DomainError:
         return DomainError
+    except ZeroDivisionError:
+        return ZeroDivisionError
+
+
+_REFUSALS = (DomainError, ZeroDivisionError)
+
+
+def _refused(value):
+    """value, with either refusal as one mark: the two readings may meet a side's two refusals in either order."""
+    return "refused" if value in _REFUSALS else value
 
 
 # Statements that take the compiler's other paths: H of a square, of a
@@ -672,6 +684,67 @@ def test_a_broken_table_is_never_a_finding(monkeypatch, capsys, fault):
     assert {key for key in UNSEEN if key[0] == fault} <= met
 
 
+# --- column sums -------------------------------------------------------------------
+# Plain sums of a line function whose term has column factors binomial(v+a, e) or binomial(a-v, e) (README rule 5):
+# (text, its range at (m, n), each factor's (row, column) at (v, m, n)).  Where a row falls below 0 in the range, the
+# line refuses it as the sides do; elsewhere it evaluates only the terms at which every factor is nonzero.
+COLUMN_SUMS = [
+    # eq-amm's and thm-cube-sum's inner sum, from row 0, narrowed to j = max(n, m-n-1)..m-1: empty where n >= m
+    ("sum(binomial(j,n)*binomial(j,m-n-1), j=0..m-1)", lambda m, n: (0, m - 1), lambda j, m, n: [(j, n), (j, m - n - 1)]),
+    # thm-b-cube's falling column, rows 2n-2 down to n-1 of column n-1: every term
+    ("sum(k*binomial(2n-k-1,n-1)^2, k=1..n)", lambda m, n: (1, n), lambda k, m, n: [(2 * n - k - 1, n - 1)]),
+    # a falling row that reaches 0 at the upper bound, narrowed to k = 0..n-2
+    ("sum(binomial(n-k,2), k=0..n)", lambda m, n: (0, n), lambda k, m, n: [(n - k, 2)]),
+    # a rising row from 0, narrowed to j = n-1..m, where the first term is m (the factor m keeps the sum plain)
+    ("sum(binomial(j+1,n)*m, j=-1..m)", lambda m, n: (-1, m), lambda j, m, n: [(j + 1, n)]),
+    # cor-cube-A's square next to a column below 0 where n < 3, which leaves no term
+    ("sum(binomial(j,n)^2 * binomial(j+m,n-3), j=n-1..2n-1)", lambda m, n: (n - 1, 2 * n - 1),
+     lambda j, m, n: [(j, n), (j + m, n - 3)]),
+    # row -1 at j = -1 and at k = n+1: refused, never narrowed away
+    ("sum(m*binomial(j,n), j=-1..m)", lambda m, n: (-1, m), lambda j, m, n: [(j, n)]),
+    ("sum(binomial(n-k,0), k=0..n+1)", lambda m, n: (0, n + 1), lambda k, m, n: [(n - k, 0)]),
+]
+
+
+@contextmanager
+def _runs_from(length):
+    """statements.RUN set to length while a statement compiles at run time: its column sums read runs from there on."""
+    saved, statements.RUN = statements.RUN, length
+    try:
+        yield
+    finally:
+        statements.RUN = saved
+
+
+@pytest.mark.parametrize("text, bounds, factors", COLUMN_SUMS, ids=[text for text, _, _ in COLUMN_SUMS])
+def test_a_line_evaluates_a_column_sum_over_its_support_only(monkeypatch, text, bounds, factors):
+    # every term by its call, then with every sum of a term or more read from runs; tests/test_kernel_mutants.py moves
+    # each bound the compiler narrows to by one, loosens or drops each guard that no row falls below 0, and moves the
+    # runs' offset by one, and checks that this test fails
+    calls = []
+    for name in ("binomial", "binomials"):
+        real = getattr(identities, name)
+        monkeypatch.setattr(identities, name, lambda *args, name=name, real=real: calls.append(name) or real(*args))
+    for length in (statements.RUN, 1):
+        with _runs_from(length):
+            ident = _descriptor_of(text + " == 0", ("m", "n"))
+        for m in range(1, 9):
+            xs = list(range(1, 9))
+            sides = [_value(lambda: ident.lhs(m=m, n=n)) for n in xs]
+            if DomainError in sides:
+                with pytest.raises(DomainError, match="binomial: u must be >= 0"):
+                    ident.line(m, xs)
+                continue
+            calls.clear()
+            assert [lhs for lhs, _ in ident.line(m, xs)] == sides, (length, m)
+            supports = {n: [v for v in range(bounds(m, n)[0], bounds(m, n)[1] + 1)
+                            if all(0 <= e <= row for row, e in factors(v, m, n))] for n in xs}
+            # a call per factor and term, or a run per factor of each sum that has a term
+            terms = sum(len(factors(v, m, n)) for n, support in supports.items() for v in support)
+            runs = sum(len(factors(support[0], m, n)) for n, support in supports.items() if support)
+            assert Counter(calls) == Counter({"binomials": runs} if length == 1 else {"binomial": terms}), (length, m)
+
+
 def test_no_side_reads_a_table(monkeypatch):
     texts = [identities._lookup(text, conjectures._STATEMENTS) for text in list(conjectures._STATEMENTS)]
 
@@ -689,15 +762,25 @@ def test_no_side_reads_a_table(monkeypatch):
 
 # --- random statements from the grammar ----------------------------------------
 # Trees over literals 0..3, + - * /, powers 0..3, signs (-1)^E of an integer
-# expression E, c b a binomial on row name+1 or name+2, H(name+1) and sums
-# whose bounds are 0, 1, a name or a name + 1 (or m - n above).  A leaf or a
-# row names an index into the names in scope, so every tree renders to a
-# statement; a denominator is B^2 + 1, never 0.  Every name is at least 0, so
-# every row is 1 or more, where naive and the library agree.  E may fall below
-# 0, where the library and naive each raise DomainError.
+# expression E, c b a binomial on row name+1 or name+2, column reads
+# binomial(v+A-B, E) and binomial(A-v-B, E) of the innermost name v (the
+# summation variable inside a sum), H(name+1) and sums whose lower bound is
+# -2, -1, 0, 1, a name or a name + 1 and whose upper bound is 0, 1, a name, a
+# name + 1, m - n or m - 1, whose term may be divided by an integer expression,
+# among them column sums: plain sums of one or two column reads times m*n
+# and maybe another tree.
+# A leaf or a row names an index into the names in scope, so every tree
+# renders to a statement; the denominator of a / is B^2 + 1, never 0, and that
+# of a sum's term may be 0.  A row, a column, a harmonic number's argument or
+# an exponent may fall below 0 where a lower bound does, and a column read's
+# row or column anywhere: there the library and naive each raise DomainError,
+# or ZeroDivisionError at a zero denominator.
 
 _LEAVES = st.one_of(st.tuples(st.just("literal"), st.integers(0, 3)), st.tuples(st.just("name"), st.integers(0, 7)))
 _INTEGERS = st.recursive(_LEAVES, lambda children: st.tuples(st.sampled_from("+-*"), children, children), max_leaves=3)
+# the row v + A - B or A - v - B of the innermost name v, each of A and B left out or an integer expression, and the
+# column
+_COLUMN = st.tuples(st.just("column"), st.sampled_from((1, -1)), *[st.one_of(st.none(), _INTEGERS)] * 2, _INTEGERS)
 
 
 def _extend(children):
@@ -712,7 +795,13 @@ def _extend(children):
                   st.one_of(st.tuples(st.sampled_from("+-"), st.just(("name", -1)), _INTEGERS),
                             st.tuples(st.just("-"), _INTEGERS, st.just(("name", -1))), _INTEGERS, children)),
         st.tuples(st.just("H"), st.integers(0, 7)),
-        st.tuples(st.just("sum"), children, st.integers(0, 3), st.integers(0, 4), st.integers(0, 7)),
+        _COLUMN,
+        st.tuples(st.just("sum"), children, st.integers(0, 5), st.integers(0, 5), st.integers(0, 7),
+                  st.one_of(st.none(), _INTEGERS)),  # the term's divisor, which may be 0
+        # a column sum: a plain sum (its term reads m and n, so no upper bound makes it a running sum) of one or two
+        # column reads of its variable, times another tree or not
+        st.tuples(st.just("columns"), st.lists(_COLUMN, min_size=1, max_size=2), st.one_of(st.none(), children),
+                  st.integers(0, 5), st.integers(0, 5), st.integers(0, 7), st.one_of(st.none(), _INTEGERS)),
     )
 
 
@@ -734,10 +823,24 @@ def _render(tree, names=("m", "n")):
     if kind == "call":
         function, row, offset, column = args
         return "%s(%s+%d, %s)" % (function, names[row % len(names)], offset, _render(column, names))
-    term, lo, hi, bound = args
-    name, v = names[bound % len(names)], "v%d" % len(names)
-    lo, hi = ("0", "1", name, name + "+1")[lo], ("0", "1", name, name + "+1", "m-n")[hi]
-    return "sum(%s, %s=%s..%s)" % (_render(term, names + (v,)), v, lo, hi)
+    if kind == "column":
+        sign, a, b, column = args
+        a, b = (None if x is None else _render(x, names) for x in (a, b))
+        row = (names[-1] if a is None else "%s+%s" % (names[-1], a)) if sign > 0 else "%s-%s" % (a or 0, names[-1])
+        return "binomial(%s%s, %s)" % (row, "" if b is None else "-" + b, _render(column, names))
+    v = "v%d" % len(names)
+    if kind == "sum":
+        term, lo, hi, bound, divisor = args
+        term = _render(term, names + (v,))
+    else:  # m*n times the column reads, and times the other tree if there is one
+        columns, other, lo, hi, bound, divisor = args
+        term = "*".join(["m", "n", *(_render(x, names + (v,)) for x in columns)]
+                        + ([] if other is None else ["(%s)" % _render(other, names + (v,))]))
+    name = names[bound % len(names)]
+    lo, hi = ("0", "1", name, name + "+1", "-1", "-2")[lo], ("0", "1", name, name + "+1", "m-n", "m-1")[hi]
+    if divisor is not None:
+        term = "(%s)/(%s)" % (term, _render(divisor, names + (v,)))
+    return "sum(%s, %s=%s..%s)" % (term, v, lo, hi)
 
 
 _TREES = st.recursive(_LEAVES, _extend, max_leaves=6)
@@ -745,41 +848,64 @@ _TREES = st.recursive(_LEAVES, _extend, max_leaves=6)
 
 # (-1)^(m - n) falls below 0 where n > m, and (-1)^(v - n) in a sum over v = 0..m too
 _BELOW_ZERO = ("sign", ("-", ("name", 0), ("name", 1)))
-_SUMMED_BELOW_ZERO = ("sum", ("*", ("sign", ("-", ("name", 2), ("name", 1))), ("name", 2)), 0, 2, 0)
+_SUMMED_BELOW_ZERO = ("sum", ("*", ("sign", ("-", ("name", 2), ("name", 1))), ("name", 2)), 0, 2, 0, None)
+# column sums, which a line function narrows to their support and reads from column runs (README rule 5):
+# eq-amm's inner sum sum(binomial(j,n)*binomial(j,m-n-1), j=0..m-1), empty where n >= m
+_AMM = ("sum", ("*", ("column", 1, None, None, ("name", 1)),
+                ("column", 1, None, None, ("-", ("-", ("name", 0), ("name", 1)), ("literal", 1)))), 0, 5, 0, None)
+# thm-b-cube's falling column, sum(k * binomial(2n-k-1,n-1)^2, k=1..n)
+_B_CUBE = ("sum", ("*", ("name", 2), ("^", ("column", -1, ("*", ("literal", 2), ("name", 1)), ("literal", 1),
+                                              ("-", ("name", 1), ("literal", 1))), 2)), 1, 2, 1, None)
+# sum(binomial(j+1,n)*m, j=-1..m), narrowed to j = n-1..m; and sum(binomial(j,n)*m, j=-1..m), whose row -1 the
+# line must refuse as the sides do, not narrow away (without the factor m, each would be a running sum along n)
+_FROM_ROW_0 = ("sum", ("*", ("column", 1, ("literal", 1), None, ("name", 1)), ("name", 0)), 4, 2, 0, None)
+_FROM_ROW_BELOW_0 = ("sum", ("*", ("column", 1, None, None, ("name", 1)), ("name", 0)), 4, 2, 0, None)
+# sum(binomial(j,n)*m / (j-3), j=0..m), whose zero denominator at j = 3 no line may skip where n > 3
+_ZERO_DENOMINATOR = ("sum", ("*", ("column", 1, None, None, ("name", 1)), ("name", 0)), 0, 2, 0,
+                     ("-", ("name", 2), ("literal", 3)))
 
 
 @settings(max_examples=300, deadline=None)
 @given(_TREES, _TREES)
 @example(_BELOW_ZERO, ("literal", 1)).via("a sign whose exponent falls below 0 at some cells")
 @example(("*", _SUMMED_BELOW_ZERO, ("literal", 2)), ("sign", ("+", ("name", 0), ("literal", 3))))
+@example(_AMM, ("literal", 0)).via("eq-amm's inner sum, empty at n >= m")
+@example(_B_CUBE, ("literal", 0)).via("a falling column")
+@example(_FROM_ROW_0, _FROM_ROW_BELOW_0).via("a sum narrowed from row 0, and one whose row -1 raises")
+@example(_ZERO_DENOMINATOR, ("literal", 0)).via("a zero denominator in a column sum's term")
 def test_random_statements_agree_with_naive_on_every_path(lhs_tree, rhs_tree):
     statement = "%s == %s" % (_render(lhs_tree), _render(rhs_tree))
     try:
         ident = _descriptor_of(statement, ("m", "n"))
     except UsageError:
         return  # a refused statement raises UsageError and nothing else
+    with _runs_from(1):  # the same statement with every column sum of a term or more read from runs
+        runs = _descriptor_of(statement, ("m", "n"))
     lhs_text, rhs_text = statement.split(" == ")
     cells = [{"m": m, "n": n} for m in range(1, 7) for n in range(1, 7)]
     with keep_partials():
         sides = [(_value(lambda: ident.lhs(**cell)), _value(lambda: ident.rhs(**cell))) for cell in cells]
     for cell, (lhs, rhs) in zip(cells, sides):
         expected = (_value(lambda: naive(lhs_text, cell)), _value(lambda: naive(rhs_text, cell)))
-        assert (lhs, rhs) == expected, (statement, cell)
-    for m in range(1, 7):  # each pair is the sides cross-multiplied by one common denominator
-        if any(DomainError in pair for pair in sides[6 * m - 6:6 * m]):  # only an exponent below 0 raises here
-            with pytest.raises(DomainError, match="below 0"):
-                ident.line(m, list(range(1, 7)))
-            continue
-        pairs = ident.line(m, list(range(1, 7)))
-        assert len(pairs) == 6
-        for (p, q), (lhs, rhs) in zip(pairs, sides[6 * m - 6:6 * m]):
-            assert p * rhs == q * lhs and (p == q) == (lhs == rhs), (statement, m)
-    for fail_fast in (False, True):
-        options = {"ranges": {"m": (1, 6), "n": (1, 6)}, "fail_fast": fail_fast}
-        outcome = _outcome(ident, **options)
-        assert outcome == _outcome(_scalar(ident), **options), statement
-        if not fail_fast and any(DomainError in pair for pair in sides):
-            assert outcome[0] is DomainError and "below 0" in outcome[1], (statement, outcome)
+        assert tuple(map(_refused, (lhs, rhs))) == tuple(map(_refused, expected)), (statement, cell)
+    # the first refusal the cells meet in order, the left side first, is what a sweep raises
+    refusal = next((value for pair in sides for value in pair if value in _REFUSALS), None)
+    for compiled in (ident, runs):
+        for m in range(1, 7):  # each pair is the sides cross-multiplied by one common denominator
+            if any(value in _REFUSALS for pair in sides[6 * m - 6:6 * m] for value in pair):
+                with pytest.raises(_REFUSALS):  # never narrowed away: the engine then reruns the line's cells
+                    compiled.line(m, list(range(1, 7)))
+                continue
+            pairs = compiled.line(m, list(range(1, 7)))
+            assert len(pairs) == 6
+            for (p, q), (lhs, rhs) in zip(pairs, sides[6 * m - 6:6 * m]):
+                assert p * rhs == q * lhs and (p == q) == (lhs == rhs), (statement, m)
+        for fail_fast in (False, True):
+            options = {"ranges": {"m": (1, 6), "n": (1, 6)}, "fail_fast": fail_fast}
+            outcome = _outcome(compiled, **options)
+            assert outcome == _outcome(_scalar(compiled), **options), statement
+            if not fail_fast and refusal is not None:
+                assert outcome[0] is refusal, (statement, outcome)
 
 
 # a chain of one or two comparisons between integer expressions in m and n, from the same leaves
@@ -1108,4 +1234,4 @@ def test_the_source_generated_for_the_built_in_statements_is_pinned():
     run = subprocess.run([sys.executable, str(Path(__file__).parent / "generated_sources.py")], capture_output=True)
     assert run.returncode == 0, run.stderr
     assert len(json.loads(run.stdout)) == 39 + 5
-    assert hashlib.sha256(run.stdout).hexdigest() == "cafd74353c2255bc1463ef0c1867edbe46b3074b28b7a4cb725ff608c5d8bcca"
+    assert hashlib.sha256(run.stdout).hexdigest() == "2f0a3e9feead3a3b4dc440e624d301a4f80c6afa0cead6b8ce824bc93477f1ae"
